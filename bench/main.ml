@@ -948,8 +948,8 @@ let engine () =
     ]
   in
   let xforms = Transforms.Registry.as_shipped () in
-  (* enough trials per instance that the fork/marshal cost amortizes — the
-     regime a real campaign runs in *)
+  (* enough trials per instance that the per-instance wire cost amortizes —
+     the regime a real campaign runs in *)
   let config =
     {
       Fuzzyflow.Difftest.default_config with
@@ -983,7 +983,8 @@ let engine () =
         in
         assert (c.Fuzzyflow.Campaign.total_instances = serial.Fuzzyflow.Campaign.total_instances);
         (* scheduling overhead: how much slower one engine worker is than the
-           bare serial loop — the price of fork + marshal + polling *)
+           bare serial loop — the price of the worker fork, the wire
+           round-trip per instance and the dispatch loop *)
         let overhead = (t -. (t_serial /. float_of_int j)) /. t_serial in
         Printf.printf "%-10s %10.2f %9.2fx %10.1f %9.0f%%\n"
           (Printf.sprintf "-j %d" j)
@@ -1345,11 +1346,12 @@ let gen_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Distributed campaign service: wall-clock and recovery cost of remote
-   dispatch — serial local reference, two live workers, and two workers with
-   one SIGKILLed mid-campaign. Every scenario must reproduce the reference
-   verdicts; the chaos row also reports what the recovery cost in retries. *)
+   dispatch — one local worker alone, then with two live remote workers
+   added, then with one of those SIGKILLed mid-campaign. Every scenario must
+   reproduce the reference verdicts; the chaos row also reports what the
+   recovery cost in retries. *)
 let dist () =
-  header "Distributed service: local vs remote workers vs worker loss";
+  header "Distributed service: local vs added remote workers vs worker loss";
   let programs =
     [ ("scale", Workloads.Npbench.scale ()); ("axpy", Workloads.Npbench.axpy ()) ]
   in
@@ -1397,17 +1399,6 @@ let dist () =
   let run_scenario name ~workers ~kill_after =
     let path = Filename.temp_file "ffbench_dist" ".jsonl" in
     let spawned = List.init workers (fun _ -> spawn_worker ()) in
-    let remote =
-      if spawned = [] then None
-      else
-        Some
-          (Engine.Supervisor.executor
-             ~workers:
-               (List.map
-                  (fun (_, port) -> { Engine.Supervisor.host = "127.0.0.1"; port })
-                  spawned)
-             ())
-    in
     let seen = ref 0 in
     let sink l =
       if String.length l >= 18 && String.sub l 0 18 = {|{"type":"instance"|} then begin
@@ -1427,7 +1418,10 @@ let dist () =
               {
                 Engine.Worker.default_options with
                 journal_path = Some path;
-                remote;
+                workers =
+                  List.map
+                    (fun (_, port) -> { Engine.Supervisor.host = "127.0.0.1"; port })
+                    spawned;
                 journal_sink = (if kill_after = None then None else Some sink);
               }
             ~config programs xforms)
@@ -1444,8 +1438,8 @@ let dist () =
   in
   let _, _, _, ref_path = List.hd scenarios in
   let reference = instance_lines ref_path in
-  Printf.printf "%-18s %10s %10s %8s %8s %10s %10s\n" "scenario" "wall (s)" "inst/s"
-    "retries" "lost" "degraded" "verdicts";
+  Printf.printf "%-18s %10s %10s %8s %8s %10s\n" "scenario" "wall (s)" "inst/s" "retries"
+    "lost" "verdicts";
   let rows =
     List.map
       (fun (name, (c : Fuzzyflow.Campaign.t), t, path) ->
@@ -1453,23 +1447,21 @@ let dist () =
         (* the whole point of the supervisor: any topology, any failure
            schedule, byte-identical verdicts *)
         assert identical;
-        let retries, lost, degraded =
+        let retries, lost =
           match footer_of path with
-          | Some f ->
-              (f.Engine.Journal.retries, f.Engine.Journal.worker_lost, f.Engine.Journal.degraded)
-          | None -> (0, 0, false)
+          | Some f -> (f.Engine.Journal.retries, f.Engine.Journal.worker_lost)
+          | None -> (0, 0)
         in
-        Printf.printf "%-18s %10.2f %10.1f %8d %8d %10s %10s\n" name t
+        Printf.printf "%-18s %10.2f %10.1f %8d %8d %10s\n" name t
           (float_of_int c.Fuzzyflow.Campaign.total_instances /. t)
           retries lost
-          (if degraded then "yes" else "no")
           (if identical then "identical" else "DIVERGED");
         Sys.remove path;
         Printf.sprintf
-          "{\"bench\":\"dist\",\"scenario\":\"%s\",\"wall_s\":%.3f,\"instances\":%d,\"instances_per_s\":%.1f,\"retries\":%d,\"worker_lost\":%d,\"degraded\":%b,\"verdicts_identical\":%b}"
+          "{\"bench\":\"dist\",\"scenario\":\"%s\",\"wall_s\":%.3f,\"instances\":%d,\"instances_per_s\":%.1f,\"retries\":%d,\"worker_lost\":%d,\"verdicts_identical\":%b}"
           name t c.Fuzzyflow.Campaign.total_instances
           (float_of_int c.Fuzzyflow.Campaign.total_instances /. t)
-          retries lost degraded identical)
+          retries lost identical)
       scenarios
   in
   let oc = open_out "BENCH_dist.json" in

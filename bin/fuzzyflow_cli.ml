@@ -312,7 +312,9 @@ let campaign_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker processes. Verdicts are identical for any $(docv) and seed.")
+          ~doc:
+            "Local worker processes, forked once per campaign. Verdicts are identical for any \
+             $(docv) and seed.")
   in
   let deadline_arg =
     Arg.(
@@ -354,9 +356,10 @@ let campaign_cmd =
       value & opt_all string []
       & info [ "worker" ] ~docv:"HOST:PORT"
           ~doc:
-            "Dispatch instances to a remote worker (repeatable; start one with \
-             $(b,fuzzyflow worker)). Failed or dead workers are retried, quarantined and \
-             finally degraded to the local pool — verdicts stay identical to a local run.")
+            "Add a remote worker to the local ones (repeatable; start one with \
+             $(b,fuzzyflow worker)). Failed or dead remote workers are retried with backoff \
+             and then quarantined, and the local workers finish the campaign — verdicts \
+             stay identical to a local run.")
   in
   let generated_arg =
     Arg.(
@@ -411,7 +414,8 @@ let campaign_cmd =
       if engine_needed then
         let options =
           {
-            Engine.Worker.j;
+            Engine.Worker.default_options with
+            j;
             deadline_s = deadline;
             journal_path = journal;
             resume;
@@ -420,15 +424,13 @@ let campaign_cmd =
             limit_per;
             static_gate = static;
             certify_gate = certify;
-            remote =
-              (if workers = [] then None
-               else Some (Engine.Supervisor.executor ~workers ()));
-            journal_sink = None;
-            on_telemetry = None;
-            batching = Engine.Worker.Inherit;
+            workers;
           }
         in
-        Engine.Worker.run_campaign ~options ~config ~catalog:(xform_catalog ()) programs xforms
+        try Engine.Worker.run_campaign ~options ~config ~catalog:(xform_catalog ()) programs xforms
+        with Invalid_argument m ->
+          prerr_endline ("campaign: " ^ m);
+          exit 2
       else Fuzzyflow.Campaign.run ~config ~static_gate:static ~certify_gate:certify programs xforms
     in
     print_string (Fuzzyflow.Campaign.to_table c)
@@ -1003,8 +1005,9 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Run a campaign worker: accept assignments from a dispatcher, execute each in a \
-          supervised fork exactly as the local pool would, and reply with the verdict.")
+         "Run a remote campaign worker: accept assignments from a dispatcher, run each \
+          in-process under its deadline with a compilation cache kept across assignments \
+          (the same code a local $(b,-j) worker runs), and reply with the verdict.")
     Term.(const run $ port_arg [ "port" ] "Listen on $(docv) (0 picks an ephemeral port)." $ once_arg)
 
 let serve_cmd =
@@ -1027,7 +1030,8 @@ let serve_cmd =
   let j_arg =
     Arg.(
       value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Local pool width for fallback and worker-less runs.")
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:"Local worker processes per campaign, alongside the remote $(b,--worker)s.")
   in
   let deadline_arg =
     Arg.(
@@ -1076,9 +1080,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the campaign daemon: accept submissions, dispatch instances to remote workers \
-          with crash-tolerant supervision, stream journals back, and expose live telemetry \
-          over HTTP.")
+         "Run the campaign daemon: accept submissions, dispatch instances to local and \
+          remote workers with crash-tolerant supervision, stream journals back, and expose \
+          live telemetry over HTTP.")
     Term.(
       const run
       $ port_arg ~default:7400 [ "port" ] "Control port for submissions (0: ephemeral)."

@@ -4,6 +4,7 @@ type t = {
   symbols : (string * int) list;
   inputs : (string * float array) list;
   failure : Difftest.failure_kind;
+  step_limit : int;
 }
 
 let site_slug = Transforms.Xform.site_slug
@@ -21,6 +22,7 @@ let of_report ?(config = Difftest.default_config) ~original (report : Difftest.r
           symbols = [];
           inputs = [];
           failure = f.kind;
+          step_limit = config.step_limit;
         }
   | Difftest.Fail f ->
       let constraints =
@@ -43,6 +45,7 @@ let of_report ?(config = Difftest.default_config) ~original (report : Difftest.r
             symbols;
             inputs;
             failure = f.kind;
+            step_limit = config.step_limit;
           })
         !result
 
@@ -192,6 +195,7 @@ let to_dat tc =
       line "%s" (String.concat " " (List.map float_bits (Array.to_list arr))))
     tc.inputs;
   line "failure %s" (failure_line tc.failure);
+  line "steplimit %d" tc.step_limit;
   Buffer.contents buf
 
 let of_dat ~program content =
@@ -210,6 +214,9 @@ let of_dat ~program content =
       let symbols = ref [] in
       let inputs = ref [] in
       let failure = ref None in
+      (* bundles written before the step limit was recorded replay at the
+         interpreter's default *)
+      let step_limit = ref Interp.Exec.default_config.Interp.Exec.step_limit in
       let rec go = function
         | [] -> ()
         | l :: ls when String.length l >= 5 && String.sub l 0 5 = "name " ->
@@ -260,6 +267,12 @@ let of_dat ~program content =
         | l :: ls when String.length l >= 8 && String.sub l 0 8 = "failure " ->
             failure := Some (failure_of_line (rest l "failure "));
             go ls
+        | l :: ls when String.length l >= 10 && String.sub l 0 10 = "steplimit " -> (
+            match int_of_string_opt (rest l "steplimit ") with
+            | Some v when v > 0 ->
+                step_limit := v;
+                go ls
+            | _ -> failwith ("testcase: bad step limit line: " ^ l))
         | l :: _ -> failwith ("testcase: unknown line: " ^ l)
       in
       go lines;
@@ -280,6 +293,7 @@ let of_dat ~program content =
         symbols = List.rev !symbols;
         inputs = List.rev !inputs;
         failure;
+        step_limit = !step_limit;
       }
   | _ -> failwith "testcase: not a fuzzyflow-case file"
 
@@ -336,6 +350,6 @@ let load path =
   | exception Sdfg.Serialize.Parse_error reason -> Error { path; reason = "cutout graph: " ^ reason }
   | exception e -> Error { path; reason = Printexc.to_string e }
 
-let replay ?(step_limit = 5_000_000) tc =
-  let config = { Interp.Exec.default_config with step_limit } in
+let replay tc =
+  let config = { Interp.Exec.default_config with step_limit = tc.step_limit } in
   Interp.Exec.run ~config tc.cutout.program ~symbols:tc.symbols ~inputs:tc.inputs

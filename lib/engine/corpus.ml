@@ -76,7 +76,11 @@ let check_reproduces ~catalog (m : meta) (tc : Testcase.t) =
             if m.klass = "invalid-code" then (true, "transformed cutout still invalid")
             else (false, "transformed cutout became invalid")
           else
-            let run g = Interp.Exec.run g ~symbols:tc.symbols ~inputs:tc.inputs in
+            (* at the step limit that found the case: a hang divergence
+               reproduces within that budget, and a longer one would only
+               burn time, serialized in the campaign process *)
+            let config = { Interp.Exec.default_config with step_limit = tc.step_limit } in
+            let run g = Interp.Exec.run ~config g ~symbols:tc.symbols ~inputs:tc.inputs in
             let orig = run tc.cutout.program in
             let xfrm = run transformed in
             (match

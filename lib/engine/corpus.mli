@@ -22,6 +22,9 @@ type meta = {
   site : Transforms.Xform.site;  (** valid on the saved cutout (ids preserved) *)
 }
 
+(** [mkdir_p dir] creates [dir] and any missing parents. *)
+val mkdir_p : string -> unit
+
 type save_result =
   | Saved of string  (** entry directory *)
   | Duplicate of string  (** an entry with the same signature exists *)
@@ -50,7 +53,7 @@ type replay_outcome = { meta : meta; reproduced : bool; detail : string }
 
 (** Reload an entry and re-run the differential check: apply the recorded
     transformation to the saved cutout and compare both runs under the stored
-    fault-inducing inputs. *)
+    fault-inducing inputs, at the step limit the failure was found at. *)
 val replay_entry : catalog:Transforms.Xform.t list -> dir:string -> meta -> replay_outcome
 
 (** Replay the whole corpus. *)

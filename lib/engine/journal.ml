@@ -215,7 +215,6 @@ type footer = {
   retries : int;
   quarantined : int;
   worker_lost : int;
-  degraded : bool;
   recovered_records : int;
 }
 
@@ -326,7 +325,6 @@ let footer_line (f : footer) =
          ("retries", Json.Num (float_of_int f.retries));
          ("quarantined", Json.Num (float_of_int f.quarantined));
          ("worker_lost", Json.Num (float_of_int f.worker_lost));
-         ("degraded", Json.Bool f.degraded);
          ("recovered_records", Json.Num (float_of_int f.recovered_records));
        ])
 
@@ -403,11 +401,11 @@ let parse_line line =
           trials_spent = Json.int (Json.field j "trials_spent");
           wall_s = Json.num (Json.field j "wall_s");
           instances_per_s = Json.num (Json.field j "instances_per_s");
-          (* absent in journals written before the distributed service *)
+          (* absent in journals written before the distributed service; the
+             "degraded" flag older versions wrote is ignored *)
           retries = (match Json.mem j "retries" with Some v -> Json.int v | None -> 0);
           quarantined = (match Json.mem j "quarantined" with Some v -> Json.int v | None -> 0);
           worker_lost = (match Json.mem j "worker_lost" with Some v -> Json.int v | None -> 0);
-          degraded = (match Json.mem j "degraded" with Some v -> Json.bool v | None -> false);
           recovered_records =
             (match Json.mem j "recovered_records" with Some v -> Json.int v | None -> 0);
         }

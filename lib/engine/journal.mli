@@ -60,8 +60,7 @@ type footer = {
   instances_per_s : float;
   retries : int;  (** worker failures that led to a retry/reconnect *)
   quarantined : int;  (** remote workers quarantined after repeated failures *)
-  worker_lost : int;  (** mid-instance worker losses (the instance was requeued) *)
-  degraded : bool;  (** the campaign fell back to the local fork pool *)
+  worker_lost : int;  (** mid-instance worker losses (disconnect or hang) *)
   recovered_records : int;  (** torn tail records truncated during resume *)
 }
 

@@ -27,12 +27,6 @@ let default_config =
     log = (fun msg -> Printf.eprintf "service: %s\n%!" msg);
   }
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ---------------- HTTP/JSON telemetry endpoint ---------------- *)
 
 type state = {
@@ -152,14 +146,6 @@ let run_submission ~config ~resolve ~catalog_of ~st ~http client (sub : Wire.sub
              and its journal stays on disk *)
           client_gone := true
     in
-    let remote =
-      if config.workers = [] then None
-      else
-        Some
-          (Supervisor.executor ~policy:config.policy
-             ~tick:(fun () -> http_tick st http)
-             ~workers:config.workers ())
-    in
     let options =
       {
         Worker.default_options with
@@ -170,7 +156,9 @@ let run_submission ~config ~resolve ~catalog_of ~st ~http client (sub : Wire.sub
         limit_per = sub.Wire.s_limit_per;
         static_gate = sub.Wire.s_static_gate;
         certify_gate = sub.Wire.s_certify_gate;
-        remote;
+        workers = config.workers;
+        policy = config.policy;
+        tick = (fun () -> http_tick st http);
         journal_sink = Some sink;
         on_telemetry = Some (fun t -> st.telemetry <- Some t);
       }
@@ -204,7 +192,7 @@ let run_submission ~config ~resolve ~catalog_of ~st ~http client (sub : Wire.sub
 
 let serve ?(config = default_config) ~resolve ~catalog_of () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  mkdir_p config.journal_dir;
+  Corpus.mkdir_p config.journal_dir;
   let csock, cport = Wire.listen_on ~port:config.port () in
   let http =
     Option.map

@@ -1,10 +1,9 @@
 (** The distributed campaign daemon and its submitting client.
 
     [serve] accepts {!Wire.Submit} messages on a control socket, runs each
-    submission as one campaign — dispatching instances to the configured
-    remote workers through {!Supervisor.executor}, degrading to the local
-    fork pool if the fleet dies — and streams every journal line back to the
-    submitter as it is flushed. An optional HTTP/1.0 endpoint serves live
+    submission as one campaign — dispatching instances to its local workers
+    and the configured remote workers on one {!Supervisor.run} loop — and
+    streams every journal line back to the submitter as it is flushed. An optional HTTP/1.0 endpoint serves live
     JSON telemetry ([/telemetry]) and the current journal ([/journal]);
     it is polled from inside the running campaign via the supervisor's
     [tick] hook, so it stays live mid-campaign.
@@ -16,9 +15,9 @@
 type config = {
   port : int;  (** control port; [0] picks an ephemeral one *)
   http_port : int option;  (** telemetry endpoint; [None] disables it *)
-  workers : Supervisor.endpoint list;  (** empty: always run locally *)
+  workers : Supervisor.endpoint list;  (** remote workers; empty: local slots only *)
   policy : Supervisor.policy;
-  j : int;  (** local pool width (fallback and worker-less runs) *)
+  j : int;  (** local worker processes per campaign *)
   deadline_s : float;  (** per-instance wall-clock budget *)
   journal_dir : string;  (** journals land here as campaign-NNN.jsonl *)
   corpus_dir : string option;

@@ -61,15 +61,6 @@ let default_policy =
     backoff_max_s = 2.;
   }
 
-type events = {
-  on_failure : endpoint -> failure_class -> unit;
-  on_quarantine : endpoint -> unit;
-  on_requeue : int -> unit;
-}
-
-let null_events =
-  { on_failure = (fun _ _ -> ()); on_quarantine = (fun _ -> ()); on_requeue = (fun _ -> ()) }
-
 (* Bounded exponential backoff with deterministic jitter: the jitter fraction
    is FNV-1a over (endpoint, consecutive-failure count, instance seed) — the
    same seed construction as [Campaign.instance_seed] — so reconnect schedules
@@ -82,298 +73,6 @@ let backoff_delay ~policy ~ep ~failures ~seed =
   let jitter = float_of_int (Campaign.instance_seed ~global:seed tag land 0xFFFF) /. 65536. in
   base *. (1. +. jitter)
 
-(* ---------------- per-worker supervision state ---------------- *)
-
-type wstate = W_disconnected | W_idle | W_busy of int  (** fresh-array index in flight *)
-
-type wrk = {
-  ep : endpoint;
-  slot : int;
-  mutable fd : Unix.file_descr option;
-  mutable state : wstate;
-  mutable failures : int;  (** consecutive; reset by a delivered result *)
-  mutable next_try : float;  (** earliest reconnect attempt (backoff gate) *)
-  mutable quarantined : bool;
-  mutable busy_since : float;
-  mutable last_seed : int;  (** seed of the last assigned instance; jitter source *)
-  mutable idle_since : float;
-  mutable ping_sent : float;  (** 0. = no ping outstanding *)
-}
-
-(* ---------------- the dispatch loop ---------------- *)
-
-let now () = Unix.gettimeofday ()
-
-let dispatch ~(policy : policy) ~(events : events) ~tick ~workers
-    ~(items : Queue.item array) ~(config : Difftest.config) ~static_gate ~certify_gate
-    ~deadline_s ~(telemetry : Telemetry.t) ~on_start ~on_done =
-  let n = Array.length items in
-  let graph_blob =
-    (* one Marshal per distinct program, shared across its instances *)
-    let memo = Hashtbl.create 8 in
-    fun (it : Queue.item) ->
-      match Hashtbl.find_opt memo it.Queue.program_name with
-      | Some b -> b
-      | None ->
-          let b = Marshal.to_string it.Queue.program [] in
-          Hashtbl.add memo it.Queue.program_name b;
-          b
-  in
-  let assignment_of fi =
-    let it = items.(fi) in
-    {
-      Wire.a_idx = fi;
-      a_program = it.Queue.program_name;
-      a_graph = graph_blob it;
-      a_xform = it.Queue.xform.Transforms.Xform.name;
-      a_site = it.Queue.site;
-      a_config = { config with Difftest.seed = it.Queue.seed };
-      a_static_gate = static_gate;
-      a_certify_gate = certify_gate;
-      a_deadline_s = deadline_s;
-    }
-  in
-  let pending = Stdlib.Queue.create () in
-  Array.iteri (fun fi _ -> Stdlib.Queue.push fi pending) items;
-  let done_ = Array.make n false in
-  let remaining = ref n in
-  let ws =
-    List.mapi
-      (fun slot ep ->
-        {
-          ep;
-          slot;
-          fd = None;
-          state = W_disconnected;
-          failures = 0;
-          next_try = 0.;
-          quarantined = false;
-          busy_since = 0.;
-          last_seed = config.Difftest.seed;
-          idle_since = 0.;
-          ping_sent = 0.;
-        })
-      workers
-  in
-  let close_conn w =
-    (match w.fd with
-    | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    w.fd <- None
-  in
-  let requeue fi =
-    if not done_.(fi) then begin
-      Stdlib.Queue.push fi pending;
-      events.on_requeue fi
-    end
-  in
-  (* Every failure is classified, counted, and drives the backoff /
-     quarantine state machine. A failure mid-instance additionally requeues
-     the instance (and counts as a worker loss): the instance itself is never
-     lost, and because its verdict depends only on (instance, seed), a rerun
-     anywhere produces the identical outcome. *)
-  let fail_worker w cls =
-    (match w.state with
-    | W_busy fi ->
-        Telemetry.lost_worker telemetry;
-        requeue fi
-    | _ -> ());
-    close_conn w;
-    w.state <- W_disconnected;
-    w.failures <- w.failures + 1;
-    events.on_failure w.ep cls;
-    Telemetry.retry telemetry;
-    if w.failures >= policy.max_failures then begin
-      w.quarantined <- true;
-      events.on_quarantine w.ep;
-      Telemetry.quarantine telemetry
-    end
-    else
-      w.next_try <-
-        now () +. backoff_delay ~policy ~ep:w.ep ~failures:w.failures ~seed:w.last_seed
-  in
-  let try_connect w =
-    match
-      let fd = Wire.connect ~timeout_s:policy.connect_timeout_s ~host:w.ep.host ~port:w.ep.port in
-      (try
-         Wire.write_message ~timeout_s:policy.connect_timeout_s fd
-           (Wire.Hello { proto = Wire.protocol_version });
-         match Wire.read_message ~timeout_s:policy.connect_timeout_s fd with
-         | Wire.Hello_ack { proto } when proto = Wire.protocol_version -> fd
-         | Wire.Hello_ack { proto } ->
-             raise (Wire.Bad_version { ours = Wire.protocol_version; theirs = proto })
-         | _ -> raise (Wire.Protocol_error "unexpected handshake reply")
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e)
-    with
-    | fd ->
-        w.fd <- Some fd;
-        w.state <- W_idle;
-        w.idle_since <- now ();
-        w.ping_sent <- 0.
-    | exception Unix.Unix_error (err, _, _) ->
-        fail_worker w (Connect_refused { detail = Unix.error_message err })
-    | exception Wire.Bad_version { ours; theirs } ->
-        fail_worker w (Version_mismatch { ours; theirs })
-    | exception Wire.Timeout ->
-        fail_worker w (Hang { waited_s = policy.connect_timeout_s })
-    | exception Wire.Closed -> fail_worker w (Disconnected { during = "handshake" })
-    | exception Wire.Protocol_error detail -> fail_worker w (Decode_failure { detail })
-  in
-  let assign w fi =
-    match w.fd with
-    | None -> requeue fi
-    | Some fd -> (
-        w.last_seed <- items.(fi).Queue.seed;
-        match Wire.write_message ~timeout_s:policy.heartbeat_s fd (Wire.Assign (assignment_of fi)) with
-        | () ->
-            w.state <- W_busy fi;
-            w.busy_since <- now ();
-            on_start fi w.slot
-        | exception (Wire.Closed | Unix.Unix_error _) ->
-            requeue fi;
-            fail_worker w (Disconnected { during = "assign" })
-        | exception Wire.Timeout ->
-            requeue fi;
-            fail_worker w (Hang { waited_s = policy.heartbeat_s }))
-  in
-  let deliver w fi result =
-    done_.(fi) <- true;
-    decr remaining;
-    w.state <- W_idle;
-    w.idle_since <- now ();
-    w.ping_sent <- 0.;
-    w.failures <- 0;
-    on_done fi result
-  in
-  let handle_message w =
-    match w.fd with
-    | None -> ()
-    | Some fd -> (
-        match Wire.read_message ~timeout_s:policy.heartbeat_s fd with
-        | Wire.Result { r_idx; r_status; r_payload; r_cache_hits; r_cache_misses } -> (
-            Telemetry.worker_cache telemetry ~hits:r_cache_hits ~misses:r_cache_misses;
-            match w.state with
-            | W_busy fi when fi = r_idx && not done_.(fi) -> (
-                match (r_status, r_payload) with
-                | Campaign.Completed, Some ir -> deliver w fi (Ok ir)
-                | Campaign.Timed_out { deadline_s }, _ ->
-                    deliver w fi (Error (Worker.Timed_out { deadline_s }))
-                | Campaign.Crashed { detail }, _ ->
-                    deliver w fi (Error (Worker.Crashed { detail }))
-                | Campaign.Completed, None ->
-                    fail_worker w
-                      (Decode_failure { detail = "completed result carried no payload" }))
-            | _ ->
-                fail_worker w
-                  (Decode_failure
-                     { detail = Printf.sprintf "result for unexpected instance %d" r_idx }))
-        | Wire.Refused { r_idx; r_detail } -> (
-            match w.state with
-            | W_busy fi when fi = r_idx ->
-                (* the worker is alive but cannot run this assignment; the
-                   instance goes back to the queue and the worker is treated
-                   as failing (repeated refusals quarantine it) *)
-                fail_worker w (Decode_failure { detail = "assignment refused: " ^ r_detail })
-            | _ -> fail_worker w (Decode_failure { detail = "unsolicited refusal" }))
-        | Wire.Pong _ ->
-            w.ping_sent <- 0.;
-            w.idle_since <- now ()
-        | _ -> fail_worker w (Decode_failure { detail = "unexpected message" })
-        | exception Wire.Closed ->
-            fail_worker w
-              (Disconnected
-                 { during = (match w.state with W_busy _ -> "instance" | _ -> "idle") })
-        | exception Wire.Timeout -> fail_worker w (Hang { waited_s = policy.heartbeat_s })
-        | exception Wire.Bad_version { ours; theirs } ->
-            fail_worker w (Version_mismatch { ours; theirs })
-        | exception Wire.Protocol_error detail -> fail_worker w (Decode_failure { detail })
-        | exception Unix.Unix_error _ -> fail_worker w (Disconnected { during = "read" }))
-  in
-  let health_check w =
-    let t = now () in
-    match (w.fd, w.state) with
-    | Some _, W_busy fi ->
-        if t -. w.busy_since > deadline_s +. policy.hang_grace_s then begin
-          ignore fi;
-          fail_worker w (Hang { waited_s = t -. w.busy_since })
-        end
-    | Some fd, W_idle ->
-        if w.ping_sent > 0. then begin
-          if t -. w.ping_sent > policy.heartbeat_s then
-            fail_worker w (Hang { waited_s = t -. w.ping_sent })
-        end
-        else if t -. w.idle_since > policy.heartbeat_s then begin
-          match Wire.write_message ~timeout_s:1.0 fd (Wire.Ping 0) with
-          | () -> w.ping_sent <- t
-          | exception (Wire.Closed | Unix.Unix_error _) ->
-              fail_worker w (Disconnected { during = "heartbeat" })
-          | exception Wire.Timeout -> fail_worker w (Hang { waited_s = 1.0 })
-        end
-    | _ -> ()
-  in
-  let alive () = List.exists (fun w -> not w.quarantined) ws in
-  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  Fun.protect ~finally:(fun () ->
-      List.iter
-        (fun w ->
-          (match w.fd with
-          | Some fd -> ( try Wire.write_message ~timeout_s:0.5 fd Wire.Shutdown with _ -> ())
-          | None -> ());
-          close_conn w)
-        ws;
-      Sys.set_signal Sys.sigpipe prev_sigpipe)
-  @@ fun () ->
-  while !remaining > 0 && alive () do
-    tick ();
-    let t = now () in
-    (* reconnect + assign pass *)
-    List.iter
-      (fun w ->
-        if (not w.quarantined) && w.fd = None && t >= w.next_try
-           && not (Stdlib.Queue.is_empty pending)
-        then try_connect w)
-      ws;
-    List.iter
-      (fun w ->
-        if w.fd <> None && w.state = W_idle && not (Stdlib.Queue.is_empty pending) then
-          assign w (Stdlib.Queue.pop pending))
-      ws;
-    (* wait for traffic *)
-    let fds = List.filter_map (fun w -> if w.quarantined then None else w.fd) ws in
-    (if fds = [] then Unix.sleepf 0.02
-     else
-       match Unix.select fds [] [] 0.05 with
-       | readable, _, _ ->
-           List.iter
-             (fun w ->
-               match w.fd with
-               | Some fd when List.memq fd readable -> handle_message w
-               | _ -> ())
-             ws
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    List.iter (fun w -> if w.fd <> None then health_check w) ws
-  done;
-  tick ();
-  (* whatever is left (every worker quarantined) goes to the local fallback *)
-  let leftovers = ref [] in
-  for fi = n - 1 downto 0 do
-    if not done_.(fi) then leftovers := fi :: !leftovers
-  done;
-  !leftovers
-
-let executor ?(policy = default_policy) ?(events = null_events) ?(tick = fun () -> ()) ~workers
-    () =
-  {
-    Worker.dispatch =
-      (fun ~items ~config ~static_gate ~certify_gate ~deadline_s ~telemetry ~on_start ~on_done ->
-        if workers = [] then List.init (Array.length items) Fun.id
-        else
-          dispatch ~policy ~events ~tick ~workers ~items ~config ~static_gate ~certify_gate
-            ~deadline_s ~telemetry ~on_start ~on_done);
-  }
-
 (* ---------------- the worker side ---------------- *)
 
 let listen_on ?host ~port () = Wire.listen_on ?host ~port ()
@@ -384,8 +83,8 @@ let listen_on ?host ~port () = Wire.listen_on ?host ~port ()
    hit/miss deltas travel back in the Result frame and surface as a cache
    hit rate in the dispatcher's telemetry. *)
 type wcache = {
-  wc_plans : Interp.Plan.Cache.t;
-  wc_kernels : Interp.Kernel.Cache.t;
+  mutable wc_plans : Interp.Plan.Cache.t;
+  mutable wc_kernels : Interp.Kernel.Cache.t;
 }
 
 let wcache_create () =
@@ -401,38 +100,50 @@ let wcache_stats c =
 
 exception Deadline_exceeded
 
-(* In-process deadline enforcement: SIGALRM raises out of the running
-   instance. Compiled plans and kernels hold closures, which cannot cross a
-   Marshal boundary — so keeping the cache warm across assignments requires
-   running in-process rather than in a supervised fork. The interpreter's
-   own step limit bounds each trial; the alarm bounds everything else, and
-   any escape (including Stack_overflow) is contained as a Crashed result. *)
-let with_deadline ~deadline_s f =
+(* In-process deadline enforcement. Compiled plans and kernels hold
+   closures, which cannot cross a Marshal boundary — so keeping the cache
+   warm across assignments requires running in-process rather than in a
+   per-instance fork. The interpreter's own step limit bounds each trial; a
+   one-shot SIGALRM bounds everything else. While [f] runs, the alarm calls
+   [expire], which never returns: it raises [Deadline_exceeded], or replies
+   and ends the process. An alarm that fired makes the result [Timed_out]
+   even when code inside [f] caught the exception and went on to finish, so
+   no handler in the instance can turn a timeout into a verdict. Any other
+   escape (including Stack_overflow) is contained as a Crashed result. *)
+let with_deadline ~deadline_s ~expire f =
+  let armed = ref true and expired = ref false in
   let prev =
-    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Deadline_exceeded))
-  in
-  let disarm () =
-    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0. });
-    Sys.set_signal Sys.sigalrm prev
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle
+         (fun _ ->
+           if !armed then begin
+             armed := false;
+             expired := true;
+             expire ()
+           end))
   in
   ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = deadline_s });
-  match f () with
-  | v ->
-      disarm ();
-      Ok v
-  | exception Deadline_exceeded ->
-      disarm ();
-      Error (Worker.Timed_out { deadline_s })
-  | exception e ->
-      disarm ();
-      Error (Worker.Crashed { detail = Printexc.to_string e })
+  let r =
+    (* the outer handler takes the one raise that can land just after [f]
+       returned: [armed] is cleared before [expire] runs *)
+    try
+      match f () with
+      | v -> Ok v
+      | exception e -> Error (Campaign.Crashed { detail = Printexc.to_string e })
+    with Deadline_exceeded -> Error (Campaign.Timed_out { deadline_s })
+  in
+  armed := false;
+  ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0. });
+  Sys.set_signal Sys.sigalrm prev;
+  if !expired then Error (Campaign.Timed_out { deadline_s }) else r
 
-(* One assignment: compile through the session cache and run the instance
-   in-process under the alarm-based deadline. A remote verdict is the same
-   bytes a local one would be — verdicts are cache-oblivious (both caches
-   key by program digest and symbol valuation). *)
-let run_assignment ?caches ~catalog (a : Wire.assignment) =
-  let caches = match caches with Some c -> c | None -> wcache_create () in
+(* One assignment: compile through the worker's cache and run the instance
+   in-process under the alarm-based deadline; [expire] receives the
+   [Timed_out] reply from the alarm handler. Verdicts are cache-oblivious
+   (both caches key by program digest and symbol valuation). An assignment
+   that timed out or crashed may have been interrupted inside a cache
+   update, so it leaves the worker with fresh caches. *)
+let run_with_cache caches ~catalog ~expire (a : Wire.assignment) =
   let h0, m0 = wcache_stats caches in
   let result r_status r_payload =
     let h1, m1 = wcache_stats caches in
@@ -459,39 +170,59 @@ let run_assignment ?caches ~catalog (a : Wire.assignment) =
               ~certify_gate:a.Wire.a_certify_gate ~program:(a.Wire.a_program, graph) xform
               a.Wire.a_site
           in
-          match with_deadline ~deadline_s:a.Wire.a_deadline_s thunk with
+          let deadline_s = a.Wire.a_deadline_s in
+          let expire () = expire (result (Campaign.Timed_out { deadline_s }) None) in
+          match with_deadline ~deadline_s ~expire thunk with
           | Ok ir -> result Campaign.Completed (Some ir)
-          | Error (Worker.Timed_out { deadline_s }) ->
-              result (Campaign.Timed_out { deadline_s }) None
-          | Error (Worker.Crashed { detail }) -> result (Campaign.Crashed { detail }) None))
+          | Error status ->
+              let reply = result status None in
+              let fresh = wcache_create () in
+              caches.wc_plans <- fresh.wc_plans;
+              caches.wc_kernels <- fresh.wc_kernels;
+              reply))
 
-let handle_session ?caches ~catalog fd =
-  let caches = match caches with Some c -> c | None -> wcache_create () in
-  let stop = ref false in
-  while not !stop do
-    match Wire.read_message fd with
-    | Wire.Ping x -> Wire.write_message fd (Wire.Pong x)
-    | Wire.Shutdown -> stop := true
-    | Wire.Assign a -> Wire.write_message fd (run_assignment ~caches ~catalog a)
-    | _ -> ()
-  done
+let run_assignment ~catalog a =
+  run_with_cache (wcache_create ()) ~catalog ~expire:(fun _ -> raise Deadline_exceeded) a
+
+(* The per-connection part every worker runs, local or remote: answer the
+   version handshake, then serve heartbeats and assignments until the peer
+   sends [Shutdown] or goes away. A local worker serves exactly this one
+   connection, so at an assignment's deadline it writes the [Timed_out]
+   reply and [_exit]s from the alarm handler: nothing in the instance can
+   catch that. A remote worker's process outlives its connections, so its
+   deadline raises instead; if the instance catches the exception and runs
+   on, the dispatcher's hang check ends the connection. *)
+let serve_connection ~exit_on_deadline caches ~catalog fd =
+  let expire reply =
+    if exit_on_deadline then begin
+      (try Wire.write_message fd reply with _ -> ());
+      Unix._exit 0
+    end
+    else raise Deadline_exceeded
+  in
+  match Wire.read_message ~timeout_s:30. fd with
+  | Wire.Hello { proto } when proto = Wire.protocol_version ->
+      Wire.write_message fd (Wire.Hello_ack { proto = Wire.protocol_version });
+      let stop = ref false in
+      while not !stop do
+        match Wire.read_message fd with
+        | Wire.Ping x -> Wire.write_message fd (Wire.Pong x)
+        | Wire.Shutdown -> stop := true
+        | Wire.Assign a -> Wire.write_message fd (run_with_cache caches ~catalog ~expire a)
+        | _ -> ()
+      done
+  | _ -> ()
 
 let serve_worker ?(once = false) ~catalog sock =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* one cache for the whole worker process: assignments across sessions
+  (* one cache for the whole worker process: assignments across connections
      share compiled plans and kernels *)
   let caches = wcache_create () in
   let continue = ref true in
   while !continue do
     (match Unix.accept sock with
     | client, _ ->
-        (try
-           match Wire.read_message ~timeout_s:30. client with
-           | Wire.Hello { proto } when proto = Wire.protocol_version ->
-               Wire.write_message client (Wire.Hello_ack { proto = Wire.protocol_version });
-               handle_session ~caches ~catalog client
-           | _ -> ()
-         with
+        (try serve_connection ~exit_on_deadline:false caches ~catalog client with
         | Wire.Closed | Wire.Timeout | Wire.Protocol_error _ | Wire.Bad_version _
         | Unix.Unix_error _
         ->
@@ -500,3 +231,356 @@ let serve_worker ?(once = false) ~catalog sock =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     if once then continue := false
   done
+
+(* ---------------- local workers ---------------- *)
+
+(* A local worker keeps only its own socket and the standard streams. An
+   inherited end of a sibling's socketpair (or of a remote connection)
+   would keep that peer from ever seeing EOF once the campaign process
+   dies, and the siblings would live on as orphans. On Unix a
+   [Unix.file_descr] is the descriptor number. *)
+let close_inherited ~keep =
+  let keep : int = Obj.magic keep in
+  let open_fds =
+    match Sys.readdir "/proc/self/fd" with
+    | names -> List.filter_map int_of_string_opt (Array.to_list names)
+    | exception Sys_error _ -> List.init 1024 Fun.id
+  in
+  List.iter
+    (fun n ->
+      if n > 2 && n <> keep then try Unix.close (Obj.magic n) with Unix.Unix_error _ -> ())
+    open_fds
+
+(* Fork one local worker on a fresh socketpair and return (pid, our end).
+   The child serves exactly one connection — the same code a remote worker
+   runs per connection — and [_exit]s, never running the parent's exit
+   hooks or flushing its duplicated channel buffers. Fork and socketpair
+   errors raise: they are the host's failures, not a worker's. *)
+let spawn_local ~catalog =
+  let ours, theirs = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      close_inherited ~keep:theirs;
+      (try serve_connection ~exit_on_deadline:true (wcache_create ()) ~catalog theirs with _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close theirs;
+      (pid, ours)
+  | exception e ->
+      Unix.close ours;
+      Unix.close theirs;
+      raise e
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | exception Unix.Unix_error _ -> ()
+
+(* ---------------- per-worker supervision state ---------------- *)
+
+type kind = Remote of endpoint | Local of { mutable pid : int option }
+
+type wstate = W_disconnected | W_idle | W_busy of int  (** item index in flight *)
+
+type wrk = {
+  kind : kind;
+  name : string;
+  slot : int;  (** telemetry slot *)
+  mutable fd : Unix.file_descr option;
+  mutable state : wstate;
+  mutable failures : int;  (** consecutive; reset by a delivered result *)
+  mutable next_try : float;  (** earliest reconnect attempt; [infinity] once quarantined *)
+  mutable busy_since : float;
+  mutable last_seed : int;  (** seed of the last assigned instance; jitter source *)
+  mutable idle_since : float;
+  mutable ping_sent : float;  (** 0. = no ping outstanding *)
+}
+
+(* ---------------- the dispatch loop ---------------- *)
+
+let now () = Unix.gettimeofday ()
+
+let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
+    ~(config : Difftest.config) ~static_gate ~certify_gate ~deadline_s
+    ~(telemetry : Telemetry.t) ~on_done (items : Queue.item array) =
+  let n = Array.length items in
+  let graph_blob =
+    (* one Marshal per distinct program, shared across its instances;
+       program names are unique within a campaign *)
+    let memo = Hashtbl.create 8 in
+    fun (it : Queue.item) ->
+      match Hashtbl.find_opt memo it.Queue.program_name with
+      | Some b -> b
+      | None ->
+          let b = Marshal.to_string it.Queue.program [] in
+          Hashtbl.add memo it.Queue.program_name b;
+          b
+  in
+  let assignment_of i =
+    let it = items.(i) in
+    {
+      Wire.a_idx = i;
+      a_program = it.Queue.program_name;
+      a_graph = graph_blob it;
+      a_xform = it.Queue.xform.Transforms.Xform.name;
+      a_site = it.Queue.site;
+      a_config = { config with Difftest.seed = it.Queue.seed };
+      a_static_gate = static_gate;
+      a_certify_gate = certify_gate;
+      a_deadline_s = deadline_s;
+    }
+  in
+  let pending = Stdlib.Queue.create () in
+  Array.iteri (fun i _ -> Stdlib.Queue.push i pending) items;
+  let losses = Array.make n 0 in
+  let remaining = ref n in
+  let slot_of kind name slot =
+    {
+      kind;
+      name;
+      slot;
+      fd = None;
+      state = W_disconnected;
+      failures = 0;
+      next_try = 0.;
+      busy_since = 0.;
+      last_seed = config.Difftest.seed;
+      idle_since = 0.;
+      ping_sent = 0.;
+    }
+  in
+  (* remote slots first, so faults aimed at a remote connection still meet
+     the campaign's first assignments *)
+  let remotes = List.mapi (fun s ep -> slot_of (Remote ep) (endpoint_to_string ep) s) workers in
+  let nr = List.length remotes in
+  let locals =
+    List.init (max 1 j) (fun k ->
+        slot_of (Local { pid = None }) (Printf.sprintf "local#%d" k) (nr + k))
+  in
+  let ws = remotes @ locals in
+  (* a local worker is always SIGKILLed and reaped when its connection
+     closes, so none outlives the campaign or lingers as a zombie *)
+  let close_conn w =
+    (match w.fd with
+    | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+    | None -> ());
+    w.fd <- None;
+    match w.kind with
+    | Local ({ pid = Some pid } as l) ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        reap pid;
+        l.pid <- None
+    | Local { pid = None } | Remote _ -> ()
+  in
+  let settle i result =
+    decr remaining;
+    on_done i result
+  in
+  (* Every failure is classified, counted, and drives the respawn (local) or
+     backoff / quarantine (remote) state machine. A disconnect or hang
+     mid-instance is a worker loss: the instance is requeued under its
+     original seed — a rerun anywhere produces the identical outcome. Only
+     local losses count toward the poison rule (remote ones are bounded by
+     quarantine, and the local slots always remain): an instance that has
+     lost [max_failures] local workers settles as [Crashed] with a detail
+     that names no worker, so its journal line is the same in any topology
+     and no remote failure can change a verdict. *)
+  let fail_worker w cls =
+    (match w.state with
+    | W_busy i ->
+        Telemetry.idle telemetry ~slot:w.slot;
+        (match cls with
+        | Disconnected _ | Hang _ -> (
+            Telemetry.lost_worker telemetry;
+            match w.kind with Local _ -> losses.(i) <- losses.(i) + 1 | Remote _ -> ())
+        | Connect_refused _ | Version_mismatch _ | Decode_failure _ -> ());
+        if losses.(i) >= policy.max_failures then
+          let detail = Printf.sprintf "worker lost %d times on this instance" policy.max_failures in
+          settle i (Error (Campaign.Crashed { detail }))
+        else Stdlib.Queue.push i pending
+    | W_disconnected | W_idle -> ());
+    close_conn w;
+    w.state <- W_disconnected;
+    on_failure w.name cls;
+    Telemetry.retry telemetry;
+    match w.kind with
+    | Local _ -> ()
+    | Remote ep ->
+        w.failures <- w.failures + 1;
+        if w.failures >= policy.max_failures then begin
+          w.next_try <- infinity;
+          Telemetry.quarantine telemetry
+        end
+        else
+          w.next_try <- now () +. backoff_delay ~policy ~ep ~failures:w.failures ~seed:w.last_seed
+  in
+  let handshake fd =
+    Wire.write_message ~timeout_s:policy.connect_timeout_s fd
+      (Wire.Hello { proto = Wire.protocol_version });
+    match Wire.read_message ~timeout_s:policy.connect_timeout_s fd with
+    | Wire.Hello_ack { proto } when proto = Wire.protocol_version -> ()
+    | Wire.Hello_ack { proto } ->
+        raise (Wire.Bad_version { ours = Wire.protocol_version; theirs = proto })
+    | _ -> raise (Wire.Protocol_error "unexpected handshake reply")
+  in
+  let try_connect w =
+    match
+      let fd =
+        match w.kind with
+        | Remote ep -> Wire.connect ~timeout_s:policy.connect_timeout_s ~host:ep.host ~port:ep.port
+        | Local l ->
+            let pid, fd = spawn_local ~catalog in
+            l.pid <- Some pid;
+            fd
+      in
+      w.fd <- Some fd;
+      handshake fd
+    with
+    | () ->
+        w.state <- W_idle;
+        w.idle_since <- now ();
+        w.ping_sent <- 0.
+    (* a local slot's fork or socketpair error is the host's failure, not a
+       worker's: it raises out of the campaign *)
+    | exception Unix.Unix_error (err, _, _)
+      when (match w.kind with Remote _ -> true | Local _ -> w.fd <> None) ->
+        fail_worker w (Connect_refused { detail = Unix.error_message err })
+    | exception Wire.Bad_version { ours; theirs } ->
+        fail_worker w (Version_mismatch { ours; theirs })
+    | exception Wire.Timeout -> fail_worker w (Hang { waited_s = policy.connect_timeout_s })
+    | exception Wire.Closed -> fail_worker w (Disconnected { during = "handshake" })
+    | exception Wire.Protocol_error detail -> fail_worker w (Decode_failure { detail })
+  in
+  let assign w fd i =
+    w.last_seed <- items.(i).Queue.seed;
+    match Wire.write_message ~timeout_s:policy.heartbeat_s fd (Wire.Assign (assignment_of i)) with
+    | () ->
+        w.state <- W_busy i;
+        w.busy_since <- now ();
+        Telemetry.running telemetry ~slot:w.slot items.(i).Queue.id
+    | exception (Wire.Closed | Unix.Unix_error _) ->
+        Stdlib.Queue.push i pending;
+        fail_worker w (Disconnected { during = "assign" })
+    | exception Wire.Timeout ->
+        Stdlib.Queue.push i pending;
+        fail_worker w (Hang { waited_s = policy.heartbeat_s })
+  in
+  let deliver w i result =
+    w.state <- W_idle;
+    w.idle_since <- now ();
+    w.ping_sent <- 0.;
+    w.failures <- 0;
+    Telemetry.idle telemetry ~slot:w.slot;
+    settle i result
+  in
+  let handle_message w =
+    match w.fd with
+    | None -> ()
+    | Some fd -> (
+        match Wire.read_message ~timeout_s:policy.heartbeat_s fd with
+        | Wire.Result { r_idx; r_status; r_payload; r_cache_hits; r_cache_misses } -> (
+            Telemetry.worker_cache telemetry ~hits:r_cache_hits ~misses:r_cache_misses;
+            match (w.state, r_status, r_payload) with
+            | W_busy i, Campaign.Completed, Some ir when i = r_idx -> deliver w i (Ok ir)
+            | W_busy i, Campaign.Completed, None when i = r_idx ->
+                fail_worker w (Decode_failure { detail = "completed result carried no payload" })
+            | W_busy i, ((Campaign.Timed_out _ | Campaign.Crashed _) as status), _ when i = r_idx -> (
+                deliver w i (Error status);
+                (* a local worker ends its own process at the deadline: reap
+                   it now, and the slot respawns on demand *)
+                match (w.kind, status) with
+                | Local _, Campaign.Timed_out _ ->
+                    close_conn w;
+                    w.state <- W_disconnected
+                | _ -> ())
+            | _ ->
+                fail_worker w
+                  (Decode_failure
+                     { detail = Printf.sprintf "result for unexpected instance %d" r_idx }))
+        | Wire.Refused { r_detail; _ } ->
+            (* the worker is alive but cannot run this assignment: the
+               instance is requeued, and repeated refusals quarantine it *)
+            fail_worker w (Decode_failure { detail = "assignment refused: " ^ r_detail })
+        | Wire.Pong _ ->
+            w.ping_sent <- 0.;
+            w.idle_since <- now ()
+        | _ -> fail_worker w (Decode_failure { detail = "unexpected message" })
+        | exception Wire.Closed ->
+            fail_worker w
+              (Disconnected
+                 { during = (match w.state with W_busy _ -> "instance" | _ -> "idle") })
+        | exception Wire.Timeout -> fail_worker w (Hang { waited_s = policy.heartbeat_s })
+        | exception Wire.Bad_version { ours; theirs } ->
+            fail_worker w (Version_mismatch { ours; theirs })
+        | exception Wire.Protocol_error detail -> fail_worker w (Decode_failure { detail })
+        | exception Unix.Unix_error _ -> fail_worker w (Disconnected { during = "read" }))
+  in
+  let health_check w =
+    let t = now () in
+    match (w.fd, w.state) with
+    | Some _, W_busy _ ->
+        if t -. w.busy_since > deadline_s +. policy.hang_grace_s then
+          fail_worker w (Hang { waited_s = t -. w.busy_since })
+    | Some fd, W_idle ->
+        if w.ping_sent > 0. then begin
+          if t -. w.ping_sent > policy.heartbeat_s then
+            fail_worker w (Hang { waited_s = t -. w.ping_sent })
+        end
+        else if t -. w.idle_since > policy.heartbeat_s then begin
+          match Wire.write_message ~timeout_s:1.0 fd (Wire.Ping 0) with
+          | () -> w.ping_sent <- t
+          | exception (Wire.Closed | Unix.Unix_error _) ->
+              fail_worker w (Disconnected { during = "heartbeat" })
+          | exception Wire.Timeout -> fail_worker w (Hang { waited_s = 1.0 })
+        end
+    | _ -> ()
+  in
+  let idle_slots () = List.length (List.filter (fun w -> w.fd <> None && w.state = W_idle) ws) in
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun w ->
+          (match (w.kind, w.fd) with
+          | Remote _, Some fd -> ( try Wire.write_message ~timeout_s:0.5 fd Wire.Shutdown with _ -> ())
+          | _ -> ());
+          close_conn w)
+        ws;
+      Sys.set_signal Sys.sigpipe prev_sigpipe)
+  @@ fun () ->
+  while !remaining > 0 do
+    tick ();
+    let t = now () in
+    (* (re)connect pass: a slot opens only while pending work outnumbers
+       the idle connections, so a small campaign forks no spare workers *)
+    List.iter
+      (fun w ->
+        if w.fd = None && t >= w.next_try
+           && Stdlib.Queue.length pending > idle_slots ()
+        then try_connect w)
+      ws;
+    List.iter
+      (fun w ->
+        match (w.fd, w.state) with
+        | Some fd, W_idle when not (Stdlib.Queue.is_empty pending) ->
+            assign w fd (Stdlib.Queue.pop pending)
+        | _ -> ())
+      ws;
+    (* wait for traffic *)
+    let fds = List.filter_map (fun w -> w.fd) ws in
+    (if fds = [] then Unix.sleepf 0.02
+     else
+       match Unix.select fds [] [] 0.05 with
+       | readable, _, _ ->
+           List.iter
+             (fun w ->
+               match w.fd with
+               | Some fd when List.memq fd readable -> handle_message w
+               | _ -> ())
+             ws
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    List.iter (fun w -> if w.fd <> None then health_check w) ws
+  done;
+  tick ()

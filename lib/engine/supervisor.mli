@@ -1,24 +1,23 @@
-(** Crash-tolerant supervision of remote campaign workers.
+(** Crash-tolerant supervision of campaign workers, local and remote.
 
-    The dispatcher side ({!dispatch} / {!executor}) drives a set of
-    socket-connected workers through the {!Wire} protocol: connect +
-    version handshake, assignment dispatch, heartbeats on idle connections,
-    per-instance deadline overrun detection, and a typed failure taxonomy.
-    Failures trigger retry with bounded exponential backoff whose jitter is
-    derived deterministically from the per-instance FNV-1a seed; a worker
-    that keeps failing is quarantined. Whatever the remote fleet could not
-    finish is returned to [Worker.run_campaign] for the local fork-pool
-    fallback, so a campaign completes with correct verdicts even if every
-    remote worker dies.
+    {!run} dispatches every instance over the {!Wire} protocol to [j] local
+    workers, forked once per campaign on socketpairs, and to any remote
+    endpoints ([fuzzyflow_cli worker]). Both kinds run the same code per
+    connection: a version handshake, then assignments, each run in-process
+    under an alarm deadline with a plan/kernel cache kept across
+    assignments. A local worker replies [Timed_out] and ends its process at
+    the deadline, so no code in an instance can catch it. The dispatcher
+    owns heartbeats, deadline overruns, requeue and a typed failure
+    taxonomy. A failed remote worker backs off (jitter derived from the
+    instance seed) and is quarantined after repeated failures; a failed
+    local worker is SIGKILLed, reaped and respawned, so the local slots
+    always finish the campaign. An instance that has lost [max_failures]
+    local workers settles as [Crashed] with a fixed detail.
 
-    Verdict determinism survives all of it: an instance's verdict depends
-    only on (instance, seed), worker-side execution compiles through a
-    cache keyed by program digest and symbol valuation (cache-oblivious
-    verdicts), and a requeued instance re-runs under the same seed — so any
-    topology, any failure schedule, yields journals byte-identical to
-    [-j 1].
-
-    The worker side ({!serve_worker}) is the matching accept loop. *)
+    Verdicts depend only on (instance, seed) and worker-side compilation is
+    cache-oblivious, so any topology, and any failure schedule that loses
+    fewer than [max_failures] local workers on one instance, yields journal
+    instance lines byte-identical to [-j 1]. *)
 
 type endpoint = { host : string; port : int }
 
@@ -30,7 +29,7 @@ val endpoint_of_string : string -> endpoint
 
 (** The typed failure taxonomy. Every worker failure is classified as one of
     these; none of them ever becomes an instance verdict — verdicts only come
-    from a live worker's reply (or the local fallback). *)
+    from a live worker's reply (or the poison-instance rule above). *)
 type failure_class =
   | Connect_refused of { detail : string }
   | Version_mismatch of { ours : int; theirs : int }
@@ -46,62 +45,58 @@ type policy = {
   connect_timeout_s : float;  (** connect + handshake budget *)
   heartbeat_s : float;  (** idle ping interval, and pong / frame-read budget *)
   hang_grace_s : float;  (** slack past the instance deadline before [Hang] *)
-  max_failures : int;  (** consecutive failures before quarantine *)
+  max_failures : int;
+      (** consecutive failures before a remote worker is quarantined, and
+          local worker losses before an instance settles as [Crashed] *)
   backoff_base_s : float;
   backoff_max_s : float;
 }
 
 val default_policy : policy
 
-(** Observation hooks for tests and chaos probes. *)
-type events = {
-  on_failure : endpoint -> failure_class -> unit;
-  on_quarantine : endpoint -> unit;
-  on_requeue : int -> unit;
-}
-
-val null_events : events
-
 (** [backoff_delay ~policy ~ep ~failures ~seed]: bounded exponential backoff
     with deterministic FNV-1a jitter. Exposed for tests. *)
 val backoff_delay : policy:policy -> ep:endpoint -> failures:int -> seed:int -> float
 
-(** Build the remote execution strategy for [Worker.run_campaign]'s
-    [options.remote]. [tick] is polled on every dispatch iteration (the
-    service's HTTP endpoint piggybacks on it). An empty worker list returns
-    every item for local fallback. *)
-val executor :
-  ?policy:policy ->
-  ?events:events ->
-  ?tick:(unit -> unit) ->
+(** Run [items] to completion on [j] (at least 1) local workers plus one
+    slot per remote endpoint, remote slots first in assignment order.
+    [on_done i r] fires once per item (completion order, [i] indexes
+    [items]); [Error] carries [Timed_out] or [Crashed]. [on_failure] sees
+    every classified worker failure, naming the worker ["host:port"] or
+    ["local#N"]. [catalog] resolves transformation names in local workers.
+    [tick] is polled on every loop iteration (the service's HTTP endpoint
+    piggybacks on it).
+    @raise Unix.Unix_error when a local worker cannot be forked. *)
+val run :
+  policy:policy ->
+  on_failure:(string -> failure_class -> unit) ->
+  tick:(unit -> unit) ->
   workers:endpoint list ->
-  unit ->
-  Worker.remote_executor
+  j:int ->
+  catalog:Transforms.Xform.t list ->
+  config:Fuzzyflow.Difftest.config ->
+  static_gate:bool ->
+  certify_gate:bool ->
+  deadline_s:float ->
+  telemetry:Telemetry.t ->
+  on_done:
+    (int -> (Fuzzyflow.Campaign.instance_result, Fuzzyflow.Campaign.exec_status) result -> unit) ->
+  Queue.item array ->
+  unit
 
 (** Bind + listen (see {!Wire.listen_on}); [port = 0] picks an ephemeral
     port, returned alongside the socket. *)
 val listen_on : ?host:Unix.inet_addr -> port:int -> unit -> Unix.file_descr * int
 
-(** Worker-side plan/kernel compilation cache, persistent across assignments
-    (and, in {!serve_worker}, across sessions). Keys are cutout digest plus
-    symbol valuation; per-assignment hit/miss deltas ride back in every
-    [Result] frame and surface as a hit rate in dispatcher telemetry. *)
-type wcache
+(** Run one assignment in-process under an alarm-based deadline with a
+    fresh compilation cache, and build the reply. Verdicts are
+    cache-oblivious, so the reply is the same bytes a warm worker would
+    send. Exposed for tests. *)
+val run_assignment : catalog:Transforms.Xform.t list -> Wire.assignment -> Wire.message
 
-val wcache_create : unit -> wcache
-
-(** Cumulative [(hits, misses)] over both caches. *)
-val wcache_stats : wcache -> int * int
-
-(** Run one assignment in-process under an alarm-based deadline, compiling
-    through [caches] (a fresh throwaway cache when omitted), and build the
-    reply. Verdicts are cache-oblivious, so a remote verdict is byte-identical
-    to a local one. Exposed for tests. *)
-val run_assignment :
-  ?caches:wcache -> catalog:Transforms.Xform.t list -> Wire.assignment -> Wire.message
-
-(** The worker accept loop: handshake, then serve assignments until the peer
-    disconnects; transformations are resolved by registry name in [catalog].
-    [once] exits after the first connection closes (tests). Runs forever
-    otherwise — fork it, or dedicate the process to it. *)
+(** The remote worker's accept loop: serve each connection (handshake, then
+    assignments until the peer disconnects) with one compilation cache for
+    the whole process; transformations are resolved by registry name in
+    [catalog]. [once] exits after the first connection closes (tests). Runs
+    forever otherwise — fork it, or dedicate the process to it. *)
 val serve_worker : ?once:bool -> catalog:Transforms.Xform.t list -> Unix.file_descr -> unit

@@ -19,7 +19,6 @@ type t = {
   mutable worker_lost : int;
   mutable wcache_hits : int;
   mutable wcache_misses : int;
-  mutable degraded_f : bool;
   mutable recovered : int;
   mutable last_render : float;
   workers : string option array;  (** instance id currently on each slot *)
@@ -45,7 +44,6 @@ let create ?(progress = true) ~total ~j () =
     worker_lost = 0;
     wcache_hits = 0;
     wcache_misses = 0;
-    degraded_f = false;
     recovered = 0;
     last_render = 0.;
     workers = Array.make (max 1 j) None;
@@ -69,11 +67,10 @@ let render t =
     else Printf.sprintf "  deps %d/%d" t.dep_decided t.dep_pairs
   in
   let dist_note =
-    if t.retries = 0 && t.quarantined_n = 0 && t.worker_lost = 0 && not t.degraded_f then ""
+    if t.retries = 0 && t.quarantined_n = 0 && t.worker_lost = 0 then ""
     else
-      Printf.sprintf "  retries %d  quarantined %d  lost %d%s" t.retries t.quarantined_n
+      Printf.sprintf "  retries %d  quarantined %d  lost %d" t.retries t.quarantined_n
         t.worker_lost
-        (if t.degraded_f then "  DEGRADED" else "")
   in
   let cache_note =
     let total = t.wcache_hits + t.wcache_misses in
@@ -135,12 +132,6 @@ let worker_cache t ~hits ~misses =
   t.wcache_hits <- t.wcache_hits + hits;
   t.wcache_misses <- t.wcache_misses + misses
 
-let set_degraded t =
-  t.degraded_f <- true;
-  emit t
-
-let degraded t = t.degraded_f
-
 let recovered_records t n = t.recovered <- t.recovered + n
 
 let summary t : Journal.footer =
@@ -156,7 +147,6 @@ let summary t : Journal.footer =
     retries = t.retries;
     quarantined = t.quarantined_n;
     worker_lost = t.worker_lost;
-    degraded = t.degraded_f;
     recovered_records = t.recovered;
   }
 
@@ -182,7 +172,6 @@ let snapshot t =
         Journal.Json.Num
           (let total = t.wcache_hits + t.wcache_misses in
            if total = 0 then 0. else float_of_int t.wcache_hits /. float_of_int total) );
-      ("degraded", Journal.Json.Bool f.Journal.degraded);
       ("recovered_records", Journal.Json.Num (float_of_int f.Journal.recovered_records));
       ("wall_s", Journal.Json.Num f.Journal.wall_s);
       ("instances_per_s", Journal.Json.Num f.Journal.instances_per_s);

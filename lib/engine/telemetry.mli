@@ -21,23 +21,20 @@ val case_saved : t -> unit
 (** An instance was satisfied from the journal instead of being re-fuzzed. *)
 val resumed : t -> unit
 
-(** A remote worker failed and will be retried (with backoff). *)
+(** A worker failed and will be reconnected (remote, with backoff) or
+    respawned (local). *)
 val retry : t -> unit
 
 (** A remote worker was quarantined after repeated failures. *)
 val quarantine : t -> unit
 
-(** A worker was lost mid-instance; the instance was requeued. *)
+(** A worker was lost (disconnect or hang) mid-instance; the instance was
+    requeued, or settled as [Crashed] once it had lost too many. *)
 val lost_worker : t -> unit
 
-(** Fold a remote worker's per-assignment plan/kernel cache traffic into the
+(** Fold a worker's per-assignment plan/kernel cache traffic into the
     campaign totals; the hit rate appears in {!render} and {!snapshot}. *)
 val worker_cache : t -> hits:int -> misses:int -> unit
-
-(** The campaign fell back to the local fork pool (degraded mode). *)
-val set_degraded : t -> unit
-
-val degraded : t -> bool
 
 (** [recovered_records t n]: [n] torn tail records were truncated on resume. *)
 val recovered_records : t -> int -> unit

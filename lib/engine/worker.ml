@@ -2,10 +2,10 @@ open Fuzzyflow
 
 type failure = Timed_out of { deadline_s : float } | Crashed of { detail : string }
 
-(* ---------------- fork/reap protocol ---------------- *)
+(* ---------------- the probe pool: fork/reap protocol ---------------- *)
 
 (* Results travel through a per-child temp file rather than a pipe: a
-   marshalled cutout can exceed the pipe buffer, and a child blocked on a
+   marshalled result can exceed the pipe buffer, and a child blocked on a
    full pipe until its deadline would be misreported as a hang. *)
 
 type child = {
@@ -13,11 +13,10 @@ type child = {
   tmp : string;
   started : float;
   c_idx : int;
-  c_slot : int;
   mutable killed : bool;
 }
 
-let spawn f idx slot =
+let spawn f idx =
   let tmp = Filename.temp_file "fuzzyflow-worker" ".result" in
   flush stdout;
   flush stderr;
@@ -34,7 +33,7 @@ let spawn f idx slot =
          close_out oc
        with _ -> ());
       Unix._exit 0
-  | pid -> { pid; tmp; started = Unix.gettimeofday (); c_idx = idx; c_slot = slot; killed = false }
+  | pid -> { pid; tmp; started = Unix.gettimeofday (); c_idx = idx; killed = false }
 
 (* A child's result file can be absent (the child died before its write, or
    the write itself failed) or corrupt (truncated or garbled by a killed
@@ -79,15 +78,10 @@ let settle ~deadline_s child status =
         ignore (read_result child.tmp);
         Error (Crashed { detail = Printf.sprintf "worker killed by signal %d" s })
 
-let map_pool ~j ~deadline_s ?on_start ?on_done thunks =
+let map_pool ~j ~deadline_s ?on_done thunks =
   let n = Array.length thunks in
   let j = max 1 j in
   let results = Array.make n None in
-  let slots = Array.make j false in
-  let free_slot () =
-    let rec go i = if i >= j then 0 else if not slots.(i) then i else go (i + 1) in
-    go 0
-  in
   (* Sleep-wait reaping via the self-pipe trick: a SIGCHLD handler writes a
      byte to a non-blocking pipe and the loop selects on it, with the timeout
      bounded by the nearest child deadline. An idle pool sleeps instead of
@@ -120,10 +114,7 @@ let map_pool ~j ~deadline_s ?on_start ?on_done thunks =
   let next = ref 0 in
   while !next < n || !running <> [] do
     while !next < n && List.length !running < j do
-      let slot = free_slot () in
-      slots.(slot) <- true;
-      let c = spawn thunks.(!next) !next slot in
-      (match on_start with Some f -> f !next slot | None -> ());
+      let c = spawn thunks.(!next) !next in
       running := c :: !running;
       incr next
     done;
@@ -140,7 +131,6 @@ let map_pool ~j ~deadline_s ?on_start ?on_done thunks =
         | _, status ->
             let r = settle ~deadline_s c status in
             results.(c.c_idx) <- Some r;
-            slots.(c.c_slot) <- false;
             (match on_done with Some f -> f c.c_idx r | None -> ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> still := c :: !still)
       !running;
@@ -167,24 +157,6 @@ let supervise ~deadline_s f = (map_pool ~j:1 ~deadline_s [| f |]).(0)
 
 (* ---------------- the campaign driver ---------------- *)
 
-(* A remote execution strategy, plugged in by [Supervisor.executor]: run the
-   fresh items on remote workers, report through the same on_start/on_done
-   callbacks as the local pool, and return the indices it could NOT complete
-   (every remote worker dead or quarantined) for the local-pool fallback.
-   Defined here as plain data so [Worker] never depends on the supervisor. *)
-type remote_executor = {
-  dispatch :
-    items:Queue.item array ->
-    config:Difftest.config ->
-    static_gate:bool ->
-    certify_gate:bool ->
-    deadline_s:float ->
-    telemetry:Telemetry.t ->
-    on_start:(int -> int -> unit) ->
-    on_done:(int -> (Campaign.instance_result, failure) result -> unit) ->
-    int list;
-}
-
 (* How the trial loop's batch width is chosen. [Auto] derives it from the
    per-instance trial budget: wide enough to amortize instruction dispatch,
    capped so one sweep's buffers stay cache-resident. *)
@@ -202,7 +174,10 @@ type options = {
   limit_per : int option;
   static_gate : bool;
   certify_gate : bool;
-  remote : remote_executor option;
+  workers : Supervisor.endpoint list;
+  policy : Supervisor.policy;
+  on_failure : string -> Supervisor.failure_class -> unit;
+  tick : unit -> unit;
   journal_sink : (string -> unit) option;
   on_telemetry : (Telemetry.t -> unit) option;
   batching : batching;
@@ -219,19 +194,16 @@ let default_options =
     limit_per = None;
     static_gate = false;
     certify_gate = false;
-    remote = None;
+    workers = [];
+    policy = Supervisor.default_policy;
+    on_failure = (fun _ _ -> ());
+    tick = ignore;
     journal_sink = None;
     on_telemetry = None;
     batching = Inherit;
   }
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
-let killed_outcome ~(item : Queue.item) ~status ~elapsed_s =
+let killed_outcome ~(item : Queue.item) ~status =
   {
     Campaign.o_program = item.program_name;
     o_xform = item.xform.Transforms.Xform.name;
@@ -243,16 +215,30 @@ let killed_outcome ~(item : Queue.item) ~status ~elapsed_s =
     o_dep_pairs = 0;
     o_dep_decided = 0;
     o_dep_sampled = 0;
-    o_elapsed_s = elapsed_s;
+    o_elapsed_s = (match status with Campaign.Timed_out { deadline_s } -> deadline_s | _ -> 0.);
     o_seed = item.seed;
   }
 
+(* Workers resolve transformations by name, the supervisor ships one graph
+   per program name, and instance ids and --resume key on both names: a
+   duplicate would silently run or journal the wrong thing. *)
+let reject_duplicates what names =
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+        if a = b then invalid_arg (Printf.sprintf "Worker.run_campaign: duplicate %s name %s" what a)
+        else go rest
+    | _ -> ()
+  in
+  go (List.sort compare names)
+
 let run_campaign ?(options = default_options) ?(config = Difftest.default_config) ?catalog
     programs xforms =
+  reject_duplicates "program" (List.map fst programs);
+  reject_duplicates "transformation" (List.map (fun (x : Transforms.Xform.t) -> x.name) xforms);
   let catalog = match catalog with Some c -> c | None -> xforms in
-  (* resolve the batch width once: it flows into local children and remote
-     assignments alike through the one config value, and verdicts are
-     width-oblivious, so this cannot perturb journals *)
+  (* resolve the batch width once: it flows into every assignment through
+     the one config value, and verdicts are width-oblivious, so this cannot
+     perturb journals *)
   let config =
     match options.batching with
     | Inherit -> config
@@ -287,16 +273,9 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
       | None -> ([], 0)
     else ([], 0)
   in
-  let outcomes : Campaign.outcome option array = Array.make n None in
-  let from_journal = Array.make n false in
-  Array.iteri
-    (fun i (it : Queue.item) ->
-      match List.assoc_opt it.id resumed_map with
-      | Some o ->
-          outcomes.(i) <- Some o;
-          from_journal.(i) <- true
-      | None -> ())
-    items;
+  let outcomes =
+    Array.map (fun (it : Queue.item) -> List.assoc_opt it.id resumed_map) items
+  in
   (* the journal is rewritten from scratch even on resume: parsed outcomes are
      re-emitted in queue order, so the file is always a clean, deterministic
      prefix of the campaign (a torn tail from a kill never accumulates) *)
@@ -305,7 +284,7 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
     match options.journal_path with
     | None -> None
     | Some path ->
-        (match Filename.dirname path with "." -> () | d -> mkdir_p d);
+        Corpus.mkdir_p (Filename.dirname path);
         Some (open_out path)
   in
   let emit_line line =
@@ -342,53 +321,29 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
       match journal_oc with Some oc -> flush oc | None -> ()
     end
   in
-  let telemetry = Telemetry.create ~progress:options.progress ~total:n ~j:options.j () in
+  let telemetry =
+    Telemetry.create ~progress:options.progress ~total:n
+      ~j:(List.length options.workers + max 1 options.j)
+      ()
+  in
   Telemetry.recovered_records telemetry recovered_records;
   (match options.on_telemetry with Some f -> f telemetry | None -> ());
-  Array.iteri (fun i resumed -> if resumed then begin ignore i; Telemetry.resumed telemetry end) from_journal;
+  Array.iter (fun o -> if o <> None then Telemetry.resumed telemetry) outcomes;
   flush_journal ();
   (* fresh work: everything the journal did not cover *)
   let fresh_idx = ref [] in
   Array.iteri (fun i o -> if o = None then fresh_idx := i :: !fresh_idx) outcomes;
   let fresh = Array.of_list (List.rev !fresh_idx) in
   let results : (int * Campaign.instance_result) list ref = ref [] in
-  let thunk_of fi =
-    let it = items.(fresh.(fi)) in
-    fun () ->
-      let config = { config with Difftest.seed = it.Queue.seed } in
-      (* the plan cache is created here, inside the forked child: compiled
-         plans hold closures, which must never cross the Marshal channel
-         back to the parent, and a per-process cache keeps workers
-         deterministic regardless of scheduling *)
-      let plan_cache = Interp.Plan.Cache.create () in
-      let kernel_cache = Interp.Kernel.Cache.create () in
-      Campaign.run_instance ~plan_cache ~kernel_cache ~config ~static_gate:options.static_gate
-        ~certify_gate:options.certify_gate
-        ~program:(it.program_name, it.program)
-        it.xform it.site
-  in
-  let slot_of = Hashtbl.create 16 in
-  let on_start fi slot =
-    let it = items.(fresh.(fi)) in
-    Hashtbl.replace slot_of fi slot;
-    Telemetry.running telemetry ~slot it.Queue.id
-  in
   let on_done fi result =
     let i = fresh.(fi) in
     let it = items.(i) in
-    (match Hashtbl.find_opt slot_of fi with
-    | Some slot -> Telemetry.idle telemetry ~slot
-    | None -> ());
     let o =
       match result with
       | Ok (ir : Campaign.instance_result) ->
           results := (i, ir) :: !results;
           Campaign.outcome_of_result ~seed:it.Queue.seed ir
-      | Error (Timed_out { deadline_s }) ->
-          killed_outcome ~item:it ~status:(Campaign.Timed_out { deadline_s })
-            ~elapsed_s:deadline_s
-      | Error (Crashed { detail }) ->
-          killed_outcome ~item:it ~status:(Campaign.Crashed { detail }) ~elapsed_s:0.
+      | Error status -> killed_outcome ~item:it ~status
     in
     outcomes.(i) <- Some o;
     (* persist the failing instance's reproduction bundle *)
@@ -412,30 +367,12 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
     Telemetry.record telemetry o;
     flush_journal ()
   in
-  let run_local fis =
-    ignore
-      (map_pool ~j:options.j ~deadline_s:options.deadline_s
-         ~on_start:(fun k slot -> on_start fis.(k) slot)
-         ~on_done:(fun k r -> on_done fis.(k) r)
-         (Array.map thunk_of fis))
-  in
-  (match options.remote with
-  | None -> run_local (Array.init (Array.length fresh) Fun.id)
-  | Some r ->
-      (* remote dispatch reports through the same callbacks as the local
-         pool; whatever it could not complete (every worker dead or
-         quarantined) degrades to the local fork pool — a campaign never
-         hangs or loses an instance because its workers died *)
-      let leftovers =
-        r.dispatch
-          ~items:(Array.map (fun i -> items.(i)) fresh)
-          ~config ~static_gate:options.static_gate ~certify_gate:options.certify_gate
-          ~deadline_s:options.deadline_s ~telemetry ~on_start ~on_done
-      in
-      if leftovers <> [] then begin
-        Telemetry.set_degraded telemetry;
-        run_local (Array.of_list leftovers)
-      end);
+  if fresh <> [||] then
+    Supervisor.run ~policy:options.policy ~on_failure:options.on_failure ~tick:options.tick
+      ~workers:options.workers ~j:options.j ~catalog:xforms ~config
+      ~static_gate:options.static_gate ~certify_gate:options.certify_gate
+      ~deadline_s:options.deadline_s ~telemetry ~on_done
+      (Array.map (fun i -> items.(i)) fresh);
   flush_journal ();
   (if journal_oc <> None || options.journal_sink <> None then
      emit_line (Journal.footer_line (Telemetry.summary telemetry)));

@@ -1,11 +1,17 @@
-(** Fork-based worker pool with wall-clock deadlines, and the parallel
-    campaign driver built on it.
+(** The campaign engine's entry point, and the fork pool that runs
+    self-validation probes.
 
-    Each work item runs in a [Unix.fork]ed child so interpreter hangs and
-    crashes are isolated: a child past its deadline is SIGKILLed and recorded
-    as a [Timed_out] outcome; a child that dies without reporting becomes
-    [Crashed]. Results travel back through a per-child temp file (Marshal),
-    so arbitrarily large cutouts never deadlock a pipe. *)
+    {!run_campaign} runs every fresh instance through {!Supervisor.run}:
+    [j] local wire-protocol workers forked once per campaign, plus any
+    remote endpoints, all on one dispatch loop.
+
+    {!map_pool} and {!supervise} run arbitrary closures — selfcheck's
+    interpreter, MPI and chaos-campaign probes, which are not wire
+    assignments — each in a [Unix.fork]ed child: a child past its deadline
+    is SIGKILLed and recorded as [Timed_out]; a child that dies without
+    reporting becomes [Crashed]. Results travel back through a per-child
+    temp file (Marshal), so an arbitrarily large result never deadlocks a
+    pipe. *)
 
 (** Why a supervised child produced no value. *)
 type failure =
@@ -26,34 +32,15 @@ val supervise : deadline_s:float -> (unit -> 'a) -> ('a, failure) result
 (** [map_pool ~j ~deadline_s thunks] runs every thunk in a forked child, at
     most [j] alive at once, killing any child past [deadline_s]. Results are
     in input order. [on_done i r] fires as each thunk settles (completion
-    order); [on_start i slot] fires as each is forked. The reap loop
-    sleep-waits on a SIGCHLD self-pipe (bounded by the nearest child
-    deadline), so an idle or blocked pool does not burn a core. *)
+    order). The reap loop sleep-waits on a SIGCHLD self-pipe (bounded by the
+    nearest child deadline), so an idle or blocked pool does not burn a
+    core. *)
 val map_pool :
   j:int ->
   deadline_s:float ->
-  ?on_start:(int -> int -> unit) ->
   ?on_done:(int -> ('a, failure) result -> unit) ->
   (unit -> 'a) array ->
   ('a, failure) result array
-
-(** A pluggable remote execution strategy (see [Supervisor.executor]): run
-    the fresh queue items on remote workers, reporting through the same
-    [on_start]/[on_done] callbacks (keyed by fresh-array index) as the local
-    pool, and return the indices it could not complete — those degrade to
-    the local fork pool. *)
-type remote_executor = {
-  dispatch :
-    items:Queue.item array ->
-    config:Fuzzyflow.Difftest.config ->
-    static_gate:bool ->
-    certify_gate:bool ->
-    deadline_s:float ->
-    telemetry:Telemetry.t ->
-    on_start:(int -> int -> unit) ->
-    on_done:(int -> (Fuzzyflow.Campaign.instance_result, failure) result -> unit) ->
-    int list;
-}
 
 (** How the difftest trial loop's batch width is chosen for the campaign. *)
 type batching =
@@ -67,7 +54,7 @@ type batching =
 val auto_batch : trials:int -> int
 
 type options = {
-  j : int;  (** worker pool size *)
+  j : int;  (** local worker processes (at least 1), forked once per campaign *)
   deadline_s : float;  (** per-instance wall-clock budget *)
   journal_path : string option;  (** None: no journaling (and no resume) *)
   resume : bool;  (** skip instances already in the journal *)
@@ -76,9 +63,13 @@ type options = {
   limit_per : int option;
   static_gate : bool;
   certify_gate : bool;
-  remote : remote_executor option;
-      (** run fresh instances on remote workers first; unfinished work falls
-          back to the local pool with the [degraded] telemetry flag set *)
+  workers : Supervisor.endpoint list;  (** remote workers: extra slots on the same loop *)
+  policy : Supervisor.policy;
+  on_failure : string -> Supervisor.failure_class -> unit;
+      (** observes every classified worker failure (tests, chaos probes) *)
+  tick : unit -> unit;
+      (** polled on every dispatch iteration (the service's HTTP endpoint
+          piggybacks on it) *)
   journal_sink : (string -> unit) option;
       (** observes every journal line as it is flushed (streaming clients,
           chaos hooks); fires even when [journal_path] is [None] *)
@@ -87,22 +78,26 @@ type options = {
           (the service's HTTP endpoint reads it) *)
   batching : batching;
       (** batch-width policy for the trial loop; the resolved width travels
-          inside the per-instance config to local children and remote
-          workers alike, and journals stay byte-identical at every width *)
+          inside the per-instance config to every worker, and journals stay
+          byte-identical at every width *)
 }
 
 val default_options : options
 
 (** Run a campaign through the engine: enumerate the queue, execute every
-    instance not already journaled in forked workers, journal outcomes in
-    queue order (so same-seed reruns are bit-identical and an interrupted
-    journal is a clean prefix), persist failing cases to the corpus, and
-    assemble the Table 2 summary from engine outcomes.
+    instance not already journaled on the supervised workers, journal
+    outcomes in queue order (so same-seed reruns are bit-identical and an
+    interrupted journal is a clean prefix), persist failing cases to the
+    corpus, and assemble the Table 2 summary from engine outcomes. Workers
+    resolve transformations by name in [xforms]; [catalog] (default
+    [xforms]) resolves them for corpus reproduction checks.
 
     Verdicts are identical for any [j], any remote worker topology — and the
     serial {!Fuzzyflow.Campaign.run} — because per-instance seeds derive
     from the campaign seed and instance identity only.
 
+    @raise Invalid_argument when two programs or two transformations share
+    a name, or on resume from a journal written under another seed.
     @raise Journal.Corrupt on resume from a journal with mid-file (non-tail)
     corruption; a torn tail is truncated and counted in the footer instead. *)
 val run_campaign :

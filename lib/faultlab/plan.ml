@@ -34,7 +34,7 @@ type payload =
   | Mpi_disturbance of { policy : Mpi_sim.Mpi.policy; ranks : int; payload_len : int }
   | Net_disturbance of {
       net : Netfault.policy option;
-      kill_worker_after : int option;
+      kill_worker : bool;
       workloads : string list;
     }
 
@@ -188,22 +188,22 @@ let mpi_specs ~seed =
 (* ---- network / distributed-service specs ---------------------------------- *)
 
 (* Small workloads keep each chaos probe (one reference campaign + one
-   chaotic campaign, each forking per instance) inside the probe deadline. *)
+   chaotic campaign) inside the probe deadline. *)
 let net_workloads = [ "scale"; "axpy" ]
 
 (* Every spec is Must_heal: whatever the proxy or the worker's death does,
    the supervised campaign must finish with a journal whose instance lines
    are byte-identical to the same-seed [-j 1] run. Transient faults heal by
-   retry on the same worker; persistent ones by quarantine and degradation
-   to the local pool — both count, and the footer says which happened. *)
+   retry; persistent ones by quarantine of the remote worker, after which
+   the campaign's local slot finishes the work. *)
 let net_specs ~seed =
-  let mk name descr ?net ?kill () =
+  let mk name descr ?net ?(kill = false) () =
     {
       id = "net/" ^ name;
       level = L_net;
       expect = Must_heal;
       descr;
-      payload = Net_disturbance { net; kill_worker_after = kill; workloads = net_workloads };
+      payload = Net_disturbance { net; kill_worker = kill; workloads = net_workloads };
     }
   in
   [
@@ -220,8 +220,8 @@ let net_specs ~seed =
     mk "stall-persistent" "all traffic black-holed from the first reply on, every connection"
       ~net:{ Netfault.kind = Stall; victim_conn = 0; victim_chunk = 0; persistent = true; seed }
       ();
-    mk "kill-worker-mid-campaign" "the only worker SIGKILLed after the first journaled instance"
-      ~kill:1 ();
+    mk "kill-worker-mid-campaign" "the remote worker SIGKILLed inside its first instance"
+      ~kill:true ();
   ]
 
 (* ---- generated-workload specs -------------------------------------------- *)

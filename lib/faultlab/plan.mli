@@ -35,8 +35,7 @@ type payload =
   | Mpi_disturbance of { policy : Mpi_sim.Mpi.policy; ranks : int; payload_len : int }
   | Net_disturbance of {
       net : Netfault.policy option;  (** proxy fault between supervisor and worker *)
-      kill_worker_after : int option;
-          (** SIGKILL the worker after this many journaled instances *)
+      kill_worker : bool;  (** the worker SIGKILLs itself inside its first instance *)
       workloads : string list;  (** the campaign both runs execute *)
     }  (** chaos probe for the distributed campaign service; always [Must_heal] *)
 

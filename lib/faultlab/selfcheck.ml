@@ -1,7 +1,8 @@
 open Fuzzyflow
 
 (* What one probe (forked child) reports back. Kept free of closures and
-   graphs so it marshals cheaply through the worker temp-file protocol. *)
+   graphs so it marshals cheaply through the probe pool's temp-file
+   protocol. *)
 type probe_result =
   | R_verdict of {
       klass : Difftest.failure_class option;  (** [None]: the oracle saw nothing *)
@@ -30,11 +31,12 @@ type probe_result =
   | R_net of {
       identical : bool;
           (** chaos journal's instance lines byte-identical to the same-seed
-              serial reference *)
-      degraded : bool;  (** campaign fell back to the local pool *)
-      evidence : string list;
-          (** sorted distinct failure-class names the supervisor observed —
-              qualitative only, so reruns stay byte-identical *)
+              local reference *)
+      first_failure : string option;
+          (** the first failure class the supervisor observed: the injected
+              fault itself. Later failures (reconnects to a dead worker) are
+              consequences whose timing varies, so they stay out of the
+              report, which is byte-identical across reruns *)
     }
 
 type outcome =
@@ -264,14 +266,15 @@ let instance_lines path =
   close_in ic;
   List.rev !lines
 
-(* Two campaigns over the same tiny workload set and seed: a serial local
-   reference, then a remote run through one worker process — fronted by the
-   fault-injecting proxy and/or SIGKILLed mid-campaign per the spec. The
-   probe's only quantitative claim is byte-identity of the journals' instance
-   lines; everything else (which failure classes fired, whether the run
-   degraded to the local pool) is qualitative evidence, so the report stays
-   deterministic across reruns. *)
-let net_probe ~trials ~spec_seed ~net ~kill_worker_after ~workloads =
+(* Two campaigns over the same tiny workload set and seed: a local-only
+   reference, then the same campaign with one remote worker process added —
+   fronted by the fault-injecting proxy and/or SIGKILLing itself inside its
+   first instance, per the spec. The remote slot takes the first
+   assignment, so the fault meets live traffic. The probe's only
+   quantitative claim is byte-identity of the journals' instance lines; the
+   first failure class observed is qualitative evidence that the fault
+   armed. *)
+let net_probe ~trials ~spec_seed ~net ~kill_worker ~workloads =
   let programs = List.map (fun w -> (w, Plan.workload_by_name w)) workloads in
   let xforms =
     match Transforms.Registry.all_correct () with
@@ -289,10 +292,24 @@ let net_probe ~trials ~spec_seed ~net ~kill_worker_after ~workloads =
   let journal_a = Filename.temp_file "ffnet_ref" ".jsonl" in
   let journal_b = Filename.temp_file "ffnet_chaos" ".jsonl" in
   let worker_sock, worker_port = Engine.Supervisor.listen_on ~port:0 () in
+  let worker_catalog =
+    if not kill_worker then xforms
+    else
+      List.map
+        (fun (x : Transforms.Xform.t) ->
+          {
+            x with
+            Transforms.Xform.apply =
+              (fun g site ->
+                Unix.kill (Unix.getpid ()) Sys.sigkill;
+                x.Transforms.Xform.apply g site);
+          })
+        xforms
+  in
   let worker_pid =
     match Unix.fork () with
     | 0 ->
-        (try Engine.Supervisor.serve_worker ~catalog:xforms worker_sock with _ -> ());
+        (try Engine.Supervisor.serve_worker ~catalog:worker_catalog worker_sock with _ -> ());
         Unix._exit 0
     | pid ->
         (try Unix.close worker_sock with Unix.Unix_error _ -> ());
@@ -310,13 +327,9 @@ let net_probe ~trials ~spec_seed ~net ~kill_worker_after ~workloads =
     (Engine.Worker.run_campaign
        ~options:{ base with journal_path = Some journal_a }
        ~config programs xforms);
-  let evidence = ref [] in
-  let events =
-    {
-      Engine.Supervisor.null_events with
-      on_failure =
-        (fun _ cls -> evidence := Engine.Supervisor.failure_class_name cls :: !evidence);
-    }
+  let first_failure = ref None in
+  let on_failure _ cls =
+    if !first_failure = None then first_failure := Some (Engine.Supervisor.failure_class_name cls)
   in
   let policy =
     {
@@ -329,33 +342,19 @@ let net_probe ~trials ~spec_seed ~net ~kill_worker_after ~workloads =
     }
   in
   let port = match proxy with Some p -> p.Netfault.port | None -> worker_port in
-  let seen = ref 0 in
-  let sink line =
-    if String.length line >= 18 && String.sub line 0 18 = {|{"type":"instance"|} then begin
-      incr seen;
-      match kill_worker_after with
-      | Some k when !seen = k -> (
-          try Unix.kill worker_pid Sys.sigkill with Unix.Unix_error _ -> ())
-      | _ -> ()
-    end
-  in
-  let remote =
-    Engine.Supervisor.executor ~policy ~events
-      ~workers:[ { Engine.Supervisor.host = "127.0.0.1"; port } ]
-      ()
-  in
   ignore
     (Engine.Worker.run_campaign
        ~options:
-         { base with journal_path = Some journal_b; remote = Some remote; journal_sink = Some sink }
+         {
+           base with
+           journal_path = Some journal_b;
+           workers = [ { Engine.Supervisor.host = "127.0.0.1"; port } ];
+           policy;
+           on_failure;
+         }
        ~config programs xforms);
   let identical = instance_lines journal_a = instance_lines journal_b in
-  let degraded =
-    List.exists
-      (function Engine.Journal.Footer f -> f.Engine.Journal.degraded | _ -> false)
-      (Engine.Journal.load journal_b)
-  in
-  R_net { identical; degraded; evidence = List.sort_uniq compare !evidence }
+  R_net { identical; first_failure = !first_failure }
 
 let probe_spec ~trials ~seed (spec : Plan.spec) =
   let spec_seed = Campaign.instance_seed ~global:seed spec.Plan.id in
@@ -366,8 +365,8 @@ let probe_spec ~trials ~seed (spec : Plan.spec) =
         ~expected_containers
   | Plan.Mpi_disturbance { policy; ranks; payload_len } ->
       mpi_probe ~policy ~ranks ~len:payload_len
-  | Plan.Net_disturbance { net; kill_worker_after; workloads } ->
-      net_probe ~trials ~spec_seed ~net ~kill_worker_after ~workloads
+  | Plan.Net_disturbance { net; kill_worker; workloads } ->
+      net_probe ~trials ~spec_seed ~net ~kill_worker ~workloads
 
 (* ---- classification ------------------------------------------------------ *)
 
@@ -410,15 +409,9 @@ let classify (spec : Plan.spec) (r : probe_result) =
   (* chaos probes: healing means the supervised campaign absorbed a fault it
      provably saw (typed failure classes fired) and still produced instance
      lines byte-identical to the serial reference *)
-  | Plan.Must_heal, R_net { identical = true; degraded; evidence = _ :: _ as ev } ->
-      Detected
-        {
-          got =
-            Printf.sprintf "healed (%s%s)" (String.concat "," ev)
-              (if degraded then "; degraded to local pool" else "");
-          first_trial = 0;
-        }
-  | Plan.Must_heal, R_net { identical = true; evidence = []; _ } ->
+  | Plan.Must_heal, R_net { identical = true; first_failure = Some cls } ->
+      Detected { got = Printf.sprintf "healed (%s)" cls; first_trial = 0 }
+  | Plan.Must_heal, R_net { identical = true; first_failure = None } ->
       Missed { detail = "fault never armed: no worker failure observed" }
   | Plan.Must_heal, R_net { identical = false; _ } ->
       Missed { detail = "journal instance lines diverged from the serial reference" }

@@ -43,13 +43,12 @@ type probe_result =
       identical : bool;
           (** the chaos campaign's journal instance lines are byte-identical
               to the same-seed serial reference *)
-      degraded : bool;  (** the campaign fell back to the local pool *)
-      evidence : string list;
-          (** sorted distinct {!Engine.Supervisor.failure_class} names the
-              supervisor observed; empty means the fault never armed *)
+      first_failure : string option;
+          (** the first {!Engine.Supervisor.failure_class} name the
+              supervisor observed; [None] means the fault never armed *)
     }
-      (** distributed-service chaos probe: a serial reference campaign versus
-          the same campaign through a proxied/killed remote worker *)
+      (** distributed-service chaos probe: a local reference campaign versus
+          the same campaign with a proxied/killed remote worker added *)
 
 type outcome =
   | Detected of { got : string; first_trial : int }

@@ -18,15 +18,17 @@ let verdict_key (o : Campaign.outcome) =
 
 let keys (c : Campaign.t) = List.map verdict_key c.Campaign.outcomes
 
-(* quick-failing supervision so taxonomy tests stay fast *)
+(* quick-failing supervision so taxonomy tests stay fast. The backoff is
+   long against an instance: a failed remote worker sits out while the
+   local slot takes its requeued instance, so loss counts are exact. *)
 let fast_policy =
   {
     Engine.Supervisor.connect_timeout_s = 1.0;
     heartbeat_s = 0.4;
     hang_grace_s = 0.3;
     max_failures = 2;
-    backoff_base_s = 0.02;
-    backoff_max_s = 0.1;
+    backoff_base_s = 0.5;
+    backoff_max_s = 1.0;
   }
 
 (* ---------------- wire protocol ---------------- *)
@@ -158,22 +160,11 @@ let dead_port () =
   Unix.close sock;
   port
 
-(* Run a small campaign against [port], collecting observed failure classes
-   and the telemetry handle; returns (campaign, classes, degraded). *)
+(* Run a small campaign with the worker at [port] added to the local slot,
+   collecting observed failure classes; returns (campaign, classes, footer
+   counters). *)
 let run_against ?(deadline_s = 10.) port =
   let classes = ref [] in
-  let events =
-    {
-      Engine.Supervisor.null_events with
-      on_failure =
-        (fun _ cls -> classes := Engine.Supervisor.failure_class_name cls :: !classes);
-    }
-  in
-  let remote =
-    Engine.Supervisor.executor ~policy:fast_policy ~events
-      ~workers:[ { Engine.Supervisor.host = "127.0.0.1"; port } ]
-      ()
-  in
   let handle = ref None in
   let c =
     Engine.Worker.run_campaign
@@ -181,34 +172,41 @@ let run_against ?(deadline_s = 10.) port =
         {
           Engine.Worker.default_options with
           deadline_s;
-          remote = Some remote;
+          workers = [ { Engine.Supervisor.host = "127.0.0.1"; port } ];
+          policy = fast_policy;
+          on_failure =
+            (fun _ cls -> classes := Engine.Supervisor.failure_class_name cls :: !classes);
           on_telemetry = Some (fun t -> handle := Some t);
         }
       ~config
       [ ("scale", Workloads.Npbench.scale ()) ]
       [ good () ]
   in
-  let degraded =
-    match !handle with Some t -> Engine.Telemetry.degraded t | None -> false
+  let footer =
+    match !handle with
+    | Some t -> Engine.Telemetry.summary t
+    | None -> Alcotest.fail "telemetry handle never arrived"
   in
-  (c, List.sort_uniq compare !classes, degraded)
+  (c, List.sort_uniq compare !classes, footer)
 
 let reference () =
   Engine.Worker.run_campaign ~options:Engine.Worker.default_options ~config
     [ ("scale", Workloads.Npbench.scale ()) ]
     [ good () ]
 
-let check_heals ~expect_class (c, classes, degraded) =
+(* The local slot finishes what the broken remote worker could not. Only a
+   disconnect or hang with the instance in flight is a worker loss. *)
+let check_heals ~expect_class ~lost (c, classes, (footer : Engine.Journal.footer)) =
   Alcotest.(check bool) "verdicts match the local run" true (keys c = keys (reference ()));
   Alcotest.(check bool)
     (Printf.sprintf "observed %s (got: %s)" expect_class (String.concat "," classes))
     true (List.mem expect_class classes);
-  Alcotest.(check bool) "degraded to local pool" true degraded
+  Alcotest.(check int) "workers lost" lost footer.Engine.Journal.worker_lost
 
 let taxonomy_tests =
   [
-    Alcotest.test_case "dead endpoint: connect-refused, then local fallback" `Quick (fun () ->
-        check_heals ~expect_class:"connect-refused" (run_against (dead_port ())));
+    Alcotest.test_case "dead endpoint: connect-refused, then local slots finish" `Quick (fun () ->
+        check_heals ~expect_class:"connect-refused" ~lost:0 (run_against (dead_port ())));
     Alcotest.test_case "version-mismatched worker is rejected before payload decode" `Quick
       (fun () ->
         let pid, port =
@@ -222,7 +220,7 @@ let taxonomy_tests =
               | _ -> ())
         in
         Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
-        check_heals ~expect_class:"version-mismatch" (run_against port));
+        check_heals ~expect_class:"version-mismatch" ~lost:0 (run_against port));
     Alcotest.test_case "disconnect mid-instance is typed, requeued, never a verdict" `Quick
       (fun () ->
         let pid, port =
@@ -232,7 +230,7 @@ let taxonomy_tests =
               ignore (Engine.Wire.read_message ~timeout_s:5. client))
         in
         Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
-        check_heals ~expect_class:"disconnect" (run_against port));
+        check_heals ~expect_class:"disconnect" ~lost:1 (run_against port));
     Alcotest.test_case "undecodable reply is a decode failure, not a verdict" `Quick (fun () ->
         let pid, port =
           fake_server (fun client ->
@@ -246,7 +244,7 @@ let taxonomy_tests =
               | _ -> ())
         in
         Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
-        check_heals ~expect_class:"decode-failure" (run_against port));
+        check_heals ~expect_class:"decode-failure" ~lost:0 (run_against port));
     Alcotest.test_case "a worker that hangs past the deadline is failed as a hang" `Quick
       (fun () ->
         let pid, port =
@@ -257,7 +255,7 @@ let taxonomy_tests =
               | _ -> ())
         in
         Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
-        check_heals ~expect_class:"hang" (run_against ~deadline_s:0.7 port));
+        check_heals ~expect_class:"hang" ~lost:1 (run_against ~deadline_s:0.7 port));
     Alcotest.test_case "worker refusing an assignment: campaign still completes" `Quick
       (fun () ->
         let pid, port =
@@ -274,7 +272,7 @@ let taxonomy_tests =
               serve ())
         in
         Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
-        check_heals ~expect_class:"decode-failure" (run_against port));
+        check_heals ~expect_class:"decode-failure" ~lost:0 (run_against port));
   ]
 
 (* ---------------- real workers: happy path and chaos ---------------- *)
@@ -289,48 +287,102 @@ let spawn_worker xforms =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (pid, port)
 
+let endpoint port = { Engine.Supervisor.host = "127.0.0.1"; port }
+
+let is_instance l = String.length l >= 18 && String.sub l 0 18 = {|{"type":"instance"|}
+
+(* The same transformations, with [before ()] run ahead of every apply in
+   the process that runs them: handed to a remote worker as its catalog, it
+   observes or sabotages remote executions only. *)
+let wrap_apply ~before xforms =
+  List.map
+    (fun (x : Transforms.Xform.t) ->
+      {
+        x with
+        Transforms.Xform.apply =
+          (fun g site ->
+            before ();
+            x.Transforms.Xform.apply g site);
+      })
+    xforms
+
+(* Runs [programs ()] with [options], returning the journal's instance lines
+   and the footer counters. *)
+let journaled ~options xforms =
+  let lines = ref [] and handle = ref None in
+  ignore
+    (Engine.Worker.run_campaign
+       ~options:
+         {
+           options with
+           Engine.Worker.journal_sink = Some (fun l -> if is_instance l then lines := l :: !lines);
+           on_telemetry = Some (fun t -> handle := Some t);
+         }
+       ~config (programs ()) xforms);
+  match !handle with
+  | Some t -> (List.rev !lines, Engine.Telemetry.summary t)
+  | None -> Alcotest.fail "telemetry handle never arrived"
+
+let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
+
 let dist_tests =
   [
-    Alcotest.test_case "two live workers produce the serial verdicts, no degradation" `Quick
+    Alcotest.test_case "two live workers produce the serial verdicts and deliver results" `Quick
       (fun () ->
         let xforms = [ good (); bad () ] in
-        let p1, port1 = spawn_worker xforms in
-        let p2, port2 = spawn_worker xforms in
+        let applied = Filename.temp_file "ffremote" ".applied" in
+        let record () =
+          let oc = open_out_gen [ Open_append; Open_creat ] 0o644 applied in
+          output_string oc "x\n";
+          close_out oc
+        in
+        let p1, port1 = spawn_worker (wrap_apply ~before:record xforms) in
+        let p2, port2 = spawn_worker (wrap_apply ~before:record xforms) in
         Fun.protect
           ~finally:(fun () ->
             stop_server p1;
-            stop_server p2)
+            stop_server p2;
+            Sys.remove applied)
         @@ fun () ->
-        let handle = ref None in
-        let remote =
-          Engine.Supervisor.executor ~policy:fast_policy
-            ~workers:
-              [
-                { Engine.Supervisor.host = "127.0.0.1"; port = port1 };
-                { Engine.Supervisor.host = "127.0.0.1"; port = port2 };
-              ]
-            ()
-        in
-        let c =
-          Engine.Worker.run_campaign
+        let lines, footer =
+          journaled
             ~options:
               {
                 Engine.Worker.default_options with
-                remote = Some remote;
-                on_telemetry = Some (fun t -> handle := Some t);
+                workers = [ endpoint port1; endpoint port2 ];
+                policy = fast_policy;
               }
-            ~config (programs ()) xforms
+            xforms
         in
         let serial = Campaign.run ~config (programs ()) xforms in
-        Alcotest.(check bool) "remote = serial" true (keys c = keys serial);
-        Alcotest.(check int) "failures found" 2 c.Campaign.total_failed;
-        (match !handle with
-        | Some t -> Alcotest.(check bool) "not degraded" false (Engine.Telemetry.degraded t)
-        | None -> Alcotest.fail "telemetry handle never arrived"));
+        Alcotest.(check (list string)) "remote = serial"
+          (List.map Engine.Journal.instance_line serial.Campaign.outcomes)
+          lines;
+        Alcotest.(check int) "failures found" 2 serial.Campaign.total_failed;
+        Alcotest.(check int) "no failures" 0 footer.Engine.Journal.retries;
+        (* remote slots take the first assignments *)
+        Alcotest.(check bool) "remote workers ran instances" true
+          ((Unix.stat applied).Unix.st_size > 0));
     Alcotest.test_case "proxy-corrupted reply heals by retry on the same worker" `Quick
       (fun () ->
-        let xforms = [ good () ] in
-        let wpid, wport = spawn_worker xforms in
+        (* Once the dispatcher has seen the decode failure it creates
+           [failed]; from then on the remote worker records each instance it
+           starts. Everything a worker starts is delivered unless it fails
+           again, so a record is a remote delivery after the reconnect. The
+           local slot is slowed and the backoff short, so pending work
+           outlasts the remote's backoff. *)
+        let failed = Filename.temp_file "ffproxy" ".failed" in
+        let after = Filename.temp_file "ffproxy" ".after" in
+        Sys.remove failed;
+        let touch path = close_out (open_out_gen [ Open_append; Open_creat ] 0o644 path) in
+        let record () =
+          if Sys.file_exists failed then begin
+            let oc = open_out_gen [ Open_append; Open_creat ] 0o644 after in
+            output_string oc "x\n";
+            close_out oc
+          end
+        in
+        let wpid, wport = spawn_worker (wrap_apply ~before:record [ good () ]) in
         let proxy =
           Faultlab.Netfault.start
             ~policy:
@@ -346,77 +398,126 @@ let dist_tests =
         Fun.protect
           ~finally:(fun () ->
             Faultlab.Netfault.stop proxy;
-            stop_server wpid)
+            stop_server wpid;
+            List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ failed; after ])
         @@ fun () ->
-        let c, classes, degraded = run_against proxy.Faultlab.Netfault.port in
-        Alcotest.(check bool) "verdicts match" true (keys c = keys (reference ()));
-        Alcotest.(check bool)
-          (Printf.sprintf "decode failure observed (got: %s)" (String.concat "," classes))
-          true
-          (List.mem "decode-failure" classes);
-        Alcotest.(check bool) "healed remotely, no degradation" false degraded);
-    Alcotest.test_case "worker SIGKILLed mid-campaign: byte-identical journal, degraded" `Quick
+        let classes = ref [] in
+        let on_failure _ cls =
+          let name = Engine.Supervisor.failure_class_name cls in
+          classes := name :: !classes;
+          if name = "decode-failure" then touch failed
+        in
+        let reference, _ = journaled ~options:Engine.Worker.default_options [ good () ] in
+        let lines, footer =
+          journaled
+            ~options:
+              {
+                Engine.Worker.default_options with
+                workers = [ endpoint proxy.Faultlab.Netfault.port ];
+                policy = { fast_policy with backoff_base_s = 0.02; backoff_max_s = 0.1 };
+                on_failure;
+              }
+            (wrap_apply ~before:(fun () -> Unix.sleepf 0.3) [ good () ])
+        in
+        Alcotest.(check (list string)) "instance lines match the local run" reference lines;
+        Alcotest.(check (list string)) "one decode failure, nothing else" [ "decode-failure" ]
+          !classes;
+        Alcotest.(check int) "a decode failure is not a loss" 0 footer.Engine.Journal.worker_lost;
+        Alcotest.(check bool) "the remote delivered an instance after its decode failure" true
+          (Sys.file_exists after && (Unix.stat after).Unix.st_size > 0));
+    Alcotest.test_case "a remote worker that keeps losing an instance cannot poison it" `Quick
+      (fun () ->
+        (* every connection drops its first assignment; with a short backoff
+           the remote takes the requeued instance back while the slowed local
+           slot is busy, until it is quarantined *)
+        let pid, port =
+          fake_server (fun client ->
+              handshake client;
+              ignore (Engine.Wire.read_message ~timeout_s:5. client))
+        in
+        Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
+        let reference, _ = journaled ~options:Engine.Worker.default_options [ good () ] in
+        let lines, footer =
+          journaled
+            ~options:
+              {
+                Engine.Worker.default_options with
+                workers = [ endpoint port ];
+                policy = { fast_policy with backoff_base_s = 0.02; backoff_max_s = 0.1 };
+              }
+            (wrap_apply ~before:(fun () -> Unix.sleepf 0.3) [ good () ])
+        in
+        Alcotest.(check (list string)) "instance lines match the local run" reference lines;
+        Alcotest.(check int) "the remote lost an instance until quarantined"
+          fast_policy.Engine.Supervisor.max_failures footer.Engine.Journal.worker_lost);
+    Alcotest.test_case "a remote instance that catches its deadline gets the local verdict"
+      `Quick (fun () ->
+        (* the alarm is one-shot and [apply] runs more than once per
+           instance, so after catching the deadline the remote worker sleeps
+           on until the dispatcher fails it as a hang; the instance then
+           times out on the local slot *)
+        let swallow =
+          {
+            (good ()) with
+            Transforms.Xform.name = "SwallowDeadline(test-only)";
+            apply =
+              (fun g site ->
+                (try Unix.sleep 5 with _ -> ());
+                (good ()).Transforms.Xform.apply g site);
+          }
+        in
+        let wpid, wport = spawn_worker [ swallow ] in
+        Fun.protect ~finally:(fun () -> stop_server wpid) @@ fun () ->
+        let options = { Engine.Worker.default_options with deadline_s = 0.5 } in
+        let local, _ = journaled ~options [ swallow ] in
+        let mixed, _ =
+          journaled
+            ~options:{ options with workers = [ endpoint wport ]; policy = fast_policy }
+            [ swallow ]
+        in
+        Alcotest.(check (list string)) "identical with a remote worker" local mixed;
+        Alcotest.(check bool) "instances journaled" true (local <> []);
+        List.iter
+          (fun l ->
+            match Engine.Journal.parse_line l with
+            | Engine.Journal.Instance { Campaign.o_status = Campaign.Timed_out _; _ } -> ()
+            | _ -> Alcotest.fail ("not a timed-out instance: " ^ l))
+          local);
+    Alcotest.test_case "worker SIGKILLed mid-campaign: byte-identical journal, one loss" `Quick
       (fun () ->
         let xforms = [ good (); bad () ] in
+        (* the remote worker SIGKILLs itself inside its first instance *)
+        let wpid, wport = spawn_worker (wrap_apply ~before:kill_self xforms) in
+        Fun.protect ~finally:(fun () -> stop_server wpid) @@ fun () ->
+        let reference, _ = journaled ~options:Engine.Worker.default_options xforms in
+        let chaos, footer =
+          journaled
+            ~options:
+              { Engine.Worker.default_options with workers = [ endpoint wport ]; policy = fast_policy }
+            xforms
+        in
+        Alcotest.(check (list string)) "instance lines byte-identical" reference chaos;
+        Alcotest.(check bool) "instance lines nonempty" true (reference <> []);
+        Alcotest.(check int) "the killed worker's instance was requeued" 1
+          footer.Engine.Journal.worker_lost);
+    Alcotest.test_case "an instance that kills every worker settles the same in any topology"
+      `Quick (fun () ->
+        let xforms = wrap_apply ~before:kill_self [ good () ] in
         let wpid, wport = spawn_worker xforms in
         Fun.protect ~finally:(fun () -> stop_server wpid) @@ fun () ->
-        let mk_journal () = Filename.temp_file "ffdistkill" ".jsonl" in
-        let ref_path = mk_journal () and chaos_path = mk_journal () in
-        Fun.protect
-          ~finally:(fun () ->
-            List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ ref_path; chaos_path ])
-        @@ fun () ->
-        ignore
-          (Engine.Worker.run_campaign
-             ~options:{ Engine.Worker.default_options with journal_path = Some ref_path }
-             ~config (programs ()) xforms);
-        let is_instance l =
-          String.length l >= 18 && String.sub l 0 18 = {|{"type":"instance"|}
+        let options = { Engine.Worker.default_options with policy = fast_policy } in
+        let local, _ = journaled ~options xforms in
+        let mixed, _ =
+          journaled ~options:{ options with j = 2; workers = [ endpoint wport ] } xforms
         in
-        let seen = ref 0 in
-        let sink l =
-          if is_instance l then begin
-            incr seen;
-            if !seen = 1 then try Unix.kill wpid Sys.sigkill with Unix.Unix_error _ -> ()
-          end
-        in
-        let handle = ref None in
-        let remote =
-          Engine.Supervisor.executor ~policy:fast_policy
-            ~workers:[ { Engine.Supervisor.host = "127.0.0.1"; port = wport } ]
-            ()
-        in
-        ignore
-          (Engine.Worker.run_campaign
-             ~options:
-               {
-                 Engine.Worker.default_options with
-                 journal_path = Some chaos_path;
-                 remote = Some remote;
-                 journal_sink = Some sink;
-                 on_telemetry = Some (fun t -> handle := Some t);
-               }
-             ~config (programs ()) xforms);
-        let lines path =
-          let ic = open_in path in
-          let ls = ref [] in
-          (try
-             while true do
-               let l = input_line ic in
-               if is_instance l then ls := l :: !ls
-             done
-           with End_of_file -> ());
-          close_in ic;
-          List.rev !ls
-        in
-        Alcotest.(check bool) "instance lines byte-identical" true
-          (lines ref_path = lines chaos_path);
-        Alcotest.(check bool) "instance lines nonempty" true (lines ref_path <> []);
-        match !handle with
-        | Some t ->
-            Alcotest.(check bool) "degraded after losing the only worker" true
-              (Engine.Telemetry.degraded t)
-        | None -> Alcotest.fail "telemetry handle never arrived");
+        Alcotest.(check (list string)) "identical with a remote worker and -j 2" local mixed;
+        List.iter
+          (fun l ->
+            match Engine.Journal.parse_line l with
+            | Engine.Journal.Instance { Campaign.o_status = Campaign.Crashed { detail }; _ } ->
+                Alcotest.(check string) "fixed detail" "worker lost 2 times on this instance" detail
+            | _ -> Alcotest.fail ("not a crashed instance: " ^ l))
+          local);
   ]
 
 (* ---------------- torn-result robustness on the worker side -------------- *)

@@ -114,7 +114,6 @@ let journal_tests =
             retries = 3;
             quarantined = 1;
             worker_lost = 2;
-            degraded = true;
             recovered_records = 1;
           }
         in
@@ -214,6 +213,16 @@ let journal_tests =
             Alcotest.(check int) "corrupt line identified" 1 lineno;
             Alcotest.(check string) "path carried" path p);
         Sys.remove path);
+    Alcotest.test_case "a footer carrying the retired degraded flag still parses" `Quick
+      (fun () ->
+        let line =
+          {|{"type":"footer","total":4,"failed":1,"proved":0,"killed":0,"trials_spent":20,"wall_s":0.5,"instances_per_s":8,"retries":2,"quarantined":1,"worker_lost":0,"degraded":true,"recovered_records":0}|}
+        in
+        match Engine.Journal.parse_line line with
+        | Engine.Journal.Footer f ->
+            Alcotest.(check int) "total" 4 f.Engine.Journal.total;
+            Alcotest.(check int) "quarantined" 1 f.Engine.Journal.quarantined
+        | _ -> Alcotest.fail "not a footer record");
   ]
 
 (* ---------------- worker supervision ---------------- *)
@@ -332,6 +341,56 @@ let worker_tests =
 
 let verdict_key (o : Campaign.outcome) =
   (o.o_program, o.o_xform, Transforms.Xform.site_slug o.o_site, o.o_verdict, o.o_seed)
+
+let is_instance_line l = String.length l >= 18 && String.sub l 0 18 = {|{"type":"instance"|}
+
+(* Runs a campaign over [programs ()]; returns its journal's instance lines
+   in order and the footer counters. *)
+let journaled ?(options = Engine.Worker.default_options) xforms =
+  let lines = ref [] and handle = ref None in
+  ignore
+    (Engine.Worker.run_campaign
+       ~options:
+         {
+           options with
+           journal_sink = Some (fun l -> if is_instance_line l then lines := l :: !lines);
+           on_telemetry = Some (fun t -> handle := Some t);
+         }
+       ~config (programs ()) xforms);
+  match !handle with
+  | Some t -> (List.rev !lines, Engine.Telemetry.summary t)
+  | None -> Alcotest.fail "telemetry handle never arrived"
+
+(* Behaves like [good ()], but SIGKILLs the process running it whenever
+   [armed ()] holds. *)
+let killer ~name ~armed =
+  let g = good () in
+  {
+    g with
+    Transforms.Xform.name;
+    apply =
+      (fun graph site ->
+        if armed () then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        g.Transforms.Xform.apply graph site);
+  }
+
+(* (state, ppid) of a process, from /proc/<pid>/stat; [None] once it is
+   gone. The command name is parenthesized and may contain spaces. *)
+let proc_stat pid =
+  match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | s -> (
+      let i = String.rindex s ')' in
+      match String.split_on_char ' ' (String.sub s (i + 2) (String.length s - i - 2)) with
+      | state :: ppid :: _ -> Some (state, int_of_string ppid)
+      | _ -> None)
+  | exception Sys_error _ -> None
+
+let children_of pid =
+  Sys.readdir "/proc" |> Array.to_list |> List.filter_map int_of_string_opt
+  |> List.filter (fun p -> match proc_stat p with Some (_, pp) -> pp = pid | None -> false)
+
+(* an orphan's zombie may never be reaped inside a container: it is dead *)
+let running pid = match proc_stat pid with Some (st, _) -> st <> "Z" && st <> "X" | None -> false
 
 let engine_tests =
   [
@@ -506,6 +565,141 @@ let engine_tests =
             Alcotest.(check int) "recovered record counted" 1
               last.Engine.Journal.recovered_records
         | [] -> Alcotest.fail "no footer after resume");
+    Alcotest.test_case "a worker killed once mid-instance: journal matches serial, one loss"
+      `Quick (fun () ->
+        let marker = Filename.temp_file "ffkill" ".armed" in
+        (* unlink succeeds for exactly one caller: the kill fires once *)
+        let armed () = match Sys.remove marker with () -> true | exception Sys_error _ -> false in
+        let xforms = [ killer ~name:"KillOnce(test-only)" ~armed ] in
+        let lines, footer =
+          journaled ~options:{ Engine.Worker.default_options with j = 2 } xforms
+        in
+        Alcotest.(check bool) "the kill fired" false (Sys.file_exists marker);
+        let serial = Campaign.run ~config (programs ()) xforms in
+        Alcotest.(check (list string)) "instance lines byte-identical to Campaign.run"
+          (List.map Engine.Journal.instance_line serial.Campaign.outcomes)
+          lines;
+        Alcotest.(check int) "one worker lost" 1 footer.Engine.Journal.worker_lost);
+    Alcotest.test_case "an instance that kills every worker settles as Crashed at any -j" `Quick
+      (fun () ->
+        let xforms = [ killer ~name:"KillAlways(test-only)" ~armed:(fun () -> true) ] in
+        let run j = journaled ~options:{ Engine.Worker.default_options with j } xforms in
+        let l1, f1 = run 1 and l2, _ = run 2 in
+        Alcotest.(check (list string)) "instance lines identical at -j 1 and -j 2" l1 l2;
+        Alcotest.(check bool) "instances journaled" true (l1 <> []);
+        List.iter
+          (fun l ->
+            match Engine.Journal.parse_line l with
+            | Engine.Journal.Instance { Campaign.o_status = Campaign.Crashed { detail }; _ } ->
+                Alcotest.(check string) "fixed detail" "worker lost 3 times on this instance" detail
+            | _ -> Alcotest.fail ("not a crashed instance: " ^ l))
+          l1;
+        Alcotest.(check int) "three losses per instance"
+          (3 * List.length l1) f1.Engine.Journal.worker_lost);
+    Alcotest.test_case "no local worker outlives a SIGKILLed campaign process" `Quick (fun () ->
+        let deadline_s = 1.0 in
+        let sleeper =
+          {
+            (good ()) with
+            Transforms.Xform.name = "Sleep(test-only)";
+            apply =
+              (fun _ _ ->
+                Unix.sleep 30;
+                { Sdfg.Diff.nodes = []; states = [] });
+          }
+        in
+        flush stdout;
+        flush stderr;
+        match Unix.fork () with
+        | 0 ->
+            (try
+               ignore
+                 (Engine.Worker.run_campaign
+                    ~options:{ Engine.Worker.default_options with j = 2; deadline_s }
+                    ~config (programs ()) [ sleeper ])
+             with _ -> ());
+            Unix._exit 0
+        | campaign ->
+            let rec await_workers tries =
+              match children_of campaign with
+              | ws when List.length ws >= 2 || tries = 0 -> ws
+              | _ ->
+                  Unix.sleepf 0.02;
+                  await_workers (tries - 1)
+            in
+            let workers = await_workers 250 in
+            Unix.kill campaign Sys.sigkill;
+            ignore (Unix.waitpid [] campaign);
+            Alcotest.(check int) "two local workers were running" 2 (List.length workers);
+            let t0 = Unix.gettimeofday () in
+            let rec await_exit () =
+              if List.exists running workers then
+                if Unix.gettimeofday () -. t0 > deadline_s +. 1. then
+                  Alcotest.fail "a local worker outlived its campaign"
+                else begin
+                  Unix.sleepf 0.02;
+                  await_exit ()
+                end
+            in
+            await_exit ());
+    Alcotest.test_case "20 campaigns in one process leave no children or descriptors" `Quick
+      (fun () ->
+        let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+        let before = fds () in
+        for _ = 1 to 20 do
+          ignore
+            (Engine.Worker.run_campaign
+               ~options:{ Engine.Worker.default_options with j = 2 }
+               ~config (programs ()) [ good () ])
+        done;
+        Alcotest.(check int) "open descriptors unchanged" before (fds ());
+        match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+        | _ -> Alcotest.fail "a child outlived its campaign"
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ());
+    Alcotest.test_case "duplicate program or transformation names are rejected" `Quick
+      (fun () ->
+        let rejected f =
+          match f () with _ -> false | exception Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "duplicate program" true
+          (rejected (fun () ->
+               Engine.Worker.run_campaign ~config
+                 [ ("scale", Workloads.Npbench.scale ()); ("scale", Workloads.Npbench.axpy ()) ]
+                 [ good () ]));
+        Alcotest.(check bool) "duplicate transformation" true
+          (rejected (fun () ->
+               Engine.Worker.run_campaign ~config (programs ()) [ good (); good () ])));
+    Alcotest.test_case "an instance that catches its deadline and runs on is Timed_out at any -j"
+      `Quick (fun () ->
+        (* catches the alarm's exception, then would run forever *)
+        let swallow =
+          {
+            (good ()) with
+            Transforms.Xform.name = "SwallowDeadline(test-only)";
+            apply =
+              (fun _ _ ->
+                (try Unix.sleep 5 with _ -> ());
+                while true do
+                  ignore (Sys.opaque_identity ())
+                done;
+                { Sdfg.Diff.nodes = []; states = [] });
+          }
+        in
+        let run j =
+          journaled ~options:{ Engine.Worker.default_options with j; deadline_s = 0.5 } [ swallow ]
+        in
+        let l1, f1 = run 1 and l2, f2 = run 2 in
+        Alcotest.(check (list string)) "instance lines identical at -j 1 and -j 2" l1 l2;
+        Alcotest.(check bool) "instances journaled" true (l1 <> []);
+        List.iter
+          (fun l ->
+            match Engine.Journal.parse_line l with
+            | Engine.Journal.Instance { Campaign.o_status = Campaign.Timed_out { deadline_s }; _ } ->
+                Alcotest.(check (float 1e-9)) "deadline" 0.5 deadline_s
+            | _ -> Alcotest.fail ("not a timed-out instance: " ^ l))
+          l1;
+        Alcotest.(check int) "a timeout loses no worker (-j 1)" 0 f1.Engine.Journal.worker_lost;
+        Alcotest.(check int) "a timeout loses no worker (-j 2)" 0 f2.Engine.Journal.worker_lost);
   ]
 
 (* ---------------- corpus ---------------- *)
@@ -624,6 +818,46 @@ let corpus_tests =
         Alcotest.(check bool) "xform distinguishes" true (s1 <> s3);
         Alcotest.(check string) "deterministic" s1
           (Engine.Corpus.signature ~xform:"X" ~klass:Difftest.Semantics cut));
+    Alcotest.test_case "a hang found at step limit 10000 replays within 10000 steps" `Quick
+      (fun () ->
+        let config = { config with Difftest.step_limit = 10_000 } in
+        let g = List.assoc "trmm" (Workloads.Npb_frontend.all ()) in
+        let x =
+          Transforms.State_assign_elimination.make
+            Transforms.State_assign_elimination.Ignore_conditions
+        in
+        let hang_case site =
+          let r = Difftest.test_instance ~config g x site in
+          match r.Difftest.verdict with
+          | Difftest.Fail
+              ({
+                 Difftest.kind =
+                   Difftest.Fault_divergence { transformed = Some (Interp.Exec.Hang _); _ };
+                 _;
+               } as f) ->
+              Option.map (fun tc -> (site, f.Difftest.klass, tc)) (Testcase.of_report ~config ~original:g r)
+          | _ -> None
+        in
+        match List.find_map hang_case (x.Transforms.Xform.find g) with
+        | None -> Alcotest.fail "no hang divergence on trmm"
+        | Some (site, klass, tc) ->
+            Alcotest.(check int) "limit recorded" 10_000 tc.Testcase.step_limit;
+            let dir = temp_dir "ffhang" in
+            (match
+               Engine.Corpus.save ~dir ~catalog:[ x ] ~program:"trmm" ~xform:x.Transforms.Xform.name
+                 ~klass ~site tc
+             with
+            | Engine.Corpus.Saved _ -> ()
+            | _ -> Alcotest.fail "expected Saved");
+            (match Engine.Corpus.replay ~catalog:[ x ] dir with
+            | [ o ] ->
+                Alcotest.(check bool) "reproduced" true o.Engine.Corpus.reproduced;
+                Alcotest.(check bool)
+                  (Printf.sprintf "hang at the recorded limit (%s)" o.Engine.Corpus.detail)
+                  true
+                  (contains o.Engine.Corpus.detail "after 10001 steps")
+            | os -> Alcotest.fail (Printf.sprintf "expected one outcome, got %d" (List.length os)));
+            rm_rf dir);
   ]
 
 let () =

@@ -125,6 +125,7 @@ let testcase_tests =
         Alcotest.(check bool) "symbols" true (tc.symbols = tc'.symbols);
         Alcotest.(check bool) "inputs bit-exact" true (tc.inputs = tc'.inputs);
         Alcotest.(check bool) "failure" true (tc.failure = tc'.failure);
+        Alcotest.(check int) "step limit" tc.step_limit tc'.step_limit;
         Alcotest.(check bool) "cutout interface" true
           (tc.cutout.Cutout.input_config = tc'.cutout.Cutout.input_config
           && tc.cutout.Cutout.system_state = tc'.cutout.Cutout.system_state);
@@ -202,6 +203,41 @@ let testcase_tests =
         | Ok _ -> Alcotest.fail "loaded without its cutout graph"
         | exception e -> Alcotest.fail ("load raised: " ^ Printexc.to_string e));
         List.iter (fun p -> if Sys.file_exists p then Sys.remove p) written;
+        Unix.rmdir dir);
+    Alcotest.test_case "a bundle without a step-limit line loads at the interpreter default"
+      `Quick (fun () ->
+        let open Fuzzyflow in
+        let config =
+          { Difftest.default_config with trials = 5; max_size = 8; concretization = [ ("N", 8) ] }
+        in
+        let g = Workloads.Npbench.scale () in
+        let x = Transforms.Vectorization.make ~width:4 Transforms.Vectorization.Assume_divisible in
+        let site = List.hd (x.find g) in
+        let tc =
+          match Testcase.of_report ~config ~original:g (Difftest.test_instance ~config g x site) with
+          | Some tc -> tc
+          | None -> Alcotest.fail "expected a failing test case"
+        in
+        Alcotest.(check int) "recorded from the config" config.Difftest.step_limit tc.step_limit;
+        let dir = Filename.temp_file "fftcold" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o755;
+        let written = Testcase.save dir tc in
+        let dat = List.find (fun p -> Filename.check_suffix p ".case.dat") written in
+        (* rewrite the bundle the way an earlier version wrote it *)
+        let lines = In_channel.with_open_bin dat In_channel.input_all |> String.split_on_char '\n' in
+        let legacy =
+          List.filter (fun l -> not (String.length l >= 10 && String.sub l 0 10 = "steplimit ")) lines
+        in
+        Alcotest.(check int) "one step-limit line dropped" (List.length lines - 1) (List.length legacy);
+        Out_channel.with_open_bin dat (fun oc -> output_string oc (String.concat "\n" legacy));
+        (match Testcase.load dat with
+        | Ok tc' ->
+            Alcotest.(check int) "interpreter default"
+              Interp.Exec.default_config.Interp.Exec.step_limit tc'.step_limit;
+            Alcotest.(check bool) "failure" true (tc.failure = tc'.failure)
+        | Error { Testcase.reason; _ } -> Alcotest.fail ("load failed: " ^ reason));
+        List.iter Sys.remove written;
         Unix.rmdir dir);
   ]
 
