@@ -794,10 +794,11 @@ let certify_cmd =
       exit 1
     end;
     let equivalent = ref 0 and refuted = ref 0 and unknown = ref 0 in
+    let memo = Sdfg.Memo.create () in
     List.iter
       (fun site ->
         Format.printf "%s @@ %a: " xform.Transforms.Xform.name Transforms.Xform.pp_site site;
-        match Analysis.Equiv.certify ~symbols g xform site with
+        match Analysis.Equiv.certify ~memo ~symbols g xform site with
         | None ->
             incr unknown;
             Format.printf "stale (site no longer applies)@."

@@ -84,16 +84,18 @@ let check_coverage ?(symbols = []) g =
   match Propagate.summarize ~bounds g with
   | exception _ -> []
   | su ->
+      (* propagated once per state, in state order, and only if some
+         transient gets this far *)
+      let accesses =
+        lazy (List.concat_map (fun (_, st) -> Propagate.state_accesses g st) (Graph.states g))
+      in
       let read_accesses c =
-        List.concat_map
-          (fun (_, st) ->
-            List.filter_map
-              (fun (a : Propagate.access) ->
-                if a.Propagate.container = c && a.Propagate.kind = Propagate.Read then
-                  Some a.Propagate.subset
-                else None)
-              (Propagate.state_accesses g st))
-          (Graph.states g)
+        List.filter_map
+          (fun (a : Propagate.access) ->
+            if a.Propagate.container = c && a.Propagate.kind = Propagate.Read then
+              Some a.Propagate.subset
+            else None)
+          (Lazy.force accesses)
       in
       let env = Symbolic.Expr.Env.of_list valuation in
       let in_shape (d : Graph.datadesc) el =

@@ -30,11 +30,6 @@ let pp_verdict fmt = function
   | Refuted w -> Format.fprintf fmt "refuted: %a" pp_witness w
   | Unknown why -> Format.fprintf fmt "unknown: %s" why
 
-(* carried dependences count, as in the delta verifier: both sides see them,
-   so pre-existing ones cancel and only introduced ones survive *)
-let oracle ?symbols g =
-  match Oracle.analyze ~carried:true ?symbols g with fs -> fs | exception _ -> []
-
 let default_size = 8
 
 (* A transformation-introduced static error refutes equivalence outright; the
@@ -113,8 +108,8 @@ let refute_or_unknown ?(use_deps = true) ~bounds ~symbols ~valuation ~declared m
                "propagated %s set of %s differs symbolically; no concrete witness found"
                (Certificate.side_name side) c))
 
-let decide ?(use_intervals = true) ?(use_deps = true) ~symbols g g' (x : Transforms.Xform.t)
-    site =
+let decide ?(use_intervals = true) ?(use_deps = true) ~symbols ~delta g g'
+    (x : Transforms.Xform.t) site =
   (* program parameters: declared symbols, anything a container shape
      mentions, and whatever the caller chose to concretize — hand-built
      graphs do not always call [add_symbol] *)
@@ -131,11 +126,6 @@ let decide ?(use_intervals = true) ?(use_deps = true) ~symbols g g' (x : Transfo
       (fun s ->
         (s, match List.assoc_opt s symbols with Some v -> v | None -> default_size))
       declared
-  in
-  let delta =
-    let before = oracle ~symbols g and after = oracle ~symbols g' in
-    Report.sort
-      (Report.new_findings ~before ~after @ Delta.coverage_delta ~symbols g g')
   in
   (* any introduced error refutes; so does an introduced race at any
      severity — a carried-dependence warning that was not there before means
@@ -292,8 +282,7 @@ let decide ?(use_intervals = true) ?(use_deps = true) ~symbols g g' (x : Transfo
           | [], _, false -> Unknown "per-container access order changed"
           | ms, _, _ -> refute_or_unknown ~use_deps ~bounds ~symbols ~valuation ~declared ms)))
 
-let certify ?use_intervals ?use_deps ?(symbols = []) g (x : Transforms.Xform.t) site =
-  let g' = Graph.copy g in
-  match x.apply g' site with
-  | exception Transforms.Xform.Cannot_apply _ -> None
-  | _ -> Some (decide ?use_intervals ?use_deps ~symbols g g' x site)
+let certify ?use_intervals ?use_deps ?memo ?(symbols = []) g x site =
+  Option.map
+    (fun (g', _, (delta, _)) -> decide ?use_intervals ?use_deps ~symbols ~delta g g' x site)
+    (Delta.apply ?memo ~symbols g x site)

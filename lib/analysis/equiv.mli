@@ -23,6 +23,12 @@
       {!Transforms.Xform.Known_unsound} whose summaries nevertheless match —
       the hint vetoes certification, never the other verdicts).
 
+    A transformation-introduced static finding — any error, or a race at
+    any severity — refutes before the summaries are compared. Those
+    findings are the static delta ({!Delta}), the same one the static gate
+    reports, so a caller running both gates computes it once and hands it
+    to {!decide}.
+
     [None] means the site went stale ([apply] raised [Cannot_apply]). *)
 
 type witness = {
@@ -53,12 +59,32 @@ val pp_verdict : Format.formatter -> verdict -> unit
     Fourier–Motzkin model before any grid enumeration, and per-container
     order changes are waived when reads are provably disjoint from writes.
     Disabling it reproduces the PR 6 behaviour; [bench deps] and
-    [bench analysis] measure the verdicts this tier upgrades. *)
+    [bench analysis] measure the verdicts this tier upgrades.
+
+    [memo] serves the unchanged program's half of the static delta
+    ({!Delta.memo}); a caller certifying many sites of one program passes
+    the same memo to every call. Verdicts do not depend on it. *)
 val certify :
   ?use_intervals:bool ->
   ?use_deps:bool ->
+  ?memo:Delta.memo ->
   ?symbols:(string * int) list ->
   Sdfg.Graph.t ->
   Transforms.Xform.t ->
   Transforms.Xform.site ->
   verdict option
+
+(** [decide ~symbols ~delta g g' x site] is {!certify}'s verdict for an
+    instance the caller already applied and analyzed: [g'] and [delta] are
+    the transformed copy and the findings {!Delta.apply} returned for [x]
+    at [site] on [g] under [symbols]. *)
+val decide :
+  ?use_intervals:bool ->
+  ?use_deps:bool ->
+  symbols:(string * int) list ->
+  delta:Report.finding list ->
+  Sdfg.Graph.t ->
+  Sdfg.Graph.t ->
+  Transforms.Xform.t ->
+  Transforms.Xform.site ->
+  verdict

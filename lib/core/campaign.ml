@@ -87,13 +87,21 @@ let instance_seed ~global id =
 
 (* ---------------- per-instance execution ---------------- *)
 
-let run_instance ?plan_cache ?kernel_cache ?(config = Difftest.default_config)
+let run_instance ?plan_cache ?kernel_cache ?memo ?(config = Difftest.default_config)
     ?(static_gate = false) ?(certify_gate = false) ~program:(pname, g) (x : Transforms.Xform.t)
     site =
+  let symbols = config.Difftest.concretization in
+  (* both gates analyze one application of [x]: the transformed copy, the
+     change set [apply] declared, and the static delta. Forced by the first
+     gate that needs it; never, with both gates off. *)
+  let applied = lazy (Analysis.Delta.apply ?memo ~symbols g x site) in
   (* translation validation first: a proved-equivalent instance skips all its
      fuzz trials (report = None) *)
   let verdict =
-    if certify_gate then Analysis.Equiv.certify ~symbols:config.Difftest.concretization g x site
+    if certify_gate then
+      Option.map
+        (fun (g', _, (delta, _)) -> Analysis.Equiv.decide ~symbols ~delta g g' x site)
+        (Lazy.force applied)
     else None
   in
   let report =
@@ -105,15 +113,11 @@ let run_instance ?plan_cache ?kernel_cache ?(config = Difftest.default_config)
      this instance, independent of the fuzz verdict — the change-set audit
      (declaration honesty) alongside the delta oracle (introduced defects) *)
   let static, dep_stats =
-    if static_gate then
-      let audit = Option.value ~default:[] (Analysis.Audit.check_xform g x site) in
-      let delta, stats =
-        match Analysis.Delta.verify_stats ~symbols:config.Difftest.concretization g x site with
-        | Some (fs, st) -> (fs, st)
-        | None -> ([], Analysis.Races.stats_zero)
-      in
-      (Analysis.Report.sort (audit @ delta), stats)
-    else ([], Analysis.Races.stats_zero)
+    match if static_gate then Lazy.force applied else None with
+    | Some (g', declared, (delta, stats)) ->
+        let audit = Analysis.Audit.check ~original:g ~transformed:g' ~declared in
+        (Analysis.Report.sort (audit @ delta), stats)
+    | None -> ([], Analysis.Races.stats_zero)
   in
   { program = pname; xform_name = x.name; site; report; static; dep_stats; verdict }
 
@@ -225,6 +229,9 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
      from the same constraint ranges), so compiled plans are reused across
      instances, not just across trials *)
   let plan_cache = Interp.Plan.Cache.create ~capacity:256 () in
+  (* likewise one baseline memo: every instance on a program shares the
+     unchanged program's half of the static delta *)
+  let memo = Sdfg.Memo.create () in
   List.iter
     (fun (x : Transforms.Xform.t) ->
       List.iter
@@ -238,8 +245,8 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
                 { config with Difftest.seed = instance_seed ~global:config.Difftest.seed id }
               in
               let r =
-                run_instance ~plan_cache ~config ~static_gate ~certify_gate ~program:(pname, g) x
-                  site
+                run_instance ~plan_cache ~memo ~config ~static_gate ~certify_gate
+                  ~program:(pname, g) x site
               in
               results := (r, config.Difftest.seed) :: !results)
             sites)

@@ -100,12 +100,16 @@ val instance_seed : global:int -> string -> int
     differential testing, then the static oracle evidence channel. Both the
     serial [run] loop and the engine's forked workers execute exactly this.
     [plan_cache] / [kernel_cache] share compiled execution plans and batched
-    kernels across instances; verdicts are cache-oblivious (both caches key
-    by program digest and symbol valuation), so serial and parallel runs
-    stay byte-identical. *)
+    kernels across instances, and [memo] the unchanged program's half of the
+    static delta ({!Analysis.Delta.memo}); verdicts are cache-oblivious
+    (all three key by program digest and symbol valuation), so serial and
+    parallel runs stay byte-identical. With either gate on, the
+    transformation is applied to one copy of the program, whose delta feeds
+    the certify gate, the change-set audit and the static findings. *)
 val run_instance :
   ?plan_cache:Interp.Plan.Cache.t ->
   ?kernel_cache:Interp.Kernel.Cache.t ->
+  ?memo:Analysis.Delta.memo ->
   ?config:Difftest.config ->
   ?static_gate:bool ->
   ?certify_gate:bool ->

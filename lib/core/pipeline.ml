@@ -47,6 +47,10 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
   let steps = ref [] in
   let applied = ref 0 and proved = ref 0 and rejected = ref 0 and stale = ref 0 in
   let witness_probes = ref 0 and witness_confirmed = ref 0 in
+  (* the current program only changes when an instance is applied, so the
+     sites tried in between share its half of the static delta *)
+  let memo = Sdfg.Memo.create () in
+  let symbols = config.Difftest.concretization in
   List.iter
     (fun (x : Transforms.Xform.t) ->
       (* discover on the current program; apply passing instances one by one *)
@@ -54,24 +58,29 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
         (fun site ->
           let record decision = steps := { xform_name = x.name; site; decision } :: !steps in
           (* static pre-gate: veto with evidence before spending any trials.
-             The change-set audit runs first — a declared change set that
-             under-approximates the true diff would make the cutout (and so
-             every trial) test the wrong subprogram *)
+             The change-set audit takes precedence — a declared change set
+             that under-approximates the true diff would make the cutout (and
+             so every trial) test the wrong subprogram. One application on a
+             copy serves the audit, the delta and certification; the
+             transformed copy and its delta ride along for the latter. *)
           let static_verdict =
             if static_gate then
-              match Analysis.Audit.check_xform current x site with
+              match Analysis.Delta.apply ~memo ~symbols current x site with
               | None -> None
-              | Some (_ :: _ as audit_findings) -> Some audit_findings
-              | Some [] ->
-                  Analysis.Delta.verify ~symbols:config.Difftest.concretization current x
-                    site
-            else Some []
+              | Some (g', declared, (delta, _)) ->
+                  let findings =
+                    match Analysis.Audit.check ~original:current ~transformed:g' ~declared with
+                    | [] -> delta
+                    | audit_findings -> audit_findings
+                  in
+                  Some (findings, Some (g', delta))
+            else Some ([], None)
           in
           match static_verdict with
           | None ->
               incr stale;
               record (Stale "static gate: site no longer matches")
-          | Some (_ :: _ as findings) ->
+          | Some ((_ :: _ as findings), _) ->
               incr rejected;
               (* a race finding decided by the exact dependence tier carries a
                  solver witness; feed it to the fuzzer as a directed seed — one
@@ -94,7 +103,7 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                   | { verdict = Difftest.Pass; _ } | (exception _) -> ())
               | None -> ());
               record (Rejected_static findings)
-          | Some [] -> (
+          | Some ([], transformed) -> (
               let fuzz ~config () =
                 match Difftest.test_instance ~config current x site with
                 | { verdict = Difftest.Pass; _ } -> (
@@ -117,10 +126,9 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                  witness seeds one cheap probe trial pinned to the witness
                  valuation before the full-budget run *)
               let verdict =
-                if static_gate then
-                  Analysis.Equiv.certify ~symbols:config.Difftest.concretization
-                    current x site
-                else None
+                Option.map
+                  (fun (g', delta) -> Analysis.Equiv.decide ~symbols ~delta current g' x site)
+                  transformed
               in
               match verdict with
               | Some (Analysis.Equiv.Equivalent cert) -> (

@@ -16,7 +16,11 @@
     validator ({!Analysis.Equiv}): a proved-equivalent instance is applied
     with {e zero} fuzz trials and its certificate recorded; a refuted
     instance gets one probe trial pinned to the refutation witness before
-    the full-budget run; unknowns fall through to ordinary fuzzing. *)
+    the full-budget run; unknowns fall through to ordinary fuzzing. The
+    change-set audit, the oracle and the validator all analyze one
+    application of the instance to a copy of the current program, and the
+    unchanged program's half of the oracle's delta is computed once per
+    version of the current program. *)
 
 type decision =
   | Applied

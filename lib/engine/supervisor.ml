@@ -77,20 +77,25 @@ let backoff_delay ~policy ~ep ~failures ~seed =
 
 let listen_on ?host ~port () = Wire.listen_on ?host ~port ()
 
-(* Worker-side compilation cache, persistent across assignments: both caches
-   key by cutout digest and symbol valuation, so a requeued, re-seeded or
-   structurally shared instance skips recompilation entirely. Per-assignment
-   hit/miss deltas travel back in the Result frame and surface as a cache
-   hit rate in the dispatcher's telemetry. *)
+(* Worker-side caches, persistent across assignments: the compilation
+   caches key by cutout digest and symbol valuation, so a requeued,
+   re-seeded or structurally shared instance skips recompilation entirely,
+   and the baseline memo keys by program digest and concretization, so
+   every gated instance on a program shares the unchanged program's half of
+   its static delta. Per-assignment plan and kernel hit/miss deltas travel
+   back in the Result frame and surface as a cache hit rate in the
+   dispatcher's telemetry. *)
 type wcache = {
-  mutable wc_plans : Interp.Plan.Cache.t;
-  mutable wc_kernels : Interp.Kernel.Cache.t;
+  wc_plans : Interp.Plan.Cache.t;
+  wc_kernels : Interp.Kernel.Cache.t;
+  wc_baselines : Analysis.Delta.memo;
 }
 
 let wcache_create () =
   {
     wc_plans = Interp.Plan.Cache.create ~capacity:256 ();
     wc_kernels = Interp.Kernel.Cache.create ~capacity:256 ();
+    wc_baselines = Sdfg.Memo.create ();
   }
 
 let wcache_stats c =
@@ -137,16 +142,19 @@ let with_deadline ~deadline_s ~expire f =
   Sys.set_signal Sys.sigalrm prev;
   if !expired then Error (Campaign.Timed_out { deadline_s }) else r
 
-(* One assignment: compile through the worker's cache and run the instance
+(* One assignment: compile through the worker's caches and run the instance
    in-process under the alarm-based deadline; [expire] receives the
    [Timed_out] reply from the alarm handler. Verdicts are cache-oblivious
-   (both caches key by program digest and symbol valuation). An assignment
+   (every cache keys by program digest and symbol valuation). An assignment
    that timed out or crashed may have been interrupted inside a cache
-   update, so it leaves the worker with fresh caches. *)
-let run_with_cache caches ~catalog ~expire (a : Wire.assignment) =
-  let h0, m0 = wcache_stats caches in
+   update, or inside a baseline whose oracle swallowed the deadline's
+   exception and stored what it had, so it leaves the worker with fresh
+   caches. *)
+let run_with_cache (caches : wcache ref) ~catalog ~expire (a : Wire.assignment) =
+  let c = !caches in
+  let h0, m0 = wcache_stats c in
   let result r_status r_payload =
-    let h1, m1 = wcache_stats caches in
+    let h1, m1 = wcache_stats c in
     Wire.Result
       {
         r_idx = a.Wire.a_idx;
@@ -165,8 +173,8 @@ let run_with_cache caches ~catalog ~expire (a : Wire.assignment) =
       | exception _ -> Wire.Refused { r_idx = a.Wire.a_idx; r_detail = "undecodable program graph" }
       | graph -> (
           let thunk () =
-            Campaign.run_instance ~plan_cache:caches.wc_plans ~kernel_cache:caches.wc_kernels
-              ~config:a.Wire.a_config ~static_gate:a.Wire.a_static_gate
+            Campaign.run_instance ~plan_cache:c.wc_plans ~kernel_cache:c.wc_kernels
+              ~memo:c.wc_baselines ~config:a.Wire.a_config ~static_gate:a.Wire.a_static_gate
               ~certify_gate:a.Wire.a_certify_gate ~program:(a.Wire.a_program, graph) xform
               a.Wire.a_site
           in
@@ -175,14 +183,18 @@ let run_with_cache caches ~catalog ~expire (a : Wire.assignment) =
           match with_deadline ~deadline_s ~expire thunk with
           | Ok ir -> result Campaign.Completed (Some ir)
           | Error status ->
-              let reply = result status None in
-              let fresh = wcache_create () in
-              caches.wc_plans <- fresh.wc_plans;
-              caches.wc_kernels <- fresh.wc_kernels;
-              reply))
+              caches := wcache_create ();
+              result status None))
 
-let run_assignment ~catalog a =
-  run_with_cache (wcache_create ()) ~catalog ~expire:(fun _ -> raise Deadline_exceeded) a
+let run_assignments ~catalog assignments =
+  let caches = ref (wcache_create ()) in
+  List.map
+    (fun a ->
+      let reply = run_with_cache caches ~catalog ~expire:(fun _ -> raise Deadline_exceeded) a in
+      (reply, Sdfg.Memo.stats !caches.wc_baselines))
+    assignments
+
+let run_assignment ~catalog a = fst (List.hd (run_assignments ~catalog [ a ]))
 
 (* The per-connection part every worker runs, local or remote: answer the
    version handshake, then serve heartbeats and assignments until the peer
@@ -215,9 +227,9 @@ let serve_connection ~exit_on_deadline caches ~catalog fd =
 
 let serve_worker ?(once = false) ~catalog sock =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* one cache for the whole worker process: assignments across connections
-     share compiled plans and kernels *)
-  let caches = wcache_create () in
+  (* one set of caches for the whole worker process: assignments across
+     connections share compiled plans and kernels and delta baselines *)
+  let caches = ref (wcache_create ()) in
   let continue = ref true in
   while !continue do
     (match Unix.accept sock with
@@ -263,7 +275,8 @@ let spawn_local ~catalog =
   match Unix.fork () with
   | 0 ->
       close_inherited ~keep:theirs;
-      (try serve_connection ~exit_on_deadline:true (wcache_create ()) ~catalog theirs with _ -> ());
+      (try serve_connection ~exit_on_deadline:true (ref (wcache_create ())) ~catalog theirs
+       with _ -> ());
       Unix._exit 0
   | pid ->
       Unix.close theirs;

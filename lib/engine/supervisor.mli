@@ -4,15 +4,15 @@
     workers, forked once per campaign on socketpairs, and to any remote
     endpoints ([fuzzyflow_cli worker]). Both kinds run the same code per
     connection: a version handshake, then assignments, each run in-process
-    under an alarm deadline with a plan/kernel cache kept across
-    assignments. A local worker replies [Timed_out] and ends its process at
-    the deadline, so no code in an instance can catch it. The dispatcher
-    owns heartbeats, deadline overruns, requeue and a typed failure
-    taxonomy. A failed remote worker backs off (jitter derived from the
-    instance seed) and is quarantined after repeated failures; a failed
-    local worker is SIGKILLed, reaped and respawned, so the local slots
-    always finish the campaign. An instance that has lost [max_failures]
-    local workers settles as [Crashed] with a fixed detail.
+    under an alarm deadline with plan, kernel and static-delta baseline
+    caches kept across assignments. A local worker replies [Timed_out] and
+    ends its process at the deadline, so no code in an instance can catch
+    it. The dispatcher owns heartbeats, deadline overruns, requeue and a
+    typed failure taxonomy. A failed remote worker backs off (jitter
+    derived from the instance seed) and is quarantined after repeated
+    failures; a failed local worker is SIGKILLed, reaped and respawned, so
+    the local slots always finish the campaign. An instance that has lost
+    [max_failures] local workers settles as [Crashed] with a fixed detail.
 
     Verdicts depend only on (instance, seed) and worker-side compilation is
     cache-oblivious, so any topology, and any failure schedule that loses
@@ -88,15 +88,21 @@ val run :
     port, returned alongside the socket. *)
 val listen_on : ?host:Unix.inet_addr -> port:int -> unit -> Unix.file_descr * int
 
-(** Run one assignment in-process under an alarm-based deadline with a
-    fresh compilation cache, and build the reply. Verdicts are
-    cache-oblivious, so the reply is the same bytes a warm worker would
-    send. Exposed for tests. *)
+(** Run one assignment in-process under an alarm-based deadline with
+    fresh caches, and build the reply. Verdicts are cache-oblivious, so the
+    reply is the same bytes a warm worker would send. Exposed for tests. *)
 val run_assignment : catalog:Transforms.Xform.t list -> Wire.assignment -> Wire.message
 
+(** Run assignments in order on one set of caches, as a remote worker does
+    (the deadline raises), pairing each reply with the baseline memo's
+    [(hits, misses)] after it — counts no Result frame carries, whose
+    cache counts cover plans and kernels only. Exposed for tests. *)
+val run_assignments :
+  catalog:Transforms.Xform.t list -> Wire.assignment list -> (Wire.message * (int * int)) list
+
 (** The remote worker's accept loop: serve each connection (handshake, then
-    assignments until the peer disconnects) with one compilation cache for
-    the whole process; transformations are resolved by registry name in
+    assignments until the peer disconnects) with one set of caches for the
+    whole process; transformations are resolved by registry name in
     [catalog]. [once] exits after the first connection closes (tests). Runs
     forever otherwise — fork it, or dedicate the process to it. *)
 val serve_worker : ?once:bool -> catalog:Transforms.Xform.t list -> Unix.file_descr -> unit

@@ -34,16 +34,16 @@ val execute_batch :
   ?config:Defs.config -> t -> inputs:(string * float array) list array ->
   (Defs.outcome, Defs.fault) result array
 
-(** Memoizes compiled kernels by (graph digest, sorted symbol valuation),
-    with the same bounded wholesale-drop policy as {!Plan.Cache}. *)
+(** Memoizes compiled kernels by (graph digest, sorted symbol valuation)
+    in a {!Sdfg.Memo}, like {!Plan.Cache}. *)
 module Cache : sig
   type kernel = t
   type t
 
   val create : ?capacity:int -> unit -> t
 
-  (** Digest of the graph's canonical serialization (same construction as
-      {!Plan.Cache.digest_of}, so one digest can key both caches). *)
+  (** {!Sdfg.Memo.digest_of}, the same function as
+      {!Plan.Cache.digest_of}, so one digest can key both caches. *)
   val digest_of : Sdfg.Graph.t -> string
 
   val compile :

@@ -1126,35 +1126,13 @@ let execute ?(config = default_config) p ~inputs =
 
 module Cache = struct
   type plan = t
+  type t = (plan, fault) result Memo.t
 
-  type t = {
-    capacity : int;
-    tbl : (string * (string * int) list, (plan, fault) result) Hashtbl.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create ?(capacity = 64) () =
-    { capacity = max 1 capacity; tbl = Hashtbl.create 16; hits = 0; misses = 0 }
-
-  (* Digest of the graph's canonical serialization. Callers holding a graph
-     fixed across many compiles (the difftest trial loop) should compute
-     this once and pass it to [compile] rather than re-serializing. *)
-  let digest_of g = Digest.to_hex (Digest.string (Serialize.to_string g))
+  let create = Memo.create
+  let digest_of = Memo.digest_of
 
   let compile ?digest c g ~symbols =
-    let d = match digest with Some d -> d | None -> digest_of g in
-    let key = (d, List.sort compare symbols) in
-    match Hashtbl.find_opt c.tbl key with
-    | Some r ->
-        c.hits <- c.hits + 1;
-        r
-    | None ->
-        c.misses <- c.misses + 1;
-        let r = compile g ~symbols in
-        if Hashtbl.length c.tbl >= c.capacity then Hashtbl.reset c.tbl;
-        Hashtbl.add c.tbl key r;
-        r
+    Memo.find_or_add ?digest c g ~symbols (fun () -> compile g ~symbols)
 
-  let stats c = (c.hits, c.misses)
+  let stats = Memo.stats
 end

@@ -21,20 +21,19 @@ val execute :
   ?config:Defs.config -> t -> inputs:(string * float array) list ->
   (Defs.outcome, Defs.fault) result
 
-(** Memoizes compiled plans by (graph digest, sorted symbol valuation).
-    Bounded: when [capacity] distinct keys are live the table is dropped
-    wholesale (fuzzing loops revisit a tiny working set, so eviction finesse
-    buys nothing). Compile failures are cached too — a graph that does not
-    validate keeps not validating. *)
+(** Memoizes compiled plans by (graph digest, sorted symbol valuation)
+    in a {!Sdfg.Memo}: bounded, dropped wholesale when [capacity] (default
+    64) distinct keys are live. Compile failures are cached too — a graph
+    that does not validate keeps not validating. *)
 module Cache : sig
   type plan = t
   type t
 
   val create : ?capacity:int -> unit -> t
 
-  (** Digest of the graph's canonical serialization. Compute once per graph
-      and pass to {!compile} when the same graph is compiled under many
-      valuations — re-serializing per call costs more than compiling. *)
+  (** {!Sdfg.Memo.digest_of}. Compute once per graph and pass to
+      {!compile} when the same graph is compiled under many valuations —
+      re-serializing per call costs more than compiling. *)
   val digest_of : Sdfg.Graph.t -> string
 
   val compile :

@@ -1,0 +1,27 @@
+type 'a t = {
+  capacity : int;
+  tbl : (string * (string * int) list, 'a) Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let create ?(capacity = 64) () =
+  { capacity = max 1 capacity; tbl = Hashtbl.create 16; hits = 0; misses = 0 }
+
+let digest_of g = Digest.to_hex (Digest.string (Serialize.to_string g))
+
+let find_or_add ?digest m g ~symbols f =
+  let d = match digest with Some d -> d | None -> digest_of g in
+  let key = (d, List.sort compare symbols) in
+  match Hashtbl.find_opt m.tbl key with
+  | Some r ->
+      m.hits <- m.hits + 1;
+      r
+  | None ->
+      m.misses <- m.misses + 1;
+      let r = f () in
+      if Hashtbl.length m.tbl >= m.capacity then Hashtbl.reset m.tbl;
+      Hashtbl.add m.tbl key r;
+      r
+
+let stats m = (m.hits, m.misses)

@@ -233,6 +233,122 @@ let with_preexisting_defect () =
        ());
   g
 
+(* ---- the delta's reference formula ---------------------------------------- *)
+
+(* [Defuse.check_coverage] as it was before its per-state accesses were
+   hoisted: every transient's reads re-propagate every state. *)
+let reference_coverage ?(symbols = []) g =
+  let declared =
+    let shape_syms =
+      List.concat_map
+        (fun (_, (d : Graph.datadesc)) -> List.concat_map Symbolic.Expr.free_syms d.shape)
+        (Graph.containers g)
+    in
+    List.sort_uniq compare (Graph.symbols g @ shape_syms @ List.map fst symbols)
+  in
+  let valuation =
+    List.map (fun s -> (s, match List.assoc_opt s symbols with Some v -> v | None -> 8)) declared
+  in
+  let bounds s = if List.mem s declared then (Some 1, None) else (None, None) in
+  match Propagate.summarize ~bounds g with
+  | exception _ -> []
+  | su ->
+      let read_accesses c =
+        List.concat_map
+          (fun (_, st) ->
+            List.filter_map
+              (fun (a : Propagate.access) ->
+                if a.Propagate.container = c && a.Propagate.kind = Propagate.Read then
+                  Some a.Propagate.subset
+                else None)
+              (Propagate.state_accesses g st))
+          (Graph.states g)
+      in
+      let env = Symbolic.Expr.Env.of_list valuation in
+      let in_shape (d : Graph.datadesc) el =
+        List.length el = List.length d.shape
+        && List.for_all2
+             (fun e dim ->
+               match Symbolic.Expr.eval env dim with n -> e >= 0 && e < n | exception _ -> false)
+             el d.shape
+      in
+      let param_only sub =
+        List.for_all (fun s -> List.mem s declared) (Symbolic.Subset.free_syms sub)
+      in
+      List.filter_map
+        (fun (c, (d : Graph.datadesc)) ->
+          if not d.transient then None
+          else
+            match List.assoc_opt c su.Propagate.writes with
+            | Some w when param_only w ->
+                List.find_map
+                  (fun r ->
+                    if not (param_only r) then None
+                    else
+                      match Analysis.Deps.uncovered ~bounds ~symbols:valuation r w with
+                      | Some (va, el) when in_shape d el ->
+                          Some
+                            (Analysis.Report.make ~pass:Analysis.Report.Use_before_def
+                               ~severity:Analysis.Report.Error ~container:c
+                               (Printf.sprintf
+                                  "transient read %s exceeds the write set %s: element \
+                                   [%s] is read but never written under {%s}"
+                                  (Symbolic.Subset.to_string r)
+                                  (Symbolic.Subset.to_string w)
+                                  (String.concat "," (List.map string_of_int el))
+                                  (String.concat ", "
+                                     (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) va))))
+                      | _ -> None)
+                  (read_accesses c)
+            | _ -> None)
+        (Graph.containers g)
+
+(* The delta as two whole-program runs per side: the oracle before and
+   after, and the coverage check before and after, diffed by container. *)
+let reference_verify_stats ~symbols g (x : Transforms.Xform.t) site =
+  let g' = Graph.copy g in
+  match x.apply g' site with
+  | exception Transforms.Xform.Cannot_apply _ -> None
+  | _ ->
+      let oracle h =
+        match Analysis.Oracle.analyze_stats ~carried:true ~symbols h with
+        | r -> r
+        | exception _ -> ([], Analysis.Races.stats_zero)
+      in
+      let cov h = match reference_coverage ~symbols h with fs -> fs | exception _ -> [] in
+      let before, sb = oracle g and after, sa = oracle g' in
+      let pre = List.map (fun (f : Analysis.Report.finding) -> f.container) (cov g) in
+      let introduced =
+        List.filter (fun (f : Analysis.Report.finding) -> not (List.mem f.container pre)) (cov g')
+      in
+      Some
+        ( Analysis.Report.sort (Analysis.Report.new_findings ~before ~after @ introduced),
+          Analysis.Races.stats_add sb sa )
+
+(* CLOUDSC and three NPBench kernels, two of which read transient halo
+   cells their writes never cover (so the coverage check flags them before
+   any transformation) *)
+let delta_programs () =
+  [ ("cloudsc", Workloads.Cloudsc.build ()); ("jacobi_2d", Workloads.Npbench.jacobi_2d ()) ]
+  @ List.filter
+      (fun (n, _) -> List.mem n [ "adi_lite"; "lenet_conv" ])
+      (Workloads.Npb_frontend.all ())
+
+(* their instances under both transformation sets, [limit] sites per program
+   and transformation *)
+let delta_instances ~limit programs =
+  List.concat_map
+    (fun xforms ->
+      List.concat_map
+        (fun (x : Transforms.Xform.t) ->
+          List.concat_map
+            (fun (pname, g) ->
+              List.filteri (fun i _ -> i < limit) (x.Transforms.Xform.find g)
+              |> List.map (fun site -> (pname, g, x, site)))
+            programs)
+        xforms)
+    [ Transforms.Registry.as_shipped (); Transforms.Registry.all_correct () ]
+
 let delta_tests =
   [
     Alcotest.test_case "pre-existing findings are not attributed" `Quick (fun () ->
@@ -259,6 +375,32 @@ let delta_tests =
             Alcotest.(check bool) "omits the old use-before-def" true
               (not (List.mem Analysis.Report.Use_before_def (finding_passes fs)))
         | None -> Alcotest.fail "site went stale");
+    Alcotest.test_case "verify_stats equals the two-sided reference" `Quick (fun () ->
+        let programs = delta_programs () in
+        let flagged = ref 0 in
+        List.iter
+          (fun (pname, g, (x : Transforms.Xform.t), site) ->
+            let symbols = symbols_of g in
+            let got = Analysis.Delta.verify_stats ~symbols g x site in
+            (match got with Some (_ :: _, _) -> incr flagged | _ -> ());
+            if got <> reference_verify_stats ~symbols g x site then
+              Alcotest.failf "%s :: %s: delta differs from the reference" pname
+                x.Transforms.Xform.name)
+          (delta_instances ~limit:1 programs);
+        (* the comparison covers introduced findings, not only empty deltas *)
+        Alcotest.(check bool) "some instance has a non-empty delta" true (!flagged > 0);
+        let flagged_programs =
+          List.filter
+            (fun (pname, g) ->
+              let symbols = symbols_of g in
+              let fs = Analysis.Defuse.check_coverage ~symbols g in
+              if fs <> reference_coverage ~symbols g then
+                Alcotest.failf "%s: coverage differs from the reference" pname;
+              fs <> [])
+            programs
+        in
+        Alcotest.(check bool) "the coverage check flags some unchanged program" true
+          (flagged_programs <> []));
   ]
 
 let pipeline_tests =

@@ -39,6 +39,144 @@ let campaign_tests =
         Alcotest.(check bool) "mentions" true (contains table "MapTiling"));
   ]
 
+(* ---- one static delta per gated instance ---------------------------------- *)
+
+(* CLOUDSC and three NPBench kernels; two of the latter are flagged by the
+   coverage check before any transformation *)
+let gated_programs () =
+  [ ("cloudsc", Workloads.Cloudsc.build ()); ("jacobi_2d", Workloads.Npbench.jacobi_2d ()) ]
+  @ List.filter
+      (fun (n, _) -> List.mem n [ "adi_lite"; "lenet_conv" ])
+      (Workloads.Npb_frontend.all ())
+
+let gated_config =
+  {
+    Difftest.default_config with
+    trials = 2;
+    max_size = 8;
+    concretization = Workloads.Cloudsc.default_symbols @ [ ("N", 8); ("T", 3) ];
+  }
+
+let gated ?memo ~config (pname, g) x site =
+  Campaign.run_instance ?memo ~config ~static_gate:true ~certify_gate:true ~program:(pname, g) x
+    site
+
+(* [x] with a counter of its [apply] calls *)
+let counting (x : Transforms.Xform.t) =
+  let n = ref 0 in
+  ( {
+      x with
+      Transforms.Xform.apply =
+        (fun g site ->
+          incr n;
+          x.apply g site);
+    },
+    n )
+
+let static_delta_tests =
+  [
+    Alcotest.test_case "the gates apply the transformation once" `Quick (fun () ->
+        (* a refuted instance, so it is fuzzed whichever gates are on *)
+        let g = Workloads.Cloudsc.build () in
+        let x, n =
+          counting
+            (Transforms.Vectorization.make ~width:4 Transforms.Vectorization.Assume_divisible)
+        in
+        let site = List.hd (x.Transforms.Xform.find g) in
+        let applies ~static_gate ~certify_gate =
+          n := 0;
+          ignore
+            (Campaign.run_instance ~config:gated_config ~static_gate ~certify_gate
+               ~program:("cloudsc", g) x site);
+          !n
+        in
+        let fuzzing = applies ~static_gate:false ~certify_gate:false in
+        List.iter
+          (fun (static_gate, certify_gate) ->
+            Alcotest.(check int)
+              (Printf.sprintf "static %b, certify %b" static_gate certify_gate)
+              (fuzzing + 1)
+              (applies ~static_gate ~certify_gate))
+          [ (true, false); (false, true); (true, true) ];
+        (* the guarded optimizer: one application for the audit, the delta
+           and the proof, one to the program *)
+        let g = Workloads.Npbench.scale () in
+        let x, n = counting (Transforms.Map_tiling.make Transforms.Map_tiling.Correct) in
+        let _, log =
+          Pipeline.optimize
+            ~config:{ gated_config with concretization = [ ("N", 8) ] }
+            ~static_gate:true g [ x ]
+        in
+        Alcotest.(check (pair int int)) "proved and applied" (1, 2) (log.Pipeline.proved, !n));
+    Alcotest.test_case "a campaign's memo leaves every gated result unchanged" `Quick (fun () ->
+        let programs = gated_programs () in
+        List.iter
+          (fun xforms ->
+            let c =
+              Campaign.run ~config:gated_config ~limit_per:(Some 1) ~static_gate:true
+                ~certify_gate:true programs xforms
+            in
+            (* the same instances in Campaign.run's order, each on its own
+               with a fresh memo *)
+            let alone =
+              List.concat_map
+                (fun (x : Transforms.Xform.t) ->
+                  List.concat_map
+                    (fun (pname, g) ->
+                      List.filteri (fun i _ -> i < 1) (x.Transforms.Xform.find g)
+                      |> List.map (fun site ->
+                             let id = Campaign.instance_id ~program:pname ~xform:x.name site in
+                             let seed =
+                               Campaign.instance_seed ~global:gated_config.Difftest.seed id
+                             in
+                             let config = { gated_config with Difftest.seed } in
+                             (gated ~memo:(Sdfg.Memo.create ()) ~config (pname, g) x site, seed)))
+                    programs)
+                xforms
+            in
+            Alcotest.(check (list string))
+              "journal instance lines"
+              (List.map
+                 (fun (r, seed) ->
+                   Engine.Journal.instance_line (Campaign.outcome_of_result ~seed r))
+                 alone)
+              (List.map Engine.Journal.instance_line c.Campaign.outcomes);
+            List.iter2
+              (fun ((a : Campaign.instance_result), _) (r : Campaign.instance_result) ->
+                let id = a.Campaign.xform_name ^ " on " ^ a.Campaign.program in
+                Alcotest.(check bool) (id ^ ": static findings") true (a.static = r.static);
+                Alcotest.(check bool) (id ^ ": dep_stats") true (a.dep_stats = r.dep_stats);
+                Alcotest.(check bool) (id ^ ": verdict") true (a.verdict = r.verdict))
+              alone c.Campaign.results;
+            Alcotest.(check bool) "some instance has static findings" true
+              (List.exists (fun (r : Campaign.instance_result) -> r.static <> []) c.results))
+          [ Transforms.Registry.as_shipped (); Transforms.Registry.all_correct () ]);
+    Alcotest.test_case "one memo analyzes each unchanged program once" `Quick (fun () ->
+        let memo = Sdfg.Memo.create () in
+        let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
+        let instances n (pname, g) =
+          List.filteri (fun i _ -> i < n) (x.Transforms.Xform.find g)
+          |> List.map (fun site -> ((pname, g), site))
+        in
+        let cloudsc = instances 3 ("cloudsc", Workloads.Cloudsc.build ()) in
+        let jacobi = instances 2 ("jacobi_2d", Workloads.Npbench.jacobi_2d ()) in
+        Alcotest.(check (pair int int))
+          "instances" (3, 2)
+          (List.length cloudsc, List.length jacobi);
+        let run ~config = List.iter (fun (p, site) -> ignore (gated ~memo ~config p x site)) in
+        run ~config:gated_config cloudsc;
+        Alcotest.(check (pair int int)) "one program" (2, 1) (Sdfg.Memo.stats memo);
+        run ~config:gated_config (jacobi @ cloudsc);
+        Alcotest.(check (pair int int)) "a second program" (6, 2) (Sdfg.Memo.stats memo);
+        (* a rebuilt graph with the same content is the same baseline; the
+           same program under other symbols is another *)
+        run ~config:gated_config (instances 1 ("cloudsc", Workloads.Cloudsc.build ()));
+        let other = { gated_config with concretization = [ ("KLEV", 4); ("KLON", 5) ] } in
+        run ~config:other (instances 1 ("cloudsc", Workloads.Cloudsc.build ()));
+        Alcotest.(check (pair int int)) "one miss per (digest, symbols)" (7, 3)
+          (Sdfg.Memo.stats memo));
+  ]
+
 let requirements_tests =
   [
     Alcotest.test_case "five capabilities, five representations" `Quick (fun () ->
@@ -60,4 +198,8 @@ let requirements_tests =
 
 let () =
   Alcotest.run "campaign"
-    [ ("campaign", campaign_tests); ("requirements", requirements_tests) ]
+    [
+      ("campaign", campaign_tests);
+      ("static-delta", static_delta_tests);
+      ("requirements", requirements_tests);
+    ]

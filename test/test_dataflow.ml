@@ -374,14 +374,15 @@ let equiv_upgrade_tests =
     Alcotest.test_case "interval facts upgrade Unknown verdicts" `Quick (fun () ->
         let g = Workloads.Cloudsc.build () in
         let symbols = symbols_of g in
+        let memo = Sdfg.Memo.create () in
         let upgraded = ref 0 in
         List.iter
           (fun (x : Transforms.Xform.t) ->
             List.iter
               (fun site ->
-                match Analysis.Equiv.certify ~use_intervals:false ~symbols g x site with
+                match Analysis.Equiv.certify ~use_intervals:false ~memo ~symbols g x site with
                 | Some (Analysis.Equiv.Unknown _) -> (
-                    match Analysis.Equiv.certify ~symbols g x site with
+                    match Analysis.Equiv.certify ~memo ~symbols g x site with
                     | Some (Analysis.Equiv.Equivalent _) -> incr upgraded
                     | _ -> ())
                 | _ -> ())
@@ -391,14 +392,15 @@ let equiv_upgrade_tests =
     Alcotest.test_case "upgraded certificates still re-check" `Quick (fun () ->
         let g = Workloads.Cloudsc.build () in
         let symbols = symbols_of g in
+        let memo = Sdfg.Memo.create () in
         let checked = ref 0 in
         List.iter
           (fun (x : Transforms.Xform.t) ->
             List.iter
               (fun site ->
                 match
-                  ( Analysis.Equiv.certify ~use_intervals:false ~symbols g x site,
-                    Analysis.Equiv.certify ~symbols g x site )
+                  ( Analysis.Equiv.certify ~use_intervals:false ~memo ~symbols g x site,
+                    Analysis.Equiv.certify ~memo ~symbols g x site )
                 with
                 | Some (Analysis.Equiv.Unknown _), Some (Analysis.Equiv.Equivalent cert) ->
                     incr checked;

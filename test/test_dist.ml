@@ -580,6 +580,81 @@ let assignment_tests =
             in
             Alcotest.(check bool) "same verdict-bearing result" true (key r = key local)
         | _ -> Alcotest.fail "expected a completed Result");
+    Alcotest.test_case "a failed assignment leaves a fresh baseline memo" `Quick (fun () ->
+        let g = Workloads.Cloudsc.build () in
+        let x = good () in
+        let site = List.hd (x.Transforms.Xform.find g) in
+        let boom =
+          { x with Transforms.Xform.name = "Boom"; apply = (fun _ _ -> failwith "boom") }
+        in
+        let iconfig =
+          { config with Difftest.concretization = Workloads.Cloudsc.default_symbols; trials = 2 }
+        in
+        let assign ?(deadline_s = 30.) xform =
+          {
+            Engine.Wire.a_idx = 0;
+            a_program = "cloudsc";
+            a_graph = Marshal.to_string g [];
+            a_xform = xform;
+            a_site = site;
+            a_config = iconfig;
+            a_static_gate = true;
+            a_certify_gate = true;
+            a_deadline_s = deadline_s;
+          }
+        in
+        let local =
+          Campaign.run_instance ~config:iconfig ~static_gate:true ~certify_gate:true
+            ~program:("cloudsc", g) x site
+        in
+        let check_like_local what = function
+          | Engine.Wire.Result { r_status = Campaign.Completed; r_payload = Some r; _ } ->
+              Alcotest.(check bool) (what ^ ": static") true (r.Campaign.static = local.static);
+              Alcotest.(check bool) (what ^ ": dep_stats") true (r.dep_stats = local.dep_stats);
+              Alcotest.(check bool) (what ^ ": verdict") true (r.verdict = local.verdict);
+              Alcotest.(check bool) (what ^ ": report") true
+                (Option.map (fun (p : Difftest.report) -> p.verdict) r.report
+                = Option.map (fun (p : Difftest.report) -> p.verdict) local.report)
+          | _ -> Alcotest.failf "%s: expected a completed Result" what
+        in
+        (* one worker's caches across its assignments, as on a remote
+           worker: the deadline raises instead of ending the process. The
+           alarm lands wherever the instance happens to be, possibly inside
+           the oracle, which swallows exceptions. *)
+        match
+          Engine.Supervisor.run_assignments ~catalog:[ x; boom ]
+            [
+              assign x.name;
+              assign x.name;
+              assign ~deadline_s:0.001 x.name;
+              assign x.name;
+              assign "Boom";
+              assign x.name;
+            ]
+        with
+        | [
+            (cold, _);
+            (warm, warm_memo);
+            (late, after_late);
+            (rerun, _);
+            (crash, after_crash);
+            (last, _);
+          ] ->
+            check_like_local "cold" cold;
+            check_like_local "warm" warm;
+            Alcotest.(check (pair int int))
+              "the program's baseline is analyzed once" (1, 1) warm_memo;
+            (match late with
+            | Engine.Wire.Result { r_status = Campaign.Timed_out _; _ } -> ()
+            | _ -> Alcotest.fail "expected Timed_out");
+            Alcotest.(check (pair int int)) "fresh after Timed_out" (0, 0) after_late;
+            check_like_local "after Timed_out" rerun;
+            (match crash with
+            | Engine.Wire.Result { r_status = Campaign.Crashed _; _ } -> ()
+            | _ -> Alcotest.fail "expected Crashed");
+            Alcotest.(check (pair int int)) "fresh after Crashed" (0, 0) after_crash;
+            check_like_local "after Crashed" last
+        | _ -> Alcotest.fail "expected six replies");
   ]
 
 let () =
