@@ -87,7 +87,7 @@ let instance_seed ~global id =
 
 (* ---------------- per-instance execution ---------------- *)
 
-let run_instance ?plan_cache ?kernel_cache ?memo ?(config = Difftest.default_config)
+let run_instance ?caches ?memo ?(config = Difftest.default_config)
     ?(static_gate = false) ?(certify_gate = false) ~program:(pname, g) (x : Transforms.Xform.t)
     site =
   let symbols = config.Difftest.concretization in
@@ -107,7 +107,7 @@ let run_instance ?plan_cache ?kernel_cache ?memo ?(config = Difftest.default_con
   let report =
     match verdict with
     | Some (Analysis.Equiv.Equivalent _) -> None
-    | _ -> Some (Difftest.test_instance ?plan_cache ?kernel_cache ~config g x site)
+    | _ -> Some (Difftest.test_instance ?caches ~config g x site)
   in
   (* second evidence channel: what the static oracle would have said about
      this instance, independent of the fuzz verdict — the change-set audit
@@ -147,6 +147,24 @@ let outcome_of_result ?(status = Completed) ?(seed = 0) ?(elapsed_s = 0.) (r : i
     o_dep_decided = r.dep_stats.Analysis.Races.exact_disjoint + r.dep_stats.Analysis.Races.exact_overlap;
     o_dep_sampled = r.dep_stats.Analysis.Races.sampled;
     o_elapsed_s = elapsed;
+    o_seed = seed;
+  }
+
+(* An instance that produced no verdict: its worker timed out or crashed, or
+   (in the serial loop) an exception escaped it. *)
+let killed_outcome ~program ~xform ~site ~seed status =
+  {
+    o_program = program;
+    o_xform = xform;
+    o_site = site;
+    o_status = status;
+    o_verdict = O_killed;
+    o_trials_run = 0;
+    o_static_flagged = false;
+    o_dep_pairs = 0;
+    o_dep_decided = 0;
+    o_dep_sampled = 0;
+    o_elapsed_s = (match status with Timed_out { deadline_s } -> deadline_s | _ -> 0.);
     o_seed = seed;
   }
 
@@ -224,11 +242,12 @@ let trials_spent t = List.fold_left (fun acc o -> acc + o.o_trials_run) 0 t.outc
 let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = false)
     ?(certify_gate = false) programs xforms =
   let results = ref [] in
-  (* one plan cache for the whole serial campaign: many instances of the same
-     transformation share cutouts (and always share symbol valuations drawn
-     from the same constraint ranges), so compiled plans are reused across
-     instances, not just across trials *)
-  let plan_cache = Interp.Plan.Cache.create ~capacity:256 () in
+  let outcomes = ref [] in
+  (* one set of compilation caches for the whole serial campaign: many
+     instances of the same transformation share cutouts (and always share
+     symbol valuations drawn from the same constraint ranges), so compiled
+     programs are reused across instances, not just across trials *)
+  let caches = Difftest.create_caches ~capacity:256 () in
   (* likewise one baseline memo: every instance on a program shares the
      unchanged program's half of the static delta *)
   let memo = Sdfg.Memo.create () in
@@ -241,20 +260,27 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
           List.iter
             (fun site ->
               let id = instance_id ~program:pname ~xform:x.name site in
-              let config =
-                { config with Difftest.seed = instance_seed ~global:config.Difftest.seed id }
+              let seed = instance_seed ~global:config.Difftest.seed id in
+              let config = { config with Difftest.seed } in
+              let o =
+                (* an escaping exception settles the instance as a worker
+                   settles it, so the serial journal matches the engine's *)
+                match
+                  run_instance ~caches ~memo ~config ~static_gate ~certify_gate
+                    ~program:(pname, g) x site
+                with
+                | r ->
+                    results := r :: !results;
+                    outcome_of_result ~seed r
+                | exception e ->
+                    killed_outcome ~program:pname ~xform:x.name ~site ~seed
+                      (Crashed { detail = Printexc.to_string e })
               in
-              let r =
-                run_instance ~plan_cache ~memo ~config ~static_gate ~certify_gate
-                  ~program:(pname, g) x site
-              in
-              results := (r, config.Difftest.seed) :: !results)
+              outcomes := o :: !outcomes)
             sites)
         programs)
     xforms;
-  let results = List.rev !results in
-  let outcomes = List.map (fun (r, seed) -> outcome_of_result ~seed r) results in
-  assemble ~results:(List.map fst results) xforms outcomes
+  assemble ~results:(List.rev !results) xforms (List.rev !outcomes)
 
 let class_marker = function
   | Difftest.Semantics -> "X"

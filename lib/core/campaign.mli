@@ -10,9 +10,10 @@
     derive per-instance seeds with {!instance_seed}. *)
 
 (** How the harness around one instance terminated. [Completed] means the
-    instance produced a verdict; the other two are engine outcomes — a worker
-    exceeded its wall-clock deadline and was killed, or died before reporting
-    (crash, unhandled exception). *)
+    instance produced a verdict. [Timed_out]: an engine worker exceeded its
+    wall-clock deadline and was killed. [Crashed]: a worker died before
+    reporting, or an exception escaped the instance (on a worker or in the
+    serial {!run}). *)
 type exec_status =
   | Completed
   | Timed_out of { deadline_s : float }
@@ -99,16 +100,15 @@ val instance_seed : global:int -> string -> int
 (** The per-instance campaign body: translation validation (optional), then
     differential testing, then the static oracle evidence channel. Both the
     serial [run] loop and the engine's forked workers execute exactly this.
-    [plan_cache] / [kernel_cache] share compiled execution plans and batched
-    kernels across instances, and [memo] the unchanged program's half of the
+    [caches] share compiled programs across instances
+    ({!Difftest.caches}), and [memo] the unchanged program's half of the
     static delta ({!Analysis.Delta.memo}); verdicts are cache-oblivious
-    (all three key by program digest and symbol valuation), so serial and
+    (both key by program digest and symbol valuation), so serial and
     parallel runs stay byte-identical. With either gate on, the
     transformation is applied to one copy of the program, whose delta feeds
     the certify gate, the change-set audit and the static findings. *)
 val run_instance :
-  ?plan_cache:Interp.Plan.Cache.t ->
-  ?kernel_cache:Interp.Kernel.Cache.t ->
+  ?caches:Difftest.caches ->
   ?memo:Analysis.Delta.memo ->
   ?config:Difftest.config ->
   ?static_gate:bool ->
@@ -123,6 +123,14 @@ val run_instance :
     from (proved instances). *)
 val outcome_of_result :
   ?status:exec_status -> ?seed:int -> ?elapsed_s:float -> instance_result -> outcome
+
+(** The outcome of an instance that produced no verdict, [O_killed] under
+    [status]: a worker timed out or crashed on it, or an exception escaped
+    {!run_instance} in the serial [run]. [o_elapsed_s] is the deadline of a
+    timeout and 0 otherwise. *)
+val killed_outcome :
+  program:string -> xform:string -> site:Transforms.Xform.site -> seed:int -> exec_status ->
+  outcome
 
 (** Build the campaign summary from per-instance outcomes (engine or serial).
     Rows are produced for [xforms] in order; [results] carries whatever full
@@ -139,7 +147,9 @@ val trials_spent : t -> int
     the static oracle on every instance as an independent evidence channel —
     instances are still fuzzed either way, so the table shows how the two
     verdicts corroborate. [certify_gate] runs the translation validator first
-    and skips the fuzz trials of instances it proves equivalent. *)
+    and skips the fuzz trials of instances it proves equivalent. An
+    exception that escapes an instance settles it as [Crashed], with the
+    exception's text as detail, just as an engine worker settles it. *)
 val run :
   ?config:Difftest.config ->
   ?limit_per:int option ->

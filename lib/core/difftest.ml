@@ -90,6 +90,8 @@ let pp_report fmt r =
   in
   Format.fprintf fmt "%s @@ %a: %s" r.xform_name Transforms.Xform.pp_site r.site v
 
+type run = (Interp.Exec.outcome, Interp.Exec.fault) result
+
 (* The relative-tolerance clause must be guarded to finite values: with an
    infinity on either side, |a - b| and threshold * max(|a|,|b|) are both
    +inf and the comparison degenerates to inf <= inf — silently accepting
@@ -155,136 +157,117 @@ let compare_outcomes ~threshold ~system_state orig xformed =
                    }))
         system_state
 
-(* The fuzzing loop shared by cutout-level and whole-program testing. Both
-   programs are compiled at most once per sampled symbol valuation —
-   injection and step limits are execution-time configuration, so the clean
-   and perturbed runs share one compilation — and the caches carry compiled
-   artifacts across trials (and, when the caller passes them, across
-   instances).
+(* Compiled programs of both tiers, keyed by program digest and symbol
+   valuation; the sweep below is the only code that picks between them. *)
+type caches = { plans : Interp.Plan.Cache.t; kernels : Interp.Kernel.Cache.t }
 
-   With [config.batch > 1] the loop runs on the kernel tier: trials are
-   presampled in the exact serial RNG order, grouped by symbol valuation
-   (kernels are compiled per valuation), executed in batched sweeps of at
-   most [batch] lanes, and the per-trial comparisons are then folded in the
-   original trial order. Each lane's outcome is bit-identical to the serial
-   plan path's, so the verdict — class, first failing trial, failing count,
-   fault-inducing symbols — is byte-for-byte the serial one. *)
-let run_trials ?plan_cache ?kernel_cache ~config ~constraints ~(cut : Cutout.t) ~original_prog
-    ~transformed_prog () =
+let create_caches ?capacity () =
+  {
+    plans = Interp.Plan.Cache.create ?capacity ();
+    kernels = Interp.Kernel.Cache.create ?capacity ();
+  }
+
+let cache_stats c =
+  let ph, pm = Interp.Plan.Cache.stats c.plans in
+  let kh, km = Interp.Kernel.Cache.stats c.kernels in
+  (ph + kh, pm + km)
+
+(* Both programs are digested once, when the sweep is partially applied; each
+   is then compiled at most once per symbol valuation per cache. Injection,
+   coverage collection and step limits are execution-time configuration, so
+   differently configured runs share one compilation.
+
+   At width 1 every entry runs on execution plans, original then transformed,
+   in entry order. Wider sweeps run on the kernel tier: entries are grouped
+   by sorted valuation in first-seen order (kernels compile per valuation)
+   and each group is one [execute_batch] call per side, however many entries
+   it holds. Each lane's outcome is bit-identical to its plan run, so results
+   do not depend on the width or on which entries share a group. *)
+let sweep caches ~original ~transformed ~config ~config_x =
+  let dig_o = Sdfg.Memo.digest_of original and dig_x = Sdfg.Memo.digest_of transformed in
+  fun ~width entries ->
+    if width <= 1 then
+      Array.map
+        (fun (symbols, inputs) ->
+          let run ~config ~digest prog =
+            match Interp.Plan.Cache.compile ~digest caches.plans prog ~symbols with
+            | Error f -> Error f
+            | Ok p -> Interp.Plan.execute ~config p ~inputs
+          in
+          let o = run ~config ~digest:dig_o original in
+          (o, run ~config:config_x ~digest:dig_x transformed))
+        entries
+    else begin
+      let groups : ((string * int) list, int list ref) Hashtbl.t = Hashtbl.create 8 in
+      let order = ref [] in
+      Array.iteri
+        (fun i (symbols, _) ->
+          let key = List.sort compare symbols in
+          match Hashtbl.find_opt groups key with
+          | Some l -> l := i :: !l
+          | None ->
+              Hashtbl.add groups key (ref [ i ]);
+              order := key :: !order)
+        entries;
+      let not_run = Error (Interp.Exec.Invalid_graph "lane not executed") in
+      let outs = Array.make (Array.length entries) (not_run, not_run) in
+      List.iter
+        (fun key ->
+          let lanes = Array.of_list (List.rev !(Hashtbl.find groups key)) in
+          let symbols = fst entries.(lanes.(0)) in
+          let inputs = Array.map (fun i -> snd entries.(i)) lanes in
+          let run ~config ~digest prog =
+            match Interp.Kernel.Cache.compile ~digest caches.kernels prog ~symbols with
+            | Error f -> Array.map (fun _ -> Error f) lanes
+            | Ok k -> Interp.Kernel.execute_batch ~config k ~inputs
+          in
+          let o = run ~config ~digest:dig_o original in
+          let x = run ~config:config_x ~digest:dig_x transformed in
+          Array.iteri (fun j i -> outs.(i) <- (o.(j), x.(j))) lanes)
+        (List.rev !order);
+      outs
+    end
+
+(* The trial loop shared by cutout-level and whole-program testing: windows
+   of [max 1 config.batch] consecutive trials are drawn in RNG order, swept,
+   compared, and folded in trial order into the failure count and the first
+   failing trial. Sweep results are width-oblivious, so the verdict — class,
+   first failing trial, failing count, fault-inducing symbols — is the same
+   at every width, and at most one window of inputs and outcomes is alive. *)
+let run_trials caches ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transformed_prog =
   let icfg =
     { Interp.Exec.default_config with step_limit = config.step_limit; collect_coverage = false }
   in
   (* faultlab: injected faults perturb only the transformed run, so any
      detection is attributable to the seeded fault *)
-  let icfg_x = { icfg with Interp.Exec.inject = config.inject_transformed } in
-  if config.batch <= 1 then begin
-    let cache = match plan_cache with Some c -> c | None -> Interp.Plan.Cache.create () in
-    (* serialize each program once, not once per trial *)
-    let dig_o = Interp.Plan.Cache.digest_of original_prog in
-    let dig_x = Interp.Plan.Cache.digest_of transformed_prog in
-    let exec ~config:icfg ~digest prog ~symbols ~inputs =
-      match Interp.Plan.Cache.compile ~digest cache prog ~symbols with
-      | Error f -> Error f
-      | Ok p -> Interp.Plan.execute ~config:icfg p ~inputs
+  let sweep =
+    sweep caches ~original:original_prog ~transformed:transformed_prog ~config:icfg
+      ~config_x:{ icfg with Interp.Exec.inject = config.inject_transformed }
+  in
+  let width = max 1 config.batch in
+  let rng = Sampler.create config.seed in
+  let failures = ref 0 in
+  let first = ref None in
+  let trial = ref 0 in
+  while !trial < config.trials do
+    let entries =
+      Array.init (min width (config.trials - !trial)) (fun _ -> Sampler.trial rng constraints cut)
     in
-    let rng = Sampler.create config.seed in
-    let failures = ref 0 in
-    let first = ref None in
-    for trial = 1 to config.trials do
-      let r = Sampler.split rng in
-      let symbols = Sampler.sample_symbols r constraints in
-      let inputs = Sampler.sample_inputs r constraints cut ~symbols in
-      let o1 = exec ~config:icfg ~digest:dig_o original_prog ~symbols ~inputs in
-      let o2 = exec ~config:icfg_x ~digest:dig_x transformed_prog ~symbols ~inputs in
-      match compare_outcomes ~threshold:config.threshold ~system_state:cut.system_state o1 o2 with
-      | None -> ()
-      | Some kind ->
-          incr failures;
-          if !first = None then first := Some (trial, kind, symbols)
-    done;
-    match !first with
-    | None -> Pass
-    | Some (first_trial, kind, symbols) ->
-        let klass = if !failures = config.trials then Semantics else Input_dependent in
-        Fail { klass; first_trial; failing_trials = !failures; kind; symbols }
-  end
-  else begin
-    let kcache =
-      match kernel_cache with Some c -> c | None -> Interp.Kernel.Cache.create ()
-    in
-    let dig_o = Interp.Kernel.Cache.digest_of original_prog in
-    let dig_x = Interp.Kernel.Cache.digest_of transformed_prog in
-    (* presample every trial in the serial RNG order: the descriptors, not
-       the execution schedule, carry all the randomness *)
-    let rng = Sampler.create config.seed in
-    let descs =
-      Array.init config.trials (fun _ ->
-          let r = Sampler.split rng in
-          let symbols = Sampler.sample_symbols r constraints in
-          let inputs = Sampler.sample_inputs r constraints cut ~symbols in
-          (symbols, inputs))
-    in
-    (* group trial indices by symbol valuation, preserving first-seen order *)
-    let groups : ((string * int) list, int list ref) Hashtbl.t = Hashtbl.create 8 in
-    let order = ref [] in
     Array.iteri
-      (fun i (symbols, _) ->
-        let key = List.sort compare symbols in
-        match Hashtbl.find_opt groups key with
-        | Some l -> l := i :: !l
-        | None ->
-            Hashtbl.add groups key (ref [ i ]);
-            order := key :: !order)
-      descs;
-    (* per-trial comparison results; the outcomes themselves are dropped
-       chunk by chunk, so memory stays bounded by one batch sweep *)
-    let kinds : failure_kind option array = Array.make config.trials None in
-    let compile ~digest prog ~symbols = Interp.Kernel.Cache.compile ~digest kcache prog ~symbols in
-    let exec ~config:icfg kres lanes inputs =
-      match kres with
-      | Error f -> Array.map (fun _ -> Error f) lanes
-      | Ok k -> Interp.Kernel.execute_batch ~config:icfg k ~inputs
-    in
-    List.iter
-      (fun key ->
-        let idxs = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-        let symbols, _ = descs.(idxs.(0)) in
-        let k_o = compile ~digest:dig_o original_prog ~symbols in
-        let k_x = compile ~digest:dig_x transformed_prog ~symbols in
-        let n = Array.length idxs in
-        let chunk = ref 0 in
-        while !chunk < n do
-          let w = min config.batch (n - !chunk) in
-          let lanes = Array.sub idxs !chunk w in
-          let inputs = Array.map (fun i -> snd descs.(i)) lanes in
-          let outs_o = exec ~config:icfg k_o lanes inputs in
-          let outs_x = exec ~config:icfg_x k_x lanes inputs in
-          Array.iteri
-            (fun j i ->
-              kinds.(i) <-
-                compare_outcomes ~threshold:config.threshold ~system_state:cut.system_state
-                  outs_o.(j) outs_x.(j))
-            lanes;
-          chunk := !chunk + w
-        done)
-      (List.rev !order);
-    (* fold the per-trial results in the original trial order *)
-    let failures = ref 0 in
-    let first = ref None in
-    Array.iteri
-      (fun i kind ->
-        match kind with
+      (fun i (o1, o2) ->
+        match compare_outcomes ~threshold:config.threshold ~system_state:cut.system_state o1 o2 with
         | None -> ()
         | Some kind ->
             incr failures;
-            if !first = None then first := Some (i + 1, kind, fst descs.(i)))
-      kinds;
-    match !first with
-    | None -> Pass
-    | Some (first_trial, kind, symbols) ->
-        let klass = if !failures = config.trials then Semantics else Input_dependent in
-        Fail { klass; first_trial; failing_trials = !failures; kind; symbols }
-  end
+            if !first = None then first := Some (!trial + i + 1, kind, fst entries.(i)))
+      (sweep ~width entries);
+    trial := !trial + Array.length entries
+  done;
+  match !first with
+  | None -> Pass
+  | Some (first_trial, kind, symbols) ->
+      let klass = if !failures = config.trials then Semantics else Input_dependent in
+      Fail { klass; first_trial; failing_trials = !failures; kind; symbols }
 
 let apply_to_copy g (x : Transforms.Xform.t) site =
   let g' = Graph.copy g in
@@ -315,7 +298,8 @@ let invalid_report ~xform_name ~site ~cut ~elapsed msg =
     elapsed_s = elapsed;
   }
 
-let test_instance ?plan_cache ?kernel_cache ?(config = default_config) g (x : Transforms.Xform.t) site =
+let test_instance ?(caches = create_caches ()) ?(config = default_config) g (x : Transforms.Xform.t)
+    site =
   let t0 = Unix.gettimeofday () in
   (* 1. change isolation: white-box change set from applying T to a copy *)
   match apply_to_copy g x site with
@@ -387,8 +371,8 @@ let test_instance ?plan_cache ?kernel_cache ?(config = default_config) g (x : Tr
                   ~custom:config.custom_constraints ~original:g cut
               in
               let verdict =
-                run_trials ?plan_cache ?kernel_cache ~config ~constraints ~cut ~original_prog:cut.program
-                  ~transformed_prog:transformed ()
+                run_trials caches ~config ~constraints ~cut ~original_prog:cut.program
+                  ~transformed_prog:transformed
               in
               {
                 xform_name = x.name;
@@ -401,7 +385,8 @@ let test_instance ?plan_cache ?kernel_cache ?(config = default_config) g (x : Tr
                 elapsed_s = Unix.gettimeofday () -. t0;
               }))
 
-let test_whole_program ?plan_cache ?kernel_cache ?(config = default_config) g (x : Transforms.Xform.t) site =
+let test_whole_program ?(caches = create_caches ()) ?(config = default_config) g
+    (x : Transforms.Xform.t) site =
   let t0 = Unix.gettimeofday () in
   match apply_to_copy g x site with
   | Error msg ->
@@ -432,7 +417,6 @@ let test_whole_program ?plan_cache ?kernel_cache ?(config = default_config) g (x
           ~original:g cut
       in
       let verdict =
-        run_trials ?plan_cache ?kernel_cache ~config ~constraints ~cut ~original_prog:g
-          ~transformed_prog:transformed ()
+        run_trials caches ~config ~constraints ~cut ~original_prog:g ~transformed_prog:transformed
       in
       (verdict, Unix.gettimeofday () -. t0)

@@ -58,10 +58,10 @@ type config = {
           only, so the self-validation campaign can attribute any divergence
           to the seeded fault *)
   batch : int;
-      (** trial-loop batch width. 1 (the default) runs the serial plan path;
-          [> 1] presamples trials in the same RNG order, groups them by
-          symbol valuation and executes up to [batch] trials per sweep on
-          the batched kernel tier ({!Interp.Kernel}). Verdicts are
+      (** trial-loop batch width: trials are drawn in windows of
+          [max 1 batch] consecutive trials, and each window is one {!sweep}
+          at that width — execution plans at 1 (the default), the batched
+          kernel tier ({!Interp.Kernel}) above it. Verdicts are
           byte-identical at every width. *)
 }
 
@@ -80,16 +80,46 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+(** Compiled programs of both execution tiers — plans and batched kernels —
+    keyed by program digest and symbol valuation. One value can be shared
+    by any number of tests: verdicts are cache-oblivious. *)
+type caches
+
+(** Empty caches; [capacity] bounds each tier's table (default 64). *)
+val create_caches : ?capacity:int -> unit -> caches
+
+(** [(hits, misses)] summed over both tiers since creation. *)
+val cache_stats : caches -> int * int
+
+(** One run of a program: its final state, or the fault it stopped at. *)
+type run = (Interp.Exec.outcome, Interp.Exec.fault) result
+
+(** [sweep caches ~original ~transformed ~config ~config_x] digests both
+    programs; apply the result to each batch of trials ([~width entries]) to
+    run every entry's [(symbols, inputs)] on the original program under
+    [config] and on the transformed one under [config_x]. It returns each
+    entry's outcome pair, in entry order. At [width <= 1] entries run one by
+    one on execution plans; above it, entries that share a symbol valuation
+    run as one batched kernel sweep per side. The pairs are the same at
+    every width. *)
+val sweep :
+  caches ->
+  original:Sdfg.Graph.t ->
+  transformed:Sdfg.Graph.t ->
+  config:Interp.Exec.config ->
+  config_x:Interp.Exec.config ->
+  width:int ->
+  ((string * int) list * (string * float array) list) array ->
+  (run * run) array
+
 (** Test one transformation instance through the full FuzzyFlow pipeline:
     apply-to-copy for the change set, cutout extraction, optional input
-    minimization, constraint derivation, differential fuzzing. The trial
-    loop compiles each program once per sampled symbol valuation — to an
-    execution plan at [config.batch <= 1], to a batched kernel otherwise;
-    pass [plan_cache] / [kernel_cache] to reuse compiled artifacts across
-    instances (e.g. the same cutout re-tested under many seeds). *)
+    minimization, constraint derivation, differential fuzzing. Trials run in
+    windows of [config.batch] through {!sweep}; pass [caches] to reuse
+    compiled programs across instances (e.g. the same cutout re-tested under
+    many seeds). *)
 val test_instance :
-  ?plan_cache:Interp.Plan.Cache.t ->
-  ?kernel_cache:Interp.Kernel.Cache.t ->
+  ?caches:caches ->
   ?config:config ->
   Sdfg.Graph.t ->
   Transforms.Xform.t ->
@@ -100,18 +130,18 @@ val test_instance :
     cutout) — what the paper's 528× speedup is measured against. Returns the
     verdict and elapsed seconds. *)
 val test_whole_program :
-  ?plan_cache:Interp.Plan.Cache.t ->
-  ?kernel_cache:Interp.Kernel.Cache.t ->
+  ?caches:caches ->
   ?config:config ->
   Sdfg.Graph.t ->
   Transforms.Xform.t ->
   Transforms.Xform.site ->
   verdict * float
 
+(** Whether two values of one container element agree: both NaN, equal, or
+    both finite and within [threshold] relative to the larger magnitude
+    (at least 1). An infinity only matches itself. *)
+val values_match : threshold:float -> float -> float -> bool
+
 (** Compare two runs' system state; exposed for the fuzzer. *)
 val compare_outcomes :
-  threshold:float ->
-  system_state:string list ->
-  (Interp.Exec.outcome, Interp.Exec.fault) result ->
-  (Interp.Exec.outcome, Interp.Exec.fault) result ->
-  failure_kind option
+  threshold:float -> system_state:string list -> run -> run -> failure_kind option

@@ -35,8 +35,8 @@ type result = {
 
 module ISet = Set.Make (Int)
 
-let run ?plan_cache ?kernel_cache ?(config = default_config) mode ~original ~(cutout : Cutout.t)
-    ~transformed =
+let run ?(caches = Difftest.create_caches ()) ?(config = default_config) mode ~original
+    ~(cutout : Cutout.t) ~transformed =
   let constraints =
     match mode with
     | Uniform -> Constraints.uniform cutout
@@ -49,32 +49,23 @@ let run ?plan_cache ?kernel_cache ?(config = default_config) mode ~original ~(cu
       collect_coverage = collect;
     }
   in
-  (* compile-once: both programs are digested here and compiled at most once
-     per symbol valuation; coverage collection is an execution-time flag, so
-     the collecting and non-collecting runs share plans *)
-  let cache = match plan_cache with Some c -> c | None -> Interp.Plan.Cache.create () in
-  let dig_o = Interp.Plan.Cache.digest_of cutout.program in
-  let dig_x = Interp.Plan.Cache.digest_of transformed in
-  let exec ~config ~digest prog ~symbols ~inputs =
-    match Interp.Plan.Cache.compile ~digest cache prog ~symbols with
-    | Error f -> Error f
-    | Ok p -> Interp.Plan.execute ~config p ~inputs
+  (* coverage is collected on the original side, and only when it steers *)
+  let sweep =
+    Difftest.sweep caches ~original:cutout.program ~transformed ~config:(icfg (mode = Coverage))
+      ~config_x:(icfg false)
   in
   let rng = Sampler.create config.seed in
   let coverage = ref ISet.empty in
-  let corpus = ref [] in
   let trials = ref 0 in
   let crashes = ref 0 in
   let outcome = ref None in
-  let one_trial (symbols, inputs) =
+  (* examine one trial's outcome pair; true when it reached new coverage *)
+  let examine (symbols, _) (o1, o2) =
     incr trials;
-    let collect = mode = Coverage in
-    let o1 = exec ~config:(icfg collect) ~digest:dig_o cutout.program ~symbols ~inputs in
-    let o2 = exec ~config:(icfg false) ~digest:dig_x transformed ~symbols ~inputs in
-    let newcov =
+    let grew =
       match o1 with
       | Ok o ->
-          let pts = ISet.of_list o.coverage in
+          let pts = ISet.of_list o.Interp.Exec.coverage in
           let grew = not (ISet.subset pts !coverage) in
           coverage := ISet.union pts !coverage;
           grew
@@ -89,122 +80,45 @@ let run ?plan_cache ?kernel_cache ?(config = default_config) mode ~original ~(cu
      with
     | Some kind -> outcome := Some (!trials, kind, symbols)
     | None -> ());
-    newcov
+    grew
   in
-  let sample () =
-    let r = Sampler.split rng in
-    let symbols = Sampler.sample_symbols r constraints in
-    let inputs = Sampler.sample_inputs r constraints cutout ~symbols in
-    (symbols, inputs)
-  in
-  (* Batched trial processing for the stateless modes: a sweep's descriptors
-     are presampled in serial RNG order, executed on the kernel tier (lanes
-     grouped by symbol valuation), then examined one by one with exactly the
-     serial loop's bookkeeping — so counters, the failing trial number and
-     the failing symbols are byte-identical at every batch width. RNG draws
-     past the failing trial are simply discarded, as the serial loop never
-     observes them either. *)
-  let run_batched () =
-    let kcache =
-      match kernel_cache with Some c -> c | None -> Interp.Kernel.Cache.create ()
-    in
-    let kdig_o = Interp.Kernel.Cache.digest_of cutout.program in
-    let kdig_x = Interp.Kernel.Cache.digest_of transformed in
-    let exec_batch ~config:icfg ~digest prog ~symbols inputs =
-      match Interp.Kernel.Cache.compile ~digest kcache prog ~symbols with
-      | Error f -> Array.map (fun _ -> Error f) inputs
-      | Ok k -> Interp.Kernel.execute_batch ~config:icfg k ~inputs
-    in
-    while !outcome = None && !trials < config.max_trials do
-      let w = min config.batch (config.max_trials - !trials) in
-      let entries = Array.init w (fun _ -> sample ()) in
-      let outs_o = Array.make w (Error (Interp.Exec.Invalid_graph "lane not executed")) in
-      let outs_x = Array.make w (Error (Interp.Exec.Invalid_graph "lane not executed")) in
-      (* group sweep lanes by symbol valuation: kernels compile per valuation *)
-      let groups : ((string * int) list, int list ref) Hashtbl.t = Hashtbl.create 4 in
-      let order = ref [] in
-      Array.iteri
-        (fun i (symbols, _) ->
-          let key = List.sort compare symbols in
-          match Hashtbl.find_opt groups key with
-          | Some l -> l := i :: !l
-          | None ->
-              Hashtbl.add groups key (ref [ i ]);
-              order := key :: !order)
-        entries;
-      List.iter
-        (fun key ->
-          let lanes = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-          let symbols, _ = entries.(lanes.(0)) in
-          let inputs = Array.map (fun i -> snd entries.(i)) lanes in
-          let o = exec_batch ~config:(icfg false) ~digest:kdig_o cutout.program ~symbols inputs in
-          let x = exec_batch ~config:(icfg false) ~digest:kdig_x transformed ~symbols inputs in
-          Array.iteri
-            (fun j i ->
-              outs_o.(i) <- o.(j);
-              outs_x.(i) <- x.(j))
-            lanes)
-        (List.rev !order);
-      let j = ref 0 in
-      while !outcome = None && !j < w do
-        let symbols, _ = entries.(!j) in
-        let o1 = outs_o.(!j) and o2 = outs_x.(!j) in
-        incr trials;
-        (match o1 with
-        | Ok o -> coverage := ISet.union (ISet.of_list o.Interp.Exec.coverage) !coverage
-        | Error _ -> ());
-        (match (o1, o2) with
-        | Error _, Error _ -> incr crashes
-        | _ -> ());
-        (match
-           Difftest.compare_outcomes ~threshold:config.threshold
-             ~system_state:cutout.system_state o1 o2
-         with
-        | Some kind -> outcome := Some (!trials, kind, symbols)
-        | None -> ());
-        incr j
-      done
-    done
-  in
+  let searching () = !outcome = None && !trials < config.max_trials in
   (match mode with
   | Uniform | Graybox ->
-      if config.batch > 1 then run_batched ()
-      else
-        while !outcome = None && !trials < config.max_trials do
-          ignore (one_trial (sample ()))
-        done
+      (* windows of presampled trials, examined in order up to the first
+         failure; draws past it are discarded, as a one-by-one loop never
+         makes them *)
+      let width = max 1 config.batch in
+      while searching () do
+        let entries =
+          Array.init (min width (config.max_trials - !trials)) (fun _ ->
+              Sampler.trial rng constraints cutout)
+        in
+        let outs = sweep ~width entries in
+        Array.iteri (fun i entry -> if !outcome = None then ignore (examine entry outs.(i))) entries
+      done
   | Coverage ->
-      (* seed the corpus *)
+      (* the corpus evolves trial by trial, so each trial is its own sweep *)
+      let one entry = examine entry (sweep ~width:1 [| entry |]).(0) in
+      let corpus = ref [] in
       let i = ref 0 in
-      while !outcome = None && !trials < config.max_trials && !i < config.corpus_init do
+      while searching () && !i < config.corpus_init do
         incr i;
-        let entry = sample () in
-        ignore (one_trial entry);
+        let entry = Sampler.trial rng constraints cutout in
+        ignore (one entry);
         corpus := entry :: !corpus
       done;
-      while !outcome = None && !trials < config.max_trials do
+      while searching () do
         let n = List.length !corpus in
         let pick = List.nth !corpus (Sampler.int_in rng 0 (n - 1)) in
         let entry = Sampler.mutate rng constraints cutout pick in
-        let grew = one_trial entry in
-        if grew then corpus := entry :: !corpus
+        if one entry then corpus := entry :: !corpus
       done);
-  match !outcome with
-  | Some (t, kind, symbols) ->
-      {
-        trials_to_failure = Some t;
-        trials_run = !trials;
-        distinct_coverage = ISet.cardinal !coverage;
-        uninteresting_crashes = !crashes;
-        failure = Some kind;
-        failing_symbols = symbols;
-      }
-  | None ->
-      {
-        trials_to_failure = None;
-        trials_run = !trials;
-        distinct_coverage = ISet.cardinal !coverage;
-        uninteresting_crashes = !crashes;
-        failure = None;
-        failing_symbols = [];
-      }
+  {
+    trials_to_failure = Option.map (fun (t, _, _) -> t) !outcome;
+    trials_run = !trials;
+    distinct_coverage = ISet.cardinal !coverage;
+    uninteresting_crashes = !crashes;
+    failure = Option.map (fun (_, kind, _) -> kind) !outcome;
+    failing_symbols = (match !outcome with Some (_, _, symbols) -> symbols | None -> []);
+  }

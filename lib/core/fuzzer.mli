@@ -18,10 +18,11 @@ type config = {
   step_limit : int;
   corpus_init : int;  (** initial corpus size for [Coverage] *)
   batch : int;
-      (** trial batch width for [Uniform] / [Graybox]: sweeps of up to
-          [batch] trials run on the batched kernel tier, with results
-          byte-identical to the serial loop at every width. [Coverage]
-          evolves its corpus trial by trial and always runs serially. *)
+      (** trial batch width for [Uniform] / [Graybox]: trials are drawn in
+          windows of [max 1 batch] and each window is one {!Difftest.sweep}
+          at that width, with results byte-identical at every width.
+          [Coverage] evolves its corpus trial by trial and always sweeps one
+          trial at width 1. *)
 }
 
 val default_config : config
@@ -39,13 +40,12 @@ type result = {
 
 (** [run mode ~original ~cutout ~transformed] fuzzes until divergence or the
     trial budget is exhausted. [original] is the full program (used for
-    constraint derivation); [transformed] is T(cutout.program). Both programs
-    are compiled to execution plans at most once per symbol valuation; pass
-    [plan_cache] / [kernel_cache] to share compiled artifacts across
+    constraint derivation); [transformed] is T(cutout.program). Trials run
+    through {!Difftest.sweep}, so both programs are compiled at most once
+    per symbol valuation; pass [caches] to share compiled programs across
     calls. *)
 val run :
-  ?plan_cache:Interp.Plan.Cache.t ->
-  ?kernel_cache:Interp.Kernel.Cache.t ->
+  ?caches:Difftest.caches ->
   ?config:config ->
   mode ->
   original:Sdfg.Graph.t ->

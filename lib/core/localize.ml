@@ -40,12 +40,6 @@ let writer_orders g =
     (Graph.states_bfs g);
   orders
 
-let values_match ~threshold a b =
-  (Float.is_nan a && Float.is_nan b)
-  || a = b
-  || (threshold > 0.
-     && Float.abs (a -. b) <= threshold *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
-
 let locate ?(threshold = 1e-5) ?(step_limit = 400_000) ~(cutout : Cutout.t) ~transformed ~symbols
     ~inputs () =
   let config = { Interp.Exec.default_config with step_limit } in
@@ -70,7 +64,7 @@ let locate ?(threshold = 1e-5) ?(step_limit = 400_000) ~(cutout : Cutout.t) ~tra
             let n = Array.length b1.data in
             let rec scan i =
               if i >= n then None
-              else if values_match ~threshold b1.data.(i) b2.data.(i) then scan (i + 1)
+              else if Difftest.values_match ~threshold b1.data.(i) b2.data.(i) then scan (i + 1)
               else
                 let writer_order, writer =
                   match Hashtbl.find_opt orders name with

@@ -7,7 +7,8 @@
     differs.
 
     Both programs are run to completion on the same inputs; every container
-    they share is then compared, and divergences are ordered by the dataflow
+    they share is then compared element by element with
+    {!Difftest.values_match}, and divergences are ordered by the dataflow
     position of the container's first writer (states in control-flow order,
     nodes in topological order). The first entry is the earliest corrupted
     value a debugger should look at. *)

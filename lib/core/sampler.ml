@@ -71,6 +71,11 @@ let sample_inputs r (c : Constraints.t) (cut : Cutout.t) ~symbols =
       (name, fill_array r c dtype n))
     cut.input_config
 
+let trial rng c cut =
+  let r = split rng in
+  let symbols = sample_symbols r c in
+  (symbols, sample_inputs r c cut ~symbols)
+
 let mutate r (c : Constraints.t) (cut : Cutout.t) (syms, inputs) =
   ignore cut;
   let mutate_sym (name, v) =

@@ -27,6 +27,12 @@ val sample_symbols : rng -> Constraints.t -> (string * int) list
 val sample_inputs :
   rng -> Constraints.t -> Cutout.t -> symbols:(string * int) list -> (string * float array) list
 
+(** [trial rng c cut] draws the next trial of a run seeded by [rng]: it
+    splits off the trial's own stream, then samples the symbols and the
+    inputs under them. Trial [k] of a seed is therefore the [k]-th call. *)
+val trial :
+  rng -> Constraints.t -> Cutout.t -> (string * int) list * (string * float array) list
+
 (** Mutate a sampled configuration in place-like fashion (returns copies):
     small symbol steps and sparse array perturbations — the mutation stage of
     coverage-guided fuzzing. *)

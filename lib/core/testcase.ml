@@ -9,45 +9,35 @@ type t = {
 
 let site_slug = Transforms.Xform.site_slug
 
-(* Reconstruct the fault-inducing inputs: re-run the deterministic sampling
+(* Reconstruct the fault-inducing inputs: re-draw the deterministic trial
    sequence up to the failing trial. *)
 let of_report ?(config = Difftest.default_config) ~original (report : Difftest.report) =
   match report.verdict with
   | Difftest.Pass -> None
-  | Difftest.Fail f when f.first_trial <= 0 ->
+  | Difftest.Fail f ->
+      let symbols, inputs =
+        if f.first_trial <= 0 then ([], [])
+        else
+          let constraints =
+            Constraints.derive ~max_size:config.max_size ~custom:config.custom_constraints
+              ~original report.cutout
+          in
+          let rng = Sampler.create config.seed in
+          let rec draw k =
+            let trial = Sampler.trial rng constraints report.cutout in
+            if k = f.first_trial then trial else draw (k + 1)
+          in
+          draw 1
+      in
       Some
         {
           name = report.xform_name ^ "." ^ site_slug report.site;
           cutout = report.cutout;
-          symbols = [];
-          inputs = [];
+          symbols;
+          inputs;
           failure = f.kind;
           step_limit = config.step_limit;
         }
-  | Difftest.Fail f ->
-      let constraints =
-        Constraints.derive ~max_size:config.max_size ~custom:config.custom_constraints ~original
-          report.cutout
-      in
-      let rng = Sampler.create config.seed in
-      let result = ref None in
-      for trial = 1 to f.first_trial do
-        let r = Sampler.split rng in
-        let symbols = Sampler.sample_symbols r constraints in
-        let inputs = Sampler.sample_inputs r constraints report.cutout ~symbols in
-        if trial = f.first_trial then result := Some (symbols, inputs)
-      done;
-      Option.map
-        (fun (symbols, inputs) ->
-          {
-            name = report.xform_name ^ "." ^ site_slug report.site;
-            cutout = report.cutout;
-            symbols;
-            inputs;
-            failure = f.kind;
-            step_limit = config.step_limit;
-          })
-        !result
 
 let render tc =
   let buf = Buffer.create 1024 in

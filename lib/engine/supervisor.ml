@@ -82,33 +82,20 @@ let listen_on ?host ~port () = Wire.listen_on ?host ~port ()
    re-seeded or structurally shared instance skips recompilation entirely,
    and the baseline memo keys by program digest and concretization, so
    every gated instance on a program shares the unchanged program's half of
-   its static delta. Per-assignment plan and kernel hit/miss deltas travel
-   back in the Result frame and surface as a cache hit rate in the
-   dispatcher's telemetry. *)
-type wcache = {
-  wc_plans : Interp.Plan.Cache.t;
-  wc_kernels : Interp.Kernel.Cache.t;
-  wc_baselines : Analysis.Delta.memo;
-}
+   its static delta. Per-assignment compilation hit/miss deltas travel back
+   in the Result frame and surface as a cache hit rate in the dispatcher's
+   telemetry. *)
+type wcache = { wc_compiled : Difftest.caches; wc_baselines : Analysis.Delta.memo }
 
 let wcache_create () =
-  {
-    wc_plans = Interp.Plan.Cache.create ~capacity:256 ();
-    wc_kernels = Interp.Kernel.Cache.create ~capacity:256 ();
-    wc_baselines = Sdfg.Memo.create ();
-  }
-
-let wcache_stats c =
-  let ph, pm = Interp.Plan.Cache.stats c.wc_plans in
-  let kh, km = Interp.Kernel.Cache.stats c.wc_kernels in
-  (ph + kh, pm + km)
+  { wc_compiled = Difftest.create_caches ~capacity:256 (); wc_baselines = Sdfg.Memo.create () }
 
 exception Deadline_exceeded
 
-(* In-process deadline enforcement. Compiled plans and kernels hold
-   closures, which cannot cross a Marshal boundary — so keeping the cache
-   warm across assignments requires running in-process rather than in a
-   per-instance fork. The interpreter's own step limit bounds each trial; a
+(* In-process deadline enforcement. Compiled programs hold closures, which
+   cannot cross a Marshal boundary — so keeping the cache warm across
+   assignments requires running in-process rather than in a per-instance
+   fork. The interpreter's own step limit bounds each trial; a
    one-shot SIGALRM bounds everything else. While [f] runs, the alarm calls
    [expire], which never returns: it raises [Deadline_exceeded], or replies
    and ends the process. An alarm that fired makes the result [Timed_out]
@@ -152,9 +139,9 @@ let with_deadline ~deadline_s ~expire f =
    caches. *)
 let run_with_cache (caches : wcache ref) ~catalog ~expire (a : Wire.assignment) =
   let c = !caches in
-  let h0, m0 = wcache_stats c in
+  let h0, m0 = Difftest.cache_stats c.wc_compiled in
   let result r_status r_payload =
-    let h1, m1 = wcache_stats c in
+    let h1, m1 = Difftest.cache_stats c.wc_compiled in
     Wire.Result
       {
         r_idx = a.Wire.a_idx;
@@ -173,8 +160,8 @@ let run_with_cache (caches : wcache ref) ~catalog ~expire (a : Wire.assignment) 
       | exception _ -> Wire.Refused { r_idx = a.Wire.a_idx; r_detail = "undecodable program graph" }
       | graph -> (
           let thunk () =
-            Campaign.run_instance ~plan_cache:c.wc_plans ~kernel_cache:c.wc_kernels
-              ~memo:c.wc_baselines ~config:a.Wire.a_config ~static_gate:a.Wire.a_static_gate
+            Campaign.run_instance ~caches:c.wc_compiled ~memo:c.wc_baselines
+              ~config:a.Wire.a_config ~static_gate:a.Wire.a_static_gate
               ~certify_gate:a.Wire.a_certify_gate ~program:(a.Wire.a_program, graph) xform
               a.Wire.a_site
           in
@@ -228,7 +215,7 @@ let serve_connection ~exit_on_deadline caches ~catalog fd =
 let serve_worker ?(once = false) ~catalog sock =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* one set of caches for the whole worker process: assignments across
-     connections share compiled plans and kernels and delta baselines *)
+     connections share compiled programs and delta baselines *)
   let caches = ref (wcache_create ()) in
   let continue = ref true in
   while !continue do

@@ -4,8 +4,8 @@
     workers, forked once per campaign on socketpairs, and to any remote
     endpoints ([fuzzyflow_cli worker]). Both kinds run the same code per
     connection: a version handshake, then assignments, each run in-process
-    under an alarm deadline with plan, kernel and static-delta baseline
-    caches kept across assignments. A local worker replies [Timed_out] and
+    under an alarm deadline with compilation ({!Fuzzyflow.Difftest.caches})
+    and static-delta baseline caches kept across assignments. A local worker replies [Timed_out] and
     ends its process at the deadline, so no code in an instance can catch
     it. The dispatcher owns heartbeats, deadline overruns, requeue and a
     typed failure taxonomy. A failed remote worker backs off (jitter
@@ -96,7 +96,7 @@ val run_assignment : catalog:Transforms.Xform.t list -> Wire.assignment -> Wire.
 (** Run assignments in order on one set of caches, as a remote worker does
     (the deadline raises), pairing each reply with the baseline memo's
     [(hits, misses)] after it — counts no Result frame carries, whose
-    cache counts cover plans and kernels only. Exposed for tests. *)
+    cache counts cover compiled programs only. Exposed for tests. *)
 val run_assignments :
   catalog:Transforms.Xform.t list -> Wire.assignment list -> (Wire.message * (int * int)) list
 

@@ -203,22 +203,6 @@ let default_options =
     batching = Inherit;
   }
 
-let killed_outcome ~(item : Queue.item) ~status =
-  {
-    Campaign.o_program = item.program_name;
-    o_xform = item.xform.Transforms.Xform.name;
-    o_site = item.site;
-    o_status = status;
-    o_verdict = Campaign.O_killed;
-    o_trials_run = 0;
-    o_static_flagged = false;
-    o_dep_pairs = 0;
-    o_dep_decided = 0;
-    o_dep_sampled = 0;
-    o_elapsed_s = (match status with Campaign.Timed_out { deadline_s } -> deadline_s | _ -> 0.);
-    o_seed = item.seed;
-  }
-
 (* Workers resolve transformations by name, the supervisor ships one graph
    per program name, and instance ids and --resume key on both names: a
    duplicate would silently run or journal the wrong thing. *)
@@ -343,7 +327,9 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
       | Ok (ir : Campaign.instance_result) ->
           results := (i, ir) :: !results;
           Campaign.outcome_of_result ~seed:it.Queue.seed ir
-      | Error status -> killed_outcome ~item:it ~status
+      | Error status ->
+          Campaign.killed_outcome ~program:it.program_name ~xform:it.xform.Transforms.Xform.name
+            ~site:it.site ~seed:it.seed status
     in
     outcomes.(i) <- Some o;
     (* persist the failing instance's reproduction bundle *)

@@ -37,6 +37,26 @@ let campaign_tests =
           go 0
         in
         Alcotest.(check bool) "mentions" true (contains table "MapTiling"));
+    Alcotest.test_case "a crashing instance settles as the engine settles it" `Quick (fun () ->
+        (* with no concretization, CLOUDSC's KLEV is unbound: every instance
+           raises, and the serial run journals what a -j 1 engine run does *)
+        let programs = [ ("cloudsc", Workloads.Cloudsc.build ()) ] in
+        let xforms = Transforms.Registry.as_shipped () in
+        let config = { Difftest.default_config with trials = 2 } in
+        let limit_per = Some 1 in
+        let serial = Campaign.run ~config ~limit_per programs xforms in
+        let engine =
+          Engine.Worker.run_campaign
+            ~options:{ Engine.Worker.default_options with j = 1; limit_per }
+            ~config programs xforms
+        in
+        let lines c = List.map Engine.Journal.instance_line c.Campaign.outcomes in
+        Alcotest.(check (list string)) "journal instance lines" (lines engine) (lines serial);
+        Alcotest.(check bool) "instances crashed" true
+          (List.exists
+             (fun (o : Campaign.outcome) ->
+               match o.o_status with Campaign.Crashed _ -> true | _ -> false)
+             serial.outcomes));
   ]
 
 (* ---- one static delta per gated instance ---------------------------------- *)

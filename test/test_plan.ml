@@ -215,16 +215,16 @@ let consumer_tests =
           { Fuzzyflow.Difftest.default_config with trials = 6; max_size = 6;
             concretization = [ ("N", 6) ] }
         in
-        let run ?plan_cache () =
+        let run ?caches () =
           List.map
             (fun variant ->
               let x = Transforms.Map_tiling.make ~tile_size:3 variant in
-              let r = Fuzzyflow.Difftest.test_instance ?plan_cache ~config g x site in
+              let r = Fuzzyflow.Difftest.test_instance ?caches ~config g x site in
               Format.asprintf "%a" Fuzzyflow.Difftest.pp_report r)
             [ Transforms.Map_tiling.Correct; Transforms.Map_tiling.Off_by_one ]
         in
-        let shared = Interp.Plan.Cache.create () in
-        Alcotest.(check (list string)) "verdicts" (run ()) (run ~plan_cache:shared ()));
+        let shared = Fuzzyflow.Difftest.create_caches () in
+        Alcotest.(check (list string)) "verdicts" (run ()) (run ~caches:shared ()));
   ]
 
 let () =
