@@ -1007,8 +1007,8 @@ let worker_cmd =
     (Cmd.info "worker"
        ~doc:
          "Run a remote campaign worker: accept assignments from a dispatcher, run each \
-          in-process under its deadline with a compilation cache kept across assignments \
-          (the same code a local $(b,-j) worker runs), and reply with the verdict.")
+          in-process under its deadline with a static-delta baseline memo kept across \
+          assignments (the same code a local $(b,-j) worker runs), and reply with the verdict.")
     Term.(const run $ port_arg [ "port" ] "Listen on $(docv) (0 picks an ephemeral port)." $ once_arg)
 
 let serve_cmd =

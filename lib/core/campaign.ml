@@ -87,7 +87,7 @@ let instance_seed ~global id =
 
 (* ---------------- per-instance execution ---------------- *)
 
-let run_instance ?caches ?memo ?(config = Difftest.default_config)
+let run_instance ?memo ?(config = Difftest.default_config)
     ?(static_gate = false) ?(certify_gate = false) ~program:(pname, g) (x : Transforms.Xform.t)
     site =
   let symbols = config.Difftest.concretization in
@@ -107,7 +107,7 @@ let run_instance ?caches ?memo ?(config = Difftest.default_config)
   let report =
     match verdict with
     | Some (Analysis.Equiv.Equivalent _) -> None
-    | _ -> Some (Difftest.test_instance ?caches ~config g x site)
+    | _ -> Some (Difftest.test_instance ~config g x site)
   in
   (* second evidence channel: what the static oracle would have said about
      this instance, independent of the fuzz verdict — the change-set audit
@@ -243,13 +243,8 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
     ?(certify_gate = false) programs xforms =
   let results = ref [] in
   let outcomes = ref [] in
-  (* one set of compilation caches for the whole serial campaign: many
-     instances of the same transformation share cutouts (and always share
-     symbol valuations drawn from the same constraint ranges), so compiled
-     programs are reused across instances, not just across trials *)
-  let caches = Difftest.create_caches ~capacity:256 () in
-  (* likewise one baseline memo: every instance on a program shares the
-     unchanged program's half of the static delta *)
+  (* one baseline memo: every instance on a program shares the unchanged
+     program's half of the static delta *)
   let memo = Sdfg.Memo.create () in
   List.iter
     (fun (x : Transforms.Xform.t) ->
@@ -266,7 +261,7 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
                 (* an escaping exception settles the instance as a worker
                    settles it, so the serial journal matches the engine's *)
                 match
-                  run_instance ~caches ~memo ~config ~static_gate ~certify_gate
+                  run_instance ~memo ~config ~static_gate ~certify_gate
                     ~program:(pname, g) x site
                 with
                 | r ->

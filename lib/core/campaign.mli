@@ -99,16 +99,15 @@ val instance_seed : global:int -> string -> int
 
 (** The per-instance campaign body: translation validation (optional), then
     differential testing, then the static oracle evidence channel. Both the
-    serial [run] loop and the engine's forked workers execute exactly this.
-    [caches] share compiled programs across instances
-    ({!Difftest.caches}), and [memo] the unchanged program's half of the
-    static delta ({!Analysis.Delta.memo}); verdicts are cache-oblivious
-    (both key by program digest and symbol valuation), so serial and
-    parallel runs stay byte-identical. With either gate on, the
+    serial [run] loop and the engine's workers execute exactly this.
+    Compiled programs live only for the instance's trial loop
+    ({!Difftest.sweep}). [memo] shares the unchanged program's half of the
+    static delta across instances ({!Analysis.Delta.memo}); it keys by
+    program digest and concretization, so verdicts are memo-oblivious and
+    serial and parallel runs stay byte-identical. With either gate on, the
     transformation is applied to one copy of the program, whose delta feeds
     the certify gate, the change-set audit and the static findings. *)
 val run_instance :
-  ?caches:Difftest.caches ->
   ?memo:Analysis.Delta.memo ->
   ?config:Difftest.config ->
   ?static_gate:bool ->

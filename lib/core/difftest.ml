@@ -157,24 +157,24 @@ let compare_outcomes ~threshold ~system_state orig xformed =
                    }))
         system_state
 
-(* Compiled programs of both tiers, keyed by program digest and symbol
-   valuation; the sweep below is the only code that picks between them. *)
-type caches = { plans : Interp.Plan.Cache.t; kernels : Interp.Kernel.Cache.t }
+(* One program's compiled forms, owned by the sweep that creates them: each
+   sorted symbol valuation is compiled at most once, and the table is emptied
+   wholesale at 64 live entries. *)
+let compile_table compile prog =
+  let tbl = Hashtbl.create 16 in
+  fun symbols ->
+    let key = List.sort compare symbols in
+    match Hashtbl.find_opt tbl key with
+    | Some r -> r
+    | None ->
+        let r = compile prog ~symbols in
+        if Hashtbl.length tbl >= 64 then Hashtbl.reset tbl;
+        Hashtbl.add tbl key r;
+        r
 
-let create_caches ?capacity () =
-  {
-    plans = Interp.Plan.Cache.create ?capacity ();
-    kernels = Interp.Kernel.Cache.create ?capacity ();
-  }
-
-let cache_stats c =
-  let ph, pm = Interp.Plan.Cache.stats c.plans in
-  let kh, km = Interp.Kernel.Cache.stats c.kernels in
-  (ph + kh, pm + km)
-
-(* Both programs are digested once, when the sweep is partially applied; each
-   is then compiled at most once per symbol valuation per cache. Injection,
-   coverage collection and step limits are execution-time configuration, so
+(* Partial application creates one plan table and one kernel table per side,
+   which live as long as the instance's trial loop. Injection, coverage
+   collection and step limits are execution-time configuration, so
    differently configured runs share one compilation.
 
    At width 1 every entry runs on execution plans, original then transformed,
@@ -183,19 +183,22 @@ let cache_stats c =
    and each group is one [execute_batch] call per side, however many entries
    it holds. Each lane's outcome is bit-identical to its plan run, so results
    do not depend on the width or on which entries share a group. *)
-let sweep caches ~original ~transformed ~config ~config_x =
-  let dig_o = Sdfg.Memo.digest_of original and dig_x = Sdfg.Memo.digest_of transformed in
+let sweep ~original ~transformed ~config ~config_x =
+  let plan_o = compile_table Interp.Plan.compile original
+  and plan_x = compile_table Interp.Plan.compile transformed
+  and kernel_o = compile_table Interp.Kernel.compile original
+  and kernel_x = compile_table Interp.Kernel.compile transformed in
   fun ~width entries ->
     if width <= 1 then
       Array.map
         (fun (symbols, inputs) ->
-          let run ~config ~digest prog =
-            match Interp.Plan.Cache.compile ~digest caches.plans prog ~symbols with
+          let run ~config plan =
+            match plan symbols with
             | Error f -> Error f
             | Ok p -> Interp.Plan.execute ~config p ~inputs
           in
-          let o = run ~config ~digest:dig_o original in
-          (o, run ~config:config_x ~digest:dig_x transformed))
+          let o = run ~config plan_o in
+          (o, run ~config:config_x plan_x))
         entries
     else begin
       let groups : ((string * int) list, int list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -216,13 +219,13 @@ let sweep caches ~original ~transformed ~config ~config_x =
           let lanes = Array.of_list (List.rev !(Hashtbl.find groups key)) in
           let symbols = fst entries.(lanes.(0)) in
           let inputs = Array.map (fun i -> snd entries.(i)) lanes in
-          let run ~config ~digest prog =
-            match Interp.Kernel.Cache.compile ~digest caches.kernels prog ~symbols with
+          let run ~config kernel =
+            match kernel symbols with
             | Error f -> Array.map (fun _ -> Error f) lanes
             | Ok k -> Interp.Kernel.execute_batch ~config k ~inputs
           in
-          let o = run ~config ~digest:dig_o original in
-          let x = run ~config:config_x ~digest:dig_x transformed in
+          let o = run ~config kernel_o in
+          let x = run ~config:config_x kernel_x in
           Array.iteri (fun j i -> outs.(i) <- (o.(j), x.(j))) lanes)
         (List.rev !order);
       outs
@@ -234,14 +237,14 @@ let sweep caches ~original ~transformed ~config ~config_x =
    failing trial. Sweep results are width-oblivious, so the verdict — class,
    first failing trial, failing count, fault-inducing symbols — is the same
    at every width, and at most one window of inputs and outcomes is alive. *)
-let run_trials caches ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transformed_prog =
+let run_trials ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transformed_prog =
   let icfg =
     { Interp.Exec.default_config with step_limit = config.step_limit; collect_coverage = false }
   in
   (* faultlab: injected faults perturb only the transformed run, so any
      detection is attributable to the seeded fault *)
   let sweep =
-    sweep caches ~original:original_prog ~transformed:transformed_prog ~config:icfg
+    sweep ~original:original_prog ~transformed:transformed_prog ~config:icfg
       ~config_x:{ icfg with Interp.Exec.inject = config.inject_transformed }
   in
   let width = max 1 config.batch in
@@ -298,8 +301,7 @@ let invalid_report ~xform_name ~site ~cut ~elapsed msg =
     elapsed_s = elapsed;
   }
 
-let test_instance ?(caches = create_caches ()) ?(config = default_config) g (x : Transforms.Xform.t)
-    site =
+let test_instance ?(config = default_config) g (x : Transforms.Xform.t) site =
   let t0 = Unix.gettimeofday () in
   (* 1. change isolation: white-box change set from applying T to a copy *)
   match apply_to_copy g x site with
@@ -371,7 +373,7 @@ let test_instance ?(caches = create_caches ()) ?(config = default_config) g (x :
                   ~custom:config.custom_constraints ~original:g cut
               in
               let verdict =
-                run_trials caches ~config ~constraints ~cut ~original_prog:cut.program
+                run_trials ~config ~constraints ~cut ~original_prog:cut.program
                   ~transformed_prog:transformed
               in
               {
@@ -385,8 +387,7 @@ let test_instance ?(caches = create_caches ()) ?(config = default_config) g (x :
                 elapsed_s = Unix.gettimeofday () -. t0;
               }))
 
-let test_whole_program ?(caches = create_caches ()) ?(config = default_config) g
-    (x : Transforms.Xform.t) site =
+let test_whole_program ?(config = default_config) g (x : Transforms.Xform.t) site =
   let t0 = Unix.gettimeofday () in
   match apply_to_copy g x site with
   | Error msg ->
@@ -417,6 +418,6 @@ let test_whole_program ?(caches = create_caches ()) ?(config = default_config) g
           ~original:g cut
       in
       let verdict =
-        run_trials caches ~config ~constraints ~cut ~original_prog:g ~transformed_prog:transformed
+        run_trials ~config ~constraints ~cut ~original_prog:g ~transformed_prog:transformed
       in
       (verdict, Unix.gettimeofday () -. t0)

@@ -80,30 +80,21 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** Compiled programs of both execution tiers — plans and batched kernels —
-    keyed by program digest and symbol valuation. One value can be shared
-    by any number of tests: verdicts are cache-oblivious. *)
-type caches
-
-(** Empty caches; [capacity] bounds each tier's table (default 64). *)
-val create_caches : ?capacity:int -> unit -> caches
-
-(** [(hits, misses)] summed over both tiers since creation. *)
-val cache_stats : caches -> int * int
-
 (** One run of a program: its final state, or the fault it stopped at. *)
 type run = (Interp.Exec.outcome, Interp.Exec.fault) result
 
-(** [sweep caches ~original ~transformed ~config ~config_x] digests both
-    programs; apply the result to each batch of trials ([~width entries]) to
-    run every entry's [(symbols, inputs)] on the original program under
-    [config] and on the transformed one under [config_x]. It returns each
-    entry's outcome pair, in entry order. At [width <= 1] entries run one by
-    one on execution plans; above it, entries that share a symbol valuation
-    run as one batched kernel sweep per side. The pairs are the same at
-    every width. *)
+(** [sweep ~original ~transformed ~config ~config_x] creates the compiled
+    programs' tables for one instance: one plan table and one kernel table
+    per side, keyed by sorted symbol valuation. Apply the result to each
+    batch of trials ([~width entries]) to run every entry's
+    [(symbols, inputs)] on the original program under [config] and on the
+    transformed one under [config_x]; each program is compiled at most once
+    per valuation for as long as the partial application lives. It returns
+    each entry's outcome pair, in entry order. At [width <= 1] entries run
+    one by one on execution plans; above it, entries that share a symbol
+    valuation run as one batched kernel sweep per side. The pairs are the
+    same at every width. *)
 val sweep :
-  caches ->
   original:Sdfg.Graph.t ->
   transformed:Sdfg.Graph.t ->
   config:Interp.Exec.config ->
@@ -115,11 +106,9 @@ val sweep :
 (** Test one transformation instance through the full FuzzyFlow pipeline:
     apply-to-copy for the change set, cutout extraction, optional input
     minimization, constraint derivation, differential fuzzing. Trials run in
-    windows of [config.batch] through {!sweep}; pass [caches] to reuse
-    compiled programs across instances (e.g. the same cutout re-tested under
-    many seeds). *)
+    windows of [config.batch] through one {!sweep}, so compiled programs
+    live exactly as long as the instance's trial loop. *)
 val test_instance :
-  ?caches:caches ->
   ?config:config ->
   Sdfg.Graph.t ->
   Transforms.Xform.t ->
@@ -130,7 +119,6 @@ val test_instance :
     cutout) — what the paper's 528× speedup is measured against. Returns the
     verdict and elapsed seconds. *)
 val test_whole_program :
-  ?caches:caches ->
   ?config:config ->
   Sdfg.Graph.t ->
   Transforms.Xform.t ->

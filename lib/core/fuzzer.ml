@@ -35,8 +35,7 @@ type result = {
 
 module ISet = Set.Make (Int)
 
-let run ?(caches = Difftest.create_caches ()) ?(config = default_config) mode ~original
-    ~(cutout : Cutout.t) ~transformed =
+let run ?(config = default_config) mode ~original ~(cutout : Cutout.t) ~transformed =
   let constraints =
     match mode with
     | Uniform -> Constraints.uniform cutout
@@ -51,7 +50,7 @@ let run ?(caches = Difftest.create_caches ()) ?(config = default_config) mode ~o
   in
   (* coverage is collected on the original side, and only when it steers *)
   let sweep =
-    Difftest.sweep caches ~original:cutout.program ~transformed ~config:(icfg (mode = Coverage))
+    Difftest.sweep ~original:cutout.program ~transformed ~config:(icfg (mode = Coverage))
       ~config_x:(icfg false)
   in
   let rng = Sampler.create config.seed in

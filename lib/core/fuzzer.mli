@@ -41,11 +41,9 @@ type result = {
 (** [run mode ~original ~cutout ~transformed] fuzzes until divergence or the
     trial budget is exhausted. [original] is the full program (used for
     constraint derivation); [transformed] is T(cutout.program). Trials run
-    through {!Difftest.sweep}, so both programs are compiled at most once
-    per symbol valuation; pass [caches] to share compiled programs across
-    calls. *)
+    through one {!Difftest.sweep}, so both programs are compiled at most
+    once per symbol valuation during the call. *)
 val run :
-  ?caches:Difftest.caches ->
   ?config:config ->
   mode ->
   original:Sdfg.Graph.t ->

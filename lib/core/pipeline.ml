@@ -4,6 +4,7 @@ type decision =
   | Rejected of Difftest.failing
   | Rejected_static of Analysis.Report.finding list
   | Stale of string
+  | Crashed of string
 
 type step = {
   xform_name : string;
@@ -17,13 +18,14 @@ type log = {
   proved : int;
   rejected : int;
   stale : int;
+  crashed : int;
   witness_probes : int;
   witness_confirmed : int;
 }
 
 let pp_log fmt log =
-  Format.fprintf fmt "%d applied (%d proved equivalent), %d rejected, %d stale@."
-    (log.applied + log.proved) log.proved log.rejected log.stale;
+  Format.fprintf fmt "%d applied (%d proved equivalent), %d rejected, %d stale, %d crashed@."
+    (log.applied + log.proved) log.proved log.rejected log.stale log.crashed;
   if log.witness_probes > 0 then
     Format.fprintf fmt "%d dependence witnesses probed, %d reproduced dynamically@."
       log.witness_probes log.witness_confirmed;
@@ -38,25 +40,54 @@ let pp_log fmt log =
             "REJECTED (static): "
             ^ String.concat "; " (List.map Analysis.Report.to_string fs)
         | Stale msg -> "stale: " ^ msg
+        | Crashed detail -> "CRASHED: " ^ detail
       in
       Format.fprintf fmt "  %s @@ %a: %s@." s.xform_name Transforms.Xform.pp_site s.site d)
     log.steps
 
 let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms =
-  let current = Sdfg.Graph.copy g in
+  let current = ref (Sdfg.Graph.copy g) in
   let steps = ref [] in
-  let applied = ref 0 and proved = ref 0 and rejected = ref 0 and stale = ref 0 in
   let witness_probes = ref 0 and witness_confirmed = ref 0 in
   (* the current program only changes when an instance is applied, so the
      sites tried in between share its half of the static delta *)
   let memo = Sdfg.Memo.create () in
   let symbols = config.Difftest.concretization in
+  (* one pinned trial at [valuation]: a directed probe before or instead of
+     the full budget *)
+  let probe valuation x site =
+    let config =
+      {
+        config with
+        Difftest.trials = 1;
+        custom_constraints =
+          List.map (fun (s, v) -> (s, (v, v))) valuation @ config.Difftest.custom_constraints;
+      }
+    in
+    Difftest.test_instance ~config !current x site
+  in
   List.iter
     (fun (x : Transforms.Xform.t) ->
-      (* discover on the current program; apply passing instances one by one *)
-      List.iter
-        (fun site ->
-          let record decision = steps := { xform_name = x.name; site; decision } :: !steps in
+      (* sites are discovered on the current program; once an instance is
+         applied, a later site is only tested if the rewritten program still
+         has it *)
+      let sites = x.find !current in
+      let live = ref (lazy sites) in
+      (* a passing instance lands on a copy that replaces the program, so an
+         application that raises leaves the program as it was *)
+      let commit site decision =
+        let g' = Sdfg.Graph.copy !current in
+        match x.apply g' site with
+        | _ ->
+            current := g';
+            live := lazy (x.find g');
+            decision
+        | exception Transforms.Xform.Cannot_apply msg -> Stale msg
+      in
+      let decide site =
+        if not (List.mem site (Lazy.force !live)) then
+          Stale "site gone after an earlier rewrite"
+        else
           (* static pre-gate: veto with evidence before spending any trials.
              The change-set audit takes precedence — a declared change set
              that under-approximates the true diff would make the cutout (and
@@ -65,11 +96,11 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
              transformed copy and its delta ride along for the latter. *)
           let static_verdict =
             if static_gate then
-              match Analysis.Delta.apply ~memo ~symbols current x site with
+              match Analysis.Delta.apply ~memo ~symbols !current x site with
               | None -> None
               | Some (g', declared, (delta, _)) ->
                   let findings =
-                    match Analysis.Audit.check ~original:current ~transformed:g' ~declared with
+                    match Analysis.Audit.check ~original:!current ~transformed:g' ~declared with
                     | [] -> delta
                     | audit_findings -> audit_findings
                   in
@@ -77,11 +108,8 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
             else Some ([], None)
           in
           match static_verdict with
-          | None ->
-              incr stale;
-              record (Stale "static gate: site no longer matches")
+          | None -> Stale "static gate: site no longer matches"
           | Some ((_ :: _ as findings), _) ->
-              incr rejected;
               (* a race finding decided by the exact dependence tier carries a
                  solver witness; feed it to the fuzzer as a directed seed — one
                  pinned trial corroborating the static veto dynamically (pinned
@@ -89,37 +117,16 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
               (match List.find_map Analysis.Races.witness_of_finding findings with
               | Some valuation -> (
                   incr witness_probes;
-                  let probe =
-                    {
-                      config with
-                      Difftest.trials = 1;
-                      custom_constraints =
-                        List.map (fun (s, v) -> (s, (v, v))) valuation
-                        @ config.Difftest.custom_constraints;
-                    }
-                  in
-                  match Difftest.test_instance ~config:probe current x site with
+                  match probe valuation x site with
                   | { verdict = Difftest.Fail _; _ } -> incr witness_confirmed
                   | { verdict = Difftest.Pass; _ } | (exception _) -> ())
               | None -> ());
-              record (Rejected_static findings)
+              Rejected_static findings
           | Some ([], transformed) -> (
-              let fuzz ~config () =
-                match Difftest.test_instance ~config current x site with
-                | { verdict = Difftest.Pass; _ } -> (
-                    match x.apply current site with
-                    | _ ->
-                        incr applied;
-                        record Applied
-                    | exception Transforms.Xform.Cannot_apply msg ->
-                        incr stale;
-                        record (Stale msg))
-                | { verdict = Difftest.Fail f; _ } ->
-                    incr rejected;
-                    record (Rejected f)
-                | exception Transforms.Xform.Cannot_apply msg ->
-                    incr stale;
-                    record (Stale msg)
+              let fuzz () =
+                match Difftest.test_instance ~config !current x site with
+                | { verdict = Difftest.Pass; _ } -> commit site Applied
+                | { verdict = Difftest.Fail f; _ } -> Rejected f
               in
               (* translation validation: a proved-equivalent instance is
                  applied without spending a single trial; a refutation
@@ -127,46 +134,40 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                  valuation before the full-budget run *)
               let verdict =
                 Option.map
-                  (fun (g', delta) -> Analysis.Equiv.decide ~symbols ~delta current g' x site)
+                  (fun (g', delta) -> Analysis.Equiv.decide ~symbols ~delta !current g' x site)
                   transformed
               in
               match verdict with
-              | Some (Analysis.Equiv.Equivalent cert) -> (
-                  match x.apply current site with
-                  | _ ->
-                      incr proved;
-                      record (Proved_equivalent cert)
-                  | exception Transforms.Xform.Cannot_apply msg ->
-                      incr stale;
-                      record (Stale msg))
+              | Some (Analysis.Equiv.Equivalent cert) -> commit site (Proved_equivalent cert)
               | Some (Analysis.Equiv.Refuted w) -> (
-                  let probe =
-                    {
-                      config with
-                      Difftest.trials = 1;
-                      custom_constraints =
-                        List.map (fun (s, v) -> (s, (v, v))) w.valuation
-                        @ config.Difftest.custom_constraints;
-                    }
-                  in
-                  match Difftest.test_instance ~config:probe current x site with
-                  | { verdict = Difftest.Fail f; _ } ->
-                      incr rejected;
-                      record (Rejected f)
-                  | { verdict = Difftest.Pass; _ } -> fuzz ~config ()
-                  | exception Transforms.Xform.Cannot_apply msg ->
-                      incr stale;
-                      record (Stale msg))
-              | Some (Analysis.Equiv.Unknown _) | None -> fuzz ~config ()))
-        (x.find current))
+                  match probe w.valuation x site with
+                  | { verdict = Difftest.Fail f; _ } -> Rejected f
+                  | { verdict = Difftest.Pass; _ } -> fuzz ())
+              | Some (Analysis.Equiv.Unknown _) | None -> fuzz ())
+      in
+      List.iter
+        (fun site ->
+          (* an exception that escapes one instance settles it, unapplied, as
+             [Campaign.run] settles a crashed instance *)
+          let decision =
+            match decide site with
+            | d -> d
+            | exception Transforms.Xform.Cannot_apply msg -> Stale msg
+            | exception e -> Crashed (Printexc.to_string e)
+          in
+          steps := { xform_name = x.name; site; decision } :: !steps)
+        sites)
     xforms;
-  ( current,
+  let steps = List.rev !steps in
+  let count p = List.length (List.filter (fun s -> p s.decision) steps) in
+  ( !current,
     {
-      steps = List.rev !steps;
-      applied = !applied;
-      proved = !proved;
-      rejected = !rejected;
-      stale = !stale;
+      steps;
+      applied = count (function Applied -> true | _ -> false);
+      proved = count (function Proved_equivalent _ -> true | _ -> false);
+      rejected = count (function Rejected _ | Rejected_static _ -> true | _ -> false);
+      stale = count (function Stale _ -> true | _ -> false);
+      crashed = count (function Crashed _ -> true | _ -> false);
       witness_probes = !witness_probes;
       witness_confirmed = !witness_confirmed;
     } )

@@ -30,6 +30,9 @@ type decision =
   | Rejected_static of Analysis.Report.finding list
       (** vetoed by the static oracle — no trials were spent *)
   | Stale of string  (** the site no longer matched after earlier rewrites *)
+  | Crashed of string
+      (** an exception escaped the instance (its printed form); the
+          instance was not applied *)
 
 type step = {
   xform_name : string;
@@ -43,6 +46,7 @@ type log = {
   proved : int;  (** applied on a static equivalence proof, zero trials *)
   rejected : int;  (** dynamic and static rejections combined *)
   stale : int;
+  crashed : int;
   witness_probes : int;
       (** static race rejections whose exact-tier witness was replayed as a
           directed one-trial fuzz seed *)
@@ -54,8 +58,12 @@ val pp_log : Format.formatter -> log -> unit
 (** [optimize g xforms] returns the optimized copy of [g] (never mutated) and
     the audit log. For each transformation, sites are discovered on the
     current program and tested one by one; passing instances are applied
-    immediately, so later sites see the rewritten program. The static gate
-    (default off) uses [config.concretization] as its symbol assumptions. *)
+    immediately, so later sites see the rewritten program. After an
+    application, a later site of the same transformation that [find] no
+    longer reports is [Stale] without being tested. An instance that raises
+    is [Crashed] and leaves the program as it was, so every site gets a
+    step. The static gate (default off) uses [config.concretization] as its
+    symbol assumptions. *)
 val optimize :
   ?config:Difftest.config ->
   ?static_gate:bool ->

@@ -77,31 +77,16 @@ let backoff_delay ~policy ~ep ~failures ~seed =
 
 let listen_on ?host ~port () = Wire.listen_on ?host ~port ()
 
-(* Worker-side caches, persistent across assignments: the compilation
-   caches key by cutout digest and symbol valuation, so a requeued,
-   re-seeded or structurally shared instance skips recompilation entirely,
-   and the baseline memo keys by program digest and concretization, so
-   every gated instance on a program shares the unchanged program's half of
-   its static delta. Per-assignment compilation hit/miss deltas travel back
-   in the Result frame and surface as a cache hit rate in the dispatcher's
-   telemetry. *)
-type wcache = { wc_compiled : Difftest.caches; wc_baselines : Analysis.Delta.memo }
-
-let wcache_create () =
-  { wc_compiled = Difftest.create_caches ~capacity:256 (); wc_baselines = Sdfg.Memo.create () }
-
 exception Deadline_exceeded
 
-(* In-process deadline enforcement. Compiled programs hold closures, which
-   cannot cross a Marshal boundary — so keeping the cache warm across
-   assignments requires running in-process rather than in a per-instance
-   fork. The interpreter's own step limit bounds each trial; a
-   one-shot SIGALRM bounds everything else. While [f] runs, the alarm calls
-   [expire], which never returns: it raises [Deadline_exceeded], or replies
-   and ends the process. An alarm that fired makes the result [Timed_out]
-   even when code inside [f] caught the exception and went on to finish, so
-   no handler in the instance can turn a timeout into a verdict. Any other
-   escape (including Stack_overflow) is contained as a Crashed result. *)
+(* In-process deadline enforcement. The interpreter's own step limit bounds
+   each trial; a one-shot SIGALRM bounds everything else. While [f] runs,
+   the alarm calls [expire], which never returns: it raises
+   [Deadline_exceeded], or replies and ends the process. An alarm that fired
+   makes the result [Timed_out] even when code inside [f] caught the
+   exception and went on to finish, so no handler in the instance can turn a
+   timeout into a verdict. Any other escape (including Stack_overflow) is
+   contained as a Crashed result. *)
 let with_deadline ~deadline_s ~expire f =
   let armed = ref true and expired = ref false in
   let prev =
@@ -129,28 +114,18 @@ let with_deadline ~deadline_s ~expire f =
   Sys.set_signal Sys.sigalrm prev;
   if !expired then Error (Campaign.Timed_out { deadline_s }) else r
 
-(* One assignment: compile through the worker's caches and run the instance
-   in-process under the alarm-based deadline; [expire] receives the
-   [Timed_out] reply from the alarm handler. Verdicts are cache-oblivious
-   (every cache keys by program digest and symbol valuation). An assignment
-   that timed out or crashed may have been interrupted inside a cache
-   update, or inside a baseline whose oracle swallowed the deadline's
-   exception and stored what it had, so it leaves the worker with fresh
-   caches. *)
-let run_with_cache (caches : wcache ref) ~catalog ~expire (a : Wire.assignment) =
-  let c = !caches in
-  let h0, m0 = Difftest.cache_stats c.wc_compiled in
-  let result r_status r_payload =
-    let h1, m1 = Difftest.cache_stats c.wc_compiled in
-    Wire.Result
-      {
-        r_idx = a.Wire.a_idx;
-        r_status;
-        r_payload;
-        r_cache_hits = h1 - h0;
-        r_cache_misses = m1 - m0;
-      }
-  in
+(* One assignment: run the instance in-process under the alarm-based
+   deadline; [expire] receives the [Timed_out] reply from the alarm handler.
+   The worker keeps one piece of state across assignments, the static
+   delta's baseline memo: it keys by program digest and concretization, so
+   every gated instance on a program shares the unchanged program's half of
+   its delta, and verdicts are memo-oblivious. Compiled programs live inside
+   each instance. An assignment that timed out or crashed may have been
+   interrupted inside a baseline whose oracle swallowed the deadline's
+   exception and stored what it had, so it leaves the worker with a fresh
+   memo. *)
+let run_with_memo (memo : Analysis.Delta.memo ref) ~catalog ~expire (a : Wire.assignment) =
+  let result r_status r_payload = Wire.Result { r_idx = a.Wire.a_idx; r_status; r_payload } in
   match
     List.find_opt (fun (x : Transforms.Xform.t) -> x.Transforms.Xform.name = a.Wire.a_xform) catalog
   with
@@ -160,25 +135,24 @@ let run_with_cache (caches : wcache ref) ~catalog ~expire (a : Wire.assignment) 
       | exception _ -> Wire.Refused { r_idx = a.Wire.a_idx; r_detail = "undecodable program graph" }
       | graph -> (
           let thunk () =
-            Campaign.run_instance ~caches:c.wc_compiled ~memo:c.wc_baselines
-              ~config:a.Wire.a_config ~static_gate:a.Wire.a_static_gate
-              ~certify_gate:a.Wire.a_certify_gate ~program:(a.Wire.a_program, graph) xform
-              a.Wire.a_site
+            Campaign.run_instance ~memo:!memo ~config:a.Wire.a_config
+              ~static_gate:a.Wire.a_static_gate ~certify_gate:a.Wire.a_certify_gate
+              ~program:(a.Wire.a_program, graph) xform a.Wire.a_site
           in
           let deadline_s = a.Wire.a_deadline_s in
           let expire () = expire (result (Campaign.Timed_out { deadline_s }) None) in
           match with_deadline ~deadline_s ~expire thunk with
           | Ok ir -> result Campaign.Completed (Some ir)
           | Error status ->
-              caches := wcache_create ();
+              memo := Sdfg.Memo.create ();
               result status None))
 
 let run_assignments ~catalog assignments =
-  let caches = ref (wcache_create ()) in
+  let memo = ref (Sdfg.Memo.create ()) in
   List.map
     (fun a ->
-      let reply = run_with_cache caches ~catalog ~expire:(fun _ -> raise Deadline_exceeded) a in
-      (reply, Sdfg.Memo.stats !caches.wc_baselines))
+      let reply = run_with_memo memo ~catalog ~expire:(fun _ -> raise Deadline_exceeded) a in
+      (reply, Sdfg.Memo.stats !memo))
     assignments
 
 let run_assignment ~catalog a = fst (List.hd (run_assignments ~catalog [ a ]))
@@ -191,7 +165,7 @@ let run_assignment ~catalog a = fst (List.hd (run_assignments ~catalog [ a ]))
    catch that. A remote worker's process outlives its connections, so its
    deadline raises instead; if the instance catches the exception and runs
    on, the dispatcher's hang check ends the connection. *)
-let serve_connection ~exit_on_deadline caches ~catalog fd =
+let serve_connection ~exit_on_deadline memo ~catalog fd =
   let expire reply =
     if exit_on_deadline then begin
       (try Wire.write_message fd reply with _ -> ());
@@ -207,21 +181,21 @@ let serve_connection ~exit_on_deadline caches ~catalog fd =
         match Wire.read_message fd with
         | Wire.Ping x -> Wire.write_message fd (Wire.Pong x)
         | Wire.Shutdown -> stop := true
-        | Wire.Assign a -> Wire.write_message fd (run_with_cache caches ~catalog ~expire a)
+        | Wire.Assign a -> Wire.write_message fd (run_with_memo memo ~catalog ~expire a)
         | _ -> ()
       done
   | _ -> ()
 
 let serve_worker ?(once = false) ~catalog sock =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* one set of caches for the whole worker process: assignments across
-     connections share compiled programs and delta baselines *)
-  let caches = ref (wcache_create ()) in
+  (* one baseline memo for the whole worker process: assignments across
+     connections share the unchanged programs' halves of their deltas *)
+  let memo = ref (Sdfg.Memo.create ()) in
   let continue = ref true in
   while !continue do
     (match Unix.accept sock with
     | client, _ ->
-        (try serve_connection ~exit_on_deadline:false caches ~catalog client with
+        (try serve_connection ~exit_on_deadline:false memo ~catalog client with
         | Wire.Closed | Wire.Timeout | Wire.Protocol_error _ | Wire.Bad_version _
         | Unix.Unix_error _
         ->
@@ -262,7 +236,7 @@ let spawn_local ~catalog =
   match Unix.fork () with
   | 0 ->
       close_inherited ~keep:theirs;
-      (try serve_connection ~exit_on_deadline:true (ref (wcache_create ())) ~catalog theirs
+      (try serve_connection ~exit_on_deadline:true (ref (Sdfg.Memo.create ())) ~catalog theirs
        with _ -> ());
       Unix._exit 0
   | pid ->
@@ -481,8 +455,7 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
     | None -> ()
     | Some fd -> (
         match Wire.read_message ~timeout_s:policy.heartbeat_s fd with
-        | Wire.Result { r_idx; r_status; r_payload; r_cache_hits; r_cache_misses } -> (
-            Telemetry.worker_cache telemetry ~hits:r_cache_hits ~misses:r_cache_misses;
+        | Wire.Result { r_idx; r_status; r_payload } -> (
             match (w.state, r_status, r_payload) with
             | W_busy i, Campaign.Completed, Some ir when i = r_idx -> deliver w i (Ok ir)
             | W_busy i, Campaign.Completed, None when i = r_idx ->

@@ -17,8 +17,6 @@ type t = {
   mutable retries : int;
   mutable quarantined_n : int;
   mutable worker_lost : int;
-  mutable wcache_hits : int;
-  mutable wcache_misses : int;
   mutable recovered : int;
   mutable last_render : float;
   workers : string option array;  (** instance id currently on each slot *)
@@ -42,8 +40,6 @@ let create ?(progress = true) ~total ~j () =
     retries = 0;
     quarantined_n = 0;
     worker_lost = 0;
-    wcache_hits = 0;
-    wcache_misses = 0;
     recovered = 0;
     last_render = 0.;
     workers = Array.make (max 1 j) None;
@@ -72,17 +68,10 @@ let render t =
       Printf.sprintf "  retries %d  quarantined %d  lost %d" t.retries t.quarantined_n
         t.worker_lost
   in
-  let cache_note =
-    let total = t.wcache_hits + t.wcache_misses in
-    if total = 0 then ""
-    else
-      Printf.sprintf "  wcache %d/%d (%.0f%%)" t.wcache_hits total
-        (100. *. float_of_int t.wcache_hits /. float_of_int total)
-  in
   Printf.sprintf
-    "[%d/%d] %.1f inst/s  failed %d  proved %d  killed %d  trials %d  cases %d  resumed %d%s%s%s%s"
+    "[%d/%d] %.1f inst/s  failed %d  proved %d  killed %d  trials %d  cases %d  resumed %d%s%s%s"
     t.completed t.total rate t.failed t.proved t.killed t.trials t.cases_saved t.resumed_n
-    dep_note dist_note cache_note worker_note
+    dep_note dist_note worker_note
 
 let emit ?(force = false) t =
   if t.progress then begin
@@ -128,10 +117,6 @@ let lost_worker t =
   t.worker_lost <- t.worker_lost + 1;
   emit t
 
-let worker_cache t ~hits ~misses =
-  t.wcache_hits <- t.wcache_hits + hits;
-  t.wcache_misses <- t.wcache_misses + misses
-
 let recovered_records t n = t.recovered <- t.recovered + n
 
 let summary t : Journal.footer =
@@ -166,12 +151,6 @@ let snapshot t =
       ("retries", Journal.Json.Num (float_of_int f.Journal.retries));
       ("quarantined", Journal.Json.Num (float_of_int f.Journal.quarantined));
       ("worker_lost", Journal.Json.Num (float_of_int f.Journal.worker_lost));
-      ("worker_cache_hits", Journal.Json.Num (float_of_int t.wcache_hits));
-      ("worker_cache_misses", Journal.Json.Num (float_of_int t.wcache_misses));
-      ( "worker_cache_hit_rate",
-        Journal.Json.Num
-          (let total = t.wcache_hits + t.wcache_misses in
-           if total = 0 then 0. else float_of_int t.wcache_hits /. float_of_int total) );
       ("recovered_records", Journal.Json.Num (float_of_int f.Journal.recovered_records));
       ("wall_s", Journal.Json.Num f.Journal.wall_s);
       ("instances_per_s", Journal.Json.Num f.Journal.instances_per_s);

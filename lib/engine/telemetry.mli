@@ -32,10 +32,6 @@ val quarantine : t -> unit
     requeued, or settled as [Crashed] once it had lost too many. *)
 val lost_worker : t -> unit
 
-(** Fold a worker's per-assignment plan/kernel cache traffic into the
-    campaign totals; the hit rate appears in {!render} and {!snapshot}. *)
-val worker_cache : t -> hits:int -> misses:int -> unit
-
 (** [recovered_records t n]: [n] torn tail records were truncated on resume. *)
 val recovered_records : t -> int -> unit
 

@@ -2,7 +2,7 @@ open Fuzzyflow
 
 (* ---------------- protocol constants ---------------- *)
 
-let protocol_version = 2
+let protocol_version = 3
 let magic = "FFWP"
 
 (* magic(4) + version(2, BE) + payload length(4, BE) + FNV-1a64 checksum(8, BE) *)
@@ -66,8 +66,6 @@ type message =
       r_idx : int;
       r_status : Campaign.exec_status;
       r_payload : Campaign.instance_result option;
-      r_cache_hits : int;
-      r_cache_misses : int;
     }
   | Refused of { r_idx : int; r_detail : string }
   | Shutdown

@@ -11,8 +11,7 @@
 
     Closures never cross this wire: assignments name transformations by
     registry name and carry the program graph as marshalled data; plans and
-    kernels are compiled worker-side into a per-session cache keyed by
-    cutout digest and symbol valuation. *)
+    kernels are compiled worker-side, inside the instance that runs them. *)
 
 val protocol_version : int
 
@@ -78,10 +77,6 @@ type message =
       r_status : Fuzzyflow.Campaign.exec_status;
       r_payload : Fuzzyflow.Campaign.instance_result option;
           (** [Some] iff [r_status] is [Completed] *)
-      r_cache_hits : int;
-      r_cache_misses : int;
-          (** worker-side plan/kernel cache traffic while running this
-              assignment; the dispatcher folds them into telemetry *)
     }
   | Refused of { r_idx : int; r_detail : string }
       (** the worker cannot run this assignment (unknown transformation,

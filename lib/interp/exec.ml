@@ -5,8 +5,9 @@
    interpreter), Plan (compile-once execution plans) and Kernel (batched
    imperative kernels over Bigarray buffers with a batch axis). [run] keeps
    the historical one-shot interface — compile then execute — with the tier
-   made explicit; hot loops should compile once via Plan.Cache or
-   Kernel.Cache and call execute / execute_batch per trial. *)
+   made explicit; hot loops should compile once per valuation with
+   Plan.compile or Kernel.compile and call execute / execute_batch per
+   trial, as Difftest.sweep does. *)
 
 include Defs
 

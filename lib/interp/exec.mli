@@ -19,8 +19,9 @@
 
     [run] is the one-shot interface: it lowers the graph for the selected
     tier and runs it once. Loops that execute the same graph many times (the
-    difftest trial loop, the fuzzer) should instead compile once — a
-    {!Plan.Cache} or {!Kernel.Cache} — and call [execute] /
+    difftest trial loop, the fuzzer) should instead compile once per symbol
+    valuation — {!Plan.compile} or {!Kernel.compile}, as
+    [Fuzzyflow.Difftest.sweep] does — and call [execute] /
     [execute_batch] per trial. *)
 
 type fault = Defs.fault =
@@ -99,8 +100,8 @@ val run_tree :
 (** One-shot batched execution on the kernel tier: compile once, then run
     every element of [inputs] as one lane of a single batched sweep. Result
     [i] is bit-identical to [run ~tier:Kernel] over [inputs.(i)] (a compile
-    failure is replicated to every lane). Trial loops should prefer a
-    {!Kernel.Cache} plus {!Kernel.execute_batch}. *)
+    failure is replicated to every lane). Trial loops should compile once
+    per valuation and call {!Kernel.execute_batch}. *)
 val run_batch :
   ?config:config ->
   Sdfg.Graph.t ->

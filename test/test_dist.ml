@@ -327,6 +327,16 @@ let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
 
 let dist_tests =
   [
+    Alcotest.test_case "a protocol v2 peer gets no handshake reply" `Quick (fun () ->
+        Alcotest.(check int) "this side speaks v3" 3 Engine.Wire.protocol_version;
+        let pid, port = spawn_worker [] in
+        Fun.protect ~finally:(fun () -> stop_server pid) @@ fun () ->
+        let fd = Engine.Wire.connect ~timeout_s:5. ~host:"127.0.0.1" ~port in
+        raw_write fd (Engine.Wire.encode ~proto:2 (Engine.Wire.Hello { proto = 2 }));
+        (match Engine.Wire.read_message ~timeout_s:5. fd with
+        | _ -> Alcotest.fail "a v2 peer got a reply"
+        | exception Engine.Wire.Closed -> ());
+        Unix.close fd);
     Alcotest.test_case "two live workers produce the serial verdicts and deliver results" `Quick
       (fun () ->
         let xforms = [ good (); bad () ] in

@@ -59,4 +59,57 @@ let pipeline_tests =
         Alcotest.(check bool) "buggy rejected" true (log.rejected >= 1));
   ]
 
-let () = Alcotest.run "pipeline" [ ("pipeline", pipeline_tests) ]
+(* The paper's Sec. 6.4 workloads under the shipped transformations, at one
+   trial: instances that raise (unbound symbols without a concretization,
+   scope lookups on rewritten CLOUDSC states) are settled as typed steps. *)
+let shipped ?(static_gate = false) g concretization =
+  let config = { Difftest.default_config with trials = 1; concretization } in
+  Pipeline.optimize ~config ~static_gate g (Transforms.Registry.as_shipped ())
+
+let check_settled (log : Pipeline.log) =
+  let crashed =
+    List.filter_map
+      (fun (s : Pipeline.step) ->
+        match s.decision with Pipeline.Crashed detail -> Some detail | _ -> None)
+      log.steps
+  in
+  Alcotest.(check int) "crashed steps counted" (List.length crashed) log.crashed;
+  List.iter (fun d -> Alcotest.(check bool) "crash detail names it" true (d <> "")) crashed;
+  Alcotest.(check int) "counts cover every step" (List.length log.steps)
+    (log.applied + log.proved + log.rejected + log.stale + log.crashed)
+
+let settle_tests =
+  [
+    Alcotest.test_case "cloudsc without a concretization settles every step" `Quick (fun () ->
+        let _, log = shipped (Workloads.Cloudsc.build ()) [] in
+        check_settled log;
+        Alcotest.(check bool) "unbound symbols crash" true (log.crashed > 0));
+    Alcotest.test_case "cloudsc at its default symbols: consumed sites are stale" `Quick
+      (fun () ->
+        let _, log = shipped (Workloads.Cloudsc.build ()) Workloads.Cloudsc.default_symbols in
+        check_settled log;
+        let stale =
+          List.filter_map
+            (fun (s : Pipeline.step) ->
+              match s.decision with
+              | Pipeline.Stale _ -> Some (s.xform_name, s.site.Transforms.Xform.states)
+              | _ -> None)
+            log.steps
+        in
+        Alcotest.(check (list (pair string (list int))))
+          "the two StateFusion sites an earlier fusion consumed"
+          [ ("StateFusion", [ 8; 9 ]); ("StateFusion", [ 1; 11 ]) ]
+          stale);
+    Alcotest.test_case "bert under the static gate without a concretization" `Quick (fun () ->
+        let _, log = shipped ~static_gate:true (Workloads.Bert.build ()) [] in
+        check_settled log;
+        Alcotest.(check bool) "unbound symbols crash" true (log.crashed > 0));
+    Alcotest.test_case "sddmm settles every step" `Quick (fun () ->
+        let g, _, _ = Workloads.Sddmm.rank_program () in
+        let _, log = shipped g [] in
+        check_settled log;
+        Alcotest.(check bool) "unbound symbols crash" true (log.crashed > 0));
+  ]
+
+let () =
+  Alcotest.run "pipeline" [ ("pipeline", pipeline_tests); ("settle", settle_tests) ]
