@@ -17,6 +17,13 @@
       carrying a batch axis, so one sweep evaluates N input sets
       structure-of-arrays style ({!run_batch}).
 
+    The compiled tiers prove most hangs instead of burning the step limit
+    ({!Hang_proof}): a run whose control cannot depend on data and that
+    enters the same state with the same symbol values twice never ends, so
+    the step counter skips whole periods. The tree-walk never proves, and a
+    reported {!fault.Hang} carries the full run's step count on every tier,
+    whether the hang was proved or burned.
+
     [run] is the one-shot interface: it lowers the graph for the selected
     tier and runs it once. Loops that execute the same graph many times (the
     difftest trial loop, the fuzzer) should instead compile once per symbol
@@ -26,7 +33,9 @@
 
 type fault = Defs.fault =
   | Out_of_bounds of { container : string; index : int array; shape : int array; context : string }
-  | Hang of { steps : int }  (** step limit exceeded *)
+  | Hang of { steps : int }
+      (** step limit exceeded; [steps] is the count at the tick that crossed
+          the limit, the same whether the hang was proved or run out *)
   | Invalid_graph of string  (** the "generates invalid code" failure class *)
   | Runtime_error of string
 

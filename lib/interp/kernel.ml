@@ -24,7 +24,11 @@
    trivially and the width-1 kernel is a line-for-line port of Plan's
    execution order. Divergence is detected conservatively *before* it can
    contaminate an observable result, so the fast path never returns anything
-   the replay path would not.
+   the replay path would not. The one fault that does not replay is a hang:
+   steps are uniform across lanes, and a per-lane fault or divergence raises
+   before any later tick could, so a Hang raised in lockstep settles every
+   lane with that same Hang. Hangs are mostly proved rather than burned, as
+   in Plan (Hang_proof).
 
    test/test_kernel.ml holds the three-tier differential proof obligation. *)
 
@@ -153,6 +157,7 @@ type cenv = {
   dyn_idx : (string, int) Hashtbl.t;
   static : int Symbolic.Expr.Env.t;
   mutable nparams : int;
+  mutable guarded_fault : bool;  (* as Plan's: a faulting reference under a Select branch *)
 }
 
 let scalar_read bid rt l = int_of_float (Bigarray.Array1.get rt.kbufs.(bid).kb_data l)
@@ -972,6 +977,7 @@ type t = {
   k_dyn_init : (int * int) array;
   k_states : kstate array;
   k_start : int;  (* position in k_states, -1 when the graph has no start *)
+  k_provable : bool;  (* Hang_proof's static precondition *)
 }
 
 (* Every rhs is evaluated uniformly (per-lane compare when it can see scalar
@@ -997,11 +1003,15 @@ let run_kedge rt (e : kedge) =
   done;
   e.ke_dst
 
+(* The hang proof runs at each state entry as in Plan.exec_program; dynamic
+   symbols are uniform across lanes, so one check serves the batch. *)
 let exec_kprogram (t : t) rt =
   if t.k_start >= 0 then begin
+    let proof = Hang_proof.create ~provable:t.k_provable rt.cfg ~dvals:rt.dvals ~dset:rt.dset in
     let current = ref t.k_start in
     while !current >= 0 do
       let sp = t.k_states.(!current) in
+      rt.steps <- Hang_proof.enter proof ~pos:!current ~steps:rt.steps;
       tick rt;
       record_all rt sp.ks_cov;
       Array.iter (exec_kop rt) sp.ks_ops;
@@ -1044,7 +1054,7 @@ let kgpu_fault cv sc nid =
    and the result register. Operand order matches the reference closures:
    a binary node's right operand is emitted (hence evaluated) first. *)
 let klower_tcode cv sparams ~nid ~visible ~fresh expr =
-  let rec lo acc e =
+  let rec lo ~guarded acc e =
     match e with
     | Tcode.Fconst f ->
         let r = fresh () in
@@ -1063,6 +1073,7 @@ let klower_tcode cv sparams ~nid ~visible ~fresh expr =
                 in
                 match Hashtbl.find_opt cv.dyn_idx s with
                 | Some i ->
+                    if guarded then cv.guarded_fault <- true;
                     let r = fresh () in
                     (Idyn (r, i, unbound) :: acc, r)
                 | None -> (
@@ -1071,32 +1082,33 @@ let klower_tcode cv sparams ~nid ~visible ~fresh expr =
                         let r = fresh () in
                         (Iconst (r, float_of_int v) :: acc, r)
                     | None ->
+                        if guarded then cv.guarded_fault <- true;
                         let r = fresh () in
                         (Ifail unbound :: acc, r)))))
     | Tcode.Bin (op, a, b) ->
-        let acc, rb = lo acc b in
-        let acc, ra = lo acc a in
+        let acc, rb = lo ~guarded acc b in
+        let acc, ra = lo ~guarded acc a in
         let r = fresh () in
         (Ibin (op, r, ra, rb) :: acc, r)
     | Tcode.Un (op, a) ->
-        let acc, ra = lo acc a in
+        let acc, ra = lo ~guarded acc a in
         let r = fresh () in
         (Iun (op, r, ra) :: acc, r)
     | Tcode.Cmp (op, a, b) ->
-        let acc, rb = lo acc b in
-        let acc, ra = lo acc a in
+        let acc, rb = lo ~guarded acc b in
+        let acc, ra = lo ~guarded acc a in
         let r = fresh () in
         (Icmp (op, r, ra, rb) :: acc, r)
     | Tcode.Select (c, a, b) ->
-        let acc, rc = lo acc c in
+        let acc, rc = lo ~guarded acc c in
         let r = fresh () in
-        let ta, rt_ = lo [] a in
-        let ea, re_ = lo [] b in
+        let ta, rt_ = lo ~guarded:true [] a in
+        let ea, re_ = lo ~guarded:true [] b in
         let s_then = Array.of_list (List.rev (Imov (r, rt_) :: ta)) in
         let s_else = Array.of_list (List.rev (Imov (r, re_) :: ea)) in
         (Isel { s_cond = rc; s_then; s_else } :: acc, r)
   in
-  lo [] expr
+  lo ~guarded:false [] expr
 
 let klower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
   let host_fault = if gpu then kgpu_fault cv sc nid else None in
@@ -1361,7 +1373,9 @@ let compile g ~symbols =
                  { b_name = name; b_desc = desc; b_shape = shape })
                (Graph.containers g))
         in
-        let cv = { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0 } in
+        let cv =
+          { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0; guarded_fault = false }
+        in
         let states = Graph.states g in
         let pos_of = Hashtbl.create 8 in
         List.iteri (fun i (sid, _) -> Hashtbl.replace pos_of sid i) states;
@@ -1402,6 +1416,7 @@ let compile g ~symbols =
             k_dyn_init = dyn_init;
             k_states = state_plans;
             k_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
+            k_provable = Hang_proof.interstate_oblivious g && not cv.guarded_fault;
           }
       with F f -> Error f)
 
@@ -1511,9 +1526,15 @@ let execute_batch ?(config = default_config) t ~inputs =
     in
     match attempt () with
     | res -> res
+    | exception F (Hang h) ->
+        (* steps are uniform across lanes, and a per-lane fault or divergence
+           raises before any later tick could: every lane's width-1 run
+           crosses the limit at this same tick *)
+        Array.make nl (Error (Hang h))
     | exception _ ->
-        (* any fault or lockstep divergence: replay every lane at width 1,
-           where semantics are the serial plan path's by construction *)
+        (* any other fault or lockstep divergence: replay every lane at
+           width 1, where semantics are the serial plan path's by
+           construction *)
         Array.map (fun inp -> run_width1 config t inp) inputs
 
 let execute ?(config = default_config) t ~inputs = run_width1 config t inputs

@@ -16,7 +16,10 @@
     all lanes in lockstep and falls back to per-lane width-1 replay whenever
     any lane faults or lane-dependent data reaches control flow, addressing
     or a counter, so the fast path only ever completes uniform, fault-free
-    batches. test/test_kernel.ml holds the differential obligation. *)
+    batches. A hang is the exception: steps are uniform across lanes, so a
+    hang raised in lockstep settles every lane with it. Like plans, kernels
+    prove most hangs without burning the step limit ({!Hang_proof}).
+    test/test_kernel.ml holds the differential obligation. *)
 
 type t
 

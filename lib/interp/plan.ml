@@ -100,6 +100,9 @@ type cenv = {
   dyn_idx : (string, int) Hashtbl.t;  (* interstate-assigned symbol -> slot *)
   static : int Symbolic.Expr.Env.t;  (* compile-time constant symbols *)
   mutable nparams : int;  (* map-parameter registers allocated so far *)
+  mutable guarded_fault : bool;
+      (* a tasklet reference that can fault sits under a Select branch, so
+         whether it faults may depend on data *)
 }
 
 (* [sparams] is the innermost-first association of enclosing map parameters
@@ -419,6 +422,7 @@ type t = {
   p_dyn_init : (int * int) array;  (* initially bound dynamic symbols *)
   p_states : state_plan array;
   p_start : int;  (* position in p_states, -1 when the graph has no start *)
+  p_provable : bool;  (* Hang_proof's static precondition *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -447,9 +451,11 @@ let gpu_fault cv sc nid =
 (* Tasklet code lowered to closures over a scratch register file. Reference
    resolution is frozen at compile time with the tree-walk's precedence:
    visible connectors (inputs, plus targets of earlier assignments), then
-   enclosing map parameters innermost-first, then symbols. *)
+   enclosing map parameters innermost-first, then symbols. A reference that
+   can fault (a dynamic symbol or an unbound name) under a Select branch is
+   recorded in [cv.guarded_fault]: whether the branch runs depends on data. *)
 let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
-  let rec lo e =
+  let rec lo ~guarded e =
     match e with
     | Tcode.Fconst f -> fun _ -> f
     | Tcode.Ref s -> (
@@ -464,6 +470,7 @@ let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
                 in
                 match Hashtbl.find_opt cv.dyn_idx s with
                 | Some i ->
+                    if guarded then cv.guarded_fault <- true;
                     fun rt ->
                       if rt.dset.(i) then float_of_int rt.dvals.(i) else raise unbound
                 | None -> (
@@ -471,24 +478,26 @@ let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
                     | Some v ->
                         let fv = float_of_int v in
                         fun _ -> fv
-                    | None -> fun _ -> raise unbound))))
+                    | None ->
+                        if guarded then cv.guarded_fault <- true;
+                        fun _ -> raise unbound))))
     | Tcode.Bin (op, a, b) ->
-        let la = lo a and lb = lo b in
+        let la = lo ~guarded a and lb = lo ~guarded b in
         fun rt ->
           let vb = lb rt in
           let va = la rt in
           apply_bin op va vb
     | Tcode.Un (op, a) ->
-        let la = lo a in
+        let la = lo ~guarded a in
         fun rt -> apply_un op (la rt)
     | Tcode.Cmp (op, a, b) ->
-        let la = lo a and lb = lo b in
+        let la = lo ~guarded a and lb = lo ~guarded b in
         fun rt ->
           let vb = lb rt in
           let va = la rt in
           apply_cmp op va vb
     | Tcode.Select (c, a, b) ->
-        let lc = lo c and la = lo a and lb = lo b in
+        let lc = lo ~guarded c and la = lo ~guarded:true a and lb = lo ~guarded:true b in
         fun rt ->
           let taken = lc rt <> 0. in
           let k = !sel in
@@ -503,7 +512,7 @@ let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
           end;
           if taken then la rt else lb rt
   in
-  lo expr
+  lo ~guarded:false expr
 
 let lower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
   let host_fault = if gpu then gpu_fault cv sc nid else None in
@@ -956,11 +965,15 @@ let run_edge rt (e : ledge) =
   done;
   e.le_dst
 
+(* Each state entry first goes through the hang proof (Hang_proof), which
+   may move the step counter forward by whole periods of a proved loop. *)
 let exec_program p rt =
   if p.p_start >= 0 then begin
+    let proof = Hang_proof.create ~provable:p.p_provable rt.cfg ~dvals:rt.dvals ~dset:rt.dset in
     let current = ref p.p_start in
     while !current >= 0 do
       let sp = p.p_states.(!current) in
+      rt.steps <- Hang_proof.enter proof ~pos:!current ~steps:rt.steps;
       tick rt;
       if rt.cfg.collect_coverage then Hashtbl.replace rt.cov sp.sp_cov ();
       Array.iter (exec_op rt) sp.sp_ops;
@@ -1026,7 +1039,9 @@ let compile g ~symbols =
                  { b_name = name; b_desc = desc; b_shape = shape })
                (Graph.containers g))
         in
-        let cv = { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0 } in
+        let cv =
+          { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0; guarded_fault = false }
+        in
         let states = Graph.states g in
         let pos_of = Hashtbl.create 8 in
         List.iteri (fun i (sid, _) -> Hashtbl.replace pos_of sid i) states;
@@ -1067,6 +1082,7 @@ let compile g ~symbols =
             p_dyn_init = dyn_init;
             p_states = state_plans;
             p_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
+            p_provable = Hang_proof.interstate_oblivious g && not cv.guarded_fault;
           }
       with F f -> Error f)
 

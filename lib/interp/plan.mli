@@ -11,7 +11,9 @@
 
     Semantics are bit-identical to the reference tree-walk ({!Tree.run}):
     same final memory, step counts, injection counters, coverage digests and
-    fault messages. test/test_plan.ml holds the differential obligation. *)
+    fault messages. A hanging run is usually proved rather than run to its
+    step limit ({!Hang_proof}), with the same [Hang { steps }] as the full
+    run. test/test_plan.ml holds the differential obligation. *)
 
 type t
 

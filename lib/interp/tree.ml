@@ -2,7 +2,12 @@
    graph structure, re-deriving topological order, scope membership and
    symbolic subsets on every run. Kept as the semantic baseline that the
    compiled Plan path is differentially tested against (and as the slow side
-   of the `bench interp` comparison). *)
+   of the `bench interp` comparison).
+
+   It never proves a hang: a hanging run here burns every step up to the
+   limit. Only tests and `bench interp` run this tier, so it stays the
+   independent full run the compiled tiers' hang proofs (Hang_proof) are
+   checked against, and no switch is needed to turn the proof off. *)
 
 open Sdfg
 open Defs

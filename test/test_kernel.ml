@@ -190,7 +190,114 @@ let batch_tests =
         let symbols = symbols_for g in
         let config = { Interp.Exec.default_config with step_limit = 17 } in
         let lanes = List.init 3 (fun lane -> inputs_for ~lane g ~symbols) in
-        check_lanes ~config "fig4 at limit 17" g ~symbols lanes);
+        check_lanes ~config "fig4 at limit 17" g ~symbols lanes;
+        (* a proved hang, settled in lockstep, with the limit mid-period *)
+        let g = Hang_loops.periodic () in
+        let config = { Interp.Exec.default_config with step_limit = 2_100 } in
+        let lanes = List.init 8 (fun lane -> inputs_for ~lane g ~symbols:[]) in
+        check_lanes ~config "periodic at limit 2100" g ~symbols:[] lanes);
+  ]
+
+(* ---------------- hang proofs ---------------- *)
+
+(* The Hang_loops cases of test_plan, on the kernel tier at widths 1, 3 and
+   8: each lane against the tree-walk on the same inputs, which never proves
+   a hang and so is the independent full run. *)
+
+let limit_config step_limit = { Interp.Exec.default_config with step_limit }
+
+let check_widths ?config name g ~symbols ~lane_inputs =
+  let lanes = Array.init 8 lane_inputs in
+  let reference = Array.map (fun inputs -> exec_tree ?config g ~symbols ~inputs) lanes in
+  List.iter
+    (fun width ->
+      let results =
+        Interp.Exec.run_batch ?config g ~symbols ~inputs:(Array.sub lanes 0 width)
+      in
+      Array.iteri
+        (fun l r -> check_same (Printf.sprintf "%s lane %d/%d" name l width) reference.(l) r)
+        results)
+    [ 1; 3; 8 ]
+
+let hang_tests =
+  let lane_inputs g lane = inputs_for ~lane g ~symbols:[] in
+  [
+    Alcotest.test_case "a proved hang reports the full run's steps at every offset in a period"
+      `Quick (fun () ->
+        let g = Hang_loops.periodic () in
+        let limits = [ 100; 300 ] @ List.init Hang_loops.period (fun r -> 2_000 + r) in
+        List.iter
+          (fun limit ->
+            check_widths ~config:(limit_config limit)
+              (Printf.sprintf "periodic at limit %d" limit)
+              g ~symbols:[] ~lane_inputs:(lane_inputs g))
+          limits);
+    Alcotest.test_case "an unbounded loop is never proved and hangs identically" `Quick (fun () ->
+        let g = Hang_loops.unbounded () in
+        List.iter
+          (fun limit ->
+            check_widths ~config:(limit_config limit)
+              (Printf.sprintf "unbounded at limit %d" limit)
+              g ~symbols:[] ~lane_inputs:(lane_inputs g))
+          [ 300; 5_000; 20_001 ]);
+    Alcotest.test_case "a container-driven exit finishes like the tree-walk" `Quick (fun () ->
+        let g = Hang_loops.counter_exit () in
+        check_widths ~config:cov_config "counter_exit" g ~symbols:[] ~lane_inputs:(fun lane ->
+            [ ("count", [| float_of_int (lane - 3) |]) ]));
+    Alcotest.test_case "injections in a later period of a hang match the tree-walk" `Quick
+      (fun () ->
+        let g = Hang_loops.periodic () in
+        let later = 9 in
+        List.iter
+          (fun inject ->
+            let config =
+              { (limit_config 20_000) with inject = Some inject; collect_coverage = true }
+            in
+            check_widths ~config (Interp.Exec.injection_to_string inject) g ~symbols:[]
+              ~lane_inputs:(lane_inputs g))
+          [
+            Interp.Exec.Burn_steps { after = later * Hang_loops.period };
+            Interp.Exec.Shift_index
+              { nth_subset = (later * Hang_loops.subsets_per_period) + 5; delta = 5 };
+          ]);
+    Alcotest.test_case "a fault under a Select branch keeps the proof off" `Quick (fun () ->
+        List.iter
+          (fun name ->
+            let g = Hang_loops.guarded_fault name in
+            check_widths ~config:(limit_config 20_000) ("guarded " ^ name) g ~symbols:[]
+              ~lane_inputs:(lane_inputs g))
+          [ "ghost"; "j" ]);
+    Alcotest.test_case
+      "a proved hang allocates the same at step limits 10^4 and 10^7, settled in lockstep" `Quick
+      (fun () ->
+        let g = Hang_loops.periodic () in
+        let k =
+          match Interp.Kernel.compile g ~symbols:[] with
+          | Ok k -> k
+          | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
+        in
+        let words ~width limit =
+          let inputs = Array.init width (lane_inputs g) in
+          let before = Gc.minor_words () in
+          Array.iter
+            (function Error (Interp.Exec.Hang _) -> () | _ -> Alcotest.fail "expected a hang")
+            (Interp.Kernel.execute_batch ~config:(limit_config limit) k ~inputs);
+          Gc.minor_words () -. before
+        in
+        List.iter
+          (fun width ->
+            let small = words ~width 10_000 in
+            let large = words ~width 10_000_000 in
+            if large > 2. *. small then
+              Alcotest.failf "width %d: %.0f minor words at limit 10^7 against %.0f at 10^4"
+                width large small)
+          [ 1; 8 ];
+        (* the width-8 hang settles in lockstep: replaying its lanes would
+           cost more than eight width-1 runs *)
+        let one = words ~width:1 10_000 and eight = words ~width:8 10_000 in
+        if eight >= 8. *. one then
+          Alcotest.failf "width 8 allocated %.0f minor words, width 1 %.0f: the batch replayed"
+            eight one);
   ]
 
 (* ---------------- generated programs ---------------- *)
@@ -326,6 +433,7 @@ let () =
     [
       ("workloads", workload_tests);
       ("batch", batch_tests);
+      ("hangs", hang_tests);
       ("generated", generated_tests);
       ("cache", cache_tests);
       ("consumers", consumer_tests);

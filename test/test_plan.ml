@@ -155,6 +155,105 @@ let fault_tests =
         | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f));
   ]
 
+(* ---------------- hang proofs ---------------- *)
+
+(* Loops from Hang_loops, where a plan proves a hang by a repeated state
+   entry and skips whole periods. The tree-walk never proves anything, so it
+   is the independent full run each proved outcome is checked against. *)
+
+let limit_config step_limit = { Interp.Exec.default_config with step_limit }
+
+let expect_hang name = function
+  | Error (Interp.Exec.Hang _) -> ()
+  | Ok _ -> Alcotest.fail (name ^ ": expected a hang")
+  | Error f -> Alcotest.fail (name ^ ": expected a hang, got " ^ Interp.Exec.fault_to_string f)
+
+let hang_tests =
+  [
+    Alcotest.test_case "a proved hang reports the full run's steps at every offset in a period"
+      `Quick (fun () ->
+        let g = Hang_loops.periodic () in
+        (* two limits below the first repeat (step 362), then one per offset
+           within a period, well past it *)
+        let limits = [ 100; 300 ] @ List.init Hang_loops.period (fun r -> 2_000 + r) in
+        List.iter
+          (fun limit ->
+            let config = limit_config limit in
+            let name = Printf.sprintf "periodic at limit %d" limit in
+            expect_hang name (exec_plan ~config g ~symbols:[] ~inputs:[]);
+            differential ~config name g ~symbols:[] ~inputs:[])
+          limits);
+    Alcotest.test_case "an unbounded loop is never proved and hangs identically" `Quick (fun () ->
+        let g = Hang_loops.unbounded () in
+        List.iter
+          (fun limit ->
+            let config = limit_config limit in
+            let name = Printf.sprintf "unbounded at limit %d" limit in
+            expect_hang name (exec_plan ~config g ~symbols:[] ~inputs:[]);
+            differential ~config name g ~symbols:[] ~inputs:[])
+          [ 300; 5_000; 20_001 ]);
+    Alcotest.test_case "a container-driven exit finishes like the tree-walk" `Quick (fun () ->
+        let g = Hang_loops.counter_exit () in
+        List.iter
+          (fun count ->
+            let inputs = [ ("count", [| count |]) ] in
+            let name = Printf.sprintf "counter_exit from %g" count in
+            (match exec_plan g ~symbols:[] ~inputs with
+            | Ok _ -> ()
+            | Error f -> Alcotest.fail (name ^ ": " ^ Interp.Exec.fault_to_string f));
+            differential ~config:cov_config name g ~symbols:[] ~inputs)
+          [ 0.; 2.5; -3. ]);
+    Alcotest.test_case "injections in a later period of a hang match the tree-walk" `Quick
+      (fun () ->
+        let g = Hang_loops.periodic () in
+        let later = 9 in
+        let run inject =
+          let config =
+            { (limit_config 20_000) with inject = Some inject; collect_coverage = true }
+          in
+          differential ~config (Interp.Exec.injection_to_string inject) g ~symbols:[] ~inputs:[];
+          exec_tree ~config g ~symbols:[] ~inputs:[]
+        in
+        (* both really land: the burn shows in the step count, the shift as
+           an out-of-bounds access *)
+        (match run (Interp.Exec.Burn_steps { after = later * Hang_loops.period }) with
+        | Error (Interp.Exec.Hang { steps }) when steps > 20_000 + (later * Hang_loops.period) -> ()
+        | _ -> Alcotest.fail "burn-steps did not burn");
+        match
+          run
+            (Interp.Exec.Shift_index
+               { nth_subset = (later * Hang_loops.subsets_per_period) + 5; delta = 5 })
+        with
+        | Error (Interp.Exec.Out_of_bounds _) -> ()
+        | _ -> Alcotest.fail "shift-index did not land");
+    Alcotest.test_case "a fault under a Select branch keeps the proof off" `Quick (fun () ->
+        List.iter
+          (fun name ->
+            let g = Hang_loops.guarded_fault name in
+            let config = limit_config 20_000 in
+            (match exec_tree ~config g ~symbols:[] ~inputs:[] with
+            | Error (Interp.Exec.Invalid_graph _) -> ()
+            | _ -> Alcotest.fail (name ^ ": expected the guarded reference to fault"));
+            differential ~config ("guarded " ^ name) g ~symbols:[] ~inputs:[])
+          [ "ghost"; "j" ]);
+    Alcotest.test_case "a proved hang allocates the same at step limits 10^4 and 10^7" `Quick
+      (fun () ->
+        let p =
+          match Interp.Plan.compile (Hang_loops.periodic ()) ~symbols:[] with
+          | Ok p -> p
+          | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
+        in
+        let words limit =
+          let before = Gc.minor_words () in
+          expect_hang "periodic" (Interp.Plan.execute ~config:(limit_config limit) p ~inputs:[]);
+          Gc.minor_words () -. before
+        in
+        let small = words 10_000 in
+        let large = words 10_000_000 in
+        if large > 2. *. small then
+          Alcotest.failf "%.0f minor words at limit 10^7 against %.0f at 10^4" large small);
+  ]
+
 let cache_tests =
   [
     Alcotest.test_case "cache hits on repeated (digest, symbols)" `Quick (fun () ->
@@ -233,6 +332,7 @@ let () =
       ("workloads", workload_tests);
       ("injection", injection_tests);
       ("faults", fault_tests);
+      ("hangs", hang_tests);
       ("cache", cache_tests);
       ("consumers", consumer_tests);
     ]
