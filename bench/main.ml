@@ -1109,17 +1109,13 @@ let faultlab () =
 
 (* Trial throughput at fuzzer-typical repetition counts: the tree-walk
    re-derives all structure per run, the plan path compiles once and
-   executes many times, and the kernel tier batches N trials per sweep
-   (structure-of-arrays). Compile cost is measured and reported separately
+   executes many times. Compile cost is measured and reported separately
    so the JSON shows both the amortized and the cold story.
 
-     BENCH_INTERP_TRIALS             trials per workload (default 1000)
-     BENCH_INTERP_MIN_SPEEDUP        exit non-zero below this (default 1.0)
-     BENCH_INTERP_BATCH_MIN_SPEEDUP  batch-64 kernel-vs-plan floor; at least
-                                     half the workloads must clear it
-                                     (default 2.0) *)
+     BENCH_INTERP_TRIALS       trials per workload (default 1000)
+     BENCH_INTERP_MIN_SPEEDUP  exit non-zero below this (default 1.0) *)
 let interp () =
-  header "Interpreter throughput: batched kernels vs execution plans vs tree-walk";
+  header "Interpreter throughput: execution plans vs tree-walk";
   let trials =
     match Sys.getenv_opt "BENCH_INTERP_TRIALS" with
     | Some s -> (try max 1 (int_of_string s) with _ -> 1000)
@@ -1130,12 +1126,6 @@ let interp () =
     | Some s -> (try float_of_string s with _ -> 1.0)
     | None -> 1.0
   in
-  let min_batch_speedup =
-    match Sys.getenv_opt "BENCH_INTERP_BATCH_MIN_SPEEDUP" with
-    | Some s -> (try float_of_string s with _ -> 2.0)
-    | None -> 2.0
-  in
-  let batch_widths = [ 1; 8; 64 ] in
   let workloads =
     [
       ("scale", Workloads.Npbench.scale ());
@@ -1147,12 +1137,10 @@ let interp () =
     ]
   in
   Printf.printf "trials per workload: %d\n" trials;
-  Printf.printf "%-10s %10s %12s %12s %9s  %s\n" "workload" "compile" "tree-walk" "plan" "speedup"
-    "kernel b1/b8/b64 (vs plan)";
+  Printf.printf "%-10s %10s %12s %12s %9s\n" "workload" "compile" "tree-walk" "plan" "speedup";
   let worst = ref infinity in
-  let batch64_cleared = ref 0 in
   let rows =
-    List.concat_map
+    List.map
       (fun (name, g) ->
         let symbols =
           List.map (fun s -> (s, if s = "T" then 3 else 16)) (Sdfg.Graph.all_free_syms g)
@@ -1161,7 +1149,6 @@ let interp () =
         (* parity gate: a fast wrong answer is worthless *)
         let o_tree = Interp.Exec.run_tree g ~symbols ~inputs in
         let o_plan = Interp.Exec.run g ~symbols ~inputs in
-        let o_kernel = Interp.Exec.run ~tier:Interp.Exec.Kernel g ~symbols ~inputs in
         let same a b =
           a.Interp.Exec.steps = b.Interp.Exec.steps
           && Hashtbl.fold
@@ -1170,8 +1157,8 @@ let interp () =
                  && buf.data = (Interp.Value.buffer b.Interp.Exec.memory n).Interp.Value.data)
                a.Interp.Exec.memory true
         in
-        (match (o_tree, o_plan, o_kernel) with
-        | Ok a, Ok b, Ok k when same a b && same a k -> ()
+        (match (o_tree, o_plan) with
+        | Ok a, Ok b when same a b -> ()
         | _ ->
             Printf.eprintf "interp bench: tier divergence on %s\n" name;
             exit 1);
@@ -1179,12 +1166,6 @@ let interp () =
           time (fun () ->
               match Interp.Plan.compile g ~symbols with
               | Ok p -> p
-              | Error f -> (Printf.eprintf "%s: %s\n" name (Interp.Exec.fault_to_string f); exit 1))
-        in
-        let kernel, t_kcompile =
-          time (fun () ->
-              match Interp.Kernel.compile g ~symbols with
-              | Ok k -> k
               | Error f -> (Printf.eprintf "%s: %s\n" name (Interp.Exec.fault_to_string f); exit 1))
         in
         let _, t_tree =
@@ -1203,46 +1184,11 @@ let interp () =
         let tps_plan = float_of_int trials /. t_plan in
         let speedup = t_tree /. t_plan in
         if speedup < !worst then worst := speedup;
-        (* batched kernel sweeps: each lane gets distinct values so the
-           measurement prices real fuzzer batches, not a degenerate
-           all-identical one *)
-        let batch_rows =
-          List.map
-            (fun width ->
-              let lanes =
-                Array.init width (fun l ->
-                    List.map
-                      (fun (c, a) ->
-                        (c, Array.map (fun v -> v +. (0.001 *. float_of_int l)) a))
-                      inputs)
-              in
-              let sweeps = (trials + width - 1) / width in
-              let _, t_kernel =
-                time (fun () ->
-                    for _ = 1 to sweeps do
-                      ignore (Interp.Kernel.execute_batch kernel ~inputs:lanes)
-                    done)
-              in
-              let tps_kernel = float_of_int (sweeps * width) /. t_kernel in
-              let vs_plan = tps_kernel /. tps_plan in
-              if width = 64 && vs_plan >= min_batch_speedup then incr batch64_cleared;
-              ( width,
-                vs_plan,
-                Printf.sprintf
-                  "{\"bench\":\"interp_batch\",\"workload\":\"%s\",\"batch\":%d,\"kernel_compile_ms\":%.3f,\"kernel_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"speedup_vs_plan\":%.3f}"
-                  name width (1000. *. t_kcompile) tps_kernel tps_plan vs_plan ))
-            batch_widths
-        in
-        let batch_note =
-          String.concat "/"
-            (List.map (fun (_, vs, _) -> Printf.sprintf "%.2fx" vs) batch_rows)
-        in
-        Printf.printf "%-10s %8.2fms %9.0f/s %9.0f/s %8.2fx  %s\n" name (1000. *. t_compile)
-          tps_tree tps_plan speedup batch_note;
+        Printf.printf "%-10s %8.2fms %9.0f/s %9.0f/s %8.2fx\n" name (1000. *. t_compile)
+          tps_tree tps_plan speedup;
         Printf.sprintf
           "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"compile_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f}"
-          name trials (1000. *. t_compile) tps_tree tps_plan t_tree t_plan speedup
-        :: List.map (fun (_, _, row) -> row) batch_rows)
+          name trials (1000. *. t_compile) tps_tree tps_plan t_tree t_plan speedup)
       workloads
   in
   let oc = open_out "BENCH_interp.json" in
@@ -1252,13 +1198,6 @@ let interp () =
   Printf.printf "wrote BENCH_interp.json (%d rows)\n" (List.length rows);
   if !worst < min_speedup then begin
     Printf.eprintf "interp bench: worst speedup %.2fx below required %.2fx\n" !worst min_speedup;
-    exit 1
-  end;
-  let n_workloads = List.length workloads in
-  if 2 * !batch64_cleared < n_workloads then begin
-    Printf.eprintf
-      "interp bench: only %d/%d workloads reached %.2fx kernel-vs-plan at batch 64\n"
-      !batch64_cleared n_workloads min_batch_speedup;
     exit 1
   end
 

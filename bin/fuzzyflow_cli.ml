@@ -96,25 +96,6 @@ let save_arg =
     & opt (some string) None
     & info [ "save" ] ~docv:"DIR" ~doc:"Save failing test cases under $(docv).")
 
-let batch_arg =
-  Arg.(
-    value & opt string "1"
-    & info [ "batch" ] ~docv:"WIDTH"
-        ~doc:
-          "Trial batch width for the kernel interpreter tier: a positive integer, or \
-           $(b,auto) to derive one from the trial budget. Width 1 keeps the serial plan \
-           path; verdicts and journals are byte-identical at every width.")
-
-let resolve_batch ~trials s =
-  match String.lowercase_ascii s with
-  | "auto" -> Engine.Worker.auto_batch ~trials
-  | s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> n
-      | _ ->
-          prerr_endline ("invalid --batch (expected a positive integer or \"auto\"): " ^ s);
-          exit 2)
-
 let mk_config trials seed max_size no_min_cut defines =
   {
     Fuzzyflow.Difftest.default_config with
@@ -372,10 +353,9 @@ let campaign_cmd =
              alone.")
   in
   let run ws correct certify static trials seed max_size no_min_cut defines j deadline journal
-      resume corpus progress limit_per generated styles worker_eps batch =
+      resume corpus progress limit_per generated styles worker_eps =
     let defines = if defines = [] then [ ("N", 8); ("T", 3) ] else defines in
     let config = mk_config trials seed max_size no_min_cut defines in
-    let config = { config with Fuzzyflow.Difftest.batch = resolve_batch ~trials batch } in
     let gen_programs =
       match generated with
       | None -> []
@@ -441,7 +421,7 @@ let campaign_cmd =
       const run $ workloads_arg $ correct_arg $ certify_arg $ static_arg $ trials_arg $ seed_arg
       $ max_size_arg $ no_min_cut_arg $ defines_arg $ j_arg $ deadline_arg $ journal_arg
       $ resume_arg $ corpus_arg
-      $ progress_arg $ limit_per_arg $ generated_arg $ style_arg $ worker_eps_arg $ batch_arg)
+      $ progress_arg $ limit_per_arg $ generated_arg $ style_arg $ worker_eps_arg)
 
 let corpus_dir_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Corpus directory.")
@@ -1116,7 +1096,7 @@ let submit_cmd =
     Arg.(value & flag & info [ "shutdown" ] ~doc:"Ask the service to exit instead of submitting.")
   in
   let run host port ws correct certify static trials seed max_size defines limit_per quiet
-      shutdown batch =
+      shutdown =
     if shutdown then begin
       if Engine.Service.shutdown ~host ~port then print_endline "service: shutdown acknowledged"
       else begin
@@ -1138,7 +1118,6 @@ let submit_cmd =
           s_limit_per = limit_per;
           s_static_gate = static;
           s_certify_gate = certify;
-          s_batch = resolve_batch ~trials batch;
         }
       in
       let on_line l = if not quiet then print_endline l in
@@ -1159,7 +1138,7 @@ let submit_cmd =
       const run $ host_arg
       $ port_arg ~default:7400 [ "port" ] "Service control port."
       $ workloads_arg $ correct_arg $ certify_arg $ static_arg $ trials_arg $ seed_arg
-      $ max_size_arg $ defines_arg $ limit_per_arg $ quiet_arg $ shutdown_arg $ batch_arg)
+      $ max_size_arg $ defines_arg $ limit_per_arg $ quiet_arg $ shutdown_arg)
 
 let dot_cmd =
   let run w =

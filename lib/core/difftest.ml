@@ -157,86 +157,40 @@ let compare_outcomes ~threshold ~system_state orig xformed =
                    }))
         system_state
 
-(* One program's compiled forms, owned by the sweep that creates them: each
+(* One program's execution plans, owned by the sweep that creates them: each
    sorted symbol valuation is compiled at most once, and the table is emptied
    wholesale at 64 live entries. *)
-let compile_table compile prog =
+let compile_table prog =
   let tbl = Hashtbl.create 16 in
   fun symbols ->
     let key = List.sort compare symbols in
     match Hashtbl.find_opt tbl key with
     | Some r -> r
     | None ->
-        let r = compile prog ~symbols in
+        let r = Interp.Plan.compile prog ~symbols in
         if Hashtbl.length tbl >= 64 then Hashtbl.reset tbl;
         Hashtbl.add tbl key r;
         r
 
-(* Partial application creates one plan table and one kernel table per side,
-   which live as long as the instance's trial loop. Injection, coverage
-   collection and step limits are execution-time configuration, so
-   differently configured runs share one compilation.
-
-   At width 1 every entry runs on execution plans, original then transformed,
-   in entry order. Wider sweeps run on the kernel tier: entries are grouped
-   by sorted valuation in first-seen order (kernels compile per valuation)
-   and each group is one [execute_batch] call per side, however many entries
-   it holds. Each lane's outcome is bit-identical to its plan run, so results
-   do not depend on the width or on which entries share a group. *)
+(* Partial application creates one plan table per side, which lives as long
+   as the instance's trial loop. Injection, coverage collection and step
+   limits are execution-time configuration, so differently configured runs
+   share one compilation. Each trial runs the original program, then the
+   transformed one. *)
 let sweep ~original ~transformed ~config ~config_x =
-  let plan_o = compile_table Interp.Plan.compile original
-  and plan_x = compile_table Interp.Plan.compile transformed
-  and kernel_o = compile_table Interp.Kernel.compile original
-  and kernel_x = compile_table Interp.Kernel.compile transformed in
-  fun ~width entries ->
-    if width <= 1 then
-      Array.map
-        (fun (symbols, inputs) ->
-          let run ~config plan =
-            match plan symbols with
-            | Error f -> Error f
-            | Ok p -> Interp.Plan.execute ~config p ~inputs
-          in
-          let o = run ~config plan_o in
-          (o, run ~config:config_x plan_x))
-        entries
-    else begin
-      let groups : ((string * int) list, int list ref) Hashtbl.t = Hashtbl.create 8 in
-      let order = ref [] in
-      Array.iteri
-        (fun i (symbols, _) ->
-          let key = List.sort compare symbols in
-          match Hashtbl.find_opt groups key with
-          | Some l -> l := i :: !l
-          | None ->
-              Hashtbl.add groups key (ref [ i ]);
-              order := key :: !order)
-        entries;
-      let not_run = Error (Interp.Exec.Invalid_graph "lane not executed") in
-      let outs = Array.make (Array.length entries) (not_run, not_run) in
-      List.iter
-        (fun key ->
-          let lanes = Array.of_list (List.rev !(Hashtbl.find groups key)) in
-          let symbols = fst entries.(lanes.(0)) in
-          let inputs = Array.map (fun i -> snd entries.(i)) lanes in
-          let run ~config kernel =
-            match kernel symbols with
-            | Error f -> Array.map (fun _ -> Error f) lanes
-            | Ok k -> Interp.Kernel.execute_batch ~config k ~inputs
-          in
-          let o = run ~config kernel_o in
-          let x = run ~config:config_x kernel_x in
-          Array.iteri (fun j i -> outs.(i) <- (o.(j), x.(j))) lanes)
-        (List.rev !order);
-      outs
-    end
+  let plan_o = compile_table original and plan_x = compile_table transformed in
+  fun (symbols, inputs) ->
+    let run ~config plan =
+      match plan symbols with
+      | Error f -> Error f
+      | Ok p -> Interp.Plan.execute ~config p ~inputs
+    in
+    let o = run ~config plan_o in
+    (o, run ~config:config_x plan_x)
 
-(* The trial loop shared by cutout-level and whole-program testing: windows
-   of [max 1 config.batch] consecutive trials are drawn in RNG order, swept,
-   compared, and folded in trial order into the failure count and the first
-   failing trial. Sweep results are width-oblivious, so the verdict — class,
-   first failing trial, failing count, fault-inducing symbols — is the same
-   at every width, and at most one window of inputs and outcomes is alive. *)
+(* The trial loop shared by cutout-level and whole-program testing: each
+   trial is drawn in RNG order, swept, compared, and folded into the failure
+   count and the first failing trial. *)
 let run_trials ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transformed_prog =
   let icfg =
     { Interp.Exec.default_config with step_limit = config.step_limit; collect_coverage = false }
@@ -247,24 +201,17 @@ let run_trials ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transforme
     sweep ~original:original_prog ~transformed:transformed_prog ~config:icfg
       ~config_x:{ icfg with Interp.Exec.inject = config.inject_transformed }
   in
-  let width = max 1 config.batch in
   let rng = Sampler.create config.seed in
   let failures = ref 0 in
   let first = ref None in
-  let trial = ref 0 in
-  while !trial < config.trials do
-    let entries =
-      Array.init (min width (config.trials - !trial)) (fun _ -> Sampler.trial rng constraints cut)
-    in
-    Array.iteri
-      (fun i (o1, o2) ->
-        match compare_outcomes ~threshold:config.threshold ~system_state:cut.system_state o1 o2 with
-        | None -> ()
-        | Some kind ->
-            incr failures;
-            if !first = None then first := Some (!trial + i + 1, kind, fst entries.(i)))
-      (sweep ~width entries);
-    trial := !trial + Array.length entries
+  for trial = 1 to config.trials do
+    let ((symbols, _) as entry) = Sampler.trial rng constraints cut in
+    let o1, o2 = sweep entry in
+    match compare_outcomes ~threshold:config.threshold ~system_state:cut.system_state o1 o2 with
+    | None -> ()
+    | Some kind ->
+        incr failures;
+        if !first = None then first := Some (trial, kind, symbols)
   done;
   match !first with
   | None -> Pass

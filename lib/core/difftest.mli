@@ -58,11 +58,9 @@ type config = {
           only, so the self-validation campaign can attribute any divergence
           to the seeded fault *)
   batch : int;
-      (** trial-loop batch width: trials are drawn in windows of
-          [max 1 batch] consecutive trials, and each window is one {!sweep}
-          at that width — execution plans at 1 (the default), the batched
-          kernel tier ({!Interp.Kernel}) above it. Verdicts are
-          byte-identical at every width. *)
+      (** inert: nothing in the library reads it. Kept only because the
+          benchmark's workloads and re-drive (bench/campaign) set it; it
+          leaves with them. *)
 }
 
 val default_config : config
@@ -83,31 +81,25 @@ val pp_report : Format.formatter -> report -> unit
 (** One run of a program: its final state, or the fault it stopped at. *)
 type run = (Interp.Exec.outcome, Interp.Exec.fault) result
 
-(** [sweep ~original ~transformed ~config ~config_x] creates the compiled
-    programs' tables for one instance: one plan table and one kernel table
-    per side, keyed by sorted symbol valuation. Apply the result to each
-    batch of trials ([~width entries]) to run every entry's
-    [(symbols, inputs)] on the original program under [config] and on the
-    transformed one under [config_x]; each program is compiled at most once
-    per valuation for as long as the partial application lives. It returns
-    each entry's outcome pair, in entry order. At [width <= 1] entries run
-    one by one on execution plans; above it, entries that share a symbol
-    valuation run as one batched kernel sweep per side. The pairs are the
-    same at every width. *)
+(** [sweep ~original ~transformed ~config ~config_x] creates the execution
+    plans' tables for one instance: one per side, keyed by sorted symbol
+    valuation. Apply the result to each trial's [(symbols, inputs)] to run
+    it on the original program under [config], then on the transformed one
+    under [config_x], and get both outcomes; each program is compiled at
+    most once per valuation for as long as the partial application lives. *)
 val sweep :
   original:Sdfg.Graph.t ->
   transformed:Sdfg.Graph.t ->
   config:Interp.Exec.config ->
   config_x:Interp.Exec.config ->
-  width:int ->
-  ((string * int) list * (string * float array) list) array ->
-  (run * run) array
+  (string * int) list * (string * float array) list ->
+  run * run
 
 (** Test one transformation instance through the full FuzzyFlow pipeline:
     apply-to-copy for the change set, cutout extraction, optional input
-    minimization, constraint derivation, differential fuzzing. Trials run in
-    windows of [config.batch] through one {!sweep}, so compiled programs
-    live exactly as long as the instance's trial loop. *)
+    minimization, constraint derivation, differential fuzzing. Trials run
+    one at a time through one {!sweep}, so compiled programs live exactly
+    as long as the instance's trial loop. *)
 val test_instance :
   ?config:config ->
   Sdfg.Graph.t ->

@@ -11,7 +11,6 @@ type config = {
   threshold : float;
   step_limit : int;
   corpus_init : int;
-  batch : int;
 }
 
 let default_config =
@@ -21,7 +20,6 @@ let default_config =
     threshold = 1e-5;
     step_limit = 5_000_000;
     corpus_init = 4;
-    batch = 1;
   }
 
 type result = {
@@ -58,8 +56,9 @@ let run ?(config = default_config) mode ~original ~(cutout : Cutout.t) ~transfor
   let trials = ref 0 in
   let crashes = ref 0 in
   let outcome = ref None in
-  (* examine one trial's outcome pair; true when it reached new coverage *)
-  let examine (symbols, _) (o1, o2) =
+  (* run and examine one trial; true when it reached new coverage *)
+  let one ((symbols, _) as entry) =
+    let o1, o2 = sweep entry in
     incr trials;
     let grew =
       match o1 with
@@ -84,21 +83,11 @@ let run ?(config = default_config) mode ~original ~(cutout : Cutout.t) ~transfor
   let searching () = !outcome = None && !trials < config.max_trials in
   (match mode with
   | Uniform | Graybox ->
-      (* windows of presampled trials, examined in order up to the first
-         failure; draws past it are discarded, as a one-by-one loop never
-         makes them *)
-      let width = max 1 config.batch in
       while searching () do
-        let entries =
-          Array.init (min width (config.max_trials - !trials)) (fun _ ->
-              Sampler.trial rng constraints cutout)
-        in
-        let outs = sweep ~width entries in
-        Array.iteri (fun i entry -> if !outcome = None then ignore (examine entry outs.(i))) entries
+        ignore (one (Sampler.trial rng constraints cutout))
       done
   | Coverage ->
-      (* the corpus evolves trial by trial, so each trial is its own sweep *)
-      let one entry = examine entry (sweep ~width:1 [| entry |]).(0) in
+      (* the corpus evolves trial by trial *)
       let corpus = ref [] in
       let i = ref 0 in
       while searching () && !i < config.corpus_init do

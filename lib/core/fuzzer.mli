@@ -17,12 +17,6 @@ type config = {
   threshold : float;
   step_limit : int;
   corpus_init : int;  (** initial corpus size for [Coverage] *)
-  batch : int;
-      (** trial batch width for [Uniform] / [Graybox]: trials are drawn in
-          windows of [max 1 batch] and each window is one {!Difftest.sweep}
-          at that width, with results byte-identical at every width.
-          [Coverage] evolves its corpus trial by trial and always sweeps one
-          trial at width 1. *)
 }
 
 val default_config : config
@@ -41,8 +35,8 @@ type result = {
 (** [run mode ~original ~cutout ~transformed] fuzzes until divergence or the
     trial budget is exhausted. [original] is the full program (used for
     constraint derivation); [transformed] is T(cutout.program). Trials run
-    through one {!Difftest.sweep}, so both programs are compiled at most
-    once per symbol valuation during the call. *)
+    one at a time through one {!Difftest.sweep}, so both programs are
+    compiled at most once per symbol valuation during the call. *)
 val run :
   ?config:config ->
   mode ->

@@ -127,7 +127,6 @@ let run_submission ~config ~resolve ~catalog_of ~st ~http client (sub : Wire.sub
         seed = sub.Wire.s_seed;
         max_size = sub.Wire.s_max_size;
         concretization = sub.Wire.s_defines;
-        batch = max 1 sub.Wire.s_batch;
       }
     in
     let journal_path =

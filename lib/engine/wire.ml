@@ -2,7 +2,7 @@ open Fuzzyflow
 
 (* ---------------- protocol constants ---------------- *)
 
-let protocol_version = 3
+let protocol_version = 4
 let magic = "FFWP"
 
 (* magic(4) + version(2, BE) + payload length(4, BE) + FNV-1a64 checksum(8, BE) *)
@@ -53,7 +53,6 @@ type submission = {
   s_limit_per : int option;
   s_static_gate : bool;
   s_certify_gate : bool;
-  s_batch : int;
 }
 
 type message =

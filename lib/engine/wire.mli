@@ -10,8 +10,8 @@
     decoded.
 
     Closures never cross this wire: assignments name transformations by
-    registry name and carry the program graph as marshalled data; plans and
-    kernels are compiled worker-side, inside the instance that runs them. *)
+    registry name and carry the program graph as marshalled data; plans are
+    compiled worker-side, inside the instance that runs them. *)
 
 val protocol_version : int
 
@@ -63,7 +63,6 @@ type submission = {
   s_limit_per : int option;
   s_static_gate : bool;
   s_certify_gate : bool;
-  s_batch : int;  (** trial-loop batch width (1 = serial plan path) *)
 }
 
 type message =

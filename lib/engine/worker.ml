@@ -157,9 +157,8 @@ let supervise ~deadline_s f = (map_pool ~j:1 ~deadline_s [| f |]).(0)
 
 (* ---------------- the campaign driver ---------------- *)
 
-(* How the trial loop's batch width is chosen. [Auto] derives it from the
-   per-instance trial budget: wide enough to amortize instruction dispatch,
-   capped so one sweep's buffers stay cache-resident. *)
+(* Inert since trials run one at a time; kept only because the benchmark's
+   workloads and re-drive (bench/campaign) name them. *)
 type batching = Inherit | Fixed of int | Auto
 
 let auto_batch ~trials = min 64 (max 1 trials)
@@ -220,15 +219,6 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   reject_duplicates "program" (List.map fst programs);
   reject_duplicates "transformation" (List.map (fun (x : Transforms.Xform.t) -> x.name) xforms);
   let catalog = match catalog with Some c -> c | None -> xforms in
-  (* resolve the batch width once: it flows into every assignment through
-     the one config value, and verdicts are width-oblivious, so this cannot
-     perturb journals *)
-  let config =
-    match options.batching with
-    | Inherit -> config
-    | Fixed b -> { config with Difftest.batch = max 1 b }
-    | Auto -> { config with Difftest.batch = auto_batch ~trials:config.Difftest.trials }
-  in
   let items =
     Array.of_list (Queue.build ~limit_per:options.limit_per ~seed:config.Difftest.seed programs xforms)
   in

@@ -42,15 +42,13 @@ val map_pool :
   (unit -> 'a) array ->
   ('a, failure) result array
 
-(** How the difftest trial loop's batch width is chosen for the campaign. *)
-type batching =
-  | Inherit  (** keep [config.batch] as passed (default 1: serial plan path) *)
-  | Fixed of int  (** force this width (clamped to at least 1) *)
-  | Auto  (** derive from the per-instance trial budget ({!auto_batch}) *)
+(** Inert: trials run one at a time, and {!run_campaign} ignores
+    [options.batching]. Kept only because the benchmark's workloads and
+    re-drive (bench/campaign) name it; it leaves with them. *)
+type batching = Inherit | Fixed of int | Auto
 
-(** The [Auto] policy: wide enough to amortize instruction dispatch over the
-    instance's trial budget, capped at 64 so one sweep's buffers stay
-    cache-resident. *)
+(** [min 64 (max 1 trials)]. Kept only for the benchmark's re-drive, like
+    {!batching}. *)
 val auto_batch : trials:int -> int
 
 type options = {
@@ -76,10 +74,7 @@ type options = {
   on_telemetry : (Telemetry.t -> unit) option;
       (** receives the live telemetry handle once, before execution starts
           (the service's HTTP endpoint reads it) *)
-  batching : batching;
-      (** batch-width policy for the trial loop; the resolved width travels
-          inside the per-instance config to every worker, and journals stay
-          byte-identical at every width *)
+  batching : batching;  (** inert, see {!batching} *)
 }
 
 val default_options : options

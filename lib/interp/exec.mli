@@ -7,29 +7,25 @@
     step-limit "hangs" and invalid-graph conditions — that differential
     testing classifies (Sec. 5).
 
-    Execution has three tiers, all with bit-identical observable semantics:
+    Execution has two tiers with bit-identical observable semantics:
 
-    - {!tier.Tree} — the reference tree-walk ({!Tree}), re-deriving all
+    - {!run_tree} — the reference tree-walk ({!Tree}), re-deriving all
       structure per run; the differential baseline.
-    - {!tier.Plan} — compile-once closure plans ({!Plan}); the default.
-    - {!tier.Kernel} — batched imperative kernels ({!Kernel}): plans lowered
-      one level further to a flat instruction array over [Bigarray] buffers
-      carrying a batch axis, so one sweep evaluates N input sets
-      structure-of-arrays style ({!run_batch}).
+    - {!run} — compile-once closure plans ({!Plan}); the one compiled tier,
+      which every trial loop runs on.
 
-    The compiled tiers prove most hangs instead of burning the step limit
+    Plans prove most hangs instead of burning the step limit
     ({!Hang_proof}): a run whose control cannot depend on data and that
     enters the same state with the same symbol values twice never ends, so
     the step counter skips whole periods. The tree-walk never proves, and a
-    reported {!fault.Hang} carries the full run's step count on every tier,
+    reported {!fault.Hang} carries the full run's step count on both tiers,
     whether the hang was proved or burned.
 
-    [run] is the one-shot interface: it lowers the graph for the selected
-    tier and runs it once. Loops that execute the same graph many times (the
-    difftest trial loop, the fuzzer) should instead compile once per symbol
-    valuation — {!Plan.compile} or {!Kernel.compile}, as
-    [Fuzzyflow.Difftest.sweep] does — and call [execute] /
-    [execute_batch] per trial. *)
+    [run] is the one-shot interface: it compiles a plan and runs it once.
+    Loops that execute the same graph many times (the difftest trial loop,
+    the fuzzer) should instead compile once per symbol valuation —
+    {!Plan.compile}, as [Fuzzyflow.Difftest.sweep] does — and call
+    {!Plan.execute} per trial. *)
 
 type fault = Defs.fault =
   | Out_of_bounds of { container : string; index : int array; shape : int array; context : string }
@@ -80,17 +76,13 @@ type outcome = Defs.outcome = {
   subsets : int;  (** dimensioned memlet subsets concretized (injection sites) *)
 }
 
-(** Which execution machinery runs the graph. All three produce bit-identical
-    outcomes; they differ only in throughput. *)
-type tier = Tree | Plan | Kernel
-
-(** [run g ~symbols ~inputs] validates and executes [g] on [tier] (default
-    [Plan]). All free symbols must be bound in [symbols]. [inputs]
-    initializes non-transient containers; missing ones are zero-filled, and
-    each provided array must match the concretized element count. *)
+(** [run g ~symbols ~inputs] validates [g], compiles a plan for the
+    valuation and executes it. All free symbols must be bound in [symbols].
+    [inputs] initializes non-transient containers; missing ones are
+    zero-filled, and each provided array must match the concretized element
+    count. *)
 val run :
   ?config:config ->
-  ?tier:tier ->
   Sdfg.Graph.t ->
   symbols:(string * int) list ->
   inputs:(string * float array) list ->
@@ -105,15 +97,3 @@ val run_tree :
   symbols:(string * int) list ->
   inputs:(string * float array) list ->
   (outcome, fault) result
-
-(** One-shot batched execution on the kernel tier: compile once, then run
-    every element of [inputs] as one lane of a single batched sweep. Result
-    [i] is bit-identical to [run ~tier:Kernel] over [inputs.(i)] (a compile
-    failure is replicated to every lane). Trial loops should compile once
-    per valuation and call {!Kernel.execute_batch}. *)
-val run_batch :
-  ?config:config ->
-  Sdfg.Graph.t ->
-  symbols:(string * int) list ->
-  inputs:(string * float array) list array ->
-  (outcome, fault) result array

@@ -1,4 +1,4 @@
-(* Exact hang proofs for the compiled tiers: a static precondition per
+(* Exact hang proofs for execution plans: a static precondition per
    compiled program and one snapshot compare per state entry. The argument
    that a proved hang reports the full run's step count is in
    hang_proof.mli. *)

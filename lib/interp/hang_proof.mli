@@ -1,4 +1,4 @@
-(** Exact hang proofs for the compiled tiers ({!Plan}, {!Kernel}).
+(** Exact hang proofs for execution plans ({!Plan}).
 
     A hybrid check, as in Futhark's hybrid bounds checking: a static
     precondition computed once per compiled program, plus a cheap dynamic
@@ -7,7 +7,7 @@
     - Static: nothing a run decides depends on container data. No free
       symbol of an interstate condition or assignment names a container
       ({!interstate_oblivious}), and no tasklet reference that can fault
-      sits under a [Select] branch (each tier's lowering records that).
+      sits under a [Select] branch (the plan lowering records that).
       Memlet subsets and map ranges never read containers, and tick costs
       depend only on shapes and symbols.
     - Run time: no injection is configured. Every injection kind counts

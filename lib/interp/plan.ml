@@ -980,9 +980,11 @@ let exec_program p rt =
       let rec find i =
         if i >= Array.length sp.sp_edges then -1
         else if
-          try sp.sp_edges.(i).le_cond rt
-          with Symbolic.Expr.Unbound_symbol s ->
-            raise (F (Runtime_error ("unbound symbol " ^ s ^ " in interstate condition")))
+          try sp.sp_edges.(i).le_cond rt with
+          | Symbolic.Expr.Unbound_symbol s ->
+              raise (F (Runtime_error ("unbound symbol " ^ s ^ " in interstate condition")))
+          | Symbolic.Expr.Division_by_zero ->
+              raise (F (Runtime_error "division by zero in interstate condition"))
         then i
         else find (i + 1)
       in

@@ -1,4 +1,5 @@
-(** Compile-once execution plans.
+(** Compile-once execution plans: the one compiled tier. Every difftest
+    and fuzzer trial runs on a plan.
 
     [compile] lowers a graph plus a symbol valuation into a flat immutable
     plan: topological order and scope nesting resolved once, tasklet code
@@ -26,7 +27,9 @@ val execute :
 (** Memoizes compiled plans by (graph digest, sorted symbol valuation)
     in a {!Sdfg.Memo}: bounded, dropped wholesale when [capacity] (default
     64) distinct keys are live. Compile failures are cached too — a graph
-    that does not validate keeps not validating. *)
+    that does not validate keeps not validating. The trial loop keeps its
+    own per-instance tables ([Fuzzyflow.Difftest.sweep]); this cache
+    serves the benchmark's traced re-drive (bench/campaign/trials.ml). *)
 module Cache : sig
   type plan = t
   type t

@@ -6,7 +6,7 @@
 
    It never proves a hang: a hanging run here burns every step up to the
    limit. Only tests and `bench interp` run this tier, so it stays the
-   independent full run the compiled tiers' hang proofs (Hang_proof) are
+   independent full run the plans' hang proofs (Hang_proof) are
    checked against, and no switch is needed to turn the proof off. *)
 
 open Sdfg
@@ -487,9 +487,11 @@ let exec_program ctx =
       let next =
         List.find_opt
           (fun (e : Graph.istate_edge) ->
-            try Symbolic.Cond.eval env e.cond
-            with Symbolic.Expr.Unbound_symbol s ->
-              raise (F (Runtime_error ("unbound symbol " ^ s ^ " in interstate condition"))))
+            try Symbolic.Cond.eval env e.cond with
+            | Symbolic.Expr.Unbound_symbol s ->
+                raise (F (Runtime_error ("unbound symbol " ^ s ^ " in interstate condition")))
+            | Symbolic.Expr.Division_by_zero ->
+                raise (F (Runtime_error "division by zero in interstate condition")))
           (Graph.out_istate_edges ctx.g sid)
       in
       match next with

@@ -1,5 +1,5 @@
-(* Hand-built loops for the hang-proof parity cases in test_plan and
-   test_kernel. Each is a Builder.Build.for_loop over the symbol i. *)
+(* Hand-built loops for the hang-proof parity cases in test_plan. Each is a
+   Builder.Build.for_loop over the symbol i. *)
 
 open Sdfg
 

@@ -141,38 +141,10 @@ let admission_tests =
         done);
   ]
 
-(* -- shrink hints -------------------------------------------------------- *)
-
-let shrink_tests =
-  [
-    Alcotest.test_case "shrink drops unconditional states under an invariant" `Quick (fun () ->
-        (* loops style produces multi-state programs; shrink with a trivial
-           invariant must keep the graph valid and never grow it *)
-        let style = List.find (fun (s : Gen.Styles.t) -> s.Gen.Styles.name = "loops") styles in
-        let admitted, _ = Gen.Admit.batch ~style ~seed:42 ~n:3 () in
-        List.iter
-          (fun (c : Gen.Generate.t) ->
-            let g = c.Gen.Generate.graph in
-            let keep g' = Validate.check g' = [] in
-            let shrunk = Gen.Shrinkhint.shrink ~keep g in
-            Alcotest.(check bool) "still valid" true (Validate.check shrunk = []);
-            Alcotest.(check bool) "not larger" true
-              (List.length (Graph.states shrunk) <= List.length (Graph.states g)))
-          admitted);
-    Alcotest.test_case "apply on a stale hint returns None" `Quick (fun () ->
-        let style = List.hd styles in
-        let c = Gen.Generate.candidate ~style ~seed:42 0 in
-        let g = c.Gen.Generate.graph in
-        match Gen.Shrinkhint.apply g (Gen.Shrinkhint.Drop_state 9999) with
-        | None -> ()
-        | Some _ -> Alcotest.fail "expected None for unknown state");
-  ]
-
 let () =
   Alcotest.run "gen"
     [
       ("determinism", determinism_tests);
       ("roundtrip", roundtrip_tests);
       ("admission", admission_tests);
-      ("shrink", shrink_tests);
     ]

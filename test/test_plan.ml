@@ -153,6 +153,35 @@ let fault_tests =
             let y = (Interp.Value.buffer o.Interp.Exec.memory "y").data in
             Alcotest.(check bool) "nonzero garbage" true (Array.exists (fun v -> v <> 0.) y)
         | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f));
+    Alcotest.test_case "division by zero in an interstate condition is a typed fault" `Quick
+      (fun () ->
+        let se = Symbolic.Expr.sym in
+        let g = Graph.create "div_guard" in
+        Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.int 1 ];
+        let s0 = Graph.add_state g "init" in
+        let _, body, _ =
+          Builder.Build.for_loop g ~entry_from:s0 ~var:"i" ~init:Symbolic.Expr.zero
+            ~cond:(Symbolic.Cond.Lt (Symbolic.Expr.Div (se "i", se "M"), Symbolic.Expr.int 2))
+            ~update:(Symbolic.Expr.add (se "i") Symbolic.Expr.one)
+            ~body_label:"body" ~after_label:"after"
+        in
+        ignore
+          (Builder.Build.mapped_tasklet g (Graph.state g body) ~label:"bump"
+             ~inputs:[ ("v", Builder.Build.mem "x" "0") ]
+             ~code:"o = v + 1.0"
+             ~outputs:[ ("o", Builder.Build.mem "x" "0") ]
+             ());
+        let symbols = [ ("M", 0) ] in
+        let expected = "runtime error: division by zero in interstate condition" in
+        List.iter
+          (fun (tier, r) ->
+            match r with
+            | Error f -> Alcotest.(check string) tier expected (Interp.Exec.fault_to_string f)
+            | Ok _ -> Alcotest.fail (tier ^ ": expected a fault"))
+          [
+            ("tree", exec_tree g ~symbols ~inputs:[]);
+            ("plan", exec_plan g ~symbols ~inputs:[]);
+          ]);
   ]
 
 (* ---------------- hang proofs ---------------- *)
@@ -304,6 +333,24 @@ let cache_tests =
         | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f));
   ]
 
+(* admitted generated programs cover shapes the hand-built workloads do not *)
+let generated_tests =
+  [
+    Alcotest.test_case "50 admitted generated programs per style (tree and plan)" `Quick
+      (fun () ->
+        List.iter
+          (fun (style : Gen.Styles.t) ->
+            let admitted, _stats = Gen.Admit.batch ~style ~seed:7 ~n:50 () in
+            Alcotest.(check int) (style.name ^ ": admitted") 50 (List.length admitted);
+            List.iter
+              (fun (c : Gen.Generate.t) ->
+                let symbols = Gen.Admit.concretize c.graph in
+                differential ~config:cov_config c.name c.graph ~symbols
+                  ~inputs:(inputs_for c.graph ~symbols))
+              admitted)
+          Gen.Styles.all);
+  ]
+
 (* difftest verdicts do not depend on what ran earlier in the process *)
 let consumer_tests =
   [
@@ -333,6 +380,7 @@ let () =
       ("injection", injection_tests);
       ("faults", fault_tests);
       ("hangs", hang_tests);
+      ("generated", generated_tests);
       ("cache", cache_tests);
       ("consumers", consumer_tests);
     ]
