@@ -4,7 +4,7 @@ let symbols_for name =
   match name with
   | "bert_encoder" -> Workloads.Bert.default_symbols
   | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
+  | "sddmm_rank" -> Workloads.Sddmm.default_symbols
   | _ -> [ ("N", 8); ("T", 3) ]
 
 let check (name, g) =

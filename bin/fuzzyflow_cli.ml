@@ -495,12 +495,14 @@ let cutout_cmd =
     (Cmd.info "cutout" ~doc:"Extract and minimize a cutout around given nodes.")
     Term.(const run $ workload_arg $ state_arg $ nodes_arg $ defines_arg)
 
-let default_symbols_for name =
-  match name with
-  | "bert_encoder" -> Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
-  | _ -> [ ("N", 8); ("T", 3) ]
+(* The symbols a workload declares for itself, by graph name. *)
+let workload_symbols = function
+  | "bert_encoder" -> Some Workloads.Bert.default_symbols
+  | "cloudsc_synth" -> Some Workloads.Cloudsc.default_symbols
+  | "sddmm_rank" -> Some Workloads.Sddmm.default_symbols
+  | _ -> None
+
+let default_symbols_for name = Option.value (workload_symbols name) ~default:[ ("N", 8); ("T", 3) ]
 
 let analyze_cmd =
   let carried_arg =
@@ -802,8 +804,14 @@ let certify_cmd =
 
 let optimize_cmd =
   let run w trials seed max_size no_min_cut defines correct static =
-    let defines = if defines = [] then [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ] else defines in
     let g = find_workload w in
+    let defines =
+      if defines <> [] then defines
+      else
+        Option.value
+          (workload_symbols (Sdfg.Graph.name g))
+          ~default:[ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ]
+    in
     let config = mk_config trials seed max_size no_min_cut defines in
     let xforms =
       if correct then Transforms.Registry.all_correct () else Transforms.Registry.as_shipped ()
@@ -865,15 +873,18 @@ let selfcheck_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker processes. The report is byte-identical for any $(docv).")
+          ~doc:
+            "Supervised worker processes that run the interpreter and transform probes. The \
+             report is byte-identical for any $(docv).")
   in
   let deadline_arg =
     Arg.(
       value & opt float 60.
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Wall-clock budget per probe. Killed probes are retried with doubled deadlines, \
-             then quarantined.")
+            "Wall-clock budget per interpreter or transform probe. Probes that time out or \
+             crash are retried with doubled deadlines, then quarantined. MPI and net probes \
+             run in this process, without a deadline.")
   in
   let trials_arg =
     Arg.(

@@ -86,23 +86,6 @@ let locate ?(threshold = 1e-5) ?(step_limit = 400_000) ~(cutout : Cutout.t) ~tra
       |> List.sort (fun a b -> compare (a.writer_order, a.container) (b.writer_order, b.container))
   | _ -> []
 
-(* What the static oracle says about the same instance, replayed on the
-   cutout: site ids survive extraction, so the delta is exactly "T on c". *)
-let static_evidence ?(config = Difftest.default_config) ~(xform : Transforms.Xform.t)
-    (report : Difftest.report) =
-  match
-    Analysis.Delta.verify ~symbols:config.Difftest.concretization report.cutout.Cutout.program
-      xform report.site
-  with
-  | Some fs -> fs
-  | None | (exception _) -> []
-
-let corroborated divs findings =
-  List.map
-    (fun d ->
-      (d, List.filter (fun (f : Analysis.Report.finding) -> f.container = d.container) findings))
-    divs
-
 let of_report ?(config = Difftest.default_config) ~original ~(xform : Transforms.Xform.t)
     (report : Difftest.report) =
   match Testcase.of_report ~config ~original report with

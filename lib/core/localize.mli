@@ -38,24 +38,6 @@ val locate :
   unit ->
   divergence list
 
-(** Static findings for the same failing instance, replayed on its cutout —
-    a second, input-independent evidence channel next to the dynamic
-    divergences. Empty when the oracle proves nothing (or the site went
-    stale on the cutout). *)
-val static_evidence :
-  ?config:Difftest.config ->
-  xform:Transforms.Xform.t ->
-  Difftest.report ->
-  Analysis.Report.finding list
-
-(** Pair every divergence with the static findings naming its container:
-    a divergence corroborated by a static finding pinpoints both {e where}
-    values differ and {e why} (race, out-of-bounds, def-use). *)
-val corroborated :
-  divergence list ->
-  Analysis.Report.finding list ->
-  (divergence * Analysis.Report.finding list) list
-
 (** Convenience: reconstruct the fault-inducing inputs of a failing report
     (like {!Testcase.of_report}) and localize. [None] when the report passed
     or failed without a reproducible trial. *)

@@ -1,42 +1,44 @@
 type item = {
-  idx : int;
   id : string;
   program_name : string;
   program : Sdfg.Graph.t;
   xform : Transforms.Xform.t;
   site : Transforms.Xform.site;
-  seed : int;
+  config : Fuzzyflow.Difftest.config;
+  static_gate : bool;
+  certify_gate : bool;
 }
 
 let take n l =
   let rec go i = function [] -> [] | x :: r -> if i >= n then [] else x :: go (i + 1) r in
   go 0 l
 
-let build ?(limit_per = None) ~seed programs xforms =
-  let items = ref [] in
-  let idx = ref 0 in
-  List.iter
+let build ?(limit_per = None) ~(config : Fuzzyflow.Difftest.config) ~static_gate ~certify_gate
+    programs xforms =
+  List.concat_map
     (fun (x : Transforms.Xform.t) ->
-      List.iter
+      List.concat_map
         (fun (pname, g) ->
           let sites = x.find g in
           let sites = match limit_per with Some n -> take n sites | None -> sites in
-          List.iter
+          List.map
             (fun site ->
               let id = Fuzzyflow.Campaign.instance_id ~program:pname ~xform:x.name site in
-              items :=
-                {
-                  idx = !idx;
-                  id;
-                  program_name = pname;
-                  program = g;
-                  xform = x;
-                  site;
-                  seed = Fuzzyflow.Campaign.instance_seed ~global:seed id;
-                }
-                :: !items;
-              incr idx)
+              {
+                id;
+                program_name = pname;
+                program = g;
+                xform = x;
+                site;
+                config =
+                  {
+                    config with
+                    Fuzzyflow.Difftest.seed =
+                      Fuzzyflow.Campaign.instance_seed ~global:config.Fuzzyflow.Difftest.seed id;
+                  };
+                static_gate;
+                certify_gate;
+              })
             sites)
         programs)
-    xforms;
-  List.rev !items
+    xforms

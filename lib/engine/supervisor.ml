@@ -32,14 +32,6 @@ let failure_class_name = function
   | Decode_failure _ -> "decode-failure"
   | Hang _ -> "hang"
 
-let failure_class_detail = function
-  | Connect_refused { detail } -> Printf.sprintf "connect refused: %s" detail
-  | Version_mismatch { ours; theirs } ->
-      Printf.sprintf "handshake version mismatch: ours %d, theirs %d" ours theirs
-  | Disconnected { during } -> Printf.sprintf "disconnected during %s" during
-  | Decode_failure { detail } -> Printf.sprintf "result decode failure: %s" detail
-  | Hang { waited_s } -> Printf.sprintf "hang: no progress for %.1fs" waited_s
-
 (* ---------------- supervision policy ---------------- *)
 
 type policy = {
@@ -277,8 +269,7 @@ type wrk = {
 
 let now () = Unix.gettimeofday ()
 
-let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
-    ~(config : Difftest.config) ~static_gate ~certify_gate ~deadline_s
+let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog ~deadline_s
     ~(telemetry : Telemetry.t) ~on_done (items : Queue.item array) =
   let n = Array.length items in
   let graph_blob =
@@ -301,9 +292,9 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
       a_graph = graph_blob it;
       a_xform = it.Queue.xform.Transforms.Xform.name;
       a_site = it.Queue.site;
-      a_config = { config with Difftest.seed = it.Queue.seed };
-      a_static_gate = static_gate;
-      a_certify_gate = certify_gate;
+      a_config = it.Queue.config;
+      a_static_gate = it.Queue.static_gate;
+      a_certify_gate = it.Queue.certify_gate;
       a_deadline_s = deadline_s;
     }
   in
@@ -311,6 +302,9 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
   Array.iteri (fun i _ -> Stdlib.Queue.push i pending) items;
   let losses = Array.make n 0 in
   let remaining = ref n in
+  (* a slot that fails before its first assignment draws its backoff
+     jitter from the first item's seed *)
+  let first_seed = if n = 0 then 0 else items.(0).Queue.config.Difftest.seed in
   let slot_of kind name slot =
     {
       kind;
@@ -321,7 +315,7 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
       failures = 0;
       next_try = 0.;
       busy_since = 0.;
-      last_seed = config.Difftest.seed;
+      last_seed = first_seed;
       idle_since = 0.;
       ping_sent = 0.;
     }
@@ -429,7 +423,7 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog
     | exception Wire.Protocol_error detail -> fail_worker w (Decode_failure { detail })
   in
   let assign w fd i =
-    w.last_seed <- items.(i).Queue.seed;
+    w.last_seed <- items.(i).Queue.config.Difftest.seed;
     match Wire.write_message ~timeout_s:policy.heartbeat_s fd (Wire.Assign (assignment_of i)) with
     | () ->
         w.state <- W_busy i;

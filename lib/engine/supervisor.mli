@@ -41,8 +41,6 @@ type failure_class =
 
 val failure_class_name : failure_class -> string
 
-val failure_class_detail : failure_class -> string
-
 type policy = {
   connect_timeout_s : float;  (** connect + handshake budget *)
   heartbeat_s : float;  (** idle ping interval, and pong / frame-read budget *)
@@ -61,7 +59,9 @@ val default_policy : policy
 val backoff_delay : policy:policy -> ep:endpoint -> failures:int -> seed:int -> float
 
 (** Run [items] to completion on [j] (at least 1) local workers plus one
-    slot per remote endpoint, remote slots first in assignment order.
+    slot per remote endpoint, remote slots first in assignment order. Each
+    item carries its own config and gates, so one call can mix campaign
+    instances and selfcheck probes; every item runs under [deadline_s].
     [on_done i r] fires once per item (completion order, [i] indexes
     [items]); [Error] carries [Timed_out] or [Crashed]. [on_failure] sees
     every classified worker failure, naming the worker ["host:port"] or
@@ -76,9 +76,6 @@ val run :
   workers:endpoint list ->
   j:int ->
   catalog:Transforms.Xform.t list ->
-  config:Fuzzyflow.Difftest.config ->
-  static_gate:bool ->
-  certify_gate:bool ->
   deadline_s:float ->
   telemetry:Telemetry.t ->
   on_done:

@@ -1,162 +1,5 @@
 open Fuzzyflow
 
-type failure = Timed_out of { deadline_s : float } | Crashed of { detail : string }
-
-(* ---------------- the probe pool: fork/reap protocol ---------------- *)
-
-(* Results travel through a per-child temp file rather than a pipe: a
-   marshalled result can exceed the pipe buffer, and a child blocked on a
-   full pipe until its deadline would be misreported as a hang. *)
-
-type child = {
-  pid : int;
-  tmp : string;
-  started : float;
-  c_idx : int;
-  mutable killed : bool;
-}
-
-let spawn f idx =
-  let tmp = Filename.temp_file "fuzzyflow-worker" ".result" in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (* child: compute, persist, _exit — never run the parent's at_exit
-         handlers or flush its duplicated channel buffers *)
-      let result =
-        try Ok (f ()) with e -> Error (Printexc.to_string e)
-      in
-      (try
-         let oc = open_out_bin tmp in
-         Marshal.to_channel oc result [];
-         close_out oc
-       with _ -> ());
-      Unix._exit 0
-  | pid -> { pid; tmp; started = Unix.gettimeofday (); c_idx = idx; killed = false }
-
-(* A child's result file can be absent (the child died before its write, or
-   the write itself failed) or corrupt (truncated or garbled by a killed
-   write — Marshal raises on a bad header or short payload). Both are
-   per-child outcomes, never exceptions: one damaged file must not abort the
-   campaign around it. *)
-let read_result tmp =
-  let v =
-    match open_in_bin tmp with
-    | ic ->
-        let v =
-          (* the temp file is pre-created empty at spawn, so a child that died
-             before its write leaves zero bytes: that's a missing result, not
-             a torn one *)
-          if in_channel_length ic = 0 then `Missing
-          else
-            match Marshal.from_channel ic with
-            | v -> `Result v
-            | exception _ -> `Corrupt
-        in
-        close_in_noerr ic;
-        v
-    | exception _ -> `Missing
-  in
-  (try Sys.remove tmp with _ -> ());
-  v
-
-let settle ~deadline_s child status =
-  if child.killed then Error (Timed_out { deadline_s })
-  else
-    match status with
-    | Unix.WEXITED 0 -> (
-        match read_result child.tmp with
-        | `Result (Ok v) -> Ok v
-        | `Result (Error detail) -> Error (Crashed { detail })
-        | `Missing -> Error (Crashed { detail = "worker exited without reporting a result" })
-        | `Corrupt -> Error (Crashed { detail = "worker result file corrupt (torn write?)" }))
-    | Unix.WEXITED n ->
-        ignore (read_result child.tmp);
-        Error (Crashed { detail = Printf.sprintf "worker exited with code %d" n })
-    | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-        ignore (read_result child.tmp);
-        Error (Crashed { detail = Printf.sprintf "worker killed by signal %d" s })
-
-let map_pool ~j ~deadline_s ?on_done thunks =
-  let n = Array.length thunks in
-  let j = max 1 j in
-  let results = Array.make n None in
-  (* Sleep-wait reaping via the self-pipe trick: a SIGCHLD handler writes a
-     byte to a non-blocking pipe and the loop selects on it, with the timeout
-     bounded by the nearest child deadline. An idle pool sleeps instead of
-     burning a core, a child exit wakes the loop immediately (a signal
-     between the waitpid sweep and the select leaves its byte in the pipe,
-     so the wakeup is never lost), and deadline kills keep their precision
-     because the select never outsleeps the next deadline. *)
-  let rp, wp = Unix.pipe () in
-  Unix.set_nonblock rp;
-  Unix.set_nonblock wp;
-  let prev_sigchld =
-    Sys.signal Sys.sigchld
-      (Sys.Signal_handle
-         (fun _ -> try ignore (Unix.write wp (Bytes.make 1 '\000') 0 1) with _ -> ()))
-  in
-  let drain () =
-    let buf = Bytes.create 64 in
-    try
-      while Unix.read rp buf 0 64 > 0 do
-        ()
-      done
-    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  in
-  Fun.protect ~finally:(fun () ->
-      Sys.set_signal Sys.sigchld prev_sigchld;
-      (try Unix.close rp with Unix.Unix_error _ -> ());
-      try Unix.close wp with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let running = ref [] in
-  let next = ref 0 in
-  while !next < n || !running <> [] do
-    while !next < n && List.length !running < j do
-      let c = spawn thunks.(!next) !next in
-      running := c :: !running;
-      incr next
-    done;
-    let still = ref [] in
-    List.iter
-      (fun c ->
-        match Unix.waitpid [ Unix.WNOHANG ] c.pid with
-        | 0, _ ->
-            if (not c.killed) && Unix.gettimeofday () -. c.started > deadline_s then begin
-              (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              c.killed <- true
-            end;
-            still := c :: !still
-        | _, status ->
-            let r = settle ~deadline_s c status in
-            results.(c.c_idx) <- Some r;
-            (match on_done with Some f -> f c.c_idx r | None -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> still := c :: !still)
-      !running;
-    running := !still;
-    if !running <> [] then begin
-      let now = Unix.gettimeofday () in
-      let next_deadline =
-        List.fold_left
-          (fun acc c -> if c.killed then acc else Float.min acc (c.started +. deadline_s))
-          infinity !running
-      in
-      (* killed children have no deadline left to honor; cap the sleep as a
-         safety net against a lost signal either way *)
-      let tmo = Float.max 0. (Float.min (next_deadline -. now) 0.5) in
-      match Unix.select [ rp ] [] [] tmo with
-      | [ _ ], _, _ -> drain ()
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
-  done;
-  Array.map Option.get results
-
-let supervise ~deadline_s f = (map_pool ~j:1 ~deadline_s [| f |]).(0)
-
-(* ---------------- the campaign driver ---------------- *)
-
 (* Inert since trials run one at a time; kept only because the benchmark's
    workloads and re-drive (bench/campaign) name them. *)
 type batching = Inherit | Fixed of int | Auto
@@ -220,7 +63,9 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   reject_duplicates "transformation" (List.map (fun (x : Transforms.Xform.t) -> x.name) xforms);
   let catalog = match catalog with Some c -> c | None -> xforms in
   let items =
-    Array.of_list (Queue.build ~limit_per:options.limit_per ~seed:config.Difftest.seed programs xforms)
+    Array.of_list
+      (Queue.build ~limit_per:options.limit_per ~config ~static_gate:options.static_gate
+         ~certify_gate:options.certify_gate programs xforms)
   in
   let n = Array.length items in
   (* --resume: journaled outcomes are replayed, not re-fuzzed. A torn tail
@@ -316,10 +161,10 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
       match result with
       | Ok (ir : Campaign.instance_result) ->
           results := (i, ir) :: !results;
-          Campaign.outcome_of_result ~seed:it.Queue.seed ir
+          Campaign.outcome_of_result ~seed:it.Queue.config.Difftest.seed ir
       | Error status ->
           Campaign.killed_outcome ~program:it.program_name ~xform:it.xform.Transforms.Xform.name
-            ~site:it.site ~seed:it.seed status
+            ~site:it.site ~seed:it.config.Difftest.seed status
     in
     outcomes.(i) <- Some o;
     (* persist the failing instance's reproduction bundle *)
@@ -327,8 +172,7 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
     | Some dir, Ok (ir : Campaign.instance_result) -> (
         match ir.report with
         | Some ({ Difftest.verdict = Difftest.Fail f; _ } as report) -> (
-            let config = { config with Difftest.seed = it.Queue.seed } in
-            match Testcase.of_report ~config ~original:it.program report with
+            match Testcase.of_report ~config:it.Queue.config ~original:it.program report with
             | Some tc -> (
                 match
                   Corpus.save ~dir ~catalog ~program:it.program_name
@@ -345,9 +189,8 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   in
   if fresh <> [||] then
     Supervisor.run ~policy:options.policy ~on_failure:options.on_failure ~tick:options.tick
-      ~workers:options.workers ~j:options.j ~catalog:xforms ~config
-      ~static_gate:options.static_gate ~certify_gate:options.certify_gate
-      ~deadline_s:options.deadline_s ~telemetry ~on_done
+      ~workers:options.workers ~j:options.j ~catalog:xforms ~deadline_s:options.deadline_s
+      ~telemetry ~on_done
       (Array.map (fun i -> items.(i)) fresh);
   flush_journal ();
   (if journal_oc <> None || options.journal_sink <> None then

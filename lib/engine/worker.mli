@@ -1,46 +1,12 @@
-(** The campaign engine's entry point, and the fork pool that runs
-    self-validation probes.
+(** The campaign engine's entry point.
 
-    {!run_campaign} runs every fresh instance through {!Supervisor.run}:
-    [j] local wire-protocol workers forked once per campaign, plus any
-    remote endpoints, all on one dispatch loop.
-
-    {!map_pool} and {!supervise} run arbitrary closures — selfcheck's
-    interpreter, MPI and chaos-campaign probes, which are not wire
-    assignments — each in a [Unix.fork]ed child: a child past its deadline
-    is SIGKILLed and recorded as [Timed_out]; a child that dies without
-    reporting becomes [Crashed]. Results travel back through a per-child
-    temp file (Marshal), so an arbitrarily large result never deadlocks a
-    pipe. *)
-
-(** Why a supervised child produced no value. *)
-type failure =
-  | Timed_out of { deadline_s : float }
-  | Crashed of { detail : string }
-
-(** Read and delete a child's marshalled result file. [`Missing] when the
-    file cannot be opened or is empty (the child died before writing),
-    [`Corrupt] when Marshal rejects its contents (a torn write); the pool
-    maps both to [Crashed] rather than raising. Exposed for tests. *)
-val read_result : string -> [ `Result of ('a, string) result | `Missing | `Corrupt ]
-
-(** [supervise ~deadline_s f] runs [f ()] in a forked child and waits:
-    [Ok v] if the child finished in time, [Error] otherwise. The synchronous
-    single-job version of the pool — also its unit-testable core. *)
-val supervise : deadline_s:float -> (unit -> 'a) -> ('a, failure) result
-
-(** [map_pool ~j ~deadline_s thunks] runs every thunk in a forked child, at
-    most [j] alive at once, killing any child past [deadline_s]. Results are
-    in input order. [on_done i r] fires as each thunk settles (completion
-    order). The reap loop sleep-waits on a SIGCHLD self-pipe (bounded by the
-    nearest child deadline), so an idle or blocked pool does not burn a
-    core. *)
-val map_pool :
-  j:int ->
-  deadline_s:float ->
-  ?on_done:(int -> ('a, failure) result -> unit) ->
-  (unit -> 'a) array ->
-  ('a, failure) result array
+    {!run_campaign} enumerates the {!Queue}, replays journaled outcomes on
+    [--resume], and runs every fresh instance through {!Supervisor.run}: [j]
+    local wire-protocol workers forked once per campaign, plus any remote
+    endpoints, all on one dispatch loop. It journals outcomes in queue
+    order, saves failing cases to the corpus and assembles the Table 2
+    summary. Selfcheck's difftest probes run on the same {!Supervisor.run}.
+    This module forks nothing itself. *)
 
 (** Inert: trials run one at a time, and {!run_campaign} ignores
     [options.batching]. Kept only because the benchmark's workloads and

@@ -1,8 +1,7 @@
 open Fuzzyflow
 
-(* What one probe (forked child) reports back. Kept free of closures and
-   graphs so it marshals cheaply through the probe pool's temp-file
-   protocol. *)
+(* What one probe reports: for a difftest probe, the verdict of its campaign
+   instance plus the evidence the parent derives from it. *)
 type probe_result =
   | R_verdict of {
       klass : Difftest.failure_class option;  (** [None]: the oracle saw nothing *)
@@ -65,152 +64,107 @@ type row = {
 
 type report = { seed : int; trials : int; rows : row list }
 
-(* ---- probes (run inside forked workers) --------------------------------- *)
+(* ---- difftest probes as campaign instances ------------------------------ *)
 
 let verdict_result ?(localized = None) ?(audit_flagged = None) ?(dep_witness = None)
-    ?(dep_confirmed = None) (r : Difftest.report) =
-  match r.Difftest.verdict with
-  | Difftest.Pass ->
-      R_verdict
-        {
-          klass = None;
-          first_trial = 0;
-          failing_trials = 0;
-          localized;
-          audit_flagged;
-          dep_witness;
-          dep_confirmed;
-          detail = "all trials agree";
-        }
-  | Difftest.Fail f ->
-      R_verdict
-        {
-          klass = Some f.Difftest.klass;
-          first_trial = f.Difftest.first_trial;
-          failing_trials = f.Difftest.failing_trials;
-          localized;
-          audit_flagged;
-          dep_witness;
-          dep_confirmed;
-          detail = Format.asprintf "%a" Difftest.pp_failure f.Difftest.kind;
-        }
+    ?(dep_confirmed = None) (report : Difftest.report option) =
+  let klass, first_trial, failing_trials, detail =
+    match report with
+    | Some { Difftest.verdict = Difftest.Fail f; _ } ->
+        ( Some f.Difftest.klass,
+          f.Difftest.first_trial,
+          f.Difftest.failing_trials,
+          Format.asprintf "%a" Difftest.pp_failure f.Difftest.kind )
+    | Some { Difftest.verdict = Difftest.Pass; _ } -> (None, 0, 0, "all trials agree")
+    | None -> (None, 0, 0, "proved equivalent, no trials")
+  in
+  R_verdict
+    {
+      klass;
+      first_trial;
+      failing_trials;
+      localized;
+      audit_flagged;
+      dep_witness;
+      dep_confirmed;
+      detail;
+    }
+
+let no_verdict detail =
+  R_verdict
+    {
+      klass = None;
+      first_trial = 0;
+      failing_trials = 0;
+      localized = None;
+      audit_flagged = None;
+      dep_witness = None;
+      dep_confirmed = None;
+      detail;
+    }
 
 (* Min-cut capacities and overlap checks need concrete symbol values; bind
    every program parameter to a small extent, like the CLI's -D N=8. *)
 let concretize_all g = List.map (fun s -> (s, 8)) (Sdfg.Graph.all_free_syms g)
 
-let interp_probe ~trials ~spec_seed ~workload ~inject =
-  let g = Plan.workload_by_name workload in
-  let x = Mutate.identity () in
-  match x.Transforms.Xform.find g with
-  | [] ->
-      R_verdict
-        {
-          klass = None;
-          first_trial = 0;
-          failing_trials = 0;
-          localized = None;
-          audit_flagged = None;
-          dep_witness = None;
-          dep_confirmed = None;
-          detail = "no site";
-        }
-  | site :: _ ->
-      let config =
-        {
-          Difftest.default_config with
-          trials;
-          seed = spec_seed;
-          concretization = concretize_all g;
-          inject_transformed = Some inject;
-        }
-      in
-      verdict_result (Difftest.test_instance ~config g x site)
-
-let transform_probe ~trials ~spec_seed ~workload ~xform ~kind ~mutation_seed ~site
-    ~expected_containers =
-  let g = Plan.workload_by_name workload in
-  match Transforms.Registry.by_name (Transforms.Registry.all_correct ()) xform with
-  | None ->
-      R_verdict
-        {
-          klass = None;
-          first_trial = 0;
-          failing_trials = 0;
-          localized = None;
-          audit_flagged = None;
-          dep_witness = None;
-          dep_confirmed = None;
-          detail = "no such transform";
-        }
-  | Some base ->
-      let mutated = Mutate.seed_bug ~seed:mutation_seed kind base in
-      let config =
-        {
-          Difftest.default_config with
-          trials;
-          seed = spec_seed;
-          concretization = concretize_all g;
-        }
-      in
-      (* static channel: does the change-set audit notice that the mutated
-         transform's declared change set no longer covers its true diff? *)
-      let audit_flagged =
-        try Option.map (fun fs -> fs <> []) (Analysis.Audit.check_xform g mutated site)
-        with _ -> None
-      in
-      (* exact dependence channel: the translation validator's refutation
-         model, or a race finding's solver witness, is a concrete valuation
-         exhibiting the seeded bug *)
-      let dep_witness =
+(* A transform probe's gated instance already holds the static evidence:
+   the change-set audit's findings and the exact dependence tier's witness
+   (the translation validator's refutation model, or a race finding's
+   solver witness). The directed replay and localization run here. *)
+let transform_result ~config ~expected_containers g mutated site (ir : Campaign.instance_result) =
+  (* [verdict] is [None] only when the site went stale before the gates
+     analyzed it *)
+  let audit_flagged =
+    Option.map
+      (fun _ ->
+        List.exists
+          (fun (f : Analysis.Report.finding) -> f.Analysis.Report.pass = Analysis.Report.Change_set)
+          ir.Campaign.static)
+      ir.Campaign.verdict
+  in
+  let dep_witness =
+    match ir.Campaign.verdict with
+    | Some (Analysis.Equiv.Refuted w) -> Some w.Analysis.Equiv.valuation
+    | _ -> List.find_map Analysis.Races.witness_of_finding ir.Campaign.static
+  in
+  (* replay the witness as a directed fuzz seed: one trial pinned to the
+     witness valuation must reproduce the failure (pinned names the
+     cutout does not sample are ignored by constraint derivation) *)
+  let dep_confirmed =
+    match dep_witness with
+    | None -> None
+    | Some valuation -> (
+        let directed =
+          {
+            config with
+            Difftest.trials = 1;
+            custom_constraints =
+              List.map (fun (s, v) -> (s, (v, v))) valuation @ config.Difftest.custom_constraints;
+          }
+        in
         try
-          match Analysis.Equiv.certify ~symbols:config.Difftest.concretization g mutated site with
-          | Some (Analysis.Equiv.Refuted w) -> Some w.Analysis.Equiv.valuation
-          | _ -> (
-              match Analysis.Delta.verify ~symbols:config.Difftest.concretization g mutated site with
-              | Some fs -> List.find_map Analysis.Races.witness_of_finding fs
-              | None -> None)
-        with _ -> None
-      in
-      (* replay the witness as a directed fuzz seed: one trial pinned to the
-         witness valuation must reproduce the failure (pinned names the
-         cutout does not sample are ignored by constraint derivation) *)
-      let dep_confirmed =
-        match dep_witness with
-        | None -> None
-        | Some valuation -> (
-            let directed =
-              {
-                config with
-                Difftest.trials = 1;
-                custom_constraints =
-                  List.map (fun (s, v) -> (s, (v, v))) valuation
-                  @ config.Difftest.custom_constraints;
-              }
-            in
-            try
-              match (Difftest.test_instance ~config:directed g mutated site).Difftest.verdict with
-              | Difftest.Fail _ -> Some true
-              | Difftest.Pass -> Some false
-            with _ -> None)
-      in
-      let report = Difftest.test_instance ~config g mutated site in
-      let localized =
-        match report.Difftest.verdict with
-        | Difftest.Fail { kind = Difftest.Numerical _; _ } -> (
-            try
-              match Localize.of_report ~config ~original:g ~xform:mutated report with
-              | Some (_ :: _ as divs) ->
-                  Some
-                    (List.exists
-                       (fun (d : Localize.divergence) ->
-                         List.mem d.Localize.container expected_containers)
-                       divs)
-              | Some [] | None -> None
-            with _ -> None)
-        | _ -> None
-      in
-      verdict_result ~localized ~audit_flagged ~dep_witness ~dep_confirmed report
+          match (Difftest.test_instance ~config:directed g mutated site).Difftest.verdict with
+          | Difftest.Fail _ -> Some true
+          | Difftest.Pass -> Some false
+        with _ -> None)
+  in
+  let localized =
+    match ir.Campaign.report with
+    | Some ({ Difftest.verdict = Difftest.Fail { kind = Difftest.Numerical _; _ }; _ } as report)
+      -> (
+        try
+          match Localize.of_report ~config ~original:g ~xform:mutated report with
+          | Some (_ :: _ as divs) ->
+              Some
+                (List.exists
+                   (fun (d : Localize.divergence) ->
+                     List.mem d.Localize.container expected_containers)
+                   divs)
+          | Some [] | None -> None
+        with _ -> None)
+    | _ -> None
+  in
+  verdict_result ~localized ~audit_flagged ~dep_witness ~dep_confirmed ir.Campaign.report
 
 (* Fixed MPI scenario: scatter + allreduce + bcast + gather, enough traffic
    that every collective is attackable (see Plan.mpi_specs). *)
@@ -356,17 +310,68 @@ let net_probe ~trials ~spec_seed ~net ~kill_worker ~workloads =
   let identical = instance_lines journal_a = instance_lines journal_b in
   R_net { identical; first_failure = !first_failure }
 
-let probe_spec ~trials ~seed (spec : Plan.spec) =
+(* How a spec is probed. A difftest probe is a campaign instance — the
+   spec's workload, its transformation (the identity carrier or the mutated
+   transform) and its site, under the spec's config — whose result the
+   parent turns into a probe result. MPI and net probes, and a spec with no
+   instance to run, are computed in the parent. *)
+type probe =
+  | Instance of Engine.Queue.item * (Campaign.instance_result -> probe_result)
+  | Parent of (unit -> probe_result)
+
+let probe_of ~trials ~seed (spec : Plan.spec) =
   let spec_seed = Campaign.instance_seed ~global:seed spec.Plan.id in
+  let config g =
+    { Difftest.default_config with trials; seed = spec_seed; concretization = concretize_all g }
+  in
+  let instance ~workload g xform site ~gates config derive =
+    Instance
+      ( {
+          Engine.Queue.id = spec.Plan.id;
+          program_name = workload;
+          program = g;
+          xform;
+          site;
+          config;
+          static_gate = gates;
+          certify_gate = gates;
+        },
+        derive )
+  in
   match spec.Plan.payload with
-  | Plan.Interp_fault { workload; inject } -> interp_probe ~trials ~spec_seed ~workload ~inject
-  | Plan.Transform_fault { workload; xform; kind; mutation_seed; site; expected_containers } ->
-      transform_probe ~trials ~spec_seed ~workload ~xform ~kind ~mutation_seed ~site
-        ~expected_containers
+  | Plan.Interp_fault { workload; inject } -> (
+      let g = Plan.workload_by_name workload in
+      let x = Mutate.identity () in
+      match x.Transforms.Xform.find g with
+      | [] -> Parent (fun () -> no_verdict "no site")
+      | site :: _ ->
+          (* gates off: the identity is certifiable, and the certify gate
+             would skip its trials *)
+          instance ~workload g x site ~gates:false
+            { (config g) with inject_transformed = Some inject }
+            (fun ir -> verdict_result ir.Campaign.report))
+  | Plan.Transform_fault { workload; xform; kind; mutation_seed; site; expected_containers } -> (
+      let g = Plan.workload_by_name workload in
+      match Transforms.Registry.by_name (Transforms.Registry.all_correct ()) xform with
+      | None -> Parent (fun () -> no_verdict "no such transform")
+      | Some base ->
+          let mutated = Mutate.seed_bug ~seed:mutation_seed kind base in
+          let config = config g in
+          instance ~workload g mutated site ~gates:true config
+            (transform_result ~config ~expected_containers g mutated site))
   | Plan.Mpi_disturbance { policy; ranks; payload_len } ->
-      mpi_probe ~policy ~ranks ~len:payload_len
+      Parent (fun () -> mpi_probe ~policy ~ranks ~len:payload_len)
   | Plan.Net_disturbance { net; kill_worker; workloads } ->
-      net_probe ~trials ~spec_seed ~net ~kill_worker ~workloads
+      Parent (fun () -> net_probe ~trials ~spec_seed ~net ~kill_worker ~workloads)
+
+let probe_spec ~trials ~seed spec =
+  match probe_of ~trials ~seed spec with
+  | Parent f -> f ()
+  | Instance ({ Engine.Queue.config; static_gate; certify_gate; _ } as it, derive) ->
+      derive
+        (Campaign.run_instance ~config ~static_gate ~certify_gate
+           ~program:(it.Engine.Queue.program_name, it.Engine.Queue.program)
+           it.Engine.Queue.xform it.Engine.Queue.site)
 
 (* ---- classification ------------------------------------------------------ *)
 
@@ -438,49 +443,96 @@ let dep_of = function
 let max_attempts = 3
 
 let failure_detail = function
-  | Engine.Worker.Timed_out { deadline_s } -> Printf.sprintf "timed out after %.1fs" deadline_s
-  | Engine.Worker.Crashed { detail } -> "crashed: " ^ detail
+  | Campaign.Timed_out { deadline_s } -> Printf.sprintf "timed out after %.1fs" deadline_s
+  | Campaign.Crashed { detail } -> "crashed: " ^ detail
+  | Campaign.Completed -> "completed without a result"
 
-(* Graceful degradation: a killed probe is retried serially with its deadline
-   doubled each attempt; a probe that only succeeds on a retry is run once
-   more to confirm the verdict is stable. Flaky or never-finishing specs are
-   quarantined — recorded, never fatal, never miscounted as missed. *)
-let settle ~deadline_s thunk first =
+(* Run difftest probes' instances on [j] supervised local workers, exactly
+   as a campaign runs its instances; results in input order. *)
+let run_instances ~j ~deadline_s ?(on_done = fun _ _ -> ()) (items : Engine.Queue.item array) =
+  (* workers resolve transformations by name. A mutant's name is its base
+     transformation and kind, and every spec arms it with the same mutation
+     seed (Plan.mutation_seed), so specs that share a name share the mutant *)
+  let catalog =
+    List.sort_uniq
+      (fun (a : Transforms.Xform.t) (b : Transforms.Xform.t) ->
+        compare a.Transforms.Xform.name b.Transforms.Xform.name)
+      (Array.to_list (Array.map (fun (it : Engine.Queue.item) -> it.Engine.Queue.xform) items))
+  in
+  let results = Array.make (Array.length items) None in
+  Engine.Supervisor.run ~policy:Engine.Supervisor.default_policy
+    ~on_failure:(fun _ _ -> ())
+    ~tick:ignore ~workers:[] ~j ~catalog ~deadline_s
+    ~telemetry:(Engine.Telemetry.create ~progress:false ~total:(Array.length items) ~j ())
+    ~on_done:(fun i r ->
+      results.(i) <- Some r;
+      on_done i r)
+    items;
+  Array.map Option.get results
+
+(* One attempt at a probe: a one-instance supervised run, or the parent's
+   computation with any exception settled as [Crashed]. *)
+let attempt ~deadline_s = function
+  | Instance (it, derive) -> Result.map derive (run_instances ~j:1 ~deadline_s [| it |]).(0)
+  | Parent f -> (
+      try Ok (f ()) with e -> Error (Campaign.Crashed { detail = Printexc.to_string e }))
+
+(* Graceful degradation: a failed probe is retried serially with its
+   deadline doubled each attempt; a probe that only succeeds on a retry is
+   run once more to confirm the verdict is stable. Flaky or never-finishing
+   specs are quarantined — recorded, never fatal, never miscounted as
+   missed. *)
+let settle ~deadline_s probe first =
   match first with
   | Ok r -> (`Ready r, 1)
   | Error f0 ->
-      let rec retry attempt deadline last =
-        if attempt > max_attempts then (`Quarantine (failure_detail last), max_attempts)
+      let rec retry n deadline last =
+        if n > max_attempts then (`Quarantine (failure_detail last), max_attempts)
         else
-          match Engine.Worker.supervise ~deadline_s:deadline thunk with
-          | Error f -> retry (attempt + 1) (deadline *. 2.) f
+          match attempt ~deadline_s:deadline probe with
+          | Error f -> retry (n + 1) (deadline *. 2.) f
           | Ok r -> (
               (* confirm the late success is stable before trusting it *)
-              match Engine.Worker.supervise ~deadline_s:deadline thunk with
-              | Ok r' when r' = r -> (`Ready r, attempt)
-              | Ok _ -> (`Quarantine "flaky: verdict changed across retries", attempt)
-              | Error f -> (`Quarantine ("flaky: " ^ failure_detail f), attempt))
+              match attempt ~deadline_s:deadline probe with
+              | Ok r' when r' = r -> (`Ready r, n)
+              | Ok _ -> (`Quarantine "flaky: verdict changed across retries", n)
+              | Error f -> (`Quarantine ("flaky: " ^ failure_detail f), n))
       in
       retry 2 (deadline_s *. 2.) f0
 
 let run ?(j = 1) ?(deadline_s = 60.) ?(trials = 10) ?level ?generated ?(progress = false) ~seed
     () =
   let specs = Plan.catalog ?level ?generated ~seed () in
-  let thunks = Array.of_list (List.map (fun s () -> probe_spec ~trials ~seed s) specs) in
-  let n = Array.length thunks in
-  let on_done i r =
+  let probes = List.map (probe_of ~trials ~seed) specs in
+  let log id r =
     if progress then
-      Printf.eprintf "[selfcheck] %s: %s\n%!" (List.nth specs i).Plan.id
+      Printf.eprintf "[selfcheck] %s: %s\n%!" id
         (match r with Ok _ -> "done" | Error f -> failure_detail f)
   in
-  ignore n;
-  let results = Engine.Worker.map_pool ~j ~deadline_s ~on_done thunks in
+  (* every difftest probe on one supervised run; the MPI and net probes run
+     here, in the parent, as their rows come up *)
+  let items =
+    Array.of_list (List.filter_map (function Instance (it, _) -> Some it | Parent _ -> None) probes)
+  in
+  let results =
+    run_instances ~j ~deadline_s ~on_done:(fun k r -> log items.(k).Engine.Queue.id r) items
+  in
+  let next = ref 0 in
   let rows =
-    List.mapi
-      (fun i spec ->
-        let settled, attempts = settle ~deadline_s thunks.(i) results.(i) in
-        match settled with
-        | `Ready r ->
+    List.map2
+      (fun (spec : Plan.spec) probe ->
+        let first =
+          match probe with
+          | Instance (_, derive) ->
+              incr next;
+              Result.map derive results.(!next - 1)
+          | Parent _ ->
+              let r = attempt ~deadline_s probe in
+              log spec.Plan.id r;
+              r
+        in
+        match settle ~deadline_s probe first with
+        | `Ready r, attempts ->
             {
               spec;
               outcome = classify spec r;
@@ -489,7 +541,7 @@ let run ?(j = 1) ?(deadline_s = 60.) ?(trials = 10) ?level ?generated ?(progress
               audit = audit_of r;
               dep = dep_of r;
             }
-        | `Quarantine detail ->
+        | `Quarantine detail, attempts ->
             {
               spec;
               outcome = Quarantined { detail };
@@ -498,7 +550,7 @@ let run ?(j = 1) ?(deadline_s = 60.) ?(trials = 10) ?level ?generated ?(progress
               audit = None;
               dep = None;
             })
-      specs
+      specs probes
   in
   { seed; trials; rows }
 

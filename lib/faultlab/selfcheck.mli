@@ -1,17 +1,23 @@
 (** The self-validation campaign: run every fault in the {!Plan} catalog
     through the stack and score whether the oracles caught it.
 
-    Interpreter and transform faults go through the full differential-testing
-    pipeline ({!Fuzzyflow.Difftest.test_instance}) inside forked workers
-    (reusing the engine's pool, deadlines and kill path); MPI disturbances run
-    the fixed collective scenario against a clean reference. Every spec lands
-    as exactly one typed outcome — an injected fault can never abort the
-    campaign. The report is deterministic for a seed: per-spec seeds derive
-    from the campaign seed and spec id, rows are emitted in catalog order, and
-    no wall-clock data enters the report, so reruns and different [-j] levels
-    produce byte-identical files. *)
+    Every interpreter and transform fault is a campaign instance: the spec's
+    workload, its transformation (the identity carrier with the injection in
+    its config, or the mutated transform under both gates) and its site.
+    {!Engine.Supervisor.run} dispatches them to supervised local workers,
+    which run each one through {!Fuzzyflow.Campaign.run_instance} like any
+    campaign instance; the parent derives the rest of each probe's evidence
+    from the returned result. MPI disturbances (the fixed collective
+    scenario against a clean reference) and the distributed-service chaos
+    probes run in the parent. Every spec lands as exactly one typed outcome —
+    an injected fault can never abort the campaign. The report is
+    deterministic for a seed: per-spec seeds derive from the campaign seed
+    and spec id, rows are emitted in catalog order, and no wall-clock data
+    enters the report, so reruns and different [-j] levels produce
+    byte-identical files. *)
 
-(** What one forked probe reports back (marshal-safe). *)
+(** What one probe reports: for a difftest probe, its instance's verdict
+    and the evidence derived from it. *)
 type probe_result =
   | R_verdict of {
       klass : Fuzzyflow.Difftest.failure_class option;  (** [None]: verdict was Pass *)
@@ -73,20 +79,23 @@ type row = {
 
 type report = { seed : int; trials : int; rows : row list }
 
-(** Run one spec's probe in-process (the body the forked workers execute).
-    Exposed for tests and the bench. *)
+(** Run one spec's probe in-process: the same instance through
+    {!Fuzzyflow.Campaign.run_instance}, then the same derivation — the
+    reference for what a supervised worker computes. Exposed for tests. *)
 val probe_spec : trials:int -> seed:int -> Plan.spec -> probe_result
 
 (** Score a probe result against the spec's expectation. Total: every result
     maps to exactly one outcome. *)
 val classify : Plan.spec -> probe_result -> outcome
 
-(** Run the campaign: the catalog in parallel workers ([j], [deadline_s] per
-    probe), killed probes retried with exponential deadline escalation and
-    quarantined when they stay dead or flip verdicts. [level] restricts the
-    catalog; [trials] is the fuzzing budget per difftest probe;
-    [generated:(style, n)] extends the catalog with mutation specs over the
-    first [n] admitted generated programs (see {!Plan.catalog}). *)
+(** Run the campaign: every difftest probe on one {!Engine.Supervisor.run}
+    over [j] local workers, [deadline_s] per instance; then the MPI and net
+    probes in the parent. A probe that timed out or crashed (a lost worker,
+    or an exception in a parent probe) is retried alone with its deadline
+    doubled, and quarantined when it stays dead or flips verdicts. [level]
+    restricts the catalog; [trials] is the fuzzing budget per difftest
+    probe; [generated:(style, n)] extends the catalog with mutation specs
+    over the first [n] admitted generated programs (see {!Plan.catalog}). *)
 val run :
   ?j:int ->
   ?deadline_s:float ->

@@ -6,8 +6,6 @@ let finite n =
   if n < 0 then invalid_arg "Cap.finite: negative capacity";
   Finite n
 
-let is_zero = function Finite 0 -> true | _ -> false
-
 let add a b =
   match (a, b) with
   | Inf, _ | _, Inf -> Inf

@@ -9,7 +9,6 @@ val zero : t
 val finite : int -> t
 (** @raise Invalid_argument on negative input. *)
 
-val is_zero : t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 (** [sub a b] with [b <= a]; [Inf - x = Inf].

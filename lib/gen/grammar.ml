@@ -48,8 +48,6 @@ let name = function
   | Risky_race -> "risky_race"
   | Risky_rank -> "risky_rank"
 
-let of_name s = List.find_opt (fun r -> name r = s) all
-let is_risky = function Risky_read | Risky_race | Risky_rank -> true | _ -> false
 
 type budget = { min_fragments : int; max_fragments : int }
 

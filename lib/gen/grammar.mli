@@ -30,10 +30,6 @@ type rule =
 val all : rule list
 
 val name : rule -> string
-val of_name : string -> rule option
-
-(** Rules that deliberately emit defective programs. *)
-val is_risky : rule -> bool
 
 (** Size budget for one candidate program: how many fragments (production
     rule applications) it may contain. Control-flow rules ([For_loop],

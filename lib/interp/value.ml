@@ -142,10 +142,5 @@ let accumulate_subset b cs wcr values =
       set b idx (Sdfg.Memlet.apply_wcr wcr (get b idx) values.(!i));
       incr i)
 
-let copy_memory m =
-  let m' = Hashtbl.create (Hashtbl.length m) in
-  Hashtbl.iter (fun k b -> Hashtbl.replace m' k { b with data = Array.copy b.data }) m;
-  m'
-
 let buffer m name = Hashtbl.find m name
 let buffer_opt m name = Hashtbl.find_opt m name

@@ -61,8 +61,5 @@ val write_subset : buffer -> Symbolic.Subset.crange list -> float array -> unit
 val accumulate_subset :
   buffer -> Symbolic.Subset.crange list -> Sdfg.Memlet.wcr -> float array -> unit
 
-(** Deep copy of a whole memory (for snapshotting system state). *)
-val copy_memory : t -> t
-
 val buffer : t -> string -> buffer
 val buffer_opt : t -> string -> buffer option

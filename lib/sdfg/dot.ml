@@ -30,13 +30,6 @@ let state_body buf g sid =
         (Printf.sprintf "    s%d_n%d -> s%d_n%d [label=\"%s\"];\n" sid e.src sid e.dst lbl))
     (State.edges st)
 
-let state_to_dot g sid =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph state {\n";
-  state_body buf g sid;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let to_dot g =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n  compound=true;\n" (escape (Graph.name g)));

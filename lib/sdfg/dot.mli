@@ -1,4 +1,3 @@
 (** Graphviz export for debugging extracted cutouts and transformations. *)
 
-val state_to_dot : Graph.t -> int -> string
 val to_dot : Graph.t -> string

@@ -1,21 +1,5 @@
 type t = F64 | F32 | I64 | I32 | Bool
 
 let size_bytes = function F64 | I64 -> 8 | F32 | I32 -> 4 | Bool -> 1
-let is_float = function F64 | F32 -> true | _ -> false
-let is_int = function I64 | I32 | Bool -> true | _ -> false
 let to_string = function F64 -> "f64" | F32 -> "f32" | I64 -> "i64" | I32 -> "i32" | Bool -> "bool"
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let min_value = function
-  | F64 -> -1.797e308
-  | F32 -> -3.4e38
-  | I64 -> -9.007199254740992e15 (* 2^53, exactly representable *)
-  | I32 -> Int32.to_float Int32.min_int
-  | Bool -> 0.
-
-let max_value = function
-  | F64 -> 1.797e308
-  | F32 -> 3.4e38
-  | I64 -> 9.007199254740992e15
-  | I32 -> Int32.to_float Int32.max_int
-  | Bool -> 1.

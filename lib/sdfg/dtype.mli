@@ -3,13 +3,5 @@
 type t = F64 | F32 | I64 | I32 | Bool
 
 val size_bytes : t -> int
-val is_float : t -> bool
-val is_int : t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-(** Smallest / largest representable value, used by the fuzzer to sample
-    boundary inputs. *)
-val min_value : t -> float
-
-val max_value : t -> float

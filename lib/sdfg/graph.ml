@@ -73,9 +73,6 @@ let containers t = SMap.bindings t.conts
 let set_transient t nm b =
   t.conts <- SMap.update nm (Option.map (fun d -> { d with transient = b })) t.conts
 
-let set_storage t nm s =
-  t.conts <- SMap.update nm (Option.map (fun d -> { d with storage = s })) t.conts
-
 let add_symbol t s = if not (List.mem s t.syms) then t.syms <- List.sort compare (s :: t.syms)
 let symbols t = t.syms
 

@@ -47,7 +47,6 @@ val containers : t -> (string * datadesc) list
 (** Sorted by name. *)
 
 val set_transient : t -> string -> bool -> unit
-val set_storage : t -> string -> storage -> unit
 
 val add_symbol : t -> string -> unit
 val symbols : t -> string list

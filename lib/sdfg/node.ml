@@ -25,9 +25,7 @@ let label = function
   | Map_exit { entry } -> Printf.sprintf "exit(%d)" entry
   | Library { label; _ } -> label
 
-let is_access = function Access _ -> true | _ -> false
 let is_map_entry = function Map_entry _ -> true | _ -> false
-let is_map_exit = function Map_exit _ -> true | _ -> false
 
 let schedule_str = function
   | Sequential -> "seq"

@@ -34,8 +34,6 @@ val tasklet : string -> string -> t
 (** [tasklet label code] parses [code] with {!Tcode.of_string}. *)
 
 val label : t -> string
-val is_access : t -> bool
 val is_map_entry : t -> bool
-val is_map_exit : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

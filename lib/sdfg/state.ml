@@ -9,7 +9,7 @@ type edge = {
 }
 
 type t = {
-  mutable lbl : string;
+  lbl : string;
   nodes : (int, Node.t) Hashtbl.t;
   edges_tbl : (int, edge) Hashtbl.t;
   mutable next_node : int;
@@ -18,7 +18,6 @@ type t = {
 
 let create lbl = { lbl; nodes = Hashtbl.create 16; edges_tbl = Hashtbl.create 16; next_node = 0; next_edge = 0 }
 let label t = t.lbl
-let set_label t l = t.lbl <- l
 
 let copy t =
   {

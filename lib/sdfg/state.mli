@@ -20,7 +20,6 @@ type t
 
 val create : string -> t
 val label : t -> string
-val set_label : t -> string -> unit
 val copy : t -> t
 
 (** {1 Construction} *)

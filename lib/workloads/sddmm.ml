@@ -1,5 +1,7 @@
 open Sdfg
 
+let default_symbols = [ ("LROWS", 4); ("NCOLS", 6); ("K", 3) ]
+
 let rank_program () =
   let g = Graph.create "sddmm_rank" in
   List.iter (Graph.add_symbol g) [ "LROWS"; "NCOLS"; "K" ];

@@ -16,6 +16,9 @@
     (the transformation site). *)
 val rank_program : unit -> Sdfg.Graph.t * int * int
 
+(** Small values for the per-rank program's symbols: LROWS, NCOLS, K. *)
+val default_symbols : (string * int) list
+
 (** [distributed ~ranks ~rows ~cols ~k ~h1 ~h2 ~mask] runs the full simulated
     multi-node pipeline: scatter H1 row blocks, broadcast H2, run each rank's
     program through the interpreter, allreduce the (zero-padded global)

@@ -1,9 +1,8 @@
-(* The campaign engine: journal round-trips, fork/deadline supervision, seed
-   determinism across worker counts, resume, and the corpus regression gate. *)
+(* The campaign engine: journal round-trips, supervised workers and their
+   deadlines, seed determinism across worker counts, resume, and the corpus
+   regression gate. *)
 
 open Fuzzyflow
-
-let se = Symbolic.Expr.sym
 
 let temp_dir prefix =
   let f = Filename.temp_file prefix "" in
@@ -38,18 +37,6 @@ let bad () = Transforms.Vectorization.make ~width:4 Transforms.Vectorization.Ass
 
 let programs () =
   [ ("scale", Workloads.Npbench.scale ()); ("axpy", Workloads.Npbench.axpy ()) ]
-
-(* a graph whose canonical loop never exits: the step-limit-disabled cutout *)
-let spin_graph () =
-  let g = Sdfg.Graph.create "spin" in
-  let s0 = Sdfg.Graph.add_state g "s0" in
-  let _ =
-    Builder.Build.for_loop g ~entry_from:s0 ~var:"i" ~init:Symbolic.Expr.zero
-      ~cond:(Symbolic.Cond.Ge (se "i", Symbolic.Expr.zero))
-      ~update:(Symbolic.Expr.add (se "i") Symbolic.Expr.one)
-      ~body_label:"spin" ~after_label:"after"
-  in
-  g
 
 (* ---------------- journal ---------------- *)
 
@@ -223,118 +210,6 @@ let journal_tests =
             Alcotest.(check int) "total" 4 f.Engine.Journal.total;
             Alcotest.(check int) "quarantined" 1 f.Engine.Journal.quarantined
         | _ -> Alcotest.fail "not a footer record");
-  ]
-
-(* ---------------- worker supervision ---------------- *)
-
-let worker_tests =
-  [
-    Alcotest.test_case "supervise returns the child's value" `Quick (fun () ->
-        match Engine.Worker.supervise ~deadline_s:10. (fun () -> 21 * 2) with
-        | Ok v -> Alcotest.(check int) "value" 42 v
-        | Error _ -> Alcotest.fail "expected Ok");
-    Alcotest.test_case "child exiting without a result is Crashed, not an exception" `Quick
-      (fun () ->
-        match Engine.Worker.supervise ~deadline_s:10. (fun () -> Unix._exit 0) with
-        | Error (Engine.Worker.Crashed { detail }) ->
-            Alcotest.(check bool) "detail says no result" true
-              (contains detail "without reporting")
-        | Ok _ -> Alcotest.fail "expected Crashed"
-        | Error (Engine.Worker.Timed_out _) -> Alcotest.fail "expected Crashed, got Timed_out");
-    Alcotest.test_case "corrupt marshal result file reads as `Corrupt" `Quick (fun () ->
-        let path = Filename.temp_file "ffresult" ".result" in
-        let oc = open_out_bin path in
-        output_string oc "this is not a marshalled value";
-        close_out oc;
-        (match (Engine.Worker.read_result path : [ `Result of (int, string) result | `Missing | `Corrupt ]) with
-        | `Corrupt -> ()
-        | `Missing -> Alcotest.fail "expected `Corrupt, got `Missing"
-        | `Result _ -> Alcotest.fail "expected `Corrupt, got a value");
-        Alcotest.(check bool) "result file consumed" false (Sys.file_exists path));
-    Alcotest.test_case "truncated marshal result file reads as `Corrupt" `Quick (fun () ->
-        let path = Filename.temp_file "ffresult" ".result" in
-        let oc = open_out_bin path in
-        Marshal.to_channel oc (Ok 42 : (int, string) result) [];
-        close_out oc;
-        let ic = open_in_bin path in
-        let full = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let oc = open_out_bin path in
-        output_string oc (String.sub full 0 (String.length full - 1));
-        close_out oc;
-        (match (Engine.Worker.read_result path : [ `Result of (int, string) result | `Missing | `Corrupt ]) with
-        | `Corrupt -> ()
-        | `Missing -> Alcotest.fail "expected `Corrupt, got `Missing"
-        | `Result _ -> Alcotest.fail "truncated payload accepted"));
-    Alcotest.test_case "missing result file reads as `Missing" `Quick (fun () ->
-        match
-          (Engine.Worker.read_result "/nonexistent/worker.result"
-            : [ `Result of (int, string) result | `Missing | `Corrupt ])
-        with
-        | `Missing -> ()
-        | `Corrupt | `Result _ -> Alcotest.fail "expected `Missing");
-    Alcotest.test_case "step-limit-disabled looping cutout is killed at the deadline" `Quick
-      (fun () ->
-        let g = spin_graph () in
-        match
-          Engine.Worker.supervise ~deadline_s:0.5 (fun () ->
-              Interp.Exec.run
-                ~config:{ Interp.Exec.default_config with step_limit = max_int }
-                g ~symbols:[] ~inputs:[])
-        with
-        | Error (Engine.Worker.Timed_out { deadline_s }) ->
-            Alcotest.(check (float 1e-9)) "deadline recorded" 0.5 deadline_s
-        | Ok _ -> Alcotest.fail "interpreter should never finish"
-        | Error (Engine.Worker.Crashed { detail }) -> Alcotest.fail ("crashed: " ^ detail));
-    Alcotest.test_case "a raising child is a crash with detail" `Quick (fun () ->
-        match Engine.Worker.supervise ~deadline_s:10. (fun () -> failwith "boom") with
-        | Error (Engine.Worker.Crashed { detail }) ->
-            Alcotest.(check bool) "mentions exception" true (contains detail "boom")
-        | _ -> Alcotest.fail "expected Crashed");
-    Alcotest.test_case "a child dying without reporting is a crash" `Quick (fun () ->
-        match Engine.Worker.supervise ~deadline_s:10. (fun () -> Unix._exit 7) with
-        | Error (Engine.Worker.Crashed _) -> ()
-        | _ -> Alcotest.fail "expected Crashed");
-    Alcotest.test_case "map_pool keeps input order under parallelism" `Quick (fun () ->
-        let thunks =
-          Array.init 6 (fun i ->
-              fun () ->
-                Unix.sleepf (if i mod 2 = 0 then 0.05 else 0.01);
-                i * 10)
-        in
-        let rs = Engine.Worker.map_pool ~j:3 ~deadline_s:10. thunks in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Ok v -> Alcotest.(check int) "ordered" (i * 10) v
-            | Error _ -> Alcotest.fail "unexpected failure")
-          rs);
-    Alcotest.test_case "sleep-waiting pool still kills close to the deadline" `Quick (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let rs =
-          Engine.Worker.map_pool ~j:2 ~deadline_s:0.5
-            [|
-              (fun () ->
-                Unix.sleep 30;
-                0);
-              (fun () -> 1);
-            |]
-        in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        (match rs.(0) with
-        | Error (Engine.Worker.Timed_out { deadline_s }) ->
-            Alcotest.(check (float 1e-9)) "deadline recorded" 0.5 deadline_s
-        | _ -> Alcotest.fail "expected Timed_out");
-        (match rs.(1) with
-        | Ok 1 -> ()
-        | _ -> Alcotest.fail "fast sibling unaffected");
-        (* the reap loop sleeps on the SIGCHLD self-pipe bounded by the next
-           child deadline — overrun must stay close to the 0.5s budget, not
-           drift to the old busy-poll granularity or a full select cap *)
-        Alcotest.(check bool)
-          (Printf.sprintf "killed near the deadline (%.2fs elapsed)" elapsed)
-          true
-          (elapsed >= 0.5 && elapsed < 1.5));
   ]
 
 (* ---------------- engine campaigns ---------------- *)
@@ -864,7 +739,6 @@ let () =
   Alcotest.run "engine"
     [
       ("journal", journal_tests);
-      ("worker", worker_tests);
       ("campaign", engine_tests);
       ("corpus", corpus_tests);
     ]

@@ -155,6 +155,32 @@ let selfcheck_tests =
         Alcotest.(check int) "all mpi specs detected" t.Selfcheck.mpi_total
           t.Selfcheck.mpi_detected;
         Alcotest.(check int) "nothing quarantined" 0 t.Selfcheck.quarantined);
+    Alcotest.test_case "interp level on supervised workers: identical at -j 1 and -j 2" `Slow
+      (fun () ->
+        let run j = Selfcheck.run ~j ~trials:2 ~level:Plan.L_interp ~seed:42 () in
+        let a = run 1 and b = run 2 in
+        Alcotest.(check string) "byte-identical reports" (Selfcheck.to_jsonl a)
+          (Selfcheck.to_jsonl b);
+        let t = Selfcheck.totals a in
+        Alcotest.(check bool) "catalog non-empty" true (t.Selfcheck.core_total > 0);
+        Alcotest.(check int) "every core spec detected" t.Selfcheck.core_total
+          t.Selfcheck.core_detected;
+        Alcotest.(check int) "nothing quarantined" 0 t.Selfcheck.quarantined);
+    Alcotest.test_case "a deadline no probe meets quarantines every supervised probe" `Slow
+      (fun () ->
+        let r = Selfcheck.run ~j:2 ~deadline_s:1e-6 ~trials:2 ~level:Plan.L_interp ~seed:42 () in
+        Alcotest.(check bool) "catalog non-empty" true (r.Selfcheck.rows <> []);
+        List.iter
+          (fun (row : Selfcheck.row) ->
+            match row.Selfcheck.outcome with
+            | Selfcheck.Quarantined { detail } ->
+                Alcotest.(check string) "detail" "timed out after 0.0s" detail;
+                Alcotest.(check int) "attempts" 3 row.Selfcheck.attempts
+            | o ->
+                Alcotest.fail
+                  (row.Selfcheck.spec.Plan.id ^ ": expected Quarantined, got "
+                 ^ Selfcheck.outcome_name o))
+          r.Selfcheck.rows);
   ]
 
 let () =
