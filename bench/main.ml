@@ -1110,7 +1110,10 @@ let faultlab () =
 (* Trial throughput at fuzzer-typical repetition counts: the tree-walk
    re-derives all structure per run, the plan path compiles once and
    executes many times. Compile cost is measured and reported separately
-   so the JSON shows both the amortized and the cold story.
+   so the JSON shows both the amortized and the cold story, split into
+   [Plan.compile]'s two stages: the per-program stage (partial application)
+   and the per-valuation stage (applying it to the symbols); [compile_ms]
+   is their sum.
 
      BENCH_INTERP_TRIALS       trials per workload (default 1000)
      BENCH_INTERP_MIN_SPEEDUP  exit non-zero below this (default 1.0) *)
@@ -1137,7 +1140,8 @@ let interp () =
     ]
   in
   Printf.printf "trials per workload: %d\n" trials;
-  Printf.printf "%-10s %10s %12s %12s %9s\n" "workload" "compile" "tree-walk" "plan" "speedup";
+  Printf.printf "%-10s %10s %10s %10s %12s %12s %9s\n" "workload" "compile" "program" "valuation"
+    "tree-walk" "plan" "speedup";
   let worst = ref infinity in
   let rows =
     List.map
@@ -1162,12 +1166,14 @@ let interp () =
         | _ ->
             Printf.eprintf "interp bench: tier divergence on %s\n" name;
             exit 1);
-        let plan, t_compile =
+        let stage, t_program = time (fun () -> Interp.Plan.compile g) in
+        let plan, t_valuation =
           time (fun () ->
-              match Interp.Plan.compile g ~symbols with
+              match stage ~symbols with
               | Ok p -> p
               | Error f -> (Printf.eprintf "%s: %s\n" name (Interp.Exec.fault_to_string f); exit 1))
         in
+        let t_compile = t_program +. t_valuation in
         let _, t_tree =
           time (fun () ->
               for _ = 1 to trials do
@@ -1184,11 +1190,13 @@ let interp () =
         let tps_plan = float_of_int trials /. t_plan in
         let speedup = t_tree /. t_plan in
         if speedup < !worst then worst := speedup;
-        Printf.printf "%-10s %8.2fms %9.0f/s %9.0f/s %8.2fx\n" name (1000. *. t_compile)
-          tps_tree tps_plan speedup;
+        Printf.printf "%-10s %8.3fms %8.3fms %8.3fms %9.0f/s %9.0f/s %8.2fx\n" name
+          (1000. *. t_compile) (1000. *. t_program) (1000. *. t_valuation) tps_tree tps_plan
+          speedup;
         Printf.sprintf
-          "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"compile_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f}"
-          name trials (1000. *. t_compile) tps_tree tps_plan t_tree t_plan speedup)
+          "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"compile_ms\":%.3f,\"program_stage_ms\":%.3f,\"valuation_stage_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f}"
+          name trials (1000. *. t_compile) (1000. *. t_program) (1000. *. t_valuation) tps_tree
+          tps_plan t_tree t_plan speedup)
       workloads
   in
   let oc = open_out "BENCH_interp.json" in

@@ -62,6 +62,18 @@ let find_xform name =
       Printf.eprintf "unknown transformation %s (try: fuzzyflow list)\n" name;
       exit 2
 
+(* The Table 2 concretization: every free symbol of the NPBench and
+   frontend kernels. *)
+let table2_symbols = [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ]
+
+(* The symbols a workload runs on without -D: its own, by graph name, else
+   the Table 2 set. *)
+let default_symbols_for = function
+  | "bert_encoder" -> Workloads.Bert.default_symbols
+  | "cloudsc_synth" -> Workloads.Cloudsc.default_symbols
+  | "sddmm_rank" -> Workloads.Sddmm.default_symbols
+  | _ -> table2_symbols
+
 (* ---------------- arguments ---------------- *)
 
 let workload_arg =
@@ -118,10 +130,17 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List available workloads and transformations.")
     Term.(const run $ const ())
 
+(* A site whose test raised: printed like a report line, as [optimize]
+   prints a crashed step. *)
+let print_crashed (xform : Transforms.Xform.t) site e =
+  Format.printf "%s @@ %a: CRASHED: %s@." xform.name Transforms.Xform.pp_site site
+    (Printexc.to_string e)
+
 let test_cmd =
   let run w x trials seed max_size no_min_cut defines save =
     let g = find_workload w in
     let xform = find_xform x in
+    let defines = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
     let config = mk_config trials seed max_size no_min_cut defines in
     let sites = xform.find g in
     if sites = [] then print_endline "no application sites found"
@@ -129,19 +148,23 @@ let test_cmd =
       let failing = ref 0 in
       List.iter
         (fun site ->
-          let r = Fuzzyflow.Difftest.test_instance ~config g xform site in
-          Format.printf "%a@." Fuzzyflow.Difftest.pp_report r;
-          match r.verdict with
-          | Fuzzyflow.Difftest.Pass -> ()
-          | Fuzzyflow.Difftest.Fail _ -> (
+          match Fuzzyflow.Difftest.test_instance ~config g xform site with
+          | exception e ->
               incr failing;
-              match save with
-              | None -> ()
-              | Some dir -> (
-                  match Fuzzyflow.Testcase.of_report ~config ~original:g r with
-                  | Some tc ->
-                      List.iter (Printf.printf "  wrote %s\n") (Fuzzyflow.Testcase.save dir tc)
-                  | None -> ())))
+              print_crashed xform site e
+          | r -> (
+              Format.printf "%a@." Fuzzyflow.Difftest.pp_report r;
+              match r.verdict with
+              | Fuzzyflow.Difftest.Pass -> ()
+              | Fuzzyflow.Difftest.Fail _ -> (
+                  incr failing;
+                  match save with
+                  | None -> ()
+                  | Some dir -> (
+                      match Fuzzyflow.Testcase.of_report ~config ~original:g r with
+                      | Some tc ->
+                          List.iter (Printf.printf "  wrote %s\n") (Fuzzyflow.Testcase.save dir tc)
+                      | None -> ()))))
         sites;
       Printf.printf "%d/%d instances failing\n" !failing (List.length sites);
       if !failing > 0 then exit 1
@@ -354,7 +377,8 @@ let campaign_cmd =
   in
   let run ws correct certify static trials seed max_size no_min_cut defines j deadline journal
       resume corpus progress limit_per generated styles worker_eps =
-    let defines = if defines = [] then [ ("N", 8); ("T", 3) ] else defines in
+    (* one config serves every program, so no workload's own symbols *)
+    let defines = if defines = [] then table2_symbols else defines in
     let config = mk_config trials seed max_size no_min_cut defines in
     let gen_programs =
       match generated with
@@ -481,12 +505,31 @@ let cutout_cmd =
   in
   let run w state nodes defines =
     let g = find_workload w in
-    let cut =
-      Fuzzyflow.Cutout.extract_dataflow ~options:{ Fuzzyflow.Cutout.symbols = defines } g ~state
-        ~nodes
+    let defines = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          prerr_endline ("cutout: " ^ msg);
+          exit 2)
+        fmt
+    in
+    (match Sdfg.Graph.state_opt g state with
+    | None -> fail "%s has no state %d" w state
+    | Some st ->
+        List.iter
+          (fun n ->
+            if not (Sdfg.State.has_node st n) then fail "state %d of %s has no node %d" state w n)
+          nodes);
+    let cut, (cut', stats) =
+      try
+        let cut =
+          Fuzzyflow.Cutout.extract_dataflow ~options:{ Fuzzyflow.Cutout.symbols = defines } g
+            ~state ~nodes
+        in
+        (cut, Fuzzyflow.Min_cut.minimize g cut ~symbols:defines)
+      with Symbolic.Expr.Unbound_symbol s -> fail "unbound symbol %s (bind it with -D %s=VALUE)" s s
     in
     Format.printf "%a@." Fuzzyflow.Cutout.pp cut;
-    let cut', stats = Fuzzyflow.Min_cut.minimize g cut ~symbols:defines in
     Printf.printf "min input-flow cut: %d -> %d elements; inputs {%s}\n" stats.original_elements
       stats.minimized_elements
       (String.concat ", " cut'.input_config)
@@ -494,15 +537,6 @@ let cutout_cmd =
   Cmd.v
     (Cmd.info "cutout" ~doc:"Extract and minimize a cutout around given nodes.")
     Term.(const run $ workload_arg $ state_arg $ nodes_arg $ defines_arg)
-
-(* The symbols a workload declares for itself, by graph name. *)
-let workload_symbols = function
-  | "bert_encoder" -> Some Workloads.Bert.default_symbols
-  | "cloudsc_synth" -> Some Workloads.Cloudsc.default_symbols
-  | "sddmm_rank" -> Some Workloads.Sddmm.default_symbols
-  | _ -> None
-
-let default_symbols_for name = Option.value (workload_symbols name) ~default:[ ("N", 8); ("T", 3) ]
 
 let analyze_cmd =
   let carried_arg =
@@ -805,13 +839,7 @@ let certify_cmd =
 let optimize_cmd =
   let run w trials seed max_size no_min_cut defines correct static =
     let g = find_workload w in
-    let defines =
-      if defines <> [] then defines
-      else
-        Option.value
-          (workload_symbols (Sdfg.Graph.name g))
-          ~default:[ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ]
-    in
+    let defines = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
     let config = mk_config trials seed max_size no_min_cut defines in
     let xforms =
       if correct then Transforms.Registry.all_correct () else Transforms.Registry.as_shipped ()
@@ -841,15 +869,17 @@ let localize_cmd =
   let run w x trials seed max_size no_min_cut defines =
     let g = find_workload w in
     let xform = find_xform x in
+    let defines = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
     let config = mk_config trials seed max_size no_min_cut defines in
     List.iter
       (fun site ->
-        let r = Fuzzyflow.Difftest.test_instance ~config g xform site in
-        match r.verdict with
-        | Fuzzyflow.Difftest.Pass -> ()
-        | Fuzzyflow.Difftest.Fail _ -> (
+        match Fuzzyflow.Difftest.test_instance ~config g xform site with
+        | exception e -> print_crashed xform site e
+        | { verdict = Fuzzyflow.Difftest.Pass; _ } -> ()
+        | { verdict = Fuzzyflow.Difftest.Fail _; _ } as r -> (
             Format.printf "%a@." Fuzzyflow.Difftest.pp_report r;
             match Fuzzyflow.Localize.of_report ~config ~original:g ~xform r with
+            | exception e -> print_crashed xform site e
             | Some ds when ds <> [] ->
                 List.iteri
                   (fun i d ->
@@ -1117,7 +1147,8 @@ let submit_cmd =
     end
     else begin
       let ws = if ws = [] then List.map fst (workloads ()) else ws in
-      let defines = if defines = [] then [ ("N", 8); ("T", 3) ] else defines in
+      (* as [campaign]: one config serves every program *)
+      let defines = if defines = [] then table2_symbols else defines in
       let sub =
         {
           Engine.Wire.s_workloads = ws;

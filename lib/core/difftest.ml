@@ -157,17 +157,19 @@ let compare_outcomes ~threshold ~system_state orig xformed =
                    }))
         system_state
 
-(* One program's execution plans, owned by the sweep that creates them: each
-   sorted symbol valuation is compiled at most once, and the table is emptied
+(* One program's execution plans, owned by the sweep that creates them: the
+   per-program stage of [Plan.compile] runs at the first miss, each sorted
+   symbol valuation is compiled at most once on it, and the table is emptied
    wholesale at 64 live entries. *)
 let compile_table prog =
+  let stage = lazy (Interp.Plan.compile prog) in
   let tbl = Hashtbl.create 16 in
   fun symbols ->
     let key = List.sort compare symbols in
     match Hashtbl.find_opt tbl key with
     | Some r -> r
     | None ->
-        let r = Interp.Plan.compile prog ~symbols in
+        let r = (Lazy.force stage) ~symbols in
         if Hashtbl.length tbl >= 64 then Hashtbl.reset tbl;
         Hashtbl.add tbl key r;
         r

@@ -85,8 +85,10 @@ type run = (Interp.Exec.outcome, Interp.Exec.fault) result
     plans' tables for one instance: one per side, keyed by sorted symbol
     valuation. Apply the result to each trial's [(symbols, inputs)] to run
     it on the original program under [config], then on the transformed one
-    under [config_x], and get both outcomes; each program is compiled at
-    most once per valuation for as long as the partial application lives. *)
+    under [config_x], and get both outcomes. For as long as the partial
+    application lives, each program runs {!Interp.Plan.compile}'s
+    per-program stage once, at its first trial, and its per-valuation stage
+    at most once per valuation. *)
 val sweep :
   original:Sdfg.Graph.t ->
   transformed:Sdfg.Graph.t ->

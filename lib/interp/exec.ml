@@ -4,8 +4,8 @@
    injection / outcome vocabulary), Tree (the reference tree-walk
    interpreter) and Plan (compile-once execution plans). [run] keeps the
    historical one-shot interface — compile then execute; hot loops should
-   compile once per valuation with Plan.compile and call Plan.execute per
-   trial, as Difftest.sweep does. *)
+   apply Plan.compile once per graph, apply the result once per valuation,
+   and call Plan.execute per trial, as Difftest.sweep does. *)
 
 include Defs
 

@@ -23,9 +23,9 @@
 
     [run] is the one-shot interface: it compiles a plan and runs it once.
     Loops that execute the same graph many times (the difftest trial loop,
-    the fuzzer) should instead compile once per symbol valuation —
-    {!Plan.compile}, as [Fuzzyflow.Difftest.sweep] does — and call
-    {!Plan.execute} per trial. *)
+    the fuzzer) should instead run {!Plan.compile}'s per-program stage once
+    per graph and its per-valuation stage once per symbol valuation, as
+    [Fuzzyflow.Difftest.sweep] does, and call {!Plan.execute} per trial. *)
 
 type fault = Defs.fault =
   | Out_of_bounds of { container : string; index : int array; shape : int array; context : string }

@@ -1,12 +1,14 @@
 (* Compile-once execution plans.
 
    [compile] lowers a validated graph plus a symbol valuation into a flat,
-   immutable plan: topological order and scope membership resolved once,
-   tasklet code compiled to closures over an integer-slot scratch file,
-   memlet subsets pre-evaluated to concrete ranges wherever the valuation
-   makes them constant, and containers addressed by dense plan ids instead
-   of string hashes. [execute] then runs the plan over fresh buffers as many
-   times as the fuzzing loop needs.
+   immutable plan, in two stages. The per-program stage validates the graph
+   and resolves topological order and scope membership once per graph; the
+   per-valuation stage concretizes shapes, compiles tasklet code to closures
+   over an integer-slot scratch file, pre-evaluates memlet subsets to
+   concrete ranges wherever the valuation makes them constant, and
+   addresses containers by dense plan ids instead of string hashes.
+   [execute] then runs the plan over fresh buffers as many times as the
+   fuzzing loop needs.
 
    The observable semantics — step counts, write/subset injection counters,
    coverage digests, fault messages, even the evaluation order of failing
@@ -93,6 +95,8 @@ let lift2 f a b =
 (* Compile-time environment                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One per valuation stage; [dyn_idx] is the per-program stage's, only read
+   here. *)
 type cenv = {
   cg : Graph.t;
   buf_idx : (string, int) Hashtbl.t;  (* container name -> dense buffer id *)
@@ -997,96 +1001,128 @@ let exec_program p rt =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let compile g ~symbols =
-  match Validate.check g with
-  | e :: _ -> Error (Invalid_graph (Format.asprintf "%a" Validate.pp_error e))
-  | [] -> (
-      let env0 = Symbolic.Expr.Env.of_list symbols in
-      (* dynamic symbols: assigned on any interstate edge anywhere in the
-         graph; everything else in the valuation folds to a constant *)
-      let dyn_idx = Hashtbl.create 8 in
+(* The per-program stage: everything lowering needs that no valuation
+   changes. Its tables are only read once it returns, so any number of
+   valuation stages may share one. *)
+type program = {
+  pr_dyn_idx : (string, int) Hashtbl.t;  (* interstate-assigned symbol -> slot *)
+  pr_states : (int * Tree.sctx * Graph.istate_edge list) list;  (* state order *)
+  pr_pos_of : (int, int) Hashtbl.t;  (* state id -> position in pr_states *)
+  pr_start : int;  (* position of the start state, -1 when there is none *)
+  pr_oblivious : bool;  (* Hang_proof.interstate_oblivious *)
+}
+
+let program_stage g =
+  (* dynamic symbols: assigned on any interstate edge anywhere in the
+     graph; everything else in a valuation folds to a constant *)
+  let dyn_idx = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Graph.istate_edge) ->
       List.iter
-        (fun (e : Graph.istate_edge) ->
-          List.iter
-            (fun (sym, _) ->
-              if not (Hashtbl.mem dyn_idx sym) then
-                Hashtbl.add dyn_idx sym (Hashtbl.length dyn_idx))
-            e.assigns)
-        (Graph.istate_edges g);
-      let static = Symbolic.Expr.Env.filter (fun s _ -> not (Hashtbl.mem dyn_idx s)) env0 in
-      let dyn_init =
-        Array.of_list
-          (Hashtbl.fold
-             (fun s i acc ->
-               match Symbolic.Expr.Env.find_opt s env0 with
-               | Some v -> (i, v) :: acc
-               | None -> acc)
-             dyn_idx [])
-      in
-      try
-        let buf_idx = Hashtbl.create 16 in
-        let scalar_idx = Hashtbl.create 8 in
-        let bufs =
-          Array.of_list
-            (List.mapi
-               (fun i (name, (desc : Graph.datadesc)) ->
-                 Hashtbl.replace buf_idx name i;
-                 if desc.shape = [] then Hashtbl.replace scalar_idx name i;
-                 let shape =
-                   try Value.concretize_shape env0 name desc with
-                   | Invalid_argument msg -> raise (F (Invalid_graph msg))
-                   | Symbolic.Expr.Unbound_symbol s ->
-                       raise (F (Runtime_error ("unbound symbol " ^ s ^ " in shape of " ^ name)))
-                 in
-                 { b_name = name; b_desc = desc; b_shape = shape })
-               (Graph.containers g))
-        in
-        let cv =
-          { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0; guarded_fault = false }
-        in
-        let states = Graph.states g in
-        let pos_of = Hashtbl.create 8 in
-        List.iteri (fun i (sid, _) -> Hashtbl.replace pos_of sid i) states;
-        let state_plans =
-          Array.of_list
-            (List.map
-               (fun (sid, st) ->
-                 let sc = Tree.build_sctx st in
-                 let ops = lower_members cv sc sid ~gpu:false [] None in
-                 let edges =
-                   Array.of_list
-                     (List.map
-                        (fun (e : Graph.istate_edge) ->
-                          {
-                            le_cov = cov_digest (Cov_iedge e.ie_id);
-                            le_cond = lower_cond cv e.cond;
-                            le_assigns =
-                              Array.of_list
-                                (List.map
-                                   (fun (sym, rhs) ->
-                                     ( Hashtbl.find dyn_idx sym,
-                                       force (lower_expr cv [] ~interstate:true rhs) ))
-                                   e.assigns);
-                            le_dst = Hashtbl.find pos_of e.dst;
-                          })
-                        (Graph.out_istate_edges g sid))
-                 in
-                 { sp_cov = cov_digest (Cov_state sid); sp_ops = ops; sp_edges = edges })
-               states)
-        in
-        let start = Graph.start_state g in
-        Ok
-          {
-            p_bufs = bufs;
-            p_buf_idx = buf_idx;
-            p_nparams = cv.nparams;
-            p_ndyn = Hashtbl.length dyn_idx;
-            p_dyn_init = dyn_init;
-            p_states = state_plans;
-            p_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
-            p_provable = Hang_proof.interstate_oblivious g && not cv.guarded_fault;
-          }
-      with F f -> Error f)
+        (fun (sym, _) ->
+          if not (Hashtbl.mem dyn_idx sym) then Hashtbl.add dyn_idx sym (Hashtbl.length dyn_idx))
+        e.assigns)
+    (Graph.istate_edges g);
+  let states = Graph.states g in
+  let pos_of = Hashtbl.create 8 in
+  List.iteri (fun i (sid, _) -> Hashtbl.replace pos_of sid i) states;
+  let states =
+    List.map (fun (sid, st) -> (sid, Tree.build_sctx st, Graph.out_istate_edges g sid)) states
+  in
+  let start = Graph.start_state g in
+  {
+    pr_dyn_idx = dyn_idx;
+    pr_states = states;
+    pr_pos_of = pos_of;
+    pr_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
+    pr_oblivious = Hang_proof.interstate_oblivious g;
+  }
+
+(* The per-valuation stage: shapes, then lowering with the valuation's
+   constants folded in. [pr] is the per-program stage, or the exception it
+   raised; that exception is re-raised after the shapes, where a one-stage
+   compile raised it, so a shape fault still wins over it. *)
+let valuation_stage g pr ~symbols =
+  let env0 = Symbolic.Expr.Env.of_list symbols in
+  try
+    let buf_idx = Hashtbl.create 16 in
+    let scalar_idx = Hashtbl.create 8 in
+    let bufs =
+      Array.of_list
+        (List.mapi
+           (fun i (name, (desc : Graph.datadesc)) ->
+             Hashtbl.replace buf_idx name i;
+             if desc.shape = [] then Hashtbl.replace scalar_idx name i;
+             let shape =
+               try Value.concretize_shape env0 name desc with
+               | Invalid_argument msg -> raise (F (Invalid_graph msg))
+               | Symbolic.Expr.Unbound_symbol s ->
+                   raise (F (Runtime_error ("unbound symbol " ^ s ^ " in shape of " ^ name)))
+             in
+             { b_name = name; b_desc = desc; b_shape = shape })
+           (Graph.containers g))
+    in
+    let pr = match pr with Ok pr -> pr | Error e -> raise e in
+    let dyn_idx = pr.pr_dyn_idx in
+    let static = Symbolic.Expr.Env.filter (fun s _ -> not (Hashtbl.mem dyn_idx s)) env0 in
+    let dyn_init =
+      Array.of_list
+        (Hashtbl.fold
+           (fun s i acc ->
+             match Symbolic.Expr.Env.find_opt s env0 with Some v -> (i, v) :: acc | None -> acc)
+           dyn_idx [])
+    in
+    let cv = { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0; guarded_fault = false } in
+    let state_plans =
+      Array.of_list
+        (List.map
+           (fun (sid, sc, out_edges) ->
+             let ops = lower_members cv sc sid ~gpu:false [] None in
+             let edges =
+               Array.of_list
+                 (List.map
+                    (fun (e : Graph.istate_edge) ->
+                      {
+                        le_cov = cov_digest (Cov_iedge e.ie_id);
+                        le_cond = lower_cond cv e.cond;
+                        le_assigns =
+                          Array.of_list
+                            (List.map
+                               (fun (sym, rhs) ->
+                                 ( Hashtbl.find dyn_idx sym,
+                                   force (lower_expr cv [] ~interstate:true rhs) ))
+                               e.assigns);
+                        le_dst = Hashtbl.find pr.pr_pos_of e.dst;
+                      })
+                    out_edges)
+             in
+             { sp_cov = cov_digest (Cov_state sid); sp_ops = ops; sp_edges = edges })
+           pr.pr_states)
+    in
+    Ok
+      {
+        p_bufs = bufs;
+        p_buf_idx = buf_idx;
+        p_nparams = cv.nparams;
+        p_ndyn = Hashtbl.length dyn_idx;
+        p_dyn_init = dyn_init;
+        p_states = state_plans;
+        p_start = pr.pr_start;
+        p_provable = pr.pr_oblivious && not cv.guarded_fault;
+      }
+  with F f -> Error f
+
+(* [compile g] runs the per-program stage; the closure it returns runs the
+   per-valuation stage. A graph that fails validation gets the same fault
+   at every valuation. *)
+let compile g =
+  match Validate.check g with
+  | e :: _ ->
+      let fault = Invalid_graph (Format.asprintf "%a" Validate.pp_error e) in
+      fun ~symbols:_ -> Error fault
+  | [] ->
+      let pr = try Ok (program_stage g) with e -> Error e in
+      fun ~symbols -> valuation_stage g pr ~symbols
 
 let execute ?(config = default_config) p ~inputs =
   let bufs =

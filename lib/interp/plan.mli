@@ -2,7 +2,8 @@
     and fuzzer trial runs on a plan.
 
     [compile] lowers a graph plus a symbol valuation into a flat immutable
-    plan: topological order and scope nesting resolved once, tasklet code
+    plan: topological order and scope nesting resolved once per graph,
+    tasklet code
     compiled to closures over integer-indexed registers, memlet subsets
     pre-evaluated to concrete strides wherever the valuation makes them
     constant, and containers addressed by dense ids. [execute] runs the plan
@@ -18,6 +19,15 @@
 
 type t
 
+(** [compile g ~symbols] compiles [g] under one valuation, in two stages.
+    Partial application, [compile g], runs the per-program stage:
+    validation, dynamic-symbol slots, state order, scope contexts and the
+    hang proof's interstate precondition, none of which depends on the
+    valuation. Applying the result to [~symbols] runs the per-valuation
+    stage: shapes, constant folding and lowering. Apply [compile g] once to
+    compile one program under many valuations; every plan is the one a full
+    application would give. A graph that fails validation gives the same
+    [Invalid_graph] at every valuation. *)
 val compile : Sdfg.Graph.t -> symbols:(string * int) list -> (t, Defs.fault) result
 
 val execute :

@@ -23,6 +23,9 @@ let inputs_for g ~symbols =
 let symbols_for g =
   List.map (fun s -> (s, if s = "T" then 3 else 6)) (Graph.all_free_syms g)
 
+let valuation_to_string symbols =
+  "[" ^ String.concat "; " (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) symbols) ^ "]"
+
 let roster () =
   List.map (fun (n, g) -> (n, g, symbols_for g)) (Workloads.Npbench.all ())
   @ List.map (fun (n, g) -> ("frontend:" ^ n, g, symbols_for g)) (Workloads.Npb_frontend.all ())
@@ -283,6 +286,116 @@ let hang_tests =
           Alcotest.failf "%.0f minor words at limit 10^7 against %.0f at 10^4" large small);
   ]
 
+(* ---------------- staged compilation ---------------- *)
+
+(* [Plan.compile g] runs the per-program stage once; every valuation applied
+   to it must give the plan a one-stage compile gives, so each is checked
+   against the tree-walk at that valuation. *)
+
+let run_staged ~config stage ~symbols ~inputs =
+  match stage ~symbols with
+  | Error f -> (None, Error f)
+  | Ok p -> (Some p, Interp.Plan.execute ~config p ~inputs)
+
+let staged_tests =
+  [
+    Alcotest.test_case "one per-program stage serves every workload at three valuations" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, g, symbols) ->
+            let stage = Interp.Plan.compile g in
+            let at symbols =
+              let inputs = inputs_for g ~symbols in
+              let p, o = run_staged ~config:cov_config stage ~symbols ~inputs in
+              check_same
+                (Printf.sprintf "%s at %s" name (valuation_to_string symbols))
+                (exec_tree ~config:cov_config g ~symbols ~inputs)
+                o;
+              (p, inputs, o)
+            in
+            let first = at symbols in
+            ignore (at (List.map (fun (s, _) -> (s, 4)) symbols));
+            ignore (at symbols);
+            (* the first plan keeps no state from the runs of later plans *)
+            match first with
+            | Some p, inputs, o ->
+                check_same (name ^ ": first plan re-executed") o
+                  (Interp.Plan.execute ~config:cov_config p ~inputs)
+            | None, _, _ -> ())
+          (roster ()));
+    Alcotest.test_case "a guarded fault is judged per valuation" `Quick (fun () ->
+        let g = Hang_loops.guarded_fault "ghost" in
+        let stage = Interp.Plan.compile g in
+        let config = limit_config 20_000 in
+        let plans =
+          List.map
+            (fun symbols ->
+              let p, o = run_staged ~config stage ~symbols ~inputs:[] in
+              check_same
+                ("ghost at " ^ valuation_to_string symbols)
+                (exec_tree ~config g ~symbols ~inputs:[])
+                o;
+              p)
+            [ [ ("ghost", 1) ]; []; [ ("ghost", 1) ] ]
+        in
+        (* bound, the reference cannot fault, so the last plan proves its hang
+           again: a burned one allocates with the step limit *)
+        match List.rev plans with
+        | Some p :: _ ->
+            let words limit =
+              let before = Gc.minor_words () in
+              expect_hang "ghost = 1"
+                (Interp.Plan.execute ~config:(limit_config limit) p ~inputs:[]);
+              Gc.minor_words () -. before
+            in
+            let small = words 10_000 in
+            let large = words 1_000_000 in
+            if large > 2. *. small then
+              Alcotest.failf "%.0f minor words at limit 10^6 against %.0f at 10^4" large small
+        | _ -> Alcotest.fail "ghost = 1 does not compile");
+    Alcotest.test_case "a graph that fails validation fails at every valuation" `Quick (fun () ->
+        let g = Graph.create "bad" in
+        Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.sym "N" ];
+        let st = Graph.state g (Graph.add_state g "s") in
+        ignore (State.add_node st (Node.Access "ghost"));
+        let stage = Interp.Plan.compile g in
+        List.iter
+          (fun symbols ->
+            match (exec_tree g ~symbols ~inputs:[], stage ~symbols) with
+            | Error (Interp.Exec.Invalid_graph _ as f), Error f' ->
+                Alcotest.(check string)
+                  ("fault at " ^ valuation_to_string symbols)
+                  (Interp.Exec.fault_to_string f) (Interp.Exec.fault_to_string f')
+            | _ -> Alcotest.fail "expected the validation fault from both tiers")
+          [ [ ("N", 4) ]; []; [ ("N", 5) ] ]);
+    Alcotest.test_case "an unbound shape symbol faults next to a valuation that binds it" `Quick
+      (fun () ->
+        let g = Workloads.Npbench.scale () in
+        let stage = Interp.Plan.compile g in
+        List.iter
+          (fun symbols ->
+            let inputs = if symbols = [] then [] else inputs_for g ~symbols in
+            check_same
+              ("scale at " ^ valuation_to_string symbols)
+              (exec_tree ~config:cov_config g ~symbols ~inputs)
+              (snd (run_staged ~config:cov_config stage ~symbols ~inputs)))
+          [ []; [ ("N", 4) ]; []; [ ("N", 5) ] ]);
+    Alcotest.test_case "a per-program stage exception comes after the shape faults" `Quick
+      (fun () ->
+        (* a removed start state passes validation when no state is left *)
+        let g = Graph.create "stateless" in
+        Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.sym "N" ];
+        Graph.remove_state g (Graph.add_state g "s");
+        let stage = Interp.Plan.compile g in
+        check_same "stateless at []"
+          (exec_tree g ~symbols:[] ~inputs:[])
+          (snd (run_staged ~config:cov_config stage ~symbols:[] ~inputs:[]));
+        Alcotest.check_raises "tree at [N=4]" Not_found (fun () ->
+            ignore (exec_tree g ~symbols:[ ("N", 4) ] ~inputs:[]));
+        Alcotest.check_raises "plan at [N=4]" Not_found (fun () ->
+            ignore (stage ~symbols:[ ("N", 4) ])));
+  ]
+
 let cache_tests =
   [
     Alcotest.test_case "cache hits on repeated (digest, symbols)" `Quick (fun () ->
@@ -351,6 +464,56 @@ let generated_tests =
           Gen.Styles.all);
   ]
 
+(* The tier contract on random data: admitted generated programs (smoke run
+   skipped, so faulting and hanging ones stay in), three valuations on one
+   per-program stage, and inputs where one value in three is a special
+   float. *)
+let specials =
+  [|
+    Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324; -0.0; 1e308; -1e308;
+    2.2250738585072014e-308;
+  |]
+
+let random_inputs rng g ~symbols =
+  let value () =
+    if Random.State.int rng 3 = 0 then specials.(Random.State.int rng (Array.length specials))
+    else Random.State.float rng 20. -. 10.
+  in
+  List.map (fun (c, a) -> (c, Array.map (fun _ -> value ()) a)) (inputs_for g ~symbols)
+
+let arb_candidate =
+  QCheck.make
+    ~print:(fun (style, seed, index, vseed) ->
+      Printf.sprintf "%s (values from %d)"
+        (Gen.Generate.candidate_name ~style ~seed ~index)
+        vseed)
+    QCheck.Gen.(
+      quad (oneofl Gen.Styles.names) (int_bound 1_000) (int_bound 100) (int_bound 1_000_000))
+
+let prop_tier_contract =
+  QCheck.Test.make ~name:"plans match the tree-walk on random programs, valuations and inputs"
+    ~count:400 arb_candidate (fun (style, seed, index, vseed) ->
+      let c = Gen.Generate.candidate ~style:(Option.get (Gen.Styles.by_name style)) ~seed index in
+      QCheck.assume (Result.is_ok (Gen.Admit.check ~run:false c));
+      let g = c.graph in
+      let rng = Random.State.make [| vseed |] in
+      let free = Graph.all_free_syms g in
+      let config = { cov_config with step_limit = 100_000 } in
+      let stage = Interp.Plan.compile g in
+      List.iter
+        (fun symbols ->
+          let inputs = random_inputs rng g ~symbols in
+          check_same
+            (Printf.sprintf "%s at %s" c.name (valuation_to_string symbols))
+            (exec_tree ~config g ~symbols ~inputs)
+            (snd (run_staged ~config stage ~symbols ~inputs)))
+        [
+          Gen.Admit.concretize g;
+          List.map (fun s -> (s, 1)) free;
+          List.map (fun s -> (s, 1 + Random.State.int rng 9)) free;
+        ];
+      true)
+
 (* difftest verdicts do not depend on what ran earlier in the process *)
 let consumer_tests =
   [
@@ -380,7 +543,9 @@ let () =
       ("injection", injection_tests);
       ("faults", fault_tests);
       ("hangs", hang_tests);
+      ("staged", staged_tests);
       ("generated", generated_tests);
+      ("random", [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_tier_contract ]);
       ("cache", cache_tests);
       ("consumers", consumer_tests);
     ]
