@@ -810,7 +810,7 @@ let certify_cmd =
       exit 1
     end;
     let equivalent = ref 0 and refuted = ref 0 and unknown = ref 0 in
-    let memo = Sdfg.Memo.create () in
+    let memo = Analysis.Delta.create_memo () in
     List.iter
       (fun site ->
         Format.printf "%s @@ %a: " xform.Transforms.Xform.name Transforms.Xform.pp_site site;
@@ -1028,7 +1028,7 @@ let worker_cmd =
     (Cmd.info "worker"
        ~doc:
          "Run a remote campaign worker: accept assignments from a dispatcher, run each \
-          in-process under its deadline with a static-delta baseline memo kept across \
+          in-process under its deadline with a static-delta memo kept across \
           assignments (the same code a local $(b,-j) worker runs), and reply with the verdict.")
     Term.(const run $ port_arg [ "port" ] "Listen on $(docv) (0 picks an ephemeral port)." $ once_arg)
 

@@ -11,6 +11,17 @@ type t = {
 
 let bounds_fn t s = Option.value ~default:(None, None) (List.assoc_opt s t.bounds)
 
+let to_string t =
+  let line f l = String.concat " " (List.map f l) in
+  let opt = function Some n -> string_of_int n | None -> "_" in
+  String.concat "\n"
+    [
+      line (fun (s, v) -> Printf.sprintf "%s=%d" s v) (Expr.Env.bindings t.env);
+      line (fun (v, r) -> v ^ "=" ^ Subset.to_string [ r ]) t.loops;
+      line (fun (v, ns) -> v ^ "=" ^ String.concat "," (List.map string_of_int ns)) t.candidates;
+      line (fun (s, (lo, hi)) -> Printf.sprintf "%s=%s:%s" s (opt lo) (opt hi)) t.bounds;
+    ]
+
 (* The span of a canonical loop: up-counting loops run from [init] to the
    bound of the guard condition, down-counting loops the other way. Step is
    irrelevant for bounding analyses. *)

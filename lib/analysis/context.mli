@@ -24,6 +24,11 @@ type t = {
     symbol, or [(None, None)] when nothing is known. *)
 val bounds_fn : t -> string -> int option * int option
 
+(** A canonical print of every field: environment bindings, loops,
+    candidates and interval bounds, in order. Equal prints give the
+    per-state passes the same assumptions. *)
+val to_string : t -> string
+
 (** [facts] are concrete interval bounds inferred by the {!Intervals}
     fixpoint; each bounded symbol's endpoints join its candidate values for
     the sampling-based checks. *)

@@ -62,7 +62,7 @@ let writes g =
    in-shape index of the container under that valuation. *)
 let coverage_default_size = 8
 
-let check_coverage ?(symbols = []) g =
+let check_coverage ?memo ?(symbols = []) g =
   let declared =
     let shape_syms =
       List.concat_map
@@ -81,13 +81,13 @@ let check_coverage ?(symbols = []) g =
       declared
   in
   let bounds s = if List.mem s declared then (Some 1, None) else (None, None) in
-  match Propagate.summarize ~bounds g with
+  let state_accesses = Reuse.accesses memo g in
+  match Propagate.summarize ~bounds ~accesses:state_accesses g with
   | exception _ -> []
   | su ->
-      (* propagated once per state, in state order, and only if some
-         transient gets this far *)
+      (* in state order, and only if some transient gets this far *)
       let accesses =
-        lazy (List.concat_map (fun (_, st) -> Propagate.state_accesses g st) (Graph.states g))
+        lazy (List.concat_map (fun (sid, st) -> state_accesses sid st) (Graph.states g))
       in
       let read_accesses c =
         List.filter_map
@@ -120,7 +120,10 @@ let check_coverage ?(symbols = []) g =
                   (fun r ->
                     if not (param_only r) then None
                     else
-                      match Deps.uncovered ~bounds ~symbols:valuation r w with
+                      match
+                        Reuse.uncovered memo ~valuation r w (fun () ->
+                            Deps.uncovered ~bounds ~symbols:valuation r w)
+                      with
                       | Some (va, el) when in_shape d el ->
                           Some
                             (Report.make ~pass:Report.Use_before_def

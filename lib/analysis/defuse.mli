@@ -43,5 +43,11 @@ val check : Graph.t -> Report.finding list
     Deliberately {e not} part of {!Oracle.analyze}: several shipped stencils
     legitimately read zero-initialized halo cells of transients, so this
     check is a {e delta} signal — {!Delta} and {!Equiv} run it on both sides
-    of a transformation and report only newly flagged containers. *)
-val check_coverage : ?symbols:(string * int) list -> Graph.t -> Report.finding list
+    of a transformation and report only newly flagged containers.
+
+    With [memo], the per-state accesses (for the summary and for each
+    transient's reads) and the {!Deps.uncovered} queries are served from
+    its tables ({!Reuse}); the summary join always runs. Results do not
+    depend on [memo]. *)
+val check_coverage :
+  ?memo:_ Reuse.t -> ?symbols:(string * int) list -> Graph.t -> Report.finding list

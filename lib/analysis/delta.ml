@@ -1,11 +1,12 @@
 (* carried dependences count here: both sides see them, so pre-existing ones
    cancel out and only transformation-introduced ones survive the delta *)
-let oracle ~symbols g =
-  match Oracle.analyze_stats ~carried:true ~symbols g with
+let oracle ~memo ~symbols g =
+  match Oracle.analyze_stats ~memo ~carried:true ~symbols g with
   | r -> r
   | exception _ -> ([], Races.stats_zero)
 
-let coverage ~symbols g = match Defuse.check_coverage ~symbols g with fs -> fs | exception _ -> []
+let coverage ~memo ~symbols g =
+  match Defuse.check_coverage ~memo ~symbols g with fs -> fs | exception _ -> []
 
 (* the unchanged program's half of a delta: its oracle findings and
    counters, and the containers its coverage check flags *)
@@ -15,32 +16,30 @@ type baseline = {
   flagged : string list;
 }
 
-type memo = baseline Sdfg.Memo.t
+type memo = baseline Reuse.t
 
-let compute ~symbols g =
-  let findings, stats = oracle ~symbols g in
+let create_memo () = Reuse.create ()
+let memo_stats = Reuse.stats
+
+let compute ~memo ~symbols g =
+  let findings, stats = oracle ~memo ~symbols g in
   {
     findings;
     stats;
-    flagged = List.map (fun (f : Report.finding) -> f.container) (coverage ~symbols g);
+    flagged = List.map (fun (f : Report.finding) -> f.container) (coverage ~memo ~symbols g);
   }
-
-let baseline ?memo ~symbols g =
-  match memo with
-  | None -> compute ~symbols g
-  | Some m -> Sdfg.Memo.find_or_add m g ~symbols (fun () -> compute ~symbols g)
 
 (* Read-coverage of transients is a delta-only signal (see Defuse.check_coverage):
    shipped stencils legitimately read zero-initialized halo cells, so only a
    container that the transformation *newly* flags counts. Diffing by container
    name (not finding text) keeps a pre-existing gap whose witness merely moved
    from polluting the delta. *)
-let against ~symbols b g' =
-  let after, sa = oracle ~symbols g' in
+let against ~memo ~symbols b g' =
+  let after, sa = oracle ~memo ~symbols g' in
   let uncovered =
     List.filter
       (fun (f : Report.finding) -> not (List.mem f.container b.flagged))
-      (coverage ~symbols g')
+      (coverage ~memo ~symbols g')
   in
   ( Report.sort (Report.new_findings ~before:b.findings ~after @ uncovered),
     Races.stats_add b.stats sa )
@@ -49,7 +48,12 @@ let apply ?memo ?(symbols = []) g (x : Transforms.Xform.t) site =
   let g' = Sdfg.Graph.copy g in
   match x.apply g' site with
   | exception Transforms.Xform.Cannot_apply _ -> None
-  | declared -> Some (g', declared, against ~symbols (baseline ?memo ~symbols g) g')
+  | declared ->
+      (* without a caller's memo, one for this call still lets the
+         transformed copy reuse the unchanged program's per-state results *)
+      let memo = match memo with Some m -> m | None -> create_memo () in
+      let b = Reuse.baseline memo ~symbols g (fun () -> compute ~memo ~symbols g) in
+      Some (g', declared, against ~memo ~symbols b g')
 
 let verify_stats ?symbols g x site = Option.map (fun (_, _, d) -> d) (apply ?symbols g x site)
 let verify ?symbols g x site = Option.map fst (verify_stats ?symbols g x site)

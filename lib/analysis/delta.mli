@@ -13,7 +13,13 @@
     findings and counters, and the containers its coverage check flags) is
     the same for every instance on that program, so a caller testing many
     instances passes one {!memo} and computes it once per program and
-    concretization; only the transformed program is analyzed per instance.
+    concretization. The transformed copy's half is analyzed per instance,
+    but incrementally: its per-state race and bounds results, per-state
+    accesses and coverage queries come from the same memo's content-keyed
+    tables ({!Reuse}), so only the states whose content, analysis context
+    or container table differ from a program analyzed before are checked
+    again. The whole-program passes (interval facts, def-use, liveness,
+    reaching definitions, the summary joins) re-run on every copy.
 
     A pass that itself raises is treated as producing no findings: the
     oracle only ever vetoes with evidence. *)
@@ -23,10 +29,16 @@ open Sdfg
 (** The unchanged program's half of a delta. *)
 type baseline
 
-(** Baselines keyed by program digest and sorted concretization
-    ({!Sdfg.Memo}, default capacity). Results never depend on the memo,
-    only their cost does. Create one with [Sdfg.Memo.create ()]. *)
-type memo = baseline Memo.t
+(** Baselines keyed by the program's content and sorted concretization,
+    next to the per-state and per-query tables ({!Reuse}); each table holds
+    a constant number of entries and is emptied wholesale when full.
+    Results never depend on the memo, only their cost does. *)
+type memo = baseline Reuse.t
+
+val create_memo : unit -> memo
+
+(** Hits and misses of each table; a miss computes. *)
+val memo_stats : memo -> Reuse.stats
 
 (** [apply ?memo ?symbols g x site] applies [x] at [site] to a copy of [g]
     and analyzes the result under [symbols] (default none): the
@@ -43,7 +55,8 @@ val apply :
   Transforms.Xform.site ->
   (Graph.t * Diff.change_set * (Report.finding list * Races.stats)) option
 
-(** The findings and counters of {!apply}, without a memo. *)
+(** The findings and counters of {!apply}, without a caller's memo: the
+    two halves share one that lives for the call. *)
 val verify_stats :
   ?symbols:(string * int) list ->
   Graph.t ->

@@ -108,7 +108,7 @@ let refute_or_unknown ?(use_deps = true) ~bounds ~symbols ~valuation ~declared m
                "propagated %s set of %s differs symbolically; no concrete witness found"
                (Certificate.side_name side) c))
 
-let decide ?(use_intervals = true) ?(use_deps = true) ~symbols ~delta g g'
+let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
     (x : Transforms.Xform.t) site =
   (* program parameters: declared symbols, anything a container shape
      mentions, and whatever the caller chose to concretize — hand-built
@@ -168,9 +168,8 @@ let decide ?(use_intervals = true) ?(use_deps = true) ~symbols ~delta g g'
       in
       (* a deliberately broken transformation can leave the scope structure
          malformed; propagation failure means "cannot decide", not a crash *)
-      match
-        (Propagate.summarize ~bounds g, Propagate.summarize ~bounds g')
-      with
+      let summarize h = Propagate.summarize ~bounds ~accesses:(Reuse.accesses memo h) h in
+      match (summarize g, summarize g') with
       | exception _ -> Unknown "memlet propagation failed on one of the programs"
       | pre, post -> (
       let stray su =
@@ -277,12 +276,18 @@ let decide ?(use_intervals = true) ?(use_deps = true) ~symbols ~delta g g'
                       (Printf.sprintf
                          "summaries match but the transformation is marked unsound (%s)"
                          why)
+                | _ when Validate.check g' <> [] ->
+                    (* equal summaries say nothing about well-formed code,
+                       and only a valid copy may skip its fuzz trials *)
+                    Unknown "summaries match, but the transformed program fails validation"
                 | _ -> Equivalent cert)
           | [], false, _ -> Unknown "write-conflict-resolution targets changed"
           | [], _, false -> Unknown "per-container access order changed"
           | ms, _, _ -> refute_or_unknown ~use_deps ~bounds ~symbols ~valuation ~declared ms)))
 
 let certify ?use_intervals ?use_deps ?memo ?(symbols = []) g x site =
+  let memo = match memo with Some m -> m | None -> Delta.create_memo () in
   Option.map
-    (fun (g', _, (delta, _)) -> decide ?use_intervals ?use_deps ~symbols ~delta g g' x site)
-    (Delta.apply ?memo ~symbols g x site)
+    (fun (g', _, (delta, _)) ->
+      decide ?use_intervals ?use_deps ~memo ~symbols ~delta g g' x site)
+    (Delta.apply ~memo ~symbols g x site)

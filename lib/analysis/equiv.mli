@@ -11,17 +11,21 @@
 
     - [Equivalent cert] — every external container's propagated read and
       write set is symbolically equal pre/post, write-conflict-resolution
-      targets agree, and every surviving container keeps its access order.
-      The certificate re-checks independently ({!Certificate.check}).
+      targets agree, every surviving container keeps its access order, and
+      the transformed program passes {!Sdfg.Validate.check} (equal
+      summaries say nothing about well-formed code). The certificate
+      re-checks independently ({!Certificate.check}).
       {b Sound to act on}: the pipeline may skip fuzz trials.
     - [Refuted w] — a definite dataflow difference with a concrete symbol
       valuation (and, when element enumeration succeeds, one element of the
       symmetric set difference). The valuation seeds the fuzzer; a spurious
       refutation costs only trials that would have run anyway.
     - [Unknown] — the analysis could not decide (unpropagated control-flow
-      symbols, ordering changes with equal sets, or a transformation marked
-      {!Transforms.Xform.Known_unsound} whose summaries nevertheless match —
-      the hint vetoes certification, never the other verdicts).
+      symbols, ordering changes with equal sets, a transformed program
+      that fails validation although its summaries match, or a
+      transformation marked {!Transforms.Xform.Known_unsound} whose
+      summaries nevertheless match — the hint vetoes certification, never
+      the other verdicts).
 
     A transformation-introduced static finding — any error, or a race at
     any severity — refutes before the summaries are compared. Those
@@ -61,9 +65,11 @@ val pp_verdict : Format.formatter -> verdict -> unit
     Disabling it reproduces the PR 6 behaviour; [bench deps] and
     [bench analysis] measure the verdicts this tier upgrades.
 
-    [memo] serves the unchanged program's half of the static delta
-    ({!Delta.memo}); a caller certifying many sites of one program passes
-    the same memo to every call. Verdicts do not depend on it. *)
+    [memo] serves the unchanged program's half of the static delta and
+    the per-state results both programs share ({!Delta.memo}); a caller
+    certifying many sites of one program passes the same memo to every
+    call. Without one, the call makes its own. Verdicts do not depend on
+    it. *)
 val certify :
   ?use_intervals:bool ->
   ?use_deps:bool ->
@@ -77,10 +83,14 @@ val certify :
 (** [decide ~symbols ~delta g g' x site] is {!certify}'s verdict for an
     instance the caller already applied and analyzed: [g'] and [delta] are
     the transformed copy and the findings {!Delta.apply} returned for [x]
-    at [site] on [g] under [symbols]. *)
+    at [site] on [g] under [symbols]. With [memo], the two summaries take
+    their per-state accesses from its tables, where the delta's own
+    analysis of both programs left them; the joins and the comparison
+    always run. *)
 val decide :
   ?use_intervals:bool ->
   ?use_deps:bool ->
+  ?memo:Delta.memo ->
   symbols:(string * int) list ->
   delta:Report.finding list ->
   Sdfg.Graph.t ->

@@ -38,7 +38,7 @@ let check_summary g bounds (summary : Propagate.summary) =
   List.concat_map (check_set "read") summary.reads
   @ List.concat_map (check_set "write") summary.writes
 
-let check ?(symbols = []) g =
+let check ?memo ?(symbols = []) g =
   let declared = Graph.symbols g in
   let bounds s =
     match List.assoc_opt s symbols with
@@ -47,6 +47,7 @@ let check ?(symbols = []) g =
   in
   (* propagation over a malformed graph (e.g. a partially extracted cutout)
      must degrade to "no findings", not abort the whole oracle *)
-  match check_summary g bounds (Propagate.summarize ~bounds g) with
+  let accesses = Reuse.accesses memo g in
+  match check_summary g bounds (Propagate.summarize ~bounds ~accesses g) with
   | fs -> fs
   | exception _ -> []

@@ -6,4 +6,7 @@
     the symbolic complement of the sampling-based {!Bounds} pass. Reports
     only provable escapes; undecidable subsets stay silent. *)
 
-val check : ?symbols:(string * int) list -> Sdfg.Graph.t -> Report.finding list
+(** With [memo], the summary's per-state accesses come from its tables
+    ({!Reuse}); the join and the check always run. *)
+val check :
+  ?memo:_ Reuse.t -> ?symbols:(string * int) list -> Sdfg.Graph.t -> Report.finding list

@@ -16,8 +16,16 @@ val analyze :
   ?carried:bool -> ?symbols:(string * int) list -> Graph.t -> Report.finding list
 
 (** {!analyze} plus the aggregated exact-dependence-tier coverage counters of
-    the race pass (see {!Races.stats}). *)
+    the race pass (see {!Races.stats}). With [memo], each state's race and
+    bounds results and the footprint pass's per-state accesses are served
+    from its tables ({!Reuse}) when their content keys match: a state is
+    analyzed again only if its content, the analysis context or the
+    container table changed. The interval facts, the context, the def-use,
+    liveness and reaching-definitions passes and the footprint join always
+    run.
+    Results do not depend on [memo]. *)
 val analyze_stats :
+  ?memo:_ Reuse.t ->
   ?carried:bool ->
   ?symbols:(string * int) list ->
   Graph.t ->

@@ -93,14 +93,19 @@ let run_instance ?memo ?(config = Difftest.default_config)
   let symbols = config.Difftest.concretization in
   (* both gates analyze one application of [x]: the transformed copy, the
      change set [apply] declared, and the static delta. Forced by the first
-     gate that needs it; never, with both gates off. *)
-  let applied = lazy (Analysis.Delta.apply ?memo ~symbols g x site) in
+     gate that needs it; never, with both gates off. Without the caller's
+     memo, one for this instance still serves both halves of the delta and
+     the certify gate's summaries. *)
+  let memo = lazy (match memo with Some m -> m | None -> Analysis.Delta.create_memo ()) in
+  let applied = lazy (Analysis.Delta.apply ~memo:(Lazy.force memo) ~symbols g x site) in
   (* translation validation first: a proved-equivalent instance skips all its
-     fuzz trials (report = None) *)
+     fuzz trials (report = None); one whose copy fails validation is fuzzed,
+     and the fuzz path fails it as invalid code *)
   let verdict =
     if certify_gate then
       Option.map
-        (fun (g', _, (delta, _)) -> Analysis.Equiv.decide ~symbols ~delta g g' x site)
+        (fun (g', _, (delta, _)) ->
+          Analysis.Equiv.decide ~memo:(Lazy.force memo) ~symbols ~delta g g' x site)
         (Lazy.force applied)
     else None
   in
@@ -243,9 +248,9 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
     ?(certify_gate = false) programs xforms =
   let results = ref [] in
   let outcomes = ref [] in
-  (* one baseline memo: every instance on a program shares the unchanged
-     program's half of the static delta *)
-  let memo = Sdfg.Memo.create () in
+  (* one memo: every instance on a program shares the unchanged program's
+     half of the static delta, and every state its copy did not change *)
+  let memo = Analysis.Delta.create_memo () in
   List.iter
     (fun (x : Transforms.Xform.t) ->
       List.iter

@@ -102,11 +102,15 @@ val instance_seed : global:int -> string -> int
     serial [run] loop and the engine's workers execute exactly this.
     Compiled programs live only for the instance's trial loop
     ({!Difftest.sweep}). [memo] shares the unchanged program's half of the
-    static delta across instances ({!Analysis.Delta.memo}); it keys by
-    program digest and concretization, so verdicts are memo-oblivious and
-    serial and parallel runs stay byte-identical. With either gate on, the
-    transformation is applied to one copy of the program, whose delta feeds
-    the certify gate, the change-set audit and the static findings. *)
+    static delta, and the per-state results of every state a copy left
+    unchanged, across instances ({!Analysis.Delta.memo}); without it the
+    instance uses its own. It keys by content, so verdicts are
+    memo-oblivious and serial and parallel runs stay byte-identical. With
+    either gate on, the transformation is applied to one copy of the
+    program, whose delta feeds the certify gate, the change-set audit and
+    the static findings. The certify gate proves only a copy that
+    validates ({!Analysis.Equiv.decide}); an invalid one is fuzzed and
+    fails as invalid code. *)
 val run_instance :
   ?memo:Analysis.Delta.memo ->
   ?config:Difftest.config ->
@@ -146,7 +150,8 @@ val trials_spent : t -> int
     the static oracle on every instance as an independent evidence channel —
     instances are still fuzzed either way, so the table shows how the two
     verdicts corroborate. [certify_gate] runs the translation validator first
-    and skips the fuzz trials of instances it proves equivalent. An
+    and skips the fuzz trials of instances it proves equivalent. One memo
+    serves every instance of the run. An
     exception that escapes an instance settles it as [Crashed], with the
     exception's text as detail, just as an engine worker settles it. *)
 val run :

@@ -50,8 +50,9 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
   let steps = ref [] in
   let witness_probes = ref 0 and witness_confirmed = ref 0 in
   (* the current program only changes when an instance is applied, so the
-     sites tried in between share its half of the static delta *)
-  let memo = Sdfg.Memo.create () in
+     sites tried in between share its half of the static delta; the next
+     version shares every state the applied step left unchanged *)
+  let memo = Analysis.Delta.create_memo () in
   let symbols = config.Difftest.concretization in
   (* one pinned trial at [valuation]: a directed probe before or instead of
      the full budget *)
@@ -128,13 +129,14 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                 | { verdict = Difftest.Pass; _ } -> commit site Applied
                 | { verdict = Difftest.Fail f; _ } -> Rejected f
               in
-              (* translation validation: a proved-equivalent instance is
-                 applied without spending a single trial; a refutation
-                 witness seeds one cheap probe trial pinned to the witness
-                 valuation before the full-budget run *)
+              (* translation validation: a proved-equivalent instance whose
+                 copy validates is applied without spending a single trial;
+                 a refutation witness seeds one cheap probe trial pinned to
+                 the witness valuation before the full-budget run *)
               let verdict =
                 Option.map
-                  (fun (g', delta) -> Analysis.Equiv.decide ~symbols ~delta !current g' x site)
+                  (fun (g', delta) ->
+                    Analysis.Equiv.decide ~memo ~symbols ~delta !current g' x site)
                   transformed
               in
               match verdict with

@@ -13,14 +13,17 @@
     container and overlapping subsets) in the audit log.
 
     Instances that survive the oracle are handed to the translation
-    validator ({!Analysis.Equiv}): a proved-equivalent instance is applied
-    with {e zero} fuzz trials and its certificate recorded; a refuted
+    validator ({!Analysis.Equiv}, which proves only copies that validate):
+    a proved-equivalent instance is applied with {e zero} fuzz trials and
+    its certificate recorded; a refuted
     instance gets one probe trial pinned to the refutation witness before
     the full-budget run; unknowns fall through to ordinary fuzzing. The
     change-set audit, the oracle and the validator all analyze one
     application of the instance to a copy of the current program, and the
     unchanged program's half of the oracle's delta is computed once per
-    version of the current program. *)
+    version of the current program. One memo ({!Analysis.Delta.memo})
+    serves the whole call, so a version re-analyzes only the states the
+    step that made it changed. *)
 
 type decision =
   | Applied

@@ -109,13 +109,13 @@ let with_deadline ~deadline_s ~expire f =
 (* One assignment: run the instance in-process under the alarm-based
    deadline; [expire] receives the [Timed_out] reply from the alarm handler.
    The worker keeps one piece of state across assignments, the static
-   delta's baseline memo: it keys by program digest and concretization, so
-   every gated instance on a program shares the unchanged program's half of
-   its delta, and verdicts are memo-oblivious. Compiled programs live inside
-   each instance. An assignment that timed out or crashed may have been
-   interrupted inside a baseline whose oracle swallowed the deadline's
-   exception and stored what it had, so it leaves the worker with a fresh
-   memo. *)
+   delta's memo: it keys by content, so every gated instance on a program
+   shares the unchanged program's half of its delta and every state its
+   copy left unchanged, and verdicts are memo-oblivious. Compiled programs
+   live inside each instance. An assignment that timed out or crashed may
+   have been interrupted inside a baseline whose oracle swallowed the
+   deadline's exception and stored what it had, so it leaves the worker
+   with a fresh memo. *)
 let run_with_memo (memo : Analysis.Delta.memo ref) ~catalog ~expire (a : Wire.assignment) =
   let result r_status r_payload = Wire.Result { r_idx = a.Wire.a_idx; r_status; r_payload } in
   match
@@ -136,15 +136,15 @@ let run_with_memo (memo : Analysis.Delta.memo ref) ~catalog ~expire (a : Wire.as
           match with_deadline ~deadline_s ~expire thunk with
           | Ok ir -> result Campaign.Completed (Some ir)
           | Error status ->
-              memo := Sdfg.Memo.create ();
+              memo := Analysis.Delta.create_memo ();
               result status None))
 
 let run_assignments ~catalog assignments =
-  let memo = ref (Sdfg.Memo.create ()) in
+  let memo = ref (Analysis.Delta.create_memo ()) in
   List.map
     (fun a ->
       let reply = run_with_memo memo ~catalog ~expire:(fun _ -> raise Deadline_exceeded) a in
-      (reply, Sdfg.Memo.stats !memo))
+      (reply, (Analysis.Delta.memo_stats !memo).baselines))
     assignments
 
 let run_assignment ~catalog a = fst (List.hd (run_assignments ~catalog [ a ]))
@@ -180,9 +180,9 @@ let serve_connection ~exit_on_deadline memo ~catalog fd =
 
 let serve_worker ?(once = false) ~catalog sock =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* one baseline memo for the whole worker process: assignments across
-     connections share the unchanged programs' halves of their deltas *)
-  let memo = ref (Sdfg.Memo.create ()) in
+  (* one memo for the whole worker process: assignments across connections
+     share the unchanged programs' halves of their deltas *)
+  let memo = ref (Analysis.Delta.create_memo ()) in
   let continue = ref true in
   while !continue do
     (match Unix.accept sock with
@@ -228,7 +228,10 @@ let spawn_local ~catalog =
   match Unix.fork () with
   | 0 ->
       close_inherited ~keep:theirs;
-      (try serve_connection ~exit_on_deadline:true (ref (Sdfg.Memo.create ())) ~catalog theirs
+      (try
+         serve_connection ~exit_on_deadline:true
+           (ref (Analysis.Delta.create_memo ()))
+           ~catalog theirs
        with _ -> ());
       Unix._exit 0
   | pid ->

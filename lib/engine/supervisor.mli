@@ -5,8 +5,9 @@
     endpoints ([fuzzyflow_cli worker]). Both kinds run the same code per
     connection: a version handshake, then assignments, each run in-process
     under an alarm deadline. The one piece of worker state kept across
-    assignments is the static delta's baseline memo
-    ({!Analysis.Delta.memo}); compiled programs live inside each instance.
+    assignments is the static delta's memo ({!Analysis.Delta.memo}): each
+    program's baseline and the per-state results its transformed copies
+    share; compiled programs live inside each instance.
     A local worker replies [Timed_out] and ends its process at the
     deadline, so no code in an instance can catch it. The dispatcher owns
     heartbeats, deadline overruns, requeue and a typed failure taxonomy. A
@@ -16,7 +17,7 @@
     campaign. An instance that has lost
     [max_failures] local workers settles as [Crashed] with a fixed detail.
 
-    Verdicts depend only on (instance, seed) and the baseline memo is
+    Verdicts depend only on (instance, seed) and the memo is
     verdict-oblivious, so any topology, and any failure schedule that loses
     fewer than [max_failures] local workers on one instance, yields journal
     instance lines byte-identical to [-j 1]. *)
@@ -88,21 +89,21 @@ val run :
 val listen_on : ?host:Unix.inet_addr -> port:int -> unit -> Unix.file_descr * int
 
 (** Run one assignment in-process under an alarm-based deadline with a
-    fresh baseline memo, and build the reply. Verdicts are memo-oblivious,
+    fresh memo, and build the reply. Verdicts are memo-oblivious,
     so the reply is the same bytes a warm worker would send. Exposed for
     tests. *)
 val run_assignment : catalog:Transforms.Xform.t list -> Wire.assignment -> Wire.message
 
-(** Run assignments in order on one baseline memo, as a remote worker does
-    (the deadline raises), pairing each reply with the memo's
-    [(hits, misses)] after it. A [Timed_out] or [Crashed] assignment leaves
+(** Run assignments in order on one memo, as a remote worker does (the
+    deadline raises), pairing each reply with the [(hits, misses)] of the
+    memo's baseline table after it. A [Timed_out] or [Crashed] assignment leaves
     a fresh memo behind. Exposed for tests. *)
 val run_assignments :
   catalog:Transforms.Xform.t list -> Wire.assignment list -> (Wire.message * (int * int)) list
 
 (** The remote worker's accept loop: serve each connection (handshake, then
-    assignments until the peer disconnects) with one baseline memo for the
-    whole process; transformations are resolved by registry name in
+    assignments until the peer disconnects) with one memo for the whole
+    process; transformations are resolved by registry name in
     [catalog]. [once] exits after the first connection closes (tests). Runs
     forever otherwise — fork it, or dedicate the process to it. *)
 val serve_worker : ?once:bool -> catalog:Transforms.Xform.t list -> Unix.file_descr -> unit

@@ -1180,13 +1180,14 @@ let execute ?(config = default_config) p ~inputs =
 
 module Cache = struct
   type plan = t
-  type t = (plan, fault) result Memo.t
+  type t = (string * (string * int) list, (plan, fault) result) Memo.t
 
-  let create = Memo.create
-  let digest_of = Memo.digest_of
+  let create ?capacity () : t = Memo.create ?capacity ()
+  let digest_of g = Digest.to_hex (Digest.string (Serialize.to_string g))
 
   let compile ?digest c g ~symbols =
-    Memo.find_or_add ?digest c g ~symbols (fun () -> compile g ~symbols)
+    let d = match digest with Some d -> d | None -> digest_of g in
+    Memo.find_or_add c (d, List.sort compare symbols) (fun () -> compile g ~symbols)
 
   let stats = Memo.stats
 end

@@ -46,7 +46,8 @@ module Cache : sig
 
   val create : ?capacity:int -> unit -> t
 
-  (** {!Sdfg.Memo.digest_of}. Compute once per graph and pass to
+  (** MD5 of the graph's canonical serialization
+      ({!Sdfg.Serialize.to_string}). Compute once per graph and pass to
       {!compile} when the same graph is compiled under many valuations —
       re-serializing per call costs more than compiling. *)
   val digest_of : Sdfg.Graph.t -> string

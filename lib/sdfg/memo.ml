@@ -1,6 +1,6 @@
-type 'a t = {
+type ('k, 'v) t = {
   capacity : int;
-  tbl : (string * (string * int) list, 'a) Hashtbl.t;
+  tbl : ('k, 'v) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -8,11 +8,7 @@ type 'a t = {
 let create ?(capacity = 64) () =
   { capacity = max 1 capacity; tbl = Hashtbl.create 16; hits = 0; misses = 0 }
 
-let digest_of g = Digest.to_hex (Digest.string (Serialize.to_string g))
-
-let find_or_add ?digest m g ~symbols f =
-  let d = match digest with Some d -> d | None -> digest_of g in
-  let key = (d, List.sort compare symbols) in
+let find_or_add m key f =
   match Hashtbl.find_opt m.tbl key with
   | Some r ->
       m.hits <- m.hits + 1;

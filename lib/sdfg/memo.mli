@@ -1,28 +1,21 @@
-(** Bounded memo of per-program results, keyed by the program's canonical
-    digest (MD5 of {!Serialize.to_string}) and a sorted symbol valuation.
+(** Bounded memo: a hash table that counts its hits and misses and is
+    dropped wholesale when [capacity] distinct keys are live (callers
+    revisit a tiny working set, so eviction finesse buys nothing).
 
-    The key names the program's content, not the graph value: the same
-    program rebuilt, copied or received over the wire hits. When
-    [capacity] distinct keys are live the table is dropped wholesale
-    (callers revisit a tiny working set, so eviction finesse buys
-    nothing). The compiled-plan and kernel caches and the static delta's
-    baseline memo are all built on it. *)
+    Keys are compared structurally, so a key should name content rather
+    than a mutable value: the static analysis tables ([Analysis.Reuse])
+    key by a state's or a program's content, and the compiled-plan cache
+    ([Interp.Plan.Cache]) by a program digest and a sorted valuation. *)
 
-type 'a t
+type ('k, 'v) t
 
 (** [capacity] defaults to 64. *)
-val create : ?capacity:int -> unit -> 'a t
+val create : ?capacity:int -> unit -> ('k, 'v) t
 
-(** Digest of the graph's canonical serialization. Compute it once per
-    graph and pass it to {!find_or_add} when the same graph is looked up
-    under many valuations — re-serializing per call can cost more than
-    the memoized work. *)
-val digest_of : Graph.t -> string
-
-(** [find_or_add ?digest m g ~symbols f] returns the memoized result for
-    ([g], [symbols]), or computes it with [f ()] and stores it. *)
-val find_or_add :
-  ?digest:string -> 'a t -> Graph.t -> symbols:(string * int) list -> (unit -> 'a) -> 'a
+(** [find_or_add m key f] returns the result stored under [key], or
+    computes it with [f ()] and stores it. If [f] raises, nothing is
+    stored. *)
+val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 (** [(hits, misses)] since creation; a miss calls [f]. *)
-val stats : 'a t -> int * int
+val stats : (_, _) t -> int * int

@@ -138,7 +138,7 @@ let union_into g bounds container a b =
       | Some desc -> Subset.full desc.shape
       | None -> [])
 
-let summarize ?(bounds = Expr.unbounded) g =
+let summarize ?(bounds = Expr.unbounded) ~accesses g =
   let state_order =
     let bfs = Graph.states_bfs g in
     bfs @ List.filter (fun s -> not (List.mem s bfs)) (Graph.state_ids g)
@@ -148,8 +148,7 @@ let summarize ?(bounds = Expr.unbounded) g =
   let offset = ref 0 in
   List.iter
     (fun sid ->
-      let st = Graph.state g sid in
-      let accs = state_accesses g st in
+      let accs = accesses sid (Graph.state g sid) in
       let maxp = List.fold_left (fun m a -> Stdlib.max m a.phase) (-1) accs in
       List.iter (fun a -> all := { a with phase = a.phase + !offset } :: !all) accs;
       (* interstate edges leaving this state may read scalar containers in

@@ -45,7 +45,8 @@ type kind = Read | Write of Memlet.wcr option
 type access = { container : string; subset : Symbolic.Subset.t; kind : kind; phase : int }
 
 (** All propagated accesses of one state (tasklet/library connectors and
-    copy-edge endpoints), widened to state top level. *)
+    copy-edge endpoints), widened to state top level. They depend on the
+    state and the container table only, not on any symbol bounds. *)
 val state_accesses : Graph.t -> State.t -> access list
 
 (** Whole-program summary: per-container read/write unions (WCR writes count
@@ -61,7 +62,15 @@ type summary = {
   order : (string * [ `R | `W | `RW ]) list;
 }
 
-val summarize : ?bounds:(string -> int option * int option) -> Graph.t -> summary
+(** The summary of [g]. [accesses sid st] supplies each state's
+    {!state_accesses} (pass [fun _ st -> state_accesses g st] to compute
+    them here), so a caller that keeps them across programs re-runs only
+    the join. *)
+val summarize :
+  ?bounds:(string -> int option * int option) ->
+  accesses:(int -> State.t -> access list) ->
+  Graph.t ->
+  summary
 
 (** Free symbols of all read/write subsets of a summary, sorted. *)
 val free_syms_of_summary : summary -> string list

@@ -250,7 +250,7 @@ let reference_coverage ?(symbols = []) g =
     List.map (fun s -> (s, match List.assoc_opt s symbols with Some v -> v | None -> 8)) declared
   in
   let bounds s = if List.mem s declared then (Some 1, None) else (None, None) in
-  match Propagate.summarize ~bounds g with
+  match Propagate.summarize ~bounds ~accesses:(fun _ st -> Propagate.state_accesses g st) g with
   | exception _ -> []
   | su ->
       let read_accesses c =
@@ -303,27 +303,35 @@ let reference_coverage ?(symbols = []) g =
             | _ -> None)
         (Graph.containers g)
 
-(* The delta as two whole-program runs per side: the oracle before and
-   after, and the coverage check before and after, diffed by container. *)
-let reference_verify_stats ~symbols g (x : Transforms.Xform.t) site =
+(* One side of the reference: the whole-program oracle and coverage check,
+   without a memo. *)
+let reference_side ~symbols h =
+  let oracle =
+    match Analysis.Oracle.analyze_stats ~carried:true ~symbols h with
+    | r -> r
+    | exception _ -> ([], Analysis.Races.stats_zero)
+  in
+  (oracle, match reference_coverage ~symbols h with fs -> fs | exception _ -> [])
+
+(* The delta of two sides: the oracle before and after, and the coverage
+   check before and after, diffed by container. *)
+let reference_delta ((before, sb), cov_before) ((after, sa), cov_after) =
+  let pre = List.map (fun (f : Analysis.Report.finding) -> f.container) cov_before in
+  let introduced =
+    List.filter (fun (f : Analysis.Report.finding) -> not (List.mem f.container pre)) cov_after
+  in
+  ( Analysis.Report.sort (Analysis.Report.new_findings ~before ~after @ introduced),
+    Analysis.Races.stats_add sb sa )
+
+(* The delta as two whole-program runs per side. [base] is the unchanged
+   program's side, when the caller already has it. *)
+let reference_verify_stats ?base ~symbols g (x : Transforms.Xform.t) site =
   let g' = Graph.copy g in
   match x.apply g' site with
   | exception Transforms.Xform.Cannot_apply _ -> None
   | _ ->
-      let oracle h =
-        match Analysis.Oracle.analyze_stats ~carried:true ~symbols h with
-        | r -> r
-        | exception _ -> ([], Analysis.Races.stats_zero)
-      in
-      let cov h = match reference_coverage ~symbols h with fs -> fs | exception _ -> [] in
-      let before, sb = oracle g and after, sa = oracle g' in
-      let pre = List.map (fun (f : Analysis.Report.finding) -> f.container) (cov g) in
-      let introduced =
-        List.filter (fun (f : Analysis.Report.finding) -> not (List.mem f.container pre)) (cov g')
-      in
-      Some
-        ( Analysis.Report.sort (Analysis.Report.new_findings ~before ~after @ introduced),
-          Analysis.Races.stats_add sb sa )
+      let base = match base with Some b -> Lazy.force b | None -> reference_side ~symbols g in
+      Some (reference_delta base (reference_side ~symbols g'))
 
 (* CLOUDSC and three NPBench kernels, two of which read transient halo
    cells their writes never cover (so the coverage check flags them before
@@ -348,6 +356,107 @@ let delta_instances ~limit programs =
             programs)
         xforms)
     [ Transforms.Registry.as_shipped (); Transforms.Registry.all_correct () ]
+
+(* CLOUDSC's first three sites per transformation and the first site on
+   every fourth Table 2 kernel, under both transformation sets, in
+   Campaign.run's order: transformations outermost, then programs *)
+let campaign_order_instances () =
+  let kernels =
+    List.filteri
+      (fun i _ -> i mod 4 = 0)
+      (Workloads.Npbench.all () @ Workloads.Npb_frontend.all ())
+  in
+  let programs =
+    (("cloudsc", Workloads.Cloudsc.build ()), 3) :: List.map (fun p -> (p, 1)) kernels
+  in
+  List.concat_map
+    (fun (x : Transforms.Xform.t) ->
+      List.concat_map
+        (fun ((pname, g), limit) ->
+          List.filteri (fun i _ -> i < limit) (x.Transforms.Xform.find g)
+          |> List.map (fun site -> (pname, g, x, site)))
+        programs)
+    (Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ())
+
+(* the delta of [x] at [site] through [memo], unless it equals [expected] *)
+let delta_differs ~memo g (x : Transforms.Xform.t) site expected =
+  let got =
+    Option.map (fun (_, _, d) -> d) (Analysis.Delta.apply ~memo ~symbols:(symbols_of g) g x site)
+  in
+  if got <> expected then
+    Alcotest.failf "%s @ %s: delta differs from the reference" x.Transforms.Xform.name
+      (Transforms.Xform.site_slug site);
+  got
+
+let checks memo = (Analysis.Delta.memo_stats memo).Analysis.Reuse.checks
+
+(* two states: "init" sets k on its edge to "shift", which reads x[i + k] *)
+let shifted ~k =
+  let g = Graph.create "shifted" in
+  Graph.add_symbol g "N";
+  Graph.add_array g "x" Dtype.F64 [ sym "N" ];
+  Graph.add_array g "y" Dtype.F64 [ sym "N" ];
+  let s0 = Graph.add_state g "init" in
+  let s1 = Graph.add_state g "shift" in
+  ignore (Graph.add_istate_edge g ~assigns:[ ("k", Symbolic.Expr.int k) ] s0 s1);
+  ignore
+    (B.mapped_tasklet g (Graph.state g s1) ~label:"shift"
+       ~map:[ ("i", "0:N-1") ]
+       ~inputs:[ ("v", B.mem "x" "i+k") ]
+       ~code:"o = v"
+       ~outputs:[ ("o", B.mem "y" "i") ]
+       ());
+  (g, s1)
+
+(* one state reading x[i + 1] for i in 0:N-1, with x of N + pad elements *)
+let padded ~pad =
+  let g = Graph.create "padded" in
+  Graph.add_symbol g "N";
+  Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.add (sym "N") (Symbolic.Expr.int pad) ];
+  Graph.add_array g "y" Dtype.F64 [ sym "N" ];
+  let sid = Graph.add_state g "main" in
+  ignore
+    (B.mapped_tasklet g (Graph.state g sid) ~label:"shift"
+       ~map:[ ("i", "0:N-1") ]
+       ~inputs:[ ("v", B.mem "x" "i+1") ]
+       ~code:"o = v"
+       ~outputs:[ ("o", B.mem "y" "i") ]
+       ());
+  (g, sid)
+
+(* one state copying x into the whole of y, which has N + pad elements:
+   the copy's propagated write is y's full shape *)
+let copied ~pad =
+  let g = Graph.create "copied" in
+  Graph.add_symbol g "N";
+  Graph.add_array g "x" Dtype.F64 [ sym "N" ];
+  Graph.add_array g "y" Dtype.F64 [ Symbolic.Expr.add (sym "N") (Symbolic.Expr.int pad) ];
+  let st = Graph.state g (Graph.add_state g "main") in
+  let x = State.add_node st (Node.Access "x") and y = State.add_node st (Node.Access "y") in
+  ignore (State.add_edge st ~memlet:(B.mem "x" "0:N-1") x y);
+  g
+
+(* the programs through one memo, in order: each analysis must equal the
+   memo-less oracle; the findings of the last *)
+let through_one_memo programs =
+  let memo = Analysis.Delta.create_memo () in
+  let symbols = [ ("N", 8) ] in
+  List.fold_left
+    (fun _ g ->
+      let got = Analysis.Oracle.analyze_stats ~memo ~carried:true ~symbols g in
+      if got <> Analysis.Oracle.analyze_stats ~carried:true ~symbols g then
+        Alcotest.failf "%s differs from the memo-less oracle" (Graph.name g);
+      fst got)
+    [] programs
+
+(* [clean] and then [dirty]: [dirty]'s only difference from [clean] lies
+   outside state [sid], which gains a bounds finding *)
+let unchanged_state_gains_finding (clean, _) (dirty, sid) =
+  Alcotest.(check bool) "the unchanged state's new bounds finding is reported" true
+    (List.exists
+       (fun (f : Analysis.Report.finding) ->
+         f.pass = Analysis.Report.Out_of_bounds && f.state = sid && f.container = "x")
+       (through_one_memo [ clean; dirty ]))
 
 let delta_tests =
   [
@@ -401,6 +510,94 @@ let delta_tests =
         in
         Alcotest.(check bool) "the coverage check flags some unchanged program" true
           (flagged_programs <> []));
+    Alcotest.test_case "one memo across a campaign's instances equals the reference" `Quick
+      (fun () ->
+        let memo = Analysis.Delta.create_memo () in
+        let bases = Hashtbl.create 16 in
+        let base pname g =
+          match Hashtbl.find_opt bases pname with
+          | Some b -> b
+          | None ->
+              let b = lazy (reference_side ~symbols:(symbols_of g) g) in
+              Hashtbl.add bases pname b;
+              b
+        in
+        let flagged = ref 0 in
+        List.iter
+          (fun (pname, g, x, site) ->
+            let expected =
+              reference_verify_stats ~base:(base pname g) ~symbols:(symbols_of g) g x site
+            in
+            match delta_differs ~memo g x site expected with
+            | Some (_ :: _, _) -> incr flagged
+            | _ -> ())
+          (campaign_order_instances ());
+        Alcotest.(check bool) "some instance has a non-empty delta" true (!flagged > 0);
+        let hits, misses = checks memo in
+        Alcotest.(check bool) "most per-state checks are served" true (hits > misses));
+    Alcotest.test_case "one memo across a pipeline's program versions equals the reference"
+      `Quick (fun () ->
+        (* each correct transformation's first site is checked on the current
+           version, then applied to make the next one, as Pipeline.optimize
+           commits a passing instance *)
+        let memo = Analysis.Delta.create_memo () in
+        let current = ref (Workloads.Cloudsc.build ()) in
+        let symbols = symbols_of !current in
+        let side = ref (reference_side ~symbols !current) in
+        let versions = ref 0 in
+        List.iter
+          (fun (x : Transforms.Xform.t) ->
+            match x.Transforms.Xform.find !current with
+            | [] -> ()
+            | site :: _ -> (
+                let g' = Graph.copy !current in
+                match x.apply g' site with
+                | _ ->
+                    let side' = reference_side ~symbols g' in
+                    let expected = Some (reference_delta !side side') in
+                    ignore (delta_differs ~memo !current x site expected);
+                    current := g';
+                    side := side';
+                    incr versions
+                | exception Transforms.Xform.Cannot_apply _ -> ()))
+          (Transforms.Registry.all_correct ());
+        Alcotest.(check bool) "several versions" true (!versions >= 3);
+        let hits, misses = checks memo in
+        Alcotest.(check bool) "versions share per-state checks" true (hits > misses));
+    Alcotest.test_case "a memo re-checks exactly the states an instance changed" `Quick
+      (fun () ->
+        let g = Workloads.Cloudsc.build () in
+        let symbols = symbols_of g in
+        let states = List.length (Graph.states g) in
+        let memo = Analysis.Delta.create_memo () in
+        let misses_of (x : Transforms.Xform.t) site =
+          let before = snd (checks memo) in
+          ignore (Analysis.Delta.apply ~memo ~symbols g x site);
+          snd (checks memo) - before
+        in
+        let tiling = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
+        let sites = tiling.Transforms.Xform.find g in
+        Alcotest.(check int) "the baseline and one tiled state" (states + 1)
+          (misses_of tiling (List.hd sites));
+        Alcotest.(check int) "another tiled state" 1 (misses_of tiling (List.nth sites 1));
+        let sae =
+          List.find
+            (fun (x : Transforms.Xform.t) ->
+              x.name = "StateAssignElimination(ignore-conditions)")
+            (Transforms.Registry.as_shipped ())
+        in
+        (* an interstate edit changes the interval facts, so every state's
+           context differs *)
+        Alcotest.(check int) "an interstate edit re-checks every state" states
+          (misses_of sae (List.hd (sae.Transforms.Xform.find g))));
+    Alcotest.test_case "an interstate edit re-checks unchanged states" `Quick (fun () ->
+        unchanged_state_gains_finding (shifted ~k:0) (shifted ~k:1));
+    Alcotest.test_case "a container change re-checks unchanged states" `Quick (fun () ->
+        unchanged_state_gains_finding (padded ~pad:1) (padded ~pad:0);
+        (* the state's propagated accesses change too: y's write shrinks
+           with its shape, and a stale one would escape it *)
+        Alcotest.(check int) "no footprint escape" 0
+          (List.length (through_one_memo [ copied ~pad:0; copied ~pad:(-1) ])));
   ]
 
 let pipeline_tests =

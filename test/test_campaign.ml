@@ -150,7 +150,8 @@ let static_delta_tests =
                                Campaign.instance_seed ~global:gated_config.Difftest.seed id
                              in
                              let config = { gated_config with Difftest.seed } in
-                             (gated ~memo:(Sdfg.Memo.create ()) ~config (pname, g) x site, seed)))
+                             let memo = Analysis.Delta.create_memo () in
+                             (gated ~memo ~config (pname, g) x site, seed)))
                     programs)
                 xforms
             in
@@ -172,7 +173,8 @@ let static_delta_tests =
               (List.exists (fun (r : Campaign.instance_result) -> r.static <> []) c.results))
           [ Transforms.Registry.as_shipped (); Transforms.Registry.all_correct () ]);
     Alcotest.test_case "one memo analyzes each unchanged program once" `Quick (fun () ->
-        let memo = Sdfg.Memo.create () in
+        let memo = Analysis.Delta.create_memo () in
+        let baselines () = (Analysis.Delta.memo_stats memo).Analysis.Reuse.baselines in
         let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
         let instances n (pname, g) =
           List.filteri (fun i _ -> i < n) (x.Transforms.Xform.find g)
@@ -185,16 +187,69 @@ let static_delta_tests =
           (List.length cloudsc, List.length jacobi);
         let run ~config = List.iter (fun (p, site) -> ignore (gated ~memo ~config p x site)) in
         run ~config:gated_config cloudsc;
-        Alcotest.(check (pair int int)) "one program" (2, 1) (Sdfg.Memo.stats memo);
+        Alcotest.(check (pair int int)) "one program" (2, 1) (baselines ());
         run ~config:gated_config (jacobi @ cloudsc);
-        Alcotest.(check (pair int int)) "a second program" (6, 2) (Sdfg.Memo.stats memo);
+        Alcotest.(check (pair int int)) "a second program" (6, 2) (baselines ());
         (* a rebuilt graph with the same content is the same baseline; the
            same program under other symbols is another *)
         run ~config:gated_config (instances 1 ("cloudsc", Workloads.Cloudsc.build ()));
         let other = { gated_config with concretization = [ ("KLEV", 4); ("KLON", 5) ] } in
         run ~config:other (instances 1 ("cloudsc", Workloads.Cloudsc.build ()));
-        Alcotest.(check (pair int int)) "one miss per (digest, symbols)" (7, 3)
-          (Sdfg.Memo.stats memo));
+        Alcotest.(check (pair int int)) "one miss per (digest, symbols)" (7, 3) (baselines ()));
+    Alcotest.test_case "a proved instance's transformed program validates" `Quick (fun () ->
+        (* on these generated GPU programs RedundantArrayRemoval leaves a
+           GPU scope reading a host container at most of its sites, while
+           the summaries still match: equal dataflow, invalid code *)
+        let style = Option.get (Gen.Styles.by_name "gpu") in
+        let admitted, _ = Gen.Admit.batch ~style ~seed:42 ~n:12 () in
+        let programs =
+          List.map
+            (fun (c : Gen.Generate.t) -> (c.Gen.Generate.name, c.Gen.Generate.graph))
+            admitted
+        in
+        let x =
+          List.find
+            (fun (x : Transforms.Xform.t) -> x.name = "RedundantArrayRemoval")
+            (Transforms.Registry.as_shipped ())
+        in
+        let config =
+          {
+            Difftest.default_config with
+            trials = 5;
+            concretization = [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ];
+          }
+        in
+        let invalid (r : Campaign.instance_result) =
+          let g' = Sdfg.Graph.copy (List.assoc r.program programs) in
+          ignore (x.apply g' r.site);
+          Sdfg.Validate.check g' <> []
+        in
+        let c = Campaign.run ~config ~certify_gate:true programs [ x ] in
+        Alcotest.(check bool) "some transformed copy fails validation" true
+          (List.exists invalid c.results);
+        (* the gate and [certify] (the CLI's path) follow one rule *)
+        List.iter
+          (fun (r : Campaign.instance_result) ->
+            let certified =
+              Analysis.Equiv.certify ~symbols:config.concretization
+                (List.assoc r.program programs) x r.site
+            in
+            match (r.verdict, certified) with
+            | (Some (Analysis.Equiv.Equivalent _), _ | _, Some (Analysis.Equiv.Equivalent _))
+              when invalid r ->
+                Alcotest.failf "%s @ %s: proved, but its transformed copy fails validation"
+                  r.program
+                  (Transforms.Xform.site_slug r.site)
+            | _ -> ())
+          c.results;
+        Alcotest.(check bool) "the rest is still proved" true (c.total_proved > 0);
+        List.iter
+          (fun (pname, g) ->
+            let g', log = Pipeline.optimize ~config ~static_gate:true g [ x ] in
+            if log.Pipeline.crashed > 0 then Alcotest.failf "%s: a step crashed" pname;
+            if Sdfg.Validate.check g' <> [] then
+              Alcotest.failf "%s: the optimized program fails validation" pname)
+          programs);
   ]
 
 let requirements_tests =

@@ -374,7 +374,7 @@ let equiv_upgrade_tests =
     Alcotest.test_case "interval facts upgrade Unknown verdicts" `Quick (fun () ->
         let g = Workloads.Cloudsc.build () in
         let symbols = symbols_of g in
-        let memo = Sdfg.Memo.create () in
+        let memo = Analysis.Delta.create_memo () in
         let upgraded = ref 0 in
         List.iter
           (fun (x : Transforms.Xform.t) ->
@@ -392,7 +392,7 @@ let equiv_upgrade_tests =
     Alcotest.test_case "upgraded certificates still re-check" `Quick (fun () ->
         let g = Workloads.Cloudsc.build () in
         let symbols = symbols_of g in
-        let memo = Sdfg.Memo.create () in
+        let memo = Analysis.Delta.create_memo () in
         let checked = ref 0 in
         List.iter
           (fun (x : Transforms.Xform.t) ->
