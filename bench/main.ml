@@ -1327,7 +1327,7 @@ let dist () =
   let footer_of path =
     List.find_map
       (function Engine.Journal.Footer f -> Some f | _ -> None)
-      (List.rev (Engine.Journal.load path))
+      (List.rev (Engine.Journal.load_resume ~repair:false path).Engine.Journal.records)
   in
   let spawn_worker () =
     let sock, port = Engine.Supervisor.listen_on ~port:0 () in

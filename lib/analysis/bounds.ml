@@ -58,7 +58,7 @@ let order_loops env loops =
    scope chain in nesting order — inner binders may shadow outer ones.
    Restricted to what the subset (transitively, through the binder ranges)
    actually mentions. *)
-let binders_of ctx env st (o : Access.occ) =
+let binders_of ctx env st (o : Propagate.leaf) =
   let scope_binders =
     List.concat_map
       (fun entry ->
@@ -111,7 +111,7 @@ let rec sample env binders leaf =
 let check_state ctx g sid st =
   let findings = ref [] and reported = ref [] in
   List.iter
-    (fun (o : Access.occ) ->
+    (fun (o : Propagate.leaf) ->
       if not (List.mem (o.container, o.node) !reported) then
         match Graph.container_opt g o.container with
         | Some desc
@@ -153,7 +153,7 @@ let check_state ctx g sid st =
                   :: !findings
             | None -> ())
         | _ -> ())
-    (Access.of_state g st);
+    (Propagate.leaves g st);
   !findings
 
 let check ?symbols g =

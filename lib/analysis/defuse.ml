@@ -1,51 +1,5 @@
 open Sdfg
 
-(* Containers accessed by one edge, access-node-centric: reads at Access
-   sources, writes at Access destinations (dst_memlet if present, else the
-   forward memlet); a WCR write also reads the previous contents. This is
-   the same classification the cutout extractor uses, so [reads] matches
-   its program-read set exactly. *)
-let edge_accesses st (e : State.edge) =
-  let reads = ref [] and writes = ref [] in
-  (match (e.memlet, State.node_opt st e.src) with
-  | Some (m : Memlet.t), Some (Node.Access _) -> reads := m.data :: !reads
-  | _ -> ());
-  (match State.node_opt st e.dst with
-  | Some (Node.Access _) -> (
-      match (match e.dst_memlet with Some dm -> Some dm | None -> e.memlet) with
-      | Some (m : Memlet.t) ->
-          writes := m.data :: !writes;
-          if m.wcr <> None then reads := m.data :: !reads
-      | None -> ())
-  | _ -> ());
-  (!reads, !writes)
-
-let interstate_reads g (e : Graph.istate_edge) =
-  let syms =
-    Symbolic.Cond.free_syms e.cond
-    @ List.concat_map (fun (_, rhs) -> Symbolic.Expr.free_syms rhs) e.assigns
-  in
-  List.filter
-    (fun s ->
-      match Graph.container_opt g s with Some d when d.shape = [] -> true | _ -> false)
-    syms
-
-let state_accesses st =
-  List.fold_left
-    (fun (rs, ws) e ->
-      let r, w = edge_accesses st e in
-      (r @ rs, w @ ws))
-    ([], []) (State.edges st)
-
-let reads g =
-  List.concat_map (fun (_, st) -> fst (state_accesses st)) (Graph.states g)
-  @ List.concat_map (interstate_reads g) (Graph.istate_edges g)
-  |> List.sort_uniq compare
-
-let writes g =
-  List.concat_map (fun (_, st) -> snd (state_accesses st)) (Graph.states g)
-  |> List.sort_uniq compare
-
 (* Subset-level refinement of the use-before-def check: a transient with some
    read element provably outside the propagated write set is read
    uninitialized — the signature of a write set shrunk by a widened stride or
@@ -144,7 +98,7 @@ let check_coverage ?memo ?(symbols = []) g =
         (Graph.containers g)
 
 let check g =
-  let rs = reads g and ws = writes g in
+  let rs = Propagate.program_reads g and ws = Propagate.program_writes g in
   List.filter_map
     (fun (c, (d : Graph.datadesc)) ->
       if not d.transient then None

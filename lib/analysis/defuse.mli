@@ -1,31 +1,14 @@
 (** Whole-program def-use hygiene for transient containers.
 
-    Mirrors the access classification of the cutout extractor (access-node
-    endpoints of dataflow edges; write-conflict-resolution writes also read;
-    interstate conditions and assignments read scalar containers), then
-    flags transient containers that are read but never written
+    Reads and writes are the access-node view of {!Sdfg.Propagate}
+    ({!Sdfg.Propagate.program_reads}, {!Sdfg.Propagate.program_writes}).
+    Flags transient containers that are read but never written
     (use-before-def — the data is uninitialized, since transients are not
     program inputs) and transients that are written but never read
     (dead writes). Non-transient containers are the program's external
     interface and are exempt on both counts. *)
 
 open Sdfg
-
-(** Containers read / written by one state's dataflow (unsorted, with
-    duplicates) — the per-state building block the interstate passes
-    ({!Liveness}, {!Reachdef}) share with the whole-program check. *)
-val state_accesses : State.t -> string list * string list
-
-(** Scalar containers read by an interstate edge's condition or assignment
-    right-hand sides. *)
-val interstate_reads : Graph.t -> Graph.istate_edge -> string list
-
-(** Containers read anywhere in the program, sorted and deduplicated —
-    by construction equal to the cutout extractor's program-read set. *)
-val reads : Graph.t -> string list
-
-(** Containers written anywhere in the program, sorted and deduplicated. *)
-val writes : Graph.t -> string list
 
 val check : Graph.t -> Report.finding list
 

@@ -14,12 +14,12 @@ let lattice =
 let solve g =
   let state_reads = Hashtbl.create 16 in
   List.iter
-    (fun (sid, st) -> Hashtbl.replace state_reads sid (fst (Defuse.state_accesses st)))
+    (fun (sid, st) -> Hashtbl.replace state_reads sid (List.map fst (fst (Propagate.state_rw st))))
     (Graph.states g);
   Fixpoint.solve ~direction:Fixpoint.Backward ~lattice ~init:[]
     ~transfer:(fun sid live ->
       union (Option.value ~default:[] (Hashtbl.find_opt state_reads sid)) live)
-    ~edge:(fun e live -> union (Defuse.interstate_reads g e) live)
+    ~edge:(fun e live -> union (Propagate.interstate_reads g e) live)
     g
 
 (* Dead cross-state writes: transient [c] is written in state [sid], its
@@ -29,10 +29,11 @@ let solve g =
    read anywhere are {!Defuse}'s finding, not ours. *)
 let dead_writes g =
   let sol = solve g in
-  let read_somewhere = Defuse.reads g in
+  let read_somewhere = Propagate.program_reads g in
   List.concat_map
     (fun (sid, st) ->
-      let reads, writes = Defuse.state_accesses st in
+      let reads, writes = Propagate.state_rw st in
+      let reads = List.map fst reads and writes = List.map fst writes in
       let live_out = Option.value ~default:[] (Fixpoint.entry_fact sol sid) in
       List.filter_map
         (fun c ->
@@ -55,7 +56,7 @@ let dead_containers g =
   let written_states c =
     List.filter_map
       (fun (sid, st) ->
-        if List.mem c (snd (Defuse.state_accesses st)) then Some sid else None)
+        if List.mem_assoc c (snd (Propagate.state_rw st)) then Some sid else None)
       (Graph.states g)
   in
   List.filter_map

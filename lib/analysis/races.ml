@@ -88,17 +88,36 @@ let topo_positions st =
   List.iteri (fun i n -> Hashtbl.replace tbl n i) (State.topological st);
   fun n -> Option.value ~default:max_int (Hashtbl.find_opt tbl n)
 
+let is_write (o : Propagate.leaf) = Propagate.is_write o.kind
+
+(* The leaves strictly inside the scope of [entry], each subset widened
+   through the scopes between the leaf and [entry] (exclusive), so
+   [entry]'s own parameters stay free. *)
+let in_scope g st ~entry =
+  List.filter_map
+    (fun (o : Propagate.leaf) ->
+      (* scopes strictly inside [entry]: the chain prefix before [entry] *)
+      let rec prefix = function
+        | [] -> None
+        | e :: _ when e = entry -> Some []
+        | e :: rest -> Option.map (fun p -> e :: p) (prefix rest)
+      in
+      Option.map
+        (fun inner -> { o with subset = Propagate.widen_through st inner o.subset })
+        (prefix o.scopes))
+    (Propagate.leaves g st)
+
 (* Does valuation [rho'] overwrite (cover) its own access [a] with an
    earlier or simultaneous write of the same container? Then no data flows
    into [a] from other iterations: the region is iteration-private
    (scope-local buffer reuse), not a carried dependence. *)
-let self_covered pos env occs (a : Access.occ) =
+let self_covered pos env occs (a : Propagate.leaf) =
   match concretize_opt env a.subset with
   | None -> false
   | Some ca ->
       List.exists
-        (fun (w2 : Access.occ) ->
-          Access.is_write w2
+        (fun (w2 : Propagate.leaf) ->
+          is_write w2
           && w2.container = a.container
           && w2.edge <> a.edge
           && pos w2.node <= pos a.node
@@ -114,15 +133,12 @@ let is_parallel = function Node.Sequential -> false | Node.Parallel | Node.Gpu_d
    range start (outer scopes first, so tile variables resolve). The
    analyzed scope's own parameters stay free — they take valuations. *)
 let scope_env ctx st ~entry ~(info : Node.map_info) =
-  let depth n =
-    let rec go n d = match State.scope_of st n with None -> d | Some e -> go e (d + 1) in
-    go n 0
-  in
   let entries =
     List.filter_map
       (fun (nid, n) ->
         match n with
-        | Node.Map_entry i when nid <> entry -> Some (depth nid, nid, i)
+        | Node.Map_entry i when nid <> entry ->
+            Some (List.length (Propagate.scope_chain st nid), nid, i)
         | _ -> None)
       (State.nodes st)
     |> List.sort compare
@@ -155,11 +171,11 @@ let duplicated_iterations g ctx st ~entry ~(info : Node.map_info) ~sid env0 pair
                   (fun (r : Subset.range) ->
                     List.exists (fun s -> List.mem s info.params) (Subset.free_syms [ r ]))
                   iinfo.ranges ->
-          let inner_occs = Access.in_scope g st ~entry:inner in
+          let inner_occs = in_scope g st ~entry:inner in
           let wcr_inside =
             List.exists
-              (fun (o : Access.occ) ->
-                match o.kind with Access.Write (Some _) -> true | _ -> false)
+              (fun (o : Propagate.leaf) ->
+                match o.kind with Propagate.Write (Some _) -> true | _ -> false)
               inner_occs
           in
           let severity =
@@ -187,7 +203,7 @@ let duplicated_iterations g ctx st ~entry ~(info : Node.map_info) ~sid env0 pair
           (match witness with
           | Some (rho, rho', ca, cb) ->
               let container =
-                match List.find_opt Access.is_write inner_occs with
+                match List.find_opt is_write inner_occs with
                 | Some o -> o.container
                 | None -> iinfo.label
               in
@@ -251,10 +267,10 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
         let pairs = valuation_pairs info.params cranges in
         if pairs = [] then ([], stats_zero)
         else begin
-          let occs = Access.in_scope g st ~entry in
+          let occs = in_scope g st ~entry in
           let taken =
             info.params
-            @ List.concat_map (fun (o : Access.occ) -> Subset.free_syms o.subset) occs
+            @ List.concat_map (fun (o : Propagate.leaf) -> Subset.free_syms o.subset) occs
           in
           let primed = List.map (fun p -> (p, prime taken p)) info.params in
           let distinct =
@@ -272,11 +288,11 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
           let stats = ref stats_zero in
           let bump f = stats := f !stats in
           let reported = ref [] in
-          let writes = List.filter Access.is_write occs in
-          let report_race (w : Access.occ) (a : Access.occ) ~rho ~rho' ~cw ~ca ~meta =
+          let writes = List.filter is_write occs in
+          let report_race (w : Propagate.leaf) (a : Propagate.leaf) ~rho ~rho' ~cw ~ca ~meta =
             reported := (entry, w.container) :: !reported;
             let what =
-              match a.kind with Access.Read -> "read" | Access.Write _ -> "write"
+              match a.kind with Propagate.Read -> "read" | Propagate.Write _ -> "write"
             in
             let severity =
               if is_parallel info.schedule then Report.Error else Report.Warning
@@ -303,7 +319,7 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
           in
           (* the sampled fallback: boundary/adjacent/transposed valuation
              pairs, exactly as before the exact tier existed *)
-          let sampled_search (w : Access.occ) (a : Access.occ) a_primed =
+          let sampled_search (w : Propagate.leaf) (a : Propagate.leaf) a_primed =
             let witness =
               List.find_map
                 (fun (rho, rho') ->
@@ -326,9 +342,9 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
             | None -> ()
           in
           List.iter
-            (fun (w : Access.occ) ->
+            (fun (w : Propagate.leaf) ->
               List.iter
-                (fun (a : Access.occ) ->
+                (fun (a : Propagate.leaf) ->
                   if
                     a.container = w.container
                     && not (List.mem (entry, w.container) !reported)
@@ -336,11 +352,13 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
                     (* pair relevance: commutative WCR/WCR accumulation is
                        safe; sequential plain write/write is deterministic *)
                     (match (w.kind, a.kind) with
-                    | Access.Write (Some _), Access.Write (Some _) -> false
-                    | Access.Write _, Access.Write _ when w.edge = a.edge && not (is_parallel info.schedule) -> false
-                    | Access.Write _, Access.Write _ -> is_parallel info.schedule
-                    | Access.Write _, Access.Read -> carried || is_parallel info.schedule
-                    | Access.Read, _ -> false)
+                    | Propagate.Write (Some _), Propagate.Write (Some _) -> false
+                    | Propagate.Write _, Propagate.Write _
+                      when w.edge = a.edge && not (is_parallel info.schedule) ->
+                        false
+                    | Propagate.Write _, Propagate.Write _ -> is_parallel info.schedule
+                    | Propagate.Write _, Propagate.Read -> carried || is_parallel info.schedule
+                    | Propagate.Read, _ -> false)
                   then begin
                     bump (fun s -> { s with pairs = s.pairs + 1 });
                     let a_primed = Subset.rename_syms primed a.subset in

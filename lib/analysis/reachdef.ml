@@ -35,7 +35,8 @@ let solve g =
   let state_writes = Hashtbl.create 16 in
   List.iter
     (fun (sid, st) ->
-      Hashtbl.replace state_writes sid (List.sort_uniq compare (snd (Defuse.state_accesses st))))
+      Hashtbl.replace state_writes sid
+        (List.sort_uniq compare (List.map fst (snd (Propagate.state_rw st)))))
     (Graph.states g);
   Fixpoint.solve ~lattice ~init:(Some [])
     ~transfer:(fun sid env ->
@@ -66,7 +67,7 @@ let solve g =
    so the default reports definite findings only. *)
 let check ?(maybes = false) g =
   let sol = solve g in
-  let written_somewhere = Defuse.writes g in
+  let written_somewhere = Propagate.program_writes g in
   let flag sid ~via c status =
     let detail, severity =
       match status with
@@ -92,7 +93,7 @@ let check ?(maybes = false) g =
     | Some (d : Graph.datadesc) ->
         d.transient
         && List.mem c written_somewhere
-        && not (List.mem c (snd (Defuse.state_accesses st)))
+        && not (List.mem_assoc c (snd (Propagate.state_rw st)))
     | None -> false
   in
   let state_findings =
@@ -101,7 +102,7 @@ let check ?(maybes = false) g =
         match Fixpoint.entry_fact sol sid with
         | None | Some None -> []
         | Some (Some facts) ->
-            fst (Defuse.state_accesses st)
+            List.map fst (fst (Propagate.state_rw st))
             |> List.sort_uniq compare
             |> List.filter_map (fun c ->
                    if not (transient_unwritten_here st c) then None
@@ -120,7 +121,7 @@ let check ?(maybes = false) g =
         match Fixpoint.exit_fact sol e.src with
         | None | Some None -> []
         | Some (Some facts) ->
-            Defuse.interstate_reads g e
+            Propagate.interstate_reads g e
             |> List.sort_uniq compare
             |> List.filter_map (fun c ->
                    match Graph.container_opt g c with

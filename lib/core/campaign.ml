@@ -61,10 +61,6 @@ type t = {
   total_killed : int;
 }
 
-let take n l =
-  let rec go i = function [] -> [] | x :: r -> if i >= n then [] else x :: go (i + 1) r in
-  go 0 l
-
 (* ---------------- deterministic per-instance identity ---------------- *)
 
 let instance_id ~program ~xform site =
@@ -84,6 +80,45 @@ let instance_seed ~global id =
   String.iter mix id;
   (* keep clear of 0: some PRNGs degenerate on a zero seed *)
   1 + (!h land 0x3FFFFFFF)
+
+(* ---------------- the instances of a campaign ---------------- *)
+
+type item = {
+  id : string;
+  program_name : string;
+  program : Sdfg.Graph.t;
+  xform : Transforms.Xform.t;
+  site : Transforms.Xform.site;
+  config : Difftest.config;
+  static_gate : bool;
+  certify_gate : bool;
+}
+
+let items ~limit_per ~(config : Difftest.config) ~static_gate ~certify_gate programs xforms =
+  List.concat_map
+    (fun (x : Transforms.Xform.t) ->
+      List.concat_map
+        (fun (pname, g) ->
+          let sites = x.find g in
+          let sites =
+            match limit_per with Some n -> List.filteri (fun i _ -> i < n) sites | None -> sites
+          in
+          List.map
+            (fun site ->
+              let id = instance_id ~program:pname ~xform:x.name site in
+              {
+                id;
+                program_name = pname;
+                program = g;
+                xform = x;
+                site;
+                config = { config with Difftest.seed = instance_seed ~global:config.seed id };
+                static_gate;
+                certify_gate;
+              })
+            sites)
+        programs)
+    xforms
 
 (* ---------------- per-instance execution ---------------- *)
 
@@ -247,40 +282,28 @@ let trials_spent t = List.fold_left (fun acc o -> acc + o.o_trials_run) 0 t.outc
 let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = false)
     ?(certify_gate = false) programs xforms =
   let results = ref [] in
-  let outcomes = ref [] in
   (* one memo: every instance on a program shares the unchanged program's
      half of the static delta, and every state its copy did not change *)
   let memo = Analysis.Delta.create_memo () in
-  List.iter
-    (fun (x : Transforms.Xform.t) ->
-      List.iter
-        (fun (pname, g) ->
-          let sites = x.find g in
-          let sites = match limit_per with Some n -> take n sites | None -> sites in
-          List.iter
-            (fun site ->
-              let id = instance_id ~program:pname ~xform:x.name site in
-              let seed = instance_seed ~global:config.Difftest.seed id in
-              let config = { config with Difftest.seed } in
-              let o =
-                (* an escaping exception settles the instance as a worker
-                   settles it, so the serial journal matches the engine's *)
-                match
-                  run_instance ~memo ~config ~static_gate ~certify_gate
-                    ~program:(pname, g) x site
-                with
-                | r ->
-                    results := r :: !results;
-                    outcome_of_result ~seed r
-                | exception e ->
-                    killed_outcome ~program:pname ~xform:x.name ~site ~seed
-                      (Crashed { detail = Printexc.to_string e })
-              in
-              outcomes := o :: !outcomes)
-            sites)
-        programs)
-    xforms;
-  assemble ~results:(List.rev !results) xforms (List.rev !outcomes)
+  let outcomes =
+    List.map
+      (fun it ->
+        let seed = it.config.Difftest.seed in
+        (* an escaping exception settles the instance as a worker settles
+           it, so the serial journal matches the engine's *)
+        match
+          run_instance ~memo ~config:it.config ~static_gate:it.static_gate
+            ~certify_gate:it.certify_gate ~program:(it.program_name, it.program) it.xform it.site
+        with
+        | r ->
+            results := r :: !results;
+            outcome_of_result ~seed r
+        | exception e ->
+            killed_outcome ~program:it.program_name ~xform:it.xform.name ~site:it.site ~seed
+              (Crashed { detail = Printexc.to_string e }))
+      (items ~limit_per ~config ~static_gate ~certify_gate programs xforms)
+  in
+  assemble ~results:(List.rev !results) xforms outcomes
 
 let class_marker = function
   | Difftest.Semantics -> "X"

@@ -81,7 +81,7 @@ type t = {
   results : instance_result list;
       (** full per-instance results; under an engine resume only the freshly
           executed instances appear here (journaled ones have outcomes only) *)
-  outcomes : outcome list;  (** one per instance, in queue order *)
+  outcomes : outcome list;  (** one per instance, in {!items} order *)
   total_instances : int;
   total_failed : int;  (** failing verdicts plus killed instances *)
   total_proved : int;
@@ -96,6 +96,36 @@ val instance_id : program:string -> xform:string -> Transforms.Xform.site -> str
     id (FNV-1a): deterministic and independent of scheduling order, so [-j N]
     and [-j 1] runs produce bit-identical verdicts. *)
 val instance_seed : global:int -> string -> int
+
+(** One instance of a campaign, with a stable identity and everything a
+    worker needs to run it through {!run_instance}. Selfcheck builds its
+    difftest probes as items too. *)
+type item = {
+  id : string;  (** {!instance_id}: the journal key *)
+  program_name : string;
+  program : Sdfg.Graph.t;
+  xform : Transforms.Xform.t;
+  site : Transforms.Xform.site;
+  config : Difftest.config;
+      (** the instance's config, its seed ({!instance_seed}) already substituted *)
+  static_gate : bool;
+  certify_gate : bool;
+}
+
+(** [items ~limit_per ~config ~static_gate ~certify_gate programs xforms]
+    enumerates every application site of every transformation on every
+    program: transformations outermost, then programs, then sites. Each
+    item runs under [config] with its own seed and the campaign's gates.
+    [limit_per] caps sites per (program, transformation) pair. {!run} and
+    the engine both run exactly these items, in this order. *)
+val items :
+  limit_per:int option ->
+  config:Difftest.config ->
+  static_gate:bool ->
+  certify_gate:bool ->
+  (string * Sdfg.Graph.t) list ->
+  Transforms.Xform.t list ->
+  item list
 
 (** The per-instance campaign body: translation validation (optional), then
     differential testing, then the static oracle evidence channel. Both the
@@ -144,7 +174,7 @@ val assemble : ?results:instance_result list -> Transforms.Xform.t list -> outco
     instances contribute zero) — the denominator of the trials-saved metric. *)
 val trials_spent : t -> int
 
-(** [run programs xforms] finds and tests every application site. [limit_per]
+(** [run programs xforms] runs the {!items} in order. [limit_per]
     caps the instances tested per (program, transformation) pair to bound
     campaign time; [None] tests everything. [static_gate] additionally runs
     the static oracle on every instance as an independent evidence channel —

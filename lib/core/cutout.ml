@@ -63,54 +63,10 @@ let closure st seed =
   done;
   Hashtbl.fold (fun n () acc -> n :: acc) set [] |> List.sort compare
 
-(* ------------------------------------------------------------------ *)
-(* Read / write sets                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Reads and writes carried by one edge. A write with conflict resolution
-   also reads the previous contents. Copy edges read [memlet] and write
-   [dst_memlet]. *)
-let edge_accesses st (e : State.edge) =
-  let reads = ref [] and writes = ref [] in
-  (match (e.memlet, State.node_opt st e.src) with
-  | Some m, Some (Node.Access _) -> reads := (m.data, m.subset) :: !reads
-  | _ -> ());
-  (match State.node_opt st e.dst with
-  | Some (Node.Access _) -> (
-      let wm = match e.dst_memlet with Some dm -> Some dm | None -> e.memlet in
-      match wm with
-      | Some m ->
-          writes := (m.data, m.subset) :: !writes;
-          if m.wcr <> None then reads := (m.data, m.subset) :: !reads
-      | None -> ())
-  | _ -> ());
-  (!reads, !writes)
-
-let accesses_of_nodes st nodes =
-  let in_set n = List.mem n nodes in
-  List.fold_left
-    (fun (rs, ws) (e : State.edge) ->
-      if in_set e.src && in_set e.dst then
-        let r, w = edge_accesses st e in
-        (r @ rs, w @ ws)
-      else (rs, ws))
-    ([], []) (State.edges st)
-
-let accesses_of_state st =
-  accesses_of_nodes st (State.node_ids st)
-
-(* Scalar containers read by interstate conditions / assignment RHSs. *)
-let interstate_reads g (e : Graph.istate_edge) =
-  let syms =
-    Symbolic.Cond.free_syms e.cond
-    @ List.concat_map (fun (_, rhs) -> Symbolic.Expr.free_syms rhs) e.assigns
-  in
-  List.filter_map
-    (fun s ->
-      match Graph.container_opt g s with
-      | Some d when d.shape = [] -> Some (s, ([] : Symbolic.Subset.t))
-      | _ -> None)
-    syms
+(* Read and write sets are the access-node view of {!Sdfg.Propagate}; an
+   interstate read is of a whole scalar. *)
+let scalar_reads g e =
+  List.map (fun c -> (c, Symbolic.Subset.scalar)) (Propagate.interstate_reads g e)
 
 (* ------------------------------------------------------------------ *)
 (* System state & input configuration (Sec. 3.1 / 3.2)                 *)
@@ -128,14 +84,14 @@ type surroundings = {
 let surroundings_dataflow g sid nodes =
   let st = Graph.state g sid in
   let outside = List.filter (fun n -> not (List.mem n nodes)) (State.node_ids st) in
-  let same_r, same_w = accesses_of_nodes st outside in
+  let same_r, same_w = Propagate.nodes_rw st outside in
   (* cross-boundary edges (one endpoint in the cutout) also access data *)
   let br = ref [] and ar = ref [] in
   List.iter
     (fun (e : State.edge) ->
       let src_in = List.mem e.src nodes and dst_in = List.mem e.dst nodes in
       if src_in <> dst_in then begin
-        let r, w = edge_accesses st e in
+        let r, w = Propagate.edge_rw st e in
         if src_in then ar := r @ !ar (* outside node reads what the edge moves *)
         else br := w @ !br
       end)
@@ -144,14 +100,14 @@ let surroundings_dataflow g sid nodes =
   let after_states = Graph.reachable_states g sid in
   let collect sids f =
     List.concat_map
-      (fun s -> match Graph.state_opt g s with Some st -> f (accesses_of_state st) | None -> [])
+      (fun s -> match Graph.state_opt g s with Some st -> f (Propagate.state_rw st) | None -> [])
       sids
   in
   let before_writes = same_w @ !br @ collect before_states snd in
   let istate_after =
     List.concat_map
       (fun (e : Graph.istate_edge) ->
-        if e.src = sid || List.mem e.src after_states then interstate_reads g e else [])
+        if e.src = sid || List.mem e.src after_states then scalar_reads g e else [])
       (Graph.istate_edges g)
   in
   let after_reads = same_r @ !ar @ collect after_states fst @ istate_after in
@@ -170,12 +126,12 @@ let surroundings_multistate g region =
   in
   let collect sids f =
     List.concat_map
-      (fun s -> match Graph.state_opt g s with Some st -> f (accesses_of_state st) | None -> [])
+      (fun s -> match Graph.state_opt g s with Some st -> f (Propagate.state_rw st) | None -> [])
       sids
   in
   let istate_reads_of sids =
     List.concat_map
-      (fun (e : Graph.istate_edge) -> if List.mem e.src sids then interstate_reads g e else [])
+      (fun (e : Graph.istate_edge) -> if List.mem e.src sids then scalar_reads g e else [])
       (Graph.istate_edges g)
   in
   {
@@ -256,7 +212,7 @@ let extract_dataflow ?(options = default_options) p ~state:sid ~nodes:seed =
   let st = Graph.state p sid in
   let nodes = closure st seed in
   if nodes = [] then invalid_arg "Cutout.extract_dataflow: empty seed";
-  let reads, writes = accesses_of_nodes st nodes in
+  let reads, writes = Propagate.nodes_rw st nodes in
   let surr = surroundings_dataflow p sid nodes in
   let input_config, system_state = classify p env ~reads ~writes ~surr in
   let c = Graph.create (Graph.name p ^ "_cutout") in
@@ -275,7 +231,7 @@ let extract_dataflow ?(options = default_options) p ~state:sid ~nodes:seed =
 let extract_multistate ?(options = default_options) p region =
   let env = Symbolic.Expr.Env.of_list options.symbols in
   let region = List.sort_uniq compare region in
-  let rw = List.map (fun sid -> accesses_of_state (Graph.state p sid)) region in
+  let rw = List.map (fun sid -> Propagate.state_rw (Graph.state p sid)) region in
   let reads = List.concat_map fst rw
   and writes = List.concat_map snd rw in
   (* interstate edges inside the region read scalars too *)
@@ -284,7 +240,7 @@ let extract_multistate ?(options = default_options) p region =
       (fun (e : Graph.istate_edge) -> List.mem e.src region && List.mem e.dst region)
       (Graph.istate_edges p)
   in
-  let reads = reads @ List.concat_map (interstate_reads p) inner_iedges in
+  let reads = reads @ List.concat_map (scalar_reads p) inner_iedges in
   let surr = surroundings_multistate p region in
   let input_config, system_state = classify p env ~reads ~writes ~surr in
   let c = Graph.create (Graph.name p ^ "_cutout") in
@@ -319,8 +275,7 @@ let extract_multistate ?(options = default_options) p region =
   ignore (Graph.add_istate_edge c ~assigns pre entry);
   Graph.set_start_state c pre;
   let scalars_in_conds =
-    List.concat_map (fun e -> List.map fst (interstate_reads p e)) inner_iedges
-    @ List.map fst (List.concat_map (interstate_reads p) entering)
+    List.concat_map (Propagate.interstate_reads p) (inner_iedges @ entering)
   in
   declare_containers p c states' ~input_config ~system_state ~extra:scalars_in_conds;
   {
@@ -351,37 +306,22 @@ type shrink_stats = {
 let subsets_of g c =
   List.concat_map
     (fun (_, st) ->
-      (* innermost-to-outermost chain of enclosing map entries for a node *)
-      let rec chain n =
-        match State.scope_of st n with None -> [] | Some e -> e :: chain e
-      in
-      let widen_for_node n subset =
-        List.fold_left
-          (fun sub entry ->
-            match State.node st entry with
-            | Node.Map_entry { params; ranges; _ } ->
-                Propagate.through_map ~params ~ranges sub
-            | _ -> sub)
-          subset (chain n)
-      in
       List.concat_map
         (fun (e : State.edge) ->
           (* widen through the deeper endpoint's scope chain *)
-          let deeper =
-            if List.length (chain e.src) >= List.length (chain e.dst) then e.src else e.dst
-          in
+          let src = Propagate.scope_chain st e.src and dst = Propagate.scope_chain st e.dst in
+          let deeper = if List.length src >= List.length dst then src else dst in
           let pick = function
-            | Some (m : Memlet.t) when m.data = c -> [ widen_for_node deeper m.subset ]
+            | Some (m : Memlet.t) when m.data = c ->
+                [ Propagate.widen_through st deeper m.subset ]
             | _ -> []
           in
           pick e.memlet @ pick e.dst_memlet)
         (State.edges st))
     (Graph.states g)
 
-let container_bytes env (name, (d : Graph.datadesc)) =
-  ignore name;
-  Dtype.size_bytes d.dtype
-  * List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 d.shape
+let container_bytes env (_, (d : Graph.datadesc)) =
+  Dtype.size_bytes d.dtype * Graph.elements env d.shape
 
 let shrink_containers t ~symbols =
   let env = Symbolic.Expr.Env.of_list symbols in
@@ -420,12 +360,7 @@ let shrink_containers t ~symbols =
                     d.shape
                 in
                 if not (List.for_all2 Symbolic.Expr.equal new_shape d.shape) then begin
-                  let old_n =
-                    List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 d.shape
-                  in
-                  let new_n =
-                    List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 new_shape
-                  in
+                  let old_n = Graph.elements env d.shape and new_n = Graph.elements env new_shape in
                   Graph.add_container g name { d with shape = new_shape };
                   resized := (name, old_n, new_n) :: !resized
                 end
@@ -439,12 +374,7 @@ let shrink_containers t ~symbols =
   ( { t with program = g },
     { original_bytes; shrunk_bytes; resized = List.rev !resized } )
 
-let program_reads g =
-  List.concat_map
-    (fun (_, st) -> List.map fst (fst (accesses_of_state st)))
-    (Graph.states g)
-  @ List.concat_map (fun e -> List.map fst (interstate_reads g e)) (Graph.istate_edges g)
-  |> List.sort_uniq compare
+let program_reads = Propagate.program_reads
 
 let input_elements t ~symbols =
   let env = Symbolic.Expr.Env.of_list symbols in
@@ -452,8 +382,7 @@ let input_elements t ~symbols =
     (fun acc c ->
       match Graph.container_opt t.program c with
       | None -> acc
-      | Some d ->
-          acc + List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 d.shape)
+      | Some d -> acc + Graph.elements env d.shape)
     0 t.input_config
 
 let input_bytes t ~symbols =
@@ -462,10 +391,7 @@ let input_bytes t ~symbols =
     (fun acc c ->
       match Graph.container_opt t.program c with
       | None -> acc
-      | Some d ->
-          acc
-          + Dtype.size_bytes d.dtype
-            * List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 d.shape)
+      | Some d -> acc + (Dtype.size_bytes d.dtype * Graph.elements env d.shape))
     0 t.input_config
 
 let pp fmt t =

@@ -10,6 +10,8 @@
       that is externally visible or possibly written earlier (reverse BFS,
       Sec. 3.2).
 
+    Reads and writes are the access-node view of {!Sdfg.Propagate}.
+
     Node and state ids are preserved, so the transformation site remains
     valid on the extracted program and T can be applied to the cutout
     directly. *)
@@ -60,12 +62,9 @@ type shrink_stats = {
 
 val shrink_containers : t -> symbols:(string * int) list -> t * shrink_stats
 
-(** Containers read anywhere in a program (write-conflict-resolution writes
-    count as reads). Differential testing extends a cutout's input
-    configuration with the externally visible reads of the {e transformed}
-    cutout: a transformation may introduce reads of prior contents (e.g.
-    turning an overwrite into an accumulation) that the original cutout's
-    analysis cannot see. *)
+(** {!Sdfg.Propagate.program_reads}, the read set the system state and
+    input configuration are built from; kept under this name for the
+    campaign benchmark's re-drive. *)
 val program_reads : Sdfg.Graph.t -> string list
 
 (** Total input-configuration size in elements under concrete symbols —

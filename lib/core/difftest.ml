@@ -158,21 +158,13 @@ let compare_outcomes ~threshold ~system_state orig xformed =
         system_state
 
 (* One program's execution plans, owned by the sweep that creates them: the
-   per-program stage of [Plan.compile] runs at the first miss, each sorted
-   symbol valuation is compiled at most once on it, and the table is emptied
-   wholesale at 64 live entries. *)
+   per-program stage of [Plan.compile] runs at the first miss, and each
+   sorted symbol valuation is compiled at most once on it (a {!Memo} of the
+   default 64 entries). *)
 let compile_table prog =
-  let stage = lazy (Interp.Plan.compile prog) in
-  let tbl = Hashtbl.create 16 in
+  let stage = lazy (Interp.Plan.compile prog) and memo = Memo.create () in
   fun symbols ->
-    let key = List.sort compare symbols in
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r
-    | None ->
-        let r = (Lazy.force stage) ~symbols in
-        if Hashtbl.length tbl >= 64 then Hashtbl.reset tbl;
-        Hashtbl.add tbl key r;
-        r
+    Memo.find_or_add memo (List.sort compare symbols) (fun () -> (Lazy.force stage) ~symbols)
 
 (* Partial application creates one plan table per side, which lives as long
    as the instance's trial loop. Injection, coverage collection and step
@@ -301,7 +293,7 @@ let test_instance ?(config = default_config) g (x : Transforms.Xform.t) site =
               (* 5. the transformation may introduce reads of prior contents
                  (e.g. an overwrite turned into an accumulation); extend the
                  input configuration with T(c)'s externally visible reads *)
-              let original_reads = Cutout.program_reads cut.program in
+              let original_reads = Propagate.program_reads cut.program in
               let extra_inputs =
                 List.filter
                   (fun c ->
@@ -311,7 +303,7 @@ let test_instance ?(config = default_config) g (x : Transforms.Xform.t) site =
                     match Graph.container_opt transformed c with
                     | Some d -> not d.transient
                     | None -> false)
-                  (Cutout.program_reads transformed)
+                  (Propagate.program_reads transformed)
               in
               let cut =
                 { cut with Cutout.input_config = List.sort compare (cut.input_config @ extra_inputs) }

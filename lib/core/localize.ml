@@ -25,15 +25,10 @@ let writer_orders g =
         (fun nid ->
           incr counter;
           List.iter
-            (fun (e : State.edge) ->
-              match State.node_opt st e.dst with
-              | Some (Node.Access _) -> (
-                  let wm = match e.dst_memlet with Some m -> Some m | None -> e.memlet in
-                  match wm with
-                  | Some (m : Memlet.t) ->
-                      if not (Hashtbl.mem orders m.data) then
-                        Hashtbl.replace orders m.data (!counter, Node.label (State.node st nid))
-                  | None -> ())
+            (fun e ->
+              match Propagate.written_memlet st e with
+              | Some m when not (Hashtbl.mem orders m.data) ->
+                  Hashtbl.replace orders m.data (!counter, Node.label (State.node st nid))
               | _ -> ())
             (State.out_edges st nid))
         (State.topological st))

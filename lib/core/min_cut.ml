@@ -11,9 +11,7 @@ let container_elements g env c =
   match Graph.container_opt g c with
   | None -> Flownet.Cap.Inf
   | Some d -> (
-      try
-        Flownet.Cap.finite
-          (List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 d.shape)
+      try Flownet.Cap.finite (Graph.elements env d.shape)
       with Symbolic.Expr.Unbound_symbol _ | Symbolic.Expr.Division_by_zero -> Flownet.Cap.Inf)
 
 let memlet_volume env (m : Memlet.t option) =
@@ -91,12 +89,8 @@ let minimize_dataflow p (cut : Cutout.t) ~symbols sid cnodes =
             List.iter
               (fun (e : State.edge) ->
                 if not (in_c e.src) then
-                  let cap =
-                    match e.dst_memlet with
-                    | Some _ -> memlet_volume env e.dst_memlet
-                    | None -> memlet_volume env e.memlet
-                  in
-                  Flownet.Maxflow.add_edge fg (node_id e.src) t cap)
+                  Flownet.Maxflow.add_edge fg (node_id e.src) t
+                    (memlet_volume env (Propagate.written_memlet st e)))
               ins
       | _ -> ())
     (State.node_ids st);

@@ -56,7 +56,7 @@ let fill_array r (c : Constraints.t) (dtype : Dtype.t) n =
 let container_size g env c =
   match Graph.container_opt g c with
   | None -> 0
-  | Some d -> List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 d.shape
+  | Some d -> Graph.elements env d.shape
 
 let sample_inputs r (c : Constraints.t) (cut : Cutout.t) ~symbols =
   let env = Symbolic.Expr.Env.of_list symbols in

@@ -411,37 +411,6 @@ let parse_line line =
         }
   | s -> failwith ("journal: unknown record type " ^ s)
 
-let load ?(warn = fun (_ : string) -> ()) path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (* drop unparseable lines: a campaign killed mid-write leaves a torn
-       tail. Surface each drop through [warn] so a resume does not silently
-       re-run (or skip) work the operator thought was journaled. *)
-    List.rev !lines
-    |> List.mapi (fun i l -> (i + 1, l))
-    |> List.filter_map (fun (lineno, l) ->
-           if String.trim l = "" then None
-           else
-             match parse_line l with
-             | r -> Some r
-             | exception _ ->
-                 let preview =
-                   if String.length l <= 40 then l else String.sub l 0 40 ^ "..."
-                 in
-                 warn
-                   (Printf.sprintf "%s:%d: dropping unparseable record (torn write?): %s" path
-                      lineno preview);
-                 None)
-  end
-
 (* ---------------- resume with torn-tail recovery ---------------- *)
 
 exception Corrupt of { path : string; lineno : int; detail : string }

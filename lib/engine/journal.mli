@@ -76,12 +76,6 @@ val footer_line : footer -> string
 (** @raise Failure on a malformed line. *)
 val parse_line : string -> record
 
-(** Read a journal, dropping a trailing partial line (a campaign killed
-    mid-write) and any unparseable lines; each drop is reported through
-    [warn] (default: ignore) with file, line number and a preview. Missing
-    file yields []. *)
-val load : ?warn:(string -> unit) -> string -> record list
-
 (** Mid-file (non-tail) corruption found during {!load_resume}: the journal
     was damaged by something other than a kill mid-write, so resuming from it
     could silently skip or re-run work. *)

@@ -273,41 +273,41 @@ type wrk = {
 let now () = Unix.gettimeofday ()
 
 let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog ~deadline_s
-    ~(telemetry : Telemetry.t) ~on_done (items : Queue.item array) =
+    ~(telemetry : Telemetry.t) ~on_done (items : Campaign.item array) =
   let n = Array.length items in
   let graph_blob =
     (* one Marshal per distinct program, shared across its instances;
        program names are unique within a campaign *)
     let memo = Hashtbl.create 8 in
-    fun (it : Queue.item) ->
-      match Hashtbl.find_opt memo it.Queue.program_name with
+    fun (it : Campaign.item) ->
+      match Hashtbl.find_opt memo it.program_name with
       | Some b -> b
       | None ->
-          let b = Marshal.to_string it.Queue.program [] in
-          Hashtbl.add memo it.Queue.program_name b;
+          let b = Marshal.to_string it.program [] in
+          Hashtbl.add memo it.program_name b;
           b
   in
   let assignment_of i =
     let it = items.(i) in
     {
       Wire.a_idx = i;
-      a_program = it.Queue.program_name;
+      a_program = it.program_name;
       a_graph = graph_blob it;
-      a_xform = it.Queue.xform.Transforms.Xform.name;
-      a_site = it.Queue.site;
-      a_config = it.Queue.config;
-      a_static_gate = it.Queue.static_gate;
-      a_certify_gate = it.Queue.certify_gate;
+      a_xform = it.xform.Transforms.Xform.name;
+      a_site = it.site;
+      a_config = it.config;
+      a_static_gate = it.static_gate;
+      a_certify_gate = it.certify_gate;
       a_deadline_s = deadline_s;
     }
   in
-  let pending = Stdlib.Queue.create () in
-  Array.iteri (fun i _ -> Stdlib.Queue.push i pending) items;
+  let pending = Queue.create () in
+  Array.iteri (fun i _ -> Queue.push i pending) items;
   let losses = Array.make n 0 in
   let remaining = ref n in
   (* a slot that fails before its first assignment draws its backoff
      jitter from the first item's seed *)
-  let first_seed = if n = 0 then 0 else items.(0).Queue.config.Difftest.seed in
+  let first_seed = if n = 0 then 0 else items.(0).config.Difftest.seed in
   let slot_of kind name slot =
     {
       kind;
@@ -371,7 +371,7 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog ~deadline_s
         if losses.(i) >= policy.max_failures then
           let detail = Printf.sprintf "worker lost %d times on this instance" policy.max_failures in
           settle i (Error (Campaign.Crashed { detail }))
-        else Stdlib.Queue.push i pending
+        else Queue.push i pending
     | W_disconnected | W_idle -> ());
     close_conn w;
     w.state <- W_disconnected;
@@ -426,17 +426,17 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog ~deadline_s
     | exception Wire.Protocol_error detail -> fail_worker w (Decode_failure { detail })
   in
   let assign w fd i =
-    w.last_seed <- items.(i).Queue.config.Difftest.seed;
+    w.last_seed <- items.(i).config.Difftest.seed;
     match Wire.write_message ~timeout_s:policy.heartbeat_s fd (Wire.Assign (assignment_of i)) with
     | () ->
         w.state <- W_busy i;
         w.busy_since <- now ();
-        Telemetry.running telemetry ~slot:w.slot items.(i).Queue.id
+        Telemetry.running telemetry ~slot:w.slot items.(i).id
     | exception (Wire.Closed | Unix.Unix_error _) ->
-        Stdlib.Queue.push i pending;
+        Queue.push i pending;
         fail_worker w (Disconnected { during = "assign" })
     | exception Wire.Timeout ->
-        Stdlib.Queue.push i pending;
+        Queue.push i pending;
         fail_worker w (Hang { waited_s = policy.heartbeat_s })
   in
   let deliver w i result =
@@ -528,14 +528,14 @@ let run ~(policy : policy) ~on_failure ~tick ~workers ~j ~catalog ~deadline_s
     List.iter
       (fun w ->
         if w.fd = None && t >= w.next_try
-           && Stdlib.Queue.length pending > idle_slots ()
+           && Queue.length pending > idle_slots ()
         then try_connect w)
       ws;
     List.iter
       (fun w ->
         match (w.fd, w.state) with
-        | Some fd, W_idle when not (Stdlib.Queue.is_empty pending) ->
-            assign w fd (Stdlib.Queue.pop pending)
+        | Some fd, W_idle when not (Queue.is_empty pending) ->
+            assign w fd (Queue.pop pending)
         | _ -> ())
       ws;
     (* wait for traffic *)

@@ -81,7 +81,7 @@ val run :
   telemetry:Telemetry.t ->
   on_done:
     (int -> (Fuzzyflow.Campaign.instance_result, Fuzzyflow.Campaign.exec_status) result -> unit) ->
-  Queue.item array ->
+  Fuzzyflow.Campaign.item array ->
   unit
 
 (** Bind + listen (see {!Wire.listen_on}); [port = 0] picks an ephemeral

@@ -6,7 +6,7 @@ type t = {
   progress : bool;
   started : float;
   mutable completed : int;
-  mutable failed : int;
+  mutable failed : int;  (** failing verdicts plus killed instances *)
   mutable proved : int;
   mutable killed : int;
   mutable trials : int;
@@ -95,7 +95,11 @@ let record t (o : Campaign.outcome) =
   | Campaign.O_failed _ -> t.failed <- t.failed + 1
   | Campaign.O_proved -> t.proved <- t.proved + 1
   | _ -> ());
-  (match o.o_status with Campaign.Completed -> () | _ -> t.killed <- t.killed + 1);
+  (match o.o_status with
+  | Campaign.Completed -> ()
+  | _ ->
+      t.killed <- t.killed + 1;
+      t.failed <- t.failed + 1);
   emit ~force:(t.completed = t.total) t
 
 let case_saved t = t.cases_saved <- t.cases_saved + 1
@@ -123,7 +127,7 @@ let summary t : Journal.footer =
   let wall = wall_s t in
   {
     Journal.total = t.completed;
-    failed = t.failed + t.killed;
+    failed = t.failed;
     proved = t.proved;
     killed = t.killed;
     trials_spent = t.trials;

@@ -1,6 +1,8 @@
 (** Live campaign progress: instances/sec, per-worker status, trials spent
     and saved, rendered to stderr while the engine runs and summarized for
-    the journal footer. *)
+    the journal footer. The progress line, the snapshot and the footer
+    count [failed] as the campaign table does: failing verdicts plus killed
+    instances. *)
 
 type t
 

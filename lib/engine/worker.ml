@@ -64,7 +64,7 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   let catalog = match catalog with Some c -> c | None -> xforms in
   let items =
     Array.of_list
-      (Queue.build ~limit_per:options.limit_per ~config ~static_gate:options.static_gate
+      (Campaign.items ~limit_per:options.limit_per ~config ~static_gate:options.static_gate
          ~certify_gate:options.certify_gate programs xforms)
   in
   let n = Array.length items in
@@ -93,10 +93,10 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
     else ([], 0)
   in
   let outcomes =
-    Array.map (fun (it : Queue.item) -> List.assoc_opt it.id resumed_map) items
+    Array.map (fun (it : Campaign.item) -> List.assoc_opt it.id resumed_map) items
   in
   (* the journal is rewritten from scratch even on resume: parsed outcomes are
-     re-emitted in queue order, so the file is always a clean, deterministic
+     re-emitted in item order, so the file is always a clean, deterministic
      prefix of the campaign (a torn tail from a kill never accumulates) *)
   let sink line = match options.journal_sink with Some f -> f line | None -> () in
   let journal_oc =
@@ -161,7 +161,7 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
       match result with
       | Ok (ir : Campaign.instance_result) ->
           results := (i, ir) :: !results;
-          Campaign.outcome_of_result ~seed:it.Queue.config.Difftest.seed ir
+          Campaign.outcome_of_result ~seed:it.config.Difftest.seed ir
       | Error status ->
           Campaign.killed_outcome ~program:it.program_name ~xform:it.xform.Transforms.Xform.name
             ~site:it.site ~seed:it.config.Difftest.seed status
@@ -172,7 +172,7 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
     | Some dir, Ok (ir : Campaign.instance_result) -> (
         match ir.report with
         | Some ({ Difftest.verdict = Difftest.Fail f; _ } as report) -> (
-            match Testcase.of_report ~config:it.Queue.config ~original:it.program report with
+            match Testcase.of_report ~config:it.config ~original:it.program report with
             | Some tc -> (
                 match
                   Corpus.save ~dir ~catalog ~program:it.program_name

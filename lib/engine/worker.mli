@@ -1,9 +1,10 @@
 (** The campaign engine's entry point.
 
-    {!run_campaign} enumerates the {!Queue}, replays journaled outcomes on
-    [--resume], and runs every fresh instance through {!Supervisor.run}: [j]
-    local wire-protocol workers forked once per campaign, plus any remote
-    endpoints, all on one dispatch loop. It journals outcomes in queue
+    {!run_campaign} enumerates the campaign's instances
+    ({!Fuzzyflow.Campaign.items}), replays journaled outcomes on [--resume],
+    and runs every fresh instance through {!Supervisor.run}: [j] local
+    wire-protocol workers forked once per campaign, plus any remote
+    endpoints, all on one dispatch loop. It journals outcomes in item
     order, saves failing cases to the corpus and assembles the Table 2
     summary. Selfcheck's difftest probes run on the same {!Supervisor.run}.
     This module forks nothing itself. *)
@@ -45,9 +46,9 @@ type options = {
 
 val default_options : options
 
-(** Run a campaign through the engine: enumerate the queue, execute every
+(** Run a campaign through the engine: enumerate the items, execute every
     instance not already journaled on the supervised workers, journal
-    outcomes in queue order (so same-seed reruns are bit-identical and an
+    outcomes in item order (so same-seed reruns are bit-identical and an
     interrupted journal is a clean prefix), persist failing cases to the
     corpus, and assemble the Table 2 summary from engine outcomes. Workers
     resolve transformations by name in [xforms]; [catalog] (default

@@ -316,7 +316,7 @@ let net_probe ~trials ~spec_seed ~net ~kill_worker ~workloads =
    parent turns into a probe result. MPI and net probes, and a spec with no
    instance to run, are computed in the parent. *)
 type probe =
-  | Instance of Engine.Queue.item * (Campaign.instance_result -> probe_result)
+  | Instance of Campaign.item * (Campaign.instance_result -> probe_result)
   | Parent of (unit -> probe_result)
 
 let probe_of ~trials ~seed (spec : Plan.spec) =
@@ -327,7 +327,7 @@ let probe_of ~trials ~seed (spec : Plan.spec) =
   let instance ~workload g xform site ~gates config derive =
     Instance
       ( {
-          Engine.Queue.id = spec.Plan.id;
+          Campaign.id = spec.Plan.id;
           program_name = workload;
           program = g;
           xform;
@@ -367,11 +367,10 @@ let probe_of ~trials ~seed (spec : Plan.spec) =
 let probe_spec ~trials ~seed spec =
   match probe_of ~trials ~seed spec with
   | Parent f -> f ()
-  | Instance ({ Engine.Queue.config; static_gate; certify_gate; _ } as it, derive) ->
+  | Instance (it, derive) ->
       derive
-        (Campaign.run_instance ~config ~static_gate ~certify_gate
-           ~program:(it.Engine.Queue.program_name, it.Engine.Queue.program)
-           it.Engine.Queue.xform it.Engine.Queue.site)
+        (Campaign.run_instance ~config:it.config ~static_gate:it.static_gate
+           ~certify_gate:it.certify_gate ~program:(it.program_name, it.program) it.xform it.site)
 
 (* ---- classification ------------------------------------------------------ *)
 
@@ -449,7 +448,7 @@ let failure_detail = function
 
 (* Run difftest probes' instances on [j] supervised local workers, exactly
    as a campaign runs its instances; results in input order. *)
-let run_instances ~j ~deadline_s ?(on_done = fun _ _ -> ()) (items : Engine.Queue.item array) =
+let run_instances ~j ~deadline_s ?(on_done = fun _ _ -> ()) (items : Campaign.item array) =
   (* workers resolve transformations by name. A mutant's name is its base
      transformation and kind, and every spec arms it with the same mutation
      seed (Plan.mutation_seed), so specs that share a name share the mutant *)
@@ -457,7 +456,7 @@ let run_instances ~j ~deadline_s ?(on_done = fun _ _ -> ()) (items : Engine.Queu
     List.sort_uniq
       (fun (a : Transforms.Xform.t) (b : Transforms.Xform.t) ->
         compare a.Transforms.Xform.name b.Transforms.Xform.name)
-      (Array.to_list (Array.map (fun (it : Engine.Queue.item) -> it.Engine.Queue.xform) items))
+      (Array.to_list (Array.map (fun (it : Campaign.item) -> it.xform) items))
   in
   let results = Array.make (Array.length items) None in
   Engine.Supervisor.run ~policy:Engine.Supervisor.default_policy
@@ -515,7 +514,7 @@ let run ?(j = 1) ?(deadline_s = 60.) ?(trials = 10) ?level ?generated ?(progress
     Array.of_list (List.filter_map (function Instance (it, _) -> Some it | Parent _ -> None) probes)
   in
   let results =
-    run_instances ~j ~deadline_s ~on_done:(fun k r -> log items.(k).Engine.Queue.id r) items
+    run_instances ~j ~deadline_s ~on_done:(fun k r -> log items.(k).Campaign.id r) items
   in
   let next = ref 0 in
   let rows =

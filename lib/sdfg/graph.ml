@@ -7,6 +7,8 @@ type datadesc = {
   storage : storage;
 }
 
+let elements env shape = List.fold_left (fun v e -> v * max 0 (Symbolic.Expr.eval env e)) 1 shape
+
 type istate_edge = {
   ie_id : int;
   src : int;

@@ -14,6 +14,12 @@ type datadesc = {
   storage : storage;
 }
 
+(** Elements of a container of this shape under [env]: the product of its
+    dimensions, each clamped at 0; 1 for a scalar.
+    @raise Symbolic.Expr.Unbound_symbol or [Division_by_zero] from
+    {!Symbolic.Expr.eval}. *)
+val elements : int Symbolic.Expr.Env.t -> Symbolic.Expr.t list -> int
+
 (** Interstate edge: taken when [cond] holds; then each [assigns] binding
     updates a symbol. Conditions and assignment right-hand sides may read
     SDFG symbols and scalar containers. *)

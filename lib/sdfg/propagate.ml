@@ -58,11 +58,72 @@ let through_map ~params ~ranges subset =
 let memlet_through_map ~params ~ranges (m : Memlet.t) =
   { m with subset = through_map ~params ~ranges m.subset }
 
-(* ---- full bottom-up propagation --------------------------------------- *)
+(* ---- the access model -------------------------------------------------- *)
 
 type kind = Read | Write of Memlet.wcr option
 
-type access = { container : string; subset : Subset.t; kind : kind; phase : int }
+let is_write = function Write _ -> true | Read -> false
+
+(* The access-node view: data is read where it leaves an access node and
+   written where it enters one. *)
+
+let written_memlet st (e : State.edge) =
+  match State.node_opt st e.dst with
+  | Some (Node.Access _) -> ( match e.dst_memlet with Some _ as dm -> dm | None -> e.memlet)
+  | _ -> None
+
+let edge_rw st (e : State.edge) =
+  let reads =
+    match (e.memlet, State.node_opt st e.src) with
+    | Some (m : Memlet.t), Some (Node.Access _) -> [ (m.data, m.subset) ]
+    | _ -> []
+  in
+  match written_memlet st e with
+  | Some m ->
+      (* a write with conflict resolution also reads the previous contents *)
+      ((if m.wcr <> None then (m.data, m.subset) :: reads else reads), [ (m.data, m.subset) ])
+  | None -> (reads, [])
+
+let rw_of_edges st edges =
+  List.fold_left
+    (fun (rs, ws) e ->
+      let r, w = edge_rw st e in
+      (r @ rs, w @ ws))
+    ([], []) edges
+
+let nodes_rw st nodes =
+  rw_of_edges st
+    (List.filter
+       (fun (e : State.edge) -> List.mem e.src nodes && List.mem e.dst nodes)
+       (State.edges st))
+
+let state_rw st = rw_of_edges st (State.edges st)
+
+let interstate_reads g (e : Graph.istate_edge) =
+  Cond.free_syms e.cond @ List.concat_map (fun (_, rhs) -> Expr.free_syms rhs) e.assigns
+  |> List.filter (fun s ->
+         match Graph.container_opt g s with Some d -> d.shape = [] | None -> false)
+
+let program_reads g =
+  List.concat_map (fun (_, st) -> List.map fst (fst (state_rw st))) (Graph.states g)
+  @ List.concat_map (interstate_reads g) (Graph.istate_edges g)
+  |> List.sort_uniq compare
+
+let program_writes g =
+  List.concat_map (fun (_, st) -> List.map fst (snd (state_rw st))) (Graph.states g)
+  |> List.sort_uniq compare
+
+(* The leaf view: data is read and written at tasklet and library connectors
+   and at both endpoints of a copy, inside its enclosing map scopes. *)
+
+type leaf = {
+  node : int;
+  edge : int;
+  container : string;
+  subset : Subset.t;
+  kind : kind;
+  scopes : int list;
+}
 
 let scope_chain st n =
   let rec go n acc =
@@ -70,14 +131,43 @@ let scope_chain st n =
   in
   go n []
 
-(* Widen a subset through a chain of map-entry scopes, innermost first. *)
-let widen_chain st chain subset =
+let widen_through st scopes subset =
   List.fold_left
     (fun sub entry ->
       match State.node_opt st entry with
       | Some (Node.Map_entry info) -> through_map ~params:info.params ~ranges:info.ranges sub
       | _ -> sub)
-    subset chain
+    subset scopes
+
+let leaves g st =
+  List.concat_map
+    (fun (e : State.edge) ->
+      let leaf node container subset kind =
+        { node; edge = e.e_id; container; subset; kind; scopes = scope_chain st node }
+      in
+      let src = State.node_opt st e.src and dst = State.node_opt st e.dst in
+      match (src, dst, e.memlet) with
+      | _, Some (Node.Tasklet _ | Node.Library _), Some m -> [ leaf e.dst m.data m.subset Read ]
+      | Some (Node.Tasklet _ | Node.Library _), _, Some m ->
+          [ leaf e.src m.data m.subset (Write m.wcr) ]
+      (* a copy reads its source and writes its destination: the whole
+         container unless [dst_memlet] narrows it *)
+      | Some (Node.Access _), Some (Node.Access d), Some m ->
+          let w =
+            match e.dst_memlet with
+            | Some dm -> leaf e.dst dm.data dm.subset (Write dm.wcr)
+            | None -> (
+                match Graph.container_opt g d with
+                | Some desc -> leaf e.dst d (Subset.full desc.shape) (Write None)
+                | None -> leaf e.dst d [] (Write None))
+          in
+          [ leaf e.src m.data m.subset Read; w ]
+      | _ -> [])
+    (State.edges st)
+
+(* ---- full bottom-up propagation --------------------------------------- *)
+
+type access = { container : string; subset : Subset.t; kind : kind; phase : int }
 
 let state_accesses g st =
   (* phase = topological position of the access's outermost enclosing scope
@@ -88,37 +178,16 @@ let state_accesses g st =
     List.iteri (fun i n -> Hashtbl.replace tbl n i) (State.topological st);
     fun n -> match Hashtbl.find_opt tbl n with Some i -> i | None -> 0
   in
-  let phase_of node chain =
-    match List.rev chain with [] -> topo_pos node | outermost :: _ -> topo_pos outermost
-  in
-  List.concat_map
-    (fun (e : State.edge) ->
-      let acc node container subset kind =
-        let chain = scope_chain st node in
-        {
-          container;
-          subset = widen_chain st chain subset;
-          kind;
-          phase = phase_of node chain;
-        }
-      in
-      let src = State.node_opt st e.src and dst = State.node_opt st e.dst in
-      match (src, dst, e.memlet) with
-      | _, Some (Node.Tasklet _ | Node.Library _), Some m -> [ acc e.dst m.data m.subset Read ]
-      | Some (Node.Tasklet _ | Node.Library _), _, Some m ->
-          [ acc e.src m.data m.subset (Write m.wcr) ]
-      | Some (Node.Access _), Some (Node.Access d), Some m ->
-          let w =
-            match e.dst_memlet with
-            | Some dm -> acc e.dst dm.data dm.subset (Write dm.wcr)
-            | None -> (
-                match Graph.container_opt g d with
-                | Some desc -> acc e.dst d (Subset.full desc.shape) (Write None)
-                | None -> acc e.dst d [] (Write None))
-          in
-          [ acc e.src m.data m.subset Read; w ]
-      | _ -> [])
-    (State.edges st)
+  List.map
+    (fun (l : leaf) ->
+      let outermost = match List.rev l.scopes with [] -> l.node | e :: _ -> e in
+      {
+        container = l.container;
+        subset = widen_through st l.scopes l.subset;
+        kind = l.kind;
+        phase = topo_pos outermost;
+      })
+    (leaves g st)
 
 type summary = {
   reads : (string * Subset.t) list;
@@ -155,18 +224,12 @@ let summarize ?(bounds = Expr.unbounded) ~accesses g =
          their conditions and assignments: sequence those after the state *)
       let edge_phase = !offset + maxp + 1 in
       List.iter
-        (fun (e : Graph.istate_edge) ->
-          let syms =
-            Cond.free_syms e.cond
-            @ List.concat_map (fun (_, rhs) -> Expr.free_syms rhs) e.assigns
-          in
+        (fun e ->
           List.iter
             (fun s ->
-              if Graph.has_container g s then
-                all :=
-                  { container = s; subset = Subset.scalar; kind = Read; phase = edge_phase }
-                  :: !all)
-            (List.sort_uniq compare syms))
+              all :=
+                { container = s; subset = Subset.scalar; kind = Read; phase = edge_phase } :: !all)
+            (List.sort_uniq compare (interstate_reads g e)))
         (Graph.out_istate_edges g sid);
       offset := edge_phase + 1)
     state_order;
@@ -193,7 +256,7 @@ let summarize ?(bounds = Expr.unbounded) ~accesses g =
   let reads =
     union_of (function Read | Write (Some _) -> true | Write None -> false)
   in
-  let writes = union_of (function Write _ -> true | Read -> false) in
+  let writes = union_of is_write in
   let wcr_writes =
     List.sort_uniq compare
       (List.filter_map

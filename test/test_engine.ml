@@ -20,6 +20,10 @@ let rec rm_rf path =
 let config =
   { Difftest.default_config with trials = 5; max_size = 8; concretization = [ ("N", 8) ] }
 
+(* A journal's records, read as a resume reads them but left unrepaired. *)
+let records ?warn path =
+  (Engine.Journal.load_resume ?warn ~repair:false path).Engine.Journal.records
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -141,13 +145,13 @@ let journal_tests =
         output_char oc '\n';
         output_string oc "{\"type\":\"instance\",\"id\":\"torn";
         close_out oc;
-        let records = Engine.Journal.load path in
+        let records = records path in
         Sys.remove path;
         Alcotest.(check int) "two clean records" 2 (List.length records);
         Alcotest.(check int) "one completed" 1 (List.length (Engine.Journal.completed records)));
     Alcotest.test_case "load of a missing journal is empty" `Quick (fun () ->
         Alcotest.(check int) "empty" 0
-          (List.length (Engine.Journal.load "/nonexistent/journal.jsonl")));
+          (List.length (records "/nonexistent/journal.jsonl")));
     Alcotest.test_case "a torn tail is reported through warn" `Quick (fun () ->
         let path = Filename.temp_file "ffjournal" ".jsonl" in
         let oc = open_out path in
@@ -157,7 +161,7 @@ let journal_tests =
         output_string oc "{\"type\":\"instance\",\"id\":\"torn-mid-wri";
         close_out oc;
         let warnings = ref [] in
-        let records = Engine.Journal.load ~warn:(fun m -> warnings := m :: !warnings) path in
+        let records = records ~warn:(fun m -> warnings := m :: !warnings) path in
         Sys.remove path;
         Alcotest.(check int) "clean record kept" 1 (List.length records);
         Alcotest.(check int) "one warning" 1 (List.length !warnings);
@@ -297,6 +301,7 @@ let engine_tests =
           }
         in
         let path = Filename.temp_file "ffhang" ".jsonl" in
+        let handle = ref None in
         let c =
           Engine.Worker.run_campaign
             ~options:
@@ -305,6 +310,7 @@ let engine_tests =
                 j = 2;
                 deadline_s = 0.5;
                 journal_path = Some path;
+                on_telemetry = Some (fun t -> handle := Some t);
               }
             ~config
             [ ("scale", Workloads.Npbench.scale ()) ]
@@ -312,6 +318,17 @@ let engine_tests =
         in
         Alcotest.(check int) "one killed" 1 c.Campaign.total_killed;
         Alcotest.(check int) "killed counts as failed" 1 c.Campaign.total_failed;
+        (* the progress line, the live snapshot and the footer count it too *)
+        (match !handle with
+        | None -> Alcotest.fail "telemetry handle never arrived"
+        | Some t ->
+            Alcotest.(check int) "footer failed" 1
+              (Engine.Telemetry.summary t).Engine.Journal.failed;
+            Alcotest.(check bool) "progress line failed" true
+              (contains (Engine.Telemetry.render t) "failed 1 ");
+            Alcotest.(check (float 0.)) "snapshot failed" 1.
+              (Engine.Journal.Json.num
+                 (Engine.Journal.Json.field (Engine.Telemetry.snapshot t) "failed")));
         let row =
           List.find (fun (r : Campaign.row) -> r.xform_name = "Hang(test-only)") c.Campaign.rows
         in
@@ -325,7 +342,7 @@ let engine_tests =
             Alcotest.(check (float 1e-9)) "deadline" 0.5 deadline_s
         | _ -> Alcotest.fail "expected Timed_out status");
         (* and the journal agrees *)
-        let records = Engine.Journal.load path in
+        let records = records path in
         Sys.remove path;
         let journaled_killed =
           List.exists
@@ -432,7 +449,7 @@ let engine_tests =
         let footers =
           List.filter_map
             (function Engine.Journal.Footer f -> Some f | _ -> None)
-            (Engine.Journal.load path)
+            (records path)
         in
         Sys.remove path;
         match List.rev footers with
