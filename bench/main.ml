@@ -326,7 +326,7 @@ let table2 () =
     time (fun () -> Fuzzyflow.Campaign.run ~config programs (Transforms.Registry.as_shipped ()))
   in
   Printf.printf "%d kernels, %d transformation instances, %.1f s\n\n" (List.length programs)
-    c.total_instances t;
+    c.totals.instances t;
   print_string (Fuzzyflow.Campaign.to_table c);
   print_newline ();
   Printf.printf "paper (52 apps, 3,280 instances): BufferTiling X, TaskletFusion X,\n";
@@ -671,13 +671,12 @@ let equiv () =
         let on, t_on =
           time (fun () -> Fuzzyflow.Campaign.run ~config ~certify_gate:true [ (name, g) ] xforms)
         in
-        let toff = Fuzzyflow.Campaign.trials_spent off
-        and ton = Fuzzyflow.Campaign.trials_spent on in
+        let toff = off.totals.trials and ton = on.totals.trials in
         Printf.printf "%-14s %10d %12d %12d %8d %8d  (%.2fs -> %.2fs)\n" name
-          off.total_instances toff ton (toff - ton) on.total_proved t_off t_on;
+          off.totals.instances toff ton (toff - ton) on.totals.proved t_off t_on;
         Printf.sprintf
           "{\"bench\":\"equiv\",\"workload\":\"%s\",\"instances\":%d,\"trials_gate_off\":%d,\"trials_gate_on\":%d,\"saved\":%d,\"proved\":%d}"
-          name off.total_instances toff ton (toff - ton) on.total_proved)
+          name off.totals.instances toff ton (toff - ton) on.totals.proved)
       workloads
   in
   let oc = open_out "BENCH_equiv.json" in
@@ -971,7 +970,7 @@ let engine () =
   Printf.printf "(%d cores available; speedup is bounded by min(j, cores))\n" cores;
   Printf.printf "%-10s %10s %10s %10s %10s\n" "workers" "wall (s)" "speedup" "inst/s" "overhead";
   Printf.printf "%-10s %10.2f %10s %10.1f %10s\n" "in-process" t_serial "1.00x"
-    (float_of_int serial.total_instances /. t_serial) "-";
+    (float_of_int serial.totals.instances /. t_serial) "-";
   let rows =
     List.map
       (fun j ->
@@ -981,7 +980,7 @@ let engine () =
                 ~options:{ Engine.Worker.default_options with j }
                 ~config programs xforms)
         in
-        assert (c.Fuzzyflow.Campaign.total_instances = serial.Fuzzyflow.Campaign.total_instances);
+        assert (c.Fuzzyflow.Campaign.totals.instances = serial.Fuzzyflow.Campaign.totals.instances);
         (* scheduling overhead: how much slower one engine worker is than the
            bare serial loop — the price of the worker fork, the wire
            round-trip per instance and the dispatch loop *)
@@ -989,12 +988,12 @@ let engine () =
         Printf.printf "%-10s %10.2f %9.2fx %10.1f %9.0f%%\n"
           (Printf.sprintf "-j %d" j)
           t (t_serial /. t)
-          (float_of_int c.Fuzzyflow.Campaign.total_instances /. t)
+          (float_of_int c.Fuzzyflow.Campaign.totals.instances /. t)
           (100. *. overhead);
         Printf.sprintf
           "{\"bench\":\"engine\",\"j\":%d,\"cores\":%d,\"wall_s\":%.3f,\"serial_s\":%.3f,\"speedup\":%.3f,\"instances\":%d,\"instances_per_s\":%.1f}"
-          j cores t t_serial (t_serial /. t) c.Fuzzyflow.Campaign.total_instances
-          (float_of_int c.Fuzzyflow.Campaign.total_instances /. t))
+          j cores t t_serial (t_serial /. t) c.Fuzzyflow.Campaign.totals.instances
+          (float_of_int c.Fuzzyflow.Campaign.totals.instances /. t))
       [ 1; 2; 4 ]
   in
   let oc = open_out "BENCH_engine.json" in
@@ -1400,14 +1399,14 @@ let dist () =
           | None -> (0, 0)
         in
         Printf.printf "%-18s %10.2f %10.1f %8d %8d %10s\n" name t
-          (float_of_int c.Fuzzyflow.Campaign.total_instances /. t)
+          (float_of_int c.Fuzzyflow.Campaign.totals.instances /. t)
           retries lost
           (if identical then "identical" else "DIVERGED");
         Sys.remove path;
         Printf.sprintf
           "{\"bench\":\"dist\",\"scenario\":\"%s\",\"wall_s\":%.3f,\"instances\":%d,\"instances_per_s\":%.1f,\"retries\":%d,\"worker_lost\":%d,\"verdicts_identical\":%b}"
-          name t c.Fuzzyflow.Campaign.total_instances
-          (float_of_int c.Fuzzyflow.Campaign.total_instances /. t)
+          name t c.Fuzzyflow.Campaign.totals.instances
+          (float_of_int c.Fuzzyflow.Campaign.totals.instances /. t)
           retries lost identical)
       scenarios
   in

@@ -39,26 +39,25 @@ type outcome = {
   o_seed : int;
 }
 
-type row = {
-  xform_name : string;
+type tally = {
   instances : int;
   passed : int;
   proved : int;
   failed : int;
+  classes : (Difftest.failure_class * int) list;
   killed : int;
   static_flagged : int;
-  classes : (Difftest.failure_class * int) list;
-  avg_first_trial : float;
+  trials : int;
+  dep_pairs : int;
+  dep_decided : int;
+  dep_sampled : int;
 }
 
 type t = {
-  rows : row list;
-  results : instance_result list;
+  rows : (string * tally) list;
+  totals : tally;
   outcomes : outcome list;
-  total_instances : int;
-  total_failed : int;
-  total_proved : int;
-  total_killed : int;
+  results : instance_result list;
 }
 
 (* ---------------- deterministic per-instance identity ---------------- *)
@@ -210,74 +209,46 @@ let killed_outcome ~program ~xform ~site ~seed status =
 
 (* ---------------- aggregation ---------------- *)
 
-let is_killed o = match o.o_status with Completed -> false | _ -> true
+(* An instance is killed when its harness did not complete it or it has no
+   verdict; every other one counts by its verdict, so each outcome lands in
+   exactly one of passed, proved, failed and killed. *)
+let is_killed o = o.o_status <> Completed || o.o_verdict = O_killed
 
-let assemble ?(results = []) (xforms : Transforms.Xform.t list) outcomes =
-  let rows =
-    List.map
-      (fun (x : Transforms.Xform.t) ->
-        let mine = List.filter (fun o -> o.o_xform = x.name) outcomes in
-        let failing =
-          List.filter_map
-            (fun o ->
-              match o.o_verdict with
-              | O_failed { klass; first_trial; _ } -> Some (klass, first_trial)
-              | _ -> None)
-            mine
-        in
-        let count klass = List.length (List.filter (fun (k, _) -> k = klass) failing) in
-        let classes =
-          List.filter
-            (fun (_, n) -> n > 0)
-            [
-              (Difftest.Semantics, count Difftest.Semantics);
-              (Difftest.Input_dependent, count Difftest.Input_dependent);
-              (Difftest.Invalid_code, count Difftest.Invalid_code);
-            ]
-        in
-        let real_failures = List.filter (fun (_, ft) -> ft > 0) failing in
-        let avg_first_trial =
-          match real_failures with
-          | [] -> 0.
-          | fs ->
-              List.fold_left (fun a (_, ft) -> a +. float_of_int ft) 0. fs
-              /. float_of_int (List.length fs)
-        in
-        let proved =
-          List.length (List.filter (fun o -> o.o_verdict = O_proved) mine)
-        in
-        let killed = List.length (List.filter is_killed mine) in
-        {
-          xform_name = x.name;
-          instances = List.length mine;
-          passed = List.length mine - List.length failing - proved - killed;
-          proved;
-          failed = List.length failing;
-          killed;
-          static_flagged = List.length (List.filter (fun o -> o.o_static_flagged) mine);
-          classes;
-          avg_first_trial;
-        })
-      xforms
-  in
-  let failed =
-    List.length
-      (List.filter (fun o -> match o.o_verdict with O_failed _ -> true | _ -> false) outcomes)
-  in
-  let killed = List.length (List.filter is_killed outcomes) in
+let failed_as o =
+  match o.o_verdict with O_failed { klass; _ } when not (is_killed o) -> Some klass | _ -> None
+
+let tally outcomes =
+  let count p = List.length (List.filter p outcomes) in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  let settled v o = o.o_verdict = v && not (is_killed o) in
   {
-    rows;
-    results;
-    outcomes;
-    total_instances = List.length outcomes;
-    (* a killed instance is a campaign failure too: the transformation (or the
-       harness under it) hung or crashed instead of producing a verdict *)
-    total_failed = failed + killed;
-    total_proved = List.length (List.filter (fun o -> o.o_verdict = O_proved) outcomes);
-    total_killed = killed;
+    instances = List.length outcomes;
+    passed = count (settled O_passed);
+    proved = count (settled O_proved);
+    failed = count (fun o -> failed_as o <> None);
+    classes =
+      List.map
+        (fun k -> (k, count (fun o -> failed_as o = Some k)))
+        [ Difftest.Semantics; Difftest.Input_dependent; Difftest.Invalid_code ];
+    killed = count is_killed;
+    static_flagged = count (fun o -> o.o_static_flagged);
+    trials = sum (fun o -> o.o_trials_run);
+    dep_pairs = sum (fun o -> o.o_dep_pairs);
+    dep_decided = sum (fun o -> o.o_dep_decided);
+    dep_sampled = sum (fun o -> o.o_dep_sampled);
   }
 
-let trials_spent t = List.fold_left (fun acc o -> acc + o.o_trials_run) 0 t.outcomes
+let assemble (xforms : Transforms.Xform.t list) outcomes =
+  {
+    rows =
+      List.map
+        (fun (x : Transforms.Xform.t) ->
+          (x.name, tally (List.filter (fun o -> o.o_xform = x.name) outcomes)))
+        xforms;
+    totals = tally outcomes;
+    outcomes;
+    results = [];
+  }
 
 let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = false)
     ?(certify_gate = false) programs xforms =
@@ -303,7 +274,7 @@ let run ?(config = Difftest.default_config) ?(limit_per = None) ?(static_gate = 
               (Crashed { detail = Printexc.to_string e }))
       (items ~limit_per ~config ~static_gate ~certify_gate programs xforms)
   in
-  assemble ~results:(List.rev !results) xforms outcomes
+  { (assemble xforms outcomes) with results = List.rev !results }
 
 let class_marker = function
   | Difftest.Semantics -> "X"
@@ -318,30 +289,29 @@ let to_table t =
   Buffer.add_string buf (String.make 113 '-');
   Buffer.add_char buf '\n';
   List.iter
-    (fun r ->
+    (fun (name, r) ->
       let classes =
-        if r.classes = [] then "-"
-        else
-          String.concat ", "
-            (List.map (fun (c, n) -> Printf.sprintf "%s x%d" (class_marker c) n) r.classes)
+        match List.filter (fun (_, n) -> n > 0) r.classes with
+        | [] -> "-"
+        | cs ->
+            String.concat ", "
+              (List.map (fun (c, n) -> Printf.sprintf "%s x%d" (class_marker c) n) cs)
       in
       Buffer.add_string buf
-        (Printf.sprintf "%-42s %10d %8d %8d %8d %7d %7d  %s\n" r.xform_name r.instances r.passed
+        (Printf.sprintf "%-42s %10d %8d %8d %8d %7d %7d  %s\n" name r.instances r.passed
            r.proved r.failed r.killed r.static_flagged classes))
     t.rows;
   Buffer.add_string buf (String.make 113 '-');
   Buffer.add_char buf '\n';
+  let s = t.totals in
+  (* a killed instance is a campaign failure too: the transformation (or the
+     harness under it) hung or crashed instead of producing a verdict *)
   Buffer.add_string buf
     (Printf.sprintf
        "total: %d instances tested, %d failing (%d hung/crashed), %d proved equivalent\n"
-       t.total_instances t.total_failed t.total_killed t.total_proved);
-  let sum f = List.fold_left (fun acc o -> acc + f o) 0 t.outcomes in
-  let pairs = sum (fun o -> o.o_dep_pairs) in
-  if pairs > 0 then
+       s.instances (s.failed + s.killed) s.killed s.proved);
+  if s.dep_pairs > 0 then
     Buffer.add_string buf
-      (Printf.sprintf
-         "static evidence: %d access pairs, %d decided exactly, %d sampled\n"
-         pairs
-         (sum (fun o -> o.o_dep_decided))
-         (sum (fun o -> o.o_dep_sampled)));
+      (Printf.sprintf "static evidence: %d access pairs, %d decided exactly, %d sampled\n"
+         s.dep_pairs s.dep_decided s.dep_sampled);
   Buffer.contents buf

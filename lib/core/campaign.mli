@@ -63,29 +63,34 @@ type outcome = {
   o_seed : int;  (** the per-instance seed the trials ran under *)
 }
 
-(** Aggregate over all instances of one transformation. *)
-type row = {
-  xform_name : string;
+(** What a list of outcomes adds up to: the one count behind the campaign
+    table, the engine's progress line, its journal footer and the service's
+    [/telemetry] snapshot. Every outcome is exactly one of passed, proved,
+    failed or killed, so those four sum to [instances]. *)
+type tally = {
   instances : int;
-  passed : int;  (** fuzz-tested and passed (excludes [proved] and [killed]) *)
+  passed : int;  (** fuzz-tested and passed *)
   proved : int;  (** proved equivalent, no trials spent *)
-  failed : int;
-  killed : int;  (** hung past the deadline or crashed the worker *)
+  failed : int;  (** failing verdicts; killed instances are not among them *)
+  classes : (Difftest.failure_class * int) list;
+      (** [failed] split by class: semantics, input dependent, invalid code *)
+  killed : int;
+      (** no verdict: hung past the deadline or crashed the worker
+          ([o_status] is not [Completed], or the verdict is [O_killed]) *)
   static_flagged : int;  (** instances the static oracle flagged *)
-  classes : (Difftest.failure_class * int) list;  (** failure counts by class *)
-  avg_first_trial : float;  (** mean first failing trial over failing instances *)
+  trials : int;  (** fuzz trials executed; proved instances run none *)
+  dep_pairs : int;  (** the static race check's access pairs, summed over instances *)
+  dep_decided : int;  (** of those, decided by the exact dependence tier *)
+  dep_sampled : int;  (** of those, left to sampled valuation search *)
 }
 
 type t = {
-  rows : row list;
-  results : instance_result list;
-      (** full per-instance results; under an engine resume only the freshly
-          executed instances appear here (journaled ones have outcomes only) *)
+  rows : (string * tally) list;  (** each transformation's name and its instances' tally *)
+  totals : tally;
   outcomes : outcome list;  (** one per instance, in {!items} order *)
-  total_instances : int;
-  total_failed : int;  (** failing verdicts plus killed instances *)
-  total_proved : int;
-  total_killed : int;
+  results : instance_result list;
+      (** the serial {!run}'s full per-instance results, in order; [[]] from
+          {!assemble}, and so from the engine *)
 }
 
 (** [instance_id ~program ~xform site] is the stable identity of one
@@ -165,14 +170,12 @@ val killed_outcome :
   program:string -> xform:string -> site:Transforms.Xform.site -> seed:int -> exec_status ->
   outcome
 
-(** Build the campaign summary from per-instance outcomes (engine or serial).
-    Rows are produced for [xforms] in order; [results] carries whatever full
-    results are available. *)
-val assemble : ?results:instance_result list -> Transforms.Xform.t list -> outcome list -> t
+val tally : outcome list -> tally
 
-(** Total fuzz trials actually executed across the campaign (proved-equivalent
-    instances contribute zero) — the denominator of the trials-saved metric. *)
-val trials_spent : t -> int
+(** The campaign summary of per-instance outcomes (engine or serial): one
+    row per transformation of [xforms], in order, and the totals, each the
+    {!tally} of its outcomes. *)
+val assemble : Transforms.Xform.t list -> outcome list -> t
 
 (** [run programs xforms] runs the {!items} in order. [limit_per]
     caps the instances tested per (program, transformation) pair to bound

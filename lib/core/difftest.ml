@@ -328,6 +328,12 @@ let test_instance ?(config = default_config) g (x : Transforms.Xform.t) site =
                 elapsed_s = Unix.gettimeofday () -. t0;
               }))
 
+let probe ~config ~valuation g x site =
+  let pinned = List.map (fun (s, v) -> (s, (v, v))) valuation in
+  test_instance
+    ~config:{ config with trials = 1; custom_constraints = pinned @ config.custom_constraints }
+    g x site
+
 let test_whole_program ?(config = default_config) g (x : Transforms.Xform.t) site =
   let t0 = Unix.gettimeofday () in
   match apply_to_copy g x site with

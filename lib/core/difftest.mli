@@ -109,6 +109,18 @@ val test_instance :
   Transforms.Xform.site ->
   report
 
+(** [probe ~config ~valuation g x site] is {!test_instance} under [config]
+    with one trial, every symbol of [valuation] pinned to its value: a
+    directed probe at a solver witness. Pinned names the cutout does not
+    sample are ignored by constraint derivation. *)
+val probe :
+  config:config ->
+  valuation:(string * int) list ->
+  Sdfg.Graph.t ->
+  Transforms.Xform.t ->
+  Transforms.Xform.site ->
+  report
+
 (** Baseline: run the whole program against its transformed version (no
     cutout) — what the paper's 528× speedup is measured against. Returns the
     verdict and elapsed seconds. *)

@@ -54,19 +54,6 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
      version shares every state the applied step left unchanged *)
   let memo = Analysis.Delta.create_memo () in
   let symbols = config.Difftest.concretization in
-  (* one pinned trial at [valuation]: a directed probe before or instead of
-     the full budget *)
-  let probe valuation x site =
-    let config =
-      {
-        config with
-        Difftest.trials = 1;
-        custom_constraints =
-          List.map (fun (s, v) -> (s, (v, v))) valuation @ config.Difftest.custom_constraints;
-      }
-    in
-    Difftest.test_instance ~config !current x site
-  in
   List.iter
     (fun (x : Transforms.Xform.t) ->
       (* sites are discovered on the current program; once an instance is
@@ -118,7 +105,7 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
               (match List.find_map Analysis.Races.witness_of_finding findings with
               | Some valuation -> (
                   incr witness_probes;
-                  match probe valuation x site with
+                  match Difftest.probe ~config ~valuation !current x site with
                   | { verdict = Difftest.Fail _; _ } -> incr witness_confirmed
                   | { verdict = Difftest.Pass; _ } | (exception _) -> ())
               | None -> ());
@@ -142,7 +129,7 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
               match verdict with
               | Some (Analysis.Equiv.Equivalent cert) -> commit site (Proved_equivalent cert)
               | Some (Analysis.Equiv.Refuted w) -> (
-                  match probe w.valuation x site with
+                  match Difftest.probe ~config ~valuation:w.valuation !current x site with
                   | { verdict = Difftest.Fail f; _ } -> Rejected f
                   | { verdict = Difftest.Pass; _ } -> fuzz ())
               | Some (Analysis.Equiv.Unknown _) | None -> fuzz ())

@@ -465,11 +465,12 @@ let load_resume ?(warn = fun (_ : string) -> ()) ?(repair = true) path =
           records = List.filter_map (fun (_, _, _, r) -> Result.to_option r) parsed;
           recovered_records = 0;
         }
-    | [ (lineno, off, l, Error detail) ] when lineno = last_lineno ->
+    | [ (lineno, off, l, Error _) ] when lineno = last_lineno ->
         let preview = if String.length l <= 40 then l else String.sub l 0 40 ^ "..." in
         warn
-          (Printf.sprintf "%s:%d: truncating torn tail record: %s" path lineno preview);
-        ignore detail;
+          (Printf.sprintf "%s:%d: %s torn tail record: %s" path lineno
+             (if repair then "truncating" else "ignoring")
+             preview);
         if repair then (try Unix.truncate path off with Unix.Unix_error _ -> ());
         {
           records = List.filter_map (fun (_, _, _, r) -> Result.to_option r) parsed;

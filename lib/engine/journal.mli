@@ -85,8 +85,9 @@ type loaded = { records : record list; recovered_records : int }
 
 (** Resume-grade load with torn-tail recovery. A single unparseable record in
     the file's final line is a torn write from a killed campaign: it is
-    reported through [warn], counted in [recovered_records], and — unless
-    [repair] is [false] — physically truncated from the file. Any unparseable
+    counted in [recovered_records] and physically truncated from the file,
+    or, with [repair = false], left on disk. [warn] reports it as truncated
+    or as ignored, by which of the two happened. Any unparseable
     record {e before} the final line raises {!Corrupt}. Missing file yields
     no records. *)
 val load_resume : ?warn:(string -> unit) -> ?repair:bool -> string -> loaded

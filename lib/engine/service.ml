@@ -166,10 +166,10 @@ let run_submission ~config ~resolve ~catalog_of ~st ~http client (sub : Wire.sub
     | campaign ->
         st.status <- "idle";
         st.campaigns <- st.campaigns + 1;
+        let s = campaign.Campaign.totals in
         config.log
           (Printf.sprintf "campaign %d done: %d instances, %d failed (journal %s)"
-             (st.campaigns - 1) campaign.Campaign.total_instances campaign.Campaign.total_failed
-             journal_path);
+             (st.campaigns - 1) s.instances (s.failed + s.killed) journal_path);
         if not !client_gone then begin
           try
             Wire.write_message ~timeout_s:10. client (Wire.Table (Campaign.to_table campaign));

@@ -1,8 +1,9 @@
 (** Live campaign progress: instances/sec, per-worker status, trials spent
     and saved, rendered to stderr while the engine runs and summarized for
-    the journal footer. The progress line, the snapshot and the footer
-    count [failed] as the campaign table does: failing verdicts plus killed
-    instances. *)
+    the journal footer. The progress line, the snapshot and the footer all
+    read the {!Fuzzyflow.Campaign.tally} of every outcome recorded or
+    resumed, so they count as the campaign table does; [failed] is failing
+    verdicts plus killed instances there, as on the table's total line. *)
 
 type t
 
@@ -14,14 +15,16 @@ val running : t -> slot:int -> string -> unit
 (** A worker slot went idle. *)
 val idle : t -> slot:int -> unit
 
-(** An instance completed (any status); updates counters and re-renders. *)
+(** An instance completed (any status); its outcome joins the tally. *)
 val record : t -> Fuzzyflow.Campaign.outcome -> unit
 
 (** A failing instance's test case was persisted to the corpus. *)
 val case_saved : t -> unit
 
-(** An instance was satisfied from the journal instead of being re-fuzzed. *)
-val resumed : t -> unit
+(** An instance was satisfied from the journal instead of being re-fuzzed:
+    its replayed outcome joins the tally like a recorded one, but the rate
+    ([instances_per_s]) counts only the instances this process ran. *)
+val resumed : t -> Fuzzyflow.Campaign.outcome -> unit
 
 (** A worker failed and will be reconnected (remote, with backoff) or
     respawned (local). *)

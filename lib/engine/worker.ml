@@ -147,21 +147,18 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
   in
   Telemetry.recovered_records telemetry recovered_records;
   (match options.on_telemetry with Some f -> f telemetry | None -> ());
-  Array.iter (fun o -> if o <> None then Telemetry.resumed telemetry) outcomes;
+  Array.iter (Option.iter (Telemetry.resumed telemetry)) outcomes;
   flush_journal ();
   (* fresh work: everything the journal did not cover *)
   let fresh_idx = ref [] in
   Array.iteri (fun i o -> if o = None then fresh_idx := i :: !fresh_idx) outcomes;
   let fresh = Array.of_list (List.rev !fresh_idx) in
-  let results : (int * Campaign.instance_result) list ref = ref [] in
   let on_done fi result =
     let i = fresh.(fi) in
     let it = items.(i) in
     let o =
       match result with
-      | Ok (ir : Campaign.instance_result) ->
-          results := (i, ir) :: !results;
-          Campaign.outcome_of_result ~seed:it.config.Difftest.seed ir
+      | Ok ir -> Campaign.outcome_of_result ~seed:it.config.Difftest.seed ir
       | Error status ->
           Campaign.killed_outcome ~program:it.program_name ~xform:it.xform.Transforms.Xform.name
             ~site:it.site ~seed:it.config.Difftest.seed status
@@ -197,6 +194,4 @@ let run_campaign ?(options = default_options) ?(config = Difftest.default_config
      emit_line (Journal.footer_line (Telemetry.summary telemetry)));
   (match journal_oc with Some oc -> close_out oc | None -> ());
   if options.progress then Telemetry.finish telemetry;
-  let all_outcomes = Array.to_list outcomes |> List.filter_map (fun o -> o) in
-  let results = List.sort compare (List.map fst !results) |> List.map (fun i -> List.assoc i !results) in
-  Campaign.assemble ~results xforms all_outcomes
+  Campaign.assemble xforms (List.filter_map Fun.id (Array.to_list outcomes))

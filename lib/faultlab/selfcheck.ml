@@ -128,22 +128,13 @@ let transform_result ~config ~expected_containers g mutated site (ir : Campaign.
     | _ -> List.find_map Analysis.Races.witness_of_finding ir.Campaign.static
   in
   (* replay the witness as a directed fuzz seed: one trial pinned to the
-     witness valuation must reproduce the failure (pinned names the
-     cutout does not sample are ignored by constraint derivation) *)
+     witness valuation must reproduce the failure *)
   let dep_confirmed =
     match dep_witness with
     | None -> None
     | Some valuation -> (
-        let directed =
-          {
-            config with
-            Difftest.trials = 1;
-            custom_constraints =
-              List.map (fun (s, v) -> (s, (v, v))) valuation @ config.Difftest.custom_constraints;
-          }
-        in
         try
-          match (Difftest.test_instance ~config:directed g mutated site).Difftest.verdict with
+          match (Difftest.probe ~config ~valuation g mutated site).Difftest.verdict with
           | Difftest.Fail _ -> Some true
           | Difftest.Pass -> Some false
         with _ -> None)
@@ -580,69 +571,42 @@ type totals = {
 }
 
 let totals (r : report) =
-  let z =
-    {
-      specs = 0;
-      detected = 0;
-      missed = 0;
-      misclassified = 0;
-      quarantined = 0;
-      core_total = 0;
-      core_detected = 0;
-      semantics_total = 0;
-      semantics_detected = 0;
-      mpi_total = 0;
-      mpi_detected = 0;
-      net_total = 0;
-      net_detected = 0;
-      loc_checked = 0;
-      loc_accurate = 0;
-      dep_expected = 0;
-      dep_witnessed = 0;
-      dep_confirmed = 0;
-      extra_attempts = 0;
-    }
+  let count p = List.length (List.filter p r.rows) in
+  let ( &&& ) p q row = p row && q row in
+  let hit row = match row.outcome with Detected _ -> true | _ -> false in
+  let quarantined row = match row.outcome with Quarantined _ -> true | _ -> false in
+  let at levels row = (not (quarantined row)) && List.mem row.spec.Plan.level levels in
+  let core = at [ Plan.L_interp; Plan.L_transform ] and mpi = at [ Plan.L_mpi ] in
+  let net = at [ Plan.L_net ] in
+  let semantics row = row.spec.Plan.expect = Plan.Must_semantics in
+  let dep_spec row =
+    (not (quarantined row))
+    &&
+    match row.spec.Plan.payload with
+    | Plan.Transform_fault { kind = Mutate.Subset_shift | Mutate.Wrong_stride; _ } -> true
+    | _ -> false
   in
-  List.fold_left
-    (fun t { spec; outcome; attempts; localized; dep; _ } ->
-      let hit = match outcome with Detected _ -> 1 | _ -> 0 in
-      let quarantined = match outcome with Quarantined _ -> true | _ -> false in
-      let core =
-        (not quarantined)
-        && (spec.Plan.level = Plan.L_interp || spec.Plan.level = Plan.L_transform)
-      in
-      let mpi = (not quarantined) && spec.Plan.level = Plan.L_mpi in
-      let net = (not quarantined) && spec.Plan.level = Plan.L_net in
-      let sem = spec.Plan.expect = Plan.Must_semantics in
-      let dep_spec =
-        (not quarantined)
-        &&
-        match spec.Plan.payload with
-        | Plan.Transform_fault { kind = Mutate.Subset_shift | Mutate.Wrong_stride; _ } -> true
-        | _ -> false
-      in
-      {
-        specs = t.specs + 1;
-        detected = t.detected + hit;
-        missed = (t.missed + match outcome with Missed _ -> 1 | _ -> 0);
-        misclassified = (t.misclassified + match outcome with Misclassified _ -> 1 | _ -> 0);
-        quarantined = (t.quarantined + if quarantined then 1 else 0);
-        core_total = (t.core_total + if core then 1 else 0);
-        core_detected = (t.core_detected + if core then hit else 0);
-        semantics_total = (t.semantics_total + if sem then 1 else 0);
-        semantics_detected = (t.semantics_detected + if sem then hit else 0);
-        mpi_total = (t.mpi_total + if mpi then 1 else 0);
-        mpi_detected = (t.mpi_detected + if mpi then hit else 0);
-        net_total = (t.net_total + if net then 1 else 0);
-        net_detected = (t.net_detected + if net then hit else 0);
-        loc_checked = (t.loc_checked + match localized with Some _ -> 1 | None -> 0);
-        loc_accurate = (t.loc_accurate + match localized with Some true -> 1 | _ -> 0);
-        dep_expected = (t.dep_expected + if dep_spec then 1 else 0);
-        dep_witnessed = (t.dep_witnessed + if dep_spec && dep <> None then 1 else 0);
-        dep_confirmed = (t.dep_confirmed + if dep_spec && dep = Some true then 1 else 0);
-        extra_attempts = t.extra_attempts + attempts - 1;
-      })
-    z r.rows
+  {
+    specs = List.length r.rows;
+    detected = count hit;
+    missed = count (fun row -> match row.outcome with Missed _ -> true | _ -> false);
+    misclassified = count (fun row -> match row.outcome with Misclassified _ -> true | _ -> false);
+    quarantined = count quarantined;
+    core_total = count core;
+    core_detected = count (core &&& hit);
+    semantics_total = count semantics;
+    semantics_detected = count (semantics &&& hit);
+    mpi_total = count mpi;
+    mpi_detected = count (mpi &&& hit);
+    net_total = count net;
+    net_detected = count (net &&& hit);
+    loc_checked = count (fun row -> row.localized <> None);
+    loc_accurate = count (fun row -> row.localized = Some true);
+    dep_expected = count dep_spec;
+    dep_witnessed = count (dep_spec &&& fun row -> row.dep <> None);
+    dep_confirmed = count (dep_spec &&& fun row -> row.dep = Some true);
+    extra_attempts = List.fold_left (fun acc row -> acc + row.attempts - 1) 0 r.rows;
+  }
 
 let detection_rate r =
   let t = totals r in

@@ -13,19 +13,19 @@ let campaign_tests =
         let bad = Transforms.Vectorization.make ~width:4 Transforms.Vectorization.Assume_divisible in
         let c = Campaign.run ~config programs [ good; bad ] in
         Alcotest.(check int) "two rows" 2 (List.length c.rows);
-        let tiling = List.find (fun (r : Campaign.row) -> r.xform_name = good.name) c.rows in
+        let tiling = List.assoc good.name c.rows in
         Alcotest.(check int) "tiling instances" 2 tiling.instances;
         Alcotest.(check int) "tiling all pass" 0 tiling.failed;
-        let vec = List.find (fun (r : Campaign.row) -> r.xform_name = bad.name) c.rows in
+        let vec = List.assoc bad.name c.rows in
         Alcotest.(check int) "vec instances" 2 vec.instances;
         Alcotest.(check int) "vec all fail" 2 vec.failed;
-        Alcotest.(check int) "totals" 4 c.total_instances;
-        Alcotest.(check int) "total failed" 2 c.total_failed);
+        Alcotest.(check int) "totals" 4 c.totals.instances;
+        Alcotest.(check int) "total failed" 2 c.totals.failed);
     Alcotest.test_case "limit_per caps instance count" `Quick (fun () ->
         let programs = [ ("chain", Workloads.Chain.build ()) ] in
         let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
         let c = Campaign.run ~config ~limit_per:(Some 1) programs [ x ] in
-        Alcotest.(check int) "one instance" 1 c.total_instances);
+        Alcotest.(check int) "one instance" 1 c.totals.instances);
     Alcotest.test_case "table rendering mentions every transformation" `Quick (fun () ->
         let programs = [ ("scale", Workloads.Npbench.scale ()) ] in
         let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
@@ -242,7 +242,7 @@ let static_delta_tests =
                   (Transforms.Xform.site_slug r.site)
             | _ -> ())
           c.results;
-        Alcotest.(check bool) "the rest is still proved" true (c.total_proved > 0);
+        Alcotest.(check bool) "the rest is still proved" true (c.totals.proved > 0);
         List.iter
           (fun (pname, g) ->
             let g', log = Pipeline.optimize ~config ~static_gate:true g [ x ] in
@@ -251,6 +251,81 @@ let static_delta_tests =
               Alcotest.failf "%s: the optimized program fails validation" pname)
           programs);
   ]
+
+(* ---------------- the tally ---------------- *)
+
+let xforms = Transforms.Registry.as_shipped ()
+
+(* Any outcome, including verdict/status pairs no campaign writes (a failing
+   verdict on a timed-out instance, a completed [O_killed]). *)
+let gen_outcome =
+  QCheck.Gen.(
+    let* xform = oneofl (List.map (fun (x : Transforms.Xform.t) -> x.name) xforms) in
+    let* verdict =
+      oneof
+        [
+          return Campaign.O_passed;
+          return Campaign.O_proved;
+          return Campaign.O_killed;
+          map
+            (fun klass -> Campaign.O_failed { klass; first_trial = 1; failing_trials = 1 })
+            (oneofl [ Difftest.Semantics; Difftest.Input_dependent; Difftest.Invalid_code ]);
+        ]
+    in
+    let* status =
+      oneofl
+        [
+          Campaign.Completed;
+          Campaign.Timed_out { deadline_s = 1. };
+          Campaign.Crashed { detail = "signal 9" };
+        ]
+    in
+    let* trials, flagged = pair small_nat bool in
+    let* pairs, decided, sampled = triple small_nat small_nat small_nat in
+    return
+      {
+        Campaign.o_program = "p";
+        o_xform = xform;
+        o_site = Transforms.Xform.dataflow_site ~state:0 ~nodes:[] ~descr:"";
+        o_status = status;
+        o_verdict = verdict;
+        o_trials_run = trials;
+        o_static_flagged = flagged;
+        o_dep_pairs = pairs;
+        o_dep_decided = decided;
+        o_dep_sampled = sampled;
+        o_elapsed_s = 0.;
+        o_seed = 1;
+      })
+
+let counts (t : Campaign.tally) =
+  [
+    t.instances; t.passed; t.proved; t.failed; t.killed; t.static_flagged; t.trials; t.dep_pairs;
+    t.dep_decided; t.dep_sampled;
+  ]
+  @ List.map snd t.classes
+
+let prop_tally_partitions =
+  QCheck.Test.make ~name:"the tally counts each outcome once" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_outcome))
+    (fun outcomes ->
+      let t = Campaign.tally outcomes in
+      t.instances = List.length outcomes
+      && t.passed + t.proved + t.failed + t.killed = t.instances
+      && List.fold_left (fun acc (_, n) -> acc + n) 0 t.classes = t.failed)
+
+let prop_rows_sum_to_totals =
+  QCheck.Test.make ~name:"the rows sum to the totals" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_outcome))
+    (fun outcomes ->
+      let c = Campaign.assemble xforms outcomes in
+      let sum =
+        List.fold_left
+          (fun acc (_, row) -> List.map2 ( + ) acc (counts row))
+          (List.map (fun _ -> 0) (counts c.totals))
+          c.rows
+      in
+      sum = counts c.totals && c.totals = Campaign.tally outcomes)
 
 let requirements_tests =
   [
@@ -276,5 +351,7 @@ let () =
     [
       ("campaign", campaign_tests);
       ("static-delta", static_delta_tests);
+      ( "tally",
+        List.map QCheck_alcotest.to_alcotest [ prop_tally_partitions; prop_rows_sum_to_totals ] );
       ("requirements", requirements_tests);
     ]

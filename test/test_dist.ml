@@ -370,7 +370,7 @@ let dist_tests =
         Alcotest.(check (list string)) "remote = serial"
           (List.map Engine.Journal.instance_line serial.Campaign.outcomes)
           lines;
-        Alcotest.(check int) "failures found" 2 serial.Campaign.total_failed;
+        Alcotest.(check int) "failures found" 2 serial.Campaign.totals.failed;
         Alcotest.(check int) "no failures" 0 footer.Engine.Journal.retries;
         (* remote slots take the first assignments *)
         Alcotest.(check bool) "remote workers ran instances" true

@@ -160,14 +160,20 @@ let journal_tests =
         output_char oc '\n';
         output_string oc "{\"type\":\"instance\",\"id\":\"torn-mid-wri";
         close_out oc;
+        let bytes () = In_channel.with_open_bin path In_channel.input_all in
+        let before = bytes () in
         let warnings = ref [] in
         let records = records ~warn:(fun m -> warnings := m :: !warnings) path in
+        let after = bytes () in
         Sys.remove path;
         Alcotest.(check int) "clean record kept" 1 (List.length records);
+        Alcotest.(check string) "an unrepaired load leaves the file as it was" before after;
         Alcotest.(check int) "one warning" 1 (List.length !warnings);
         let w = List.hd !warnings in
         Alcotest.(check bool) "warning names the file" true (contains w path);
         Alcotest.(check bool) "warning carries the line number" true (contains w ":2:");
+        Alcotest.(check bool) "warning says the record is ignored" true
+          (contains w "ignoring torn tail record");
         Alcotest.(check bool) "warning previews the torn line" true (contains w "torn-mid-wri"));
     Alcotest.test_case "load_resume repairs a torn tail and counts the recovery" `Quick
       (fun () ->
@@ -181,9 +187,12 @@ let journal_tests =
         output_char oc '\n';
         output_string oc "{\"type\":\"instance\",\"id\":\"torn";
         close_out oc;
-        let loaded = Engine.Journal.load_resume path in
+        let warnings = ref [] in
+        let loaded = Engine.Journal.load_resume ~warn:(fun m -> warnings := m :: !warnings) path in
         Alcotest.(check int) "clean records kept" 2 (List.length loaded.Engine.Journal.records);
         Alcotest.(check int) "tear counted" 1 loaded.Engine.Journal.recovered_records;
+        Alcotest.(check bool) "warning says the record is truncated" true
+          (List.exists (fun w -> contains w "truncating torn tail record") !warnings);
         (* repair truncated the torn record on disk: a second load is clean *)
         let again = Engine.Journal.load_resume path in
         Sys.remove path;
@@ -240,6 +249,20 @@ let journaled ?(options = Engine.Worker.default_options) xforms =
   | Some t -> (List.rev !lines, Engine.Telemetry.summary t)
   | None -> Alcotest.fail "telemetry handle never arrived"
 
+(* One site, whose application never returns. *)
+let hang () =
+  {
+    Transforms.Xform.name = "Hang(test-only)";
+    find = (fun _ -> [ Transforms.Xform.dataflow_site ~state:0 ~nodes:[ 1 ] ~descr:"hang" ]);
+    apply =
+      (fun _ _ ->
+        while true do
+          ignore (Sys.opaque_identity ())
+        done;
+        { Sdfg.Diff.nodes = []; states = [] });
+    certify_hint = None;
+  }
+
 (* Behaves like [good ()], but SIGKILLs the process running it whenever
    [armed ()] holds. *)
 let killer ~name ~armed =
@@ -285,21 +308,8 @@ let engine_tests =
         let keys c = List.map verdict_key c.Campaign.outcomes in
         Alcotest.(check bool) "j1 = j4" true (keys c1 = keys c4);
         Alcotest.(check bool) "j4 = serial" true (keys c4 = keys serial);
-        Alcotest.(check int) "failures found" 2 c4.Campaign.total_failed);
+        Alcotest.(check int) "failures found" 2 c4.Campaign.totals.failed);
     Alcotest.test_case "hung instance is killed and reported as an outcome" `Quick (fun () ->
-        let hang =
-          {
-            Transforms.Xform.name = "Hang(test-only)";
-            find = (fun _ -> [ Transforms.Xform.dataflow_site ~state:0 ~nodes:[ 1 ] ~descr:"hang" ]);
-            apply =
-              (fun _ _ ->
-                while true do
-                  ignore (Sys.opaque_identity ())
-                done;
-                { Sdfg.Diff.nodes = []; states = [] });
-            certify_hint = None;
-          }
-        in
         let path = Filename.temp_file "ffhang" ".jsonl" in
         let handle = ref None in
         let c =
@@ -314,10 +324,11 @@ let engine_tests =
               }
             ~config
             [ ("scale", Workloads.Npbench.scale ()) ]
-            [ good (); hang ]
+            [ good (); hang () ]
         in
-        Alcotest.(check int) "one killed" 1 c.Campaign.total_killed;
-        Alcotest.(check int) "killed counts as failed" 1 c.Campaign.total_failed;
+        Alcotest.(check int) "one killed" 1 c.Campaign.totals.killed;
+        Alcotest.(check bool) "killed counts as failed" true
+          (contains (Campaign.to_table c) "1 failing (1 hung/crashed)");
         (* the progress line, the live snapshot and the footer count it too *)
         (match !handle with
         | None -> Alcotest.fail "telemetry handle never arrived"
@@ -329,9 +340,7 @@ let engine_tests =
             Alcotest.(check (float 0.)) "snapshot failed" 1.
               (Engine.Journal.Json.num
                  (Engine.Journal.Json.field (Engine.Telemetry.snapshot t) "failed")));
-        let row =
-          List.find (fun (r : Campaign.row) -> r.xform_name = "Hang(test-only)") c.Campaign.rows
-        in
+        let row = List.assoc "Hang(test-only)" c.Campaign.rows in
         Alcotest.(check int) "row killed" 1 row.Campaign.killed;
         let killed_outcome =
           List.find (fun (o : Campaign.outcome) -> o.o_verdict = Campaign.O_killed)
@@ -400,13 +409,13 @@ let engine_tests =
         in
         Sys.remove path;
         Alcotest.(check int) "all instances accounted for"
-          full.Campaign.total_instances resumed.Campaign.total_instances;
+          full.Campaign.totals.instances resumed.Campaign.totals.instances;
         (* the tampered verdict survives: that instance was replayed from the
            journal, not re-executed *)
         Alcotest.(check int) "tampered instance not re-fuzzed" 1
-          resumed.Campaign.total_proved;
+          resumed.Campaign.totals.proved;
         Alcotest.(check int) "fresh instances still fuzzed"
-          full.Campaign.total_failed resumed.Campaign.total_failed);
+          full.Campaign.totals.failed resumed.Campaign.totals.failed);
     Alcotest.test_case "resume with a different seed is refused" `Quick (fun () ->
         let path = Filename.temp_file "ffseed" ".jsonl" in
         ignore
@@ -441,10 +450,10 @@ let engine_tests =
             ~options:{ options with resume = true }
             ~config (programs ()) xforms
         in
-        Alcotest.(check int) "all instances accounted for" full.Campaign.total_instances
-          resumed.Campaign.total_instances;
-        Alcotest.(check int) "verdict totals preserved" full.Campaign.total_failed
-          resumed.Campaign.total_failed;
+        Alcotest.(check int) "all instances accounted for" full.Campaign.totals.instances
+          resumed.Campaign.totals.instances;
+        Alcotest.(check int) "verdict totals preserved" full.Campaign.totals.failed
+          resumed.Campaign.totals.failed;
         (* the repair is journaled: the resumed run's footer records it *)
         let footers =
           List.filter_map
@@ -592,6 +601,63 @@ let engine_tests =
           l1;
         Alcotest.(check int) "a timeout loses no worker (-j 1)" 0 f1.Engine.Journal.worker_lost;
         Alcotest.(check int) "a timeout loses no worker (-j 2)" 0 f2.Engine.Journal.worker_lost);
+    Alcotest.test_case "a resumed campaign counts what it replayed" `Quick (fun () ->
+        let path = Filename.temp_file "ffrecount" ".jsonl" in
+        let run resume =
+          let handle = ref None in
+          let c =
+            Engine.Worker.run_campaign
+              ~options:
+                {
+                  Engine.Worker.default_options with
+                  j = 2;
+                  deadline_s = 0.5;
+                  certify_gate = true;
+                  journal_path = Some path;
+                  resume;
+                  on_telemetry = Some (fun t -> handle := Some t);
+                }
+              ~config
+              [ ("scale", Workloads.Npbench.scale ()) ]
+              [ good (); bad (); hang () ]
+          in
+          let footer =
+            match List.rev (records path) with
+            | Engine.Journal.Footer f :: _ -> f
+            | _ -> Alcotest.fail "no footer"
+          in
+          match !handle with
+          | Some t -> (c.Campaign.totals, footer, t)
+          | None -> Alcotest.fail "telemetry handle never arrived"
+        in
+        let first, f1, _ = run false in
+        let totals, f2, t = run true in
+        Sys.remove path;
+        let counts (f : Engine.Journal.footer) =
+          [ f.total; f.failed; f.proved; f.killed; f.trials_spent ]
+        in
+        Alcotest.(check bool) "a failing and a killed instance" true
+          (first.failed > 0 && first.killed > 0);
+        Alcotest.(check (list int)) "the first footer counts as the table does"
+          [ first.instances; first.failed + first.killed; first.proved; first.killed; first.trials ]
+          (counts f1);
+        Alcotest.(check bool) "the resumed table is the first one" true (totals = first);
+        Alcotest.(check (list int)) "the resumed footer counts the replayed outcomes" (counts f1)
+          (counts f2);
+        Alcotest.(check (float 0.)) "the rate counts only instances this run ran" 0.
+          f2.instances_per_s;
+        let snapshot k =
+          int_of_float
+            (Engine.Journal.Json.num (Engine.Journal.Json.field (Engine.Telemetry.snapshot t) k))
+        in
+        Alcotest.(check (list int)) "the snapshot counts them too" (counts f1)
+          (List.map snapshot [ "completed"; "failed"; "proved"; "killed"; "trials_spent" ]);
+        let line =
+          Printf.sprintf "[%d/%d] 0.0 inst/s  failed %d  proved %d  killed %d  trials %d  "
+            f1.total f1.total f1.failed f1.proved f1.killed f1.trials_spent
+        and render = Engine.Telemetry.render t in
+        Alcotest.(check string) "so does the progress line" line
+          (String.sub render 0 (min (String.length line) (String.length render))));
   ]
 
 (* ---------------- corpus ---------------- *)

@@ -203,10 +203,10 @@ let gate_tests =
         in
         let off = Fuzzyflow.Campaign.run ~config programs [ tiling ] in
         let on = Fuzzyflow.Campaign.run ~config ~certify_gate:true programs [ tiling ] in
-        Alcotest.(check int) "same instances" off.total_instances on.total_instances;
-        Alcotest.(check bool) "gate off spends trials" true (Fuzzyflow.Campaign.trials_spent off > 0);
-        Alcotest.(check int) "gate on spends none" 0 (Fuzzyflow.Campaign.trials_spent on);
-        Alcotest.(check int) "proved counted" on.total_instances on.total_proved;
+        Alcotest.(check int) "same instances" off.totals.instances on.totals.instances;
+        Alcotest.(check bool) "gate off spends trials" true (off.totals.trials > 0);
+        Alcotest.(check int) "gate on spends none" 0 on.totals.trials;
+        Alcotest.(check int) "proved counted" on.totals.instances on.totals.proved;
         List.iter
           (fun (r : Fuzzyflow.Campaign.instance_result) ->
             Alcotest.(check bool) "no report on proved instance" true (r.report = None);
