@@ -2,9 +2,10 @@
 
    [compile] lowers a validated graph plus a symbol valuation into a flat,
    immutable plan, in two stages. The per-program stage validates the graph
-   and resolves topological order and scope membership once per graph; the
-   per-valuation stage concretizes shapes, compiles tasklet code to closures
-   over an integer-slot scratch file, pre-evaluates memlet subsets to
+   and resolves scope membership once per graph (adjacency and topological
+   order are the states' own indexed queries); the per-valuation stage
+   concretizes shapes, compiles tasklet code to closures over an
+   integer-slot scratch file, pre-evaluates memlet subsets to
    concrete ranges wherever the valuation makes them constant, and
    addresses containers by dense plan ids instead of string hashes.
    [execute] then runs the plan over fresh buffers as many times as the

@@ -1,8 +1,8 @@
 (* The reference tree-walk interpreter: executes the SDFG directly off the
-   graph structure, re-deriving topological order, scope membership and
-   symbolic subsets on every run. Kept as the semantic baseline that the
-   compiled Plan path is differentially tested against (and as the slow side
-   of the `bench interp` comparison).
+   graph structure, re-deriving scope membership and symbolic subsets on
+   every run. Kept as the semantic baseline that the compiled Plan path is
+   differentially tested against (and as the slow side of the `bench
+   interp` comparison).
 
    It never proves a hang: a hanging run here burns every step up to the
    limit. Only tests and `bench interp` run this tier, so it stays the
@@ -151,21 +151,18 @@ let eval_code ctx ~sid ~nid env inputs (code : Tcode.t) =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Per-state execution context: adjacency, topological order and scope
-   membership are computed once per state execution, not per query — map
-   bodies execute their tasklets once per iteration point.               *)
+(* Per-state execution context: the scope of every node, assigned by
+   depth once per state execution. Adjacency and topological order are
+   the state's own queries, answered from its index.                     *)
 (* ------------------------------------------------------------------ *)
 
 type sctx = {
   st : State.t;
-  ins : (int, State.edge list) Hashtbl.t;
-  outs : (int, State.edge list) Hashtbl.t;
-  topo : int list;
   scope : (int, int option) Hashtbl.t;
 }
 
-let ins_of sc nid = Option.value ~default:[] (Hashtbl.find_opt sc.ins nid)
-let outs_of sc nid = Option.value ~default:[] (Hashtbl.find_opt sc.outs nid)
+let ins_of sc nid = State.in_edges sc.st nid
+let outs_of sc nid = State.out_edges sc.st nid
 
 (* ------------------------------------------------------------------ *)
 (* Node execution                                                      *)
@@ -344,7 +341,7 @@ let exec_copy ctx sc env (e : State.edge) =
 (* Direct members of a scope (or of the state's top level when [entry] is
    None), in topological order. *)
 let direct_members sc entry =
-  List.filter (fun n -> Hashtbl.find_opt sc.scope n = Some entry) sc.topo
+  List.filter (fun n -> Hashtbl.find_opt sc.scope n = Some entry) (State.topological sc.st)
   |> List.filter (fun n ->
          match State.node sc.st n with Node.Map_exit _ -> false | _ -> true)
 
@@ -440,18 +437,7 @@ let build_scope_cache st =
     (State.nodes st);
   cache
 
-let build_sctx st =
-  let ins = Hashtbl.create 32 and outs = Hashtbl.create 32 in
-  let push tbl k (e : State.edge) =
-    Hashtbl.replace tbl k (e :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  (* State.edges is sorted by edge id; reversed cons keeps that order *)
-  List.iter
-    (fun (e : State.edge) ->
-      push ins e.dst e;
-      push outs e.src e)
-    (List.rev (State.edges st));
-  { st; ins; outs; topo = State.topological st; scope = build_scope_cache st }
+let build_sctx st = { st; scope = build_scope_cache st }
 
 let exec_state ctx sid =
   tick ctx;

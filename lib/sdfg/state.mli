@@ -2,7 +2,24 @@
 
     States hold nodes and directed multi-edges between them. Edges optionally
     carry a {!Memlet.t} (data movement) and connector names that attach them
-    to tasklet inputs/outputs or route them through map entry/exit nodes. *)
+    to tasklet inputs/outputs or route them through map entry/exit nodes.
+
+    {b Cost model.} The queries under {!section-inspection} and
+    {!section-scopes} are answered from a private index of the state.
+    - The first query after a mutation builds it in time linear in the
+      state's size, plus one sort of its nodes and one of its edges. Every
+      mutator under {!section-construction} drops it.
+    - Until the next mutation, [nodes], [edges], [in_edges] and [out_edges]
+      return kept lists, so repeated calls allocate nothing and return
+      physically equal values.
+    - [topological] is kept once computed. Scope answers are kept per
+      entry ([exit_of] and [scope_nodes]) and per node ([scope_of]), each
+      computed by the first query that needs it.
+    - A query that raises keeps nothing, so it raises again on every call:
+      [Not_found] from [exit_of], [scope_nodes] or [scope_of], and
+      [Failure] from [topological].
+    - {!copy} shares the index with its original until either side mutates,
+      so a copy's untouched states keep the answers already computed. *)
 
 type edge = {
   e_id : int;
@@ -22,7 +39,7 @@ val create : string -> t
 val label : t -> string
 val copy : t -> t
 
-(** {1 Construction} *)
+(** {1:construction Construction} *)
 
 val add_node : t -> Node.t -> int
 (** Returns the fresh node id. *)
@@ -51,7 +68,7 @@ val remove_node : t -> int -> unit
 val remove_edge : t -> int -> unit
 val set_edge_memlet : t -> int -> Memlet.t option -> unit
 
-(** {1 Inspection} *)
+(** {1:inspection Inspection} *)
 
 val node : t -> int -> Node.t
 val node_opt : t -> int -> Node.t option
@@ -80,7 +97,7 @@ val sink_nodes : t -> int list
     @raise Failure if the dataflow graph has a cycle. *)
 val topological : t -> int list
 
-(** {1 Scopes} *)
+(** {1:scopes Scopes} *)
 
 (** [exit_of st entry] is the id of the {!Node.Map_exit} matching [entry].
     @raise Not_found if there is none. *)

@@ -111,5 +111,55 @@ let settle_tests =
         Alcotest.(check bool) "unbound symbols crash" true (log.crashed > 0));
   ]
 
+(* One guarded pipeline over [g]: no step raises and the output validates.
+   Returns the number of steps. *)
+let stays_valid ~what ~config ~static_gate g xforms =
+  let optimized, log = Pipeline.optimize ~config ~static_gate g xforms in
+  List.iter
+    (fun (s : Pipeline.step) ->
+      match s.decision with
+      | Pipeline.Crashed detail -> Alcotest.failf "%s: %s crashed: %s" what s.xform_name detail
+      | _ -> ())
+    log.steps;
+  (match Sdfg.Validate.check optimized with
+  | [] -> ()
+  | e :: _ ->
+      Alcotest.failf "%s: the output does not validate: %s" what
+        (Format.asprintf "%a" Sdfg.Validate.pp_error e));
+  List.length log.steps
+
+(* Random programs through whole pipelines: four admitted programs of every
+   generator style, under both transformation sets, with and without the
+   static gate. *)
+let stress_tests =
+  [
+    Alcotest.test_case "generated programs through every pipeline stay valid" `Quick (fun () ->
+        let sets =
+          [ ("shipped", Transforms.Registry.as_shipped); ("correct", Transforms.Registry.all_correct) ]
+        in
+        let steps = ref 0 in
+        List.iter
+          (fun (style : Gen.Styles.t) ->
+            let admitted, _ = Gen.Admit.batch ~style ~seed:42 ~n:4 () in
+            List.iter
+              (fun (c : Gen.Generate.t) ->
+                let concretization = Gen.Admit.concretize c.graph in
+                let config = { Difftest.default_config with trials = 5; concretization } in
+                List.iter
+                  (fun (set, xforms) ->
+                    List.iter
+                      (fun static_gate ->
+                        let what = Printf.sprintf "%s, %s, static gate %b" c.name set static_gate in
+                        steps := !steps + stays_valid ~what ~config ~static_gate c.graph (xforms ()))
+                      [ false; true ])
+                  sets)
+              admitted)
+          Gen.Styles.all;
+        (* the batch is fixed by its seed: a smaller count means fewer
+           sites matched, and less of the pipelines was exercised *)
+        Alcotest.(check int) "steps over the batch" 800 !steps);
+  ]
+
 let () =
-  Alcotest.run "pipeline" [ ("pipeline", pipeline_tests); ("settle", settle_tests) ]
+  Alcotest.run "pipeline"
+    [ ("pipeline", pipeline_tests); ("settle", settle_tests); ("stress", stress_tests) ]

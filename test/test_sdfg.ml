@@ -153,6 +153,414 @@ let state_tests =
         Alcotest.(check bool) "fresh above" true (fresh > 7));
   ]
 
+(* ---------------- the state index ---------------- *)
+
+(* The algorithms State used before it kept an index, over its tables
+   alone: nodes and edges are found by id through [node_opt] and [edge], so
+   no answer here comes from the index under test. *)
+module Reference = struct
+  (* ids from 0 up, until [count] of them are found; no state here has a
+     negative id *)
+  let scan count find =
+    let rec go id found acc =
+      if found = count then List.rev acc
+      else if id > 1 lsl 20 then Alcotest.fail "reference scan: ids out of range"
+      else
+        match find id with
+        | Some v -> go (id + 1) (found + 1) (v :: acc)
+        | None -> go (id + 1) found acc
+    in
+    go 0 0 []
+
+  let nodes st =
+    scan (State.num_nodes st) (fun id -> Option.map (fun n -> (id, n)) (State.node_opt st id))
+
+  let node_ids st = List.map fst (nodes st)
+
+  let edges st =
+    scan (State.num_edges st) (fun id ->
+        match State.edge st id with e -> Some e | exception Not_found -> None)
+
+  let in_edges st id = List.filter (fun (e : State.edge) -> e.dst = id) (edges st)
+  let out_edges st id = List.filter (fun (e : State.edge) -> e.src = id) (edges st)
+
+  let predecessors st id =
+    List.sort_uniq compare (List.map (fun (e : State.edge) -> e.src) (in_edges st id))
+
+  let successors st id =
+    List.sort_uniq compare (List.map (fun (e : State.edge) -> e.dst) (out_edges st id))
+
+  let source_nodes st = List.filter (fun id -> in_edges st id = []) (node_ids st)
+  let sink_nodes st = List.filter (fun id -> out_edges st id = []) (node_ids st)
+
+  let topological st =
+    let indeg = Hashtbl.create 16 in
+    List.iter (fun id -> Hashtbl.replace indeg id 0) (node_ids st);
+    List.iter
+      (fun (e : State.edge) -> Hashtbl.replace indeg e.dst (Hashtbl.find indeg e.dst + 1))
+      (edges st);
+    let queue = Queue.create () in
+    List.iter (fun id -> if Hashtbl.find indeg id = 0 then Queue.add id queue) (node_ids st);
+    let order = ref [] in
+    while not (Queue.is_empty queue) do
+      let id = Queue.pop queue in
+      order := id :: !order;
+      List.iter
+        (fun (e : State.edge) ->
+          let d = Hashtbl.find indeg e.dst - 1 in
+          Hashtbl.replace indeg e.dst d;
+          if d = 0 then Queue.add e.dst queue)
+        (out_edges st id)
+    done;
+    if List.length !order <> State.num_nodes st then
+      failwith ("State.topological: cycle in state " ^ State.label st);
+    List.rev !order
+
+  (* no state here gives an entry two exits *)
+  let exit_of st entry =
+    match
+      List.filter_map
+        (fun (id, n) ->
+          match n with Node.Map_exit { entry = e } when e = entry -> Some id | _ -> None)
+        (nodes st)
+    with
+    | [] -> raise Not_found
+    | [ id ] -> id
+    | _ -> Alcotest.failf "entry %d has two exits" entry
+
+  let scope_nodes st entry =
+    let ex = exit_of st entry in
+    let seen = Hashtbl.create 16 in
+    let rec go id =
+      if id <> ex && not (Hashtbl.mem seen id) then begin
+        Hashtbl.replace seen id ();
+        List.iter go (successors st id)
+      end
+    in
+    List.iter go (successors st entry);
+    Hashtbl.fold (fun id () acc -> id :: acc) seen []
+    |> List.filter (fun id -> id <> entry)
+    |> List.sort compare
+
+  let scope_of st n =
+    let entries =
+      List.filter_map (fun (id, nd) -> if Node.is_map_entry nd then Some id else None) (nodes st)
+    in
+    match List.filter (fun e -> List.mem n (scope_nodes st e)) entries with
+    | [] -> None
+    | [ e ] -> Some e
+    | es ->
+        Some
+          (List.find
+             (fun e -> List.for_all (fun e' -> e = e' || List.mem e (scope_nodes st e')) es)
+             es)
+end
+
+(* a query's value, or the exception it raised, by name *)
+let answer f =
+  match f () with
+  | v -> Ok v
+  | exception Not_found -> Error "Not_found"
+  | exception Failure m -> Error ("Failure " ^ m)
+
+(* Every query on every node of [st], and on two ids that are not nodes,
+   equals the reference. The index answers each query twice: the first
+   call builds or fills it, the second reads what it kept. *)
+let agrees ~what st =
+  (* the reference answers once, the query on every call *)
+  let check name reference query =
+    let expected = answer reference in
+    (name, fun () -> compare (answer query) expected = 0)
+  in
+  let ids = Reference.node_ids st in
+  let probes = ids @ [ -1; 1 + List.fold_left max 0 ids ] in
+  let whole =
+    [
+      check "nodes" (fun () -> Reference.nodes st) (fun () -> State.nodes st);
+      check "node_ids" (fun () -> ids) (fun () -> State.node_ids st);
+      check "edges" (fun () -> Reference.edges st) (fun () -> State.edges st);
+      check "source_nodes" (fun () -> Reference.source_nodes st) (fun () -> State.source_nodes st);
+      check "sink_nodes" (fun () -> Reference.sink_nodes st) (fun () -> State.sink_nodes st);
+      check "topological" (fun () -> Reference.topological st) (fun () -> State.topological st);
+    ]
+  in
+  let per_node n =
+    let q name reference query =
+      check (Printf.sprintf "%s %d" name n) (fun () -> reference st n) (fun () -> query st n)
+    in
+    [
+      q "in_edges" Reference.in_edges State.in_edges;
+      q "out_edges" Reference.out_edges State.out_edges;
+      q "predecessors" Reference.predecessors State.predecessors;
+      q "successors" Reference.successors State.successors;
+      q "exit_of" Reference.exit_of State.exit_of;
+      q "scope_nodes" Reference.scope_nodes State.scope_nodes;
+      q "scope_of" Reference.scope_of State.scope_of;
+    ]
+  in
+  let checks = whole @ List.concat_map per_node probes in
+  for call = 1 to 2 do
+    List.iter
+      (fun (name, same) ->
+        if not (same ()) then
+          Alcotest.failf "%s, state %s: %s differs from the reference (call %d)" what
+            (State.label st) name call)
+      checks
+  done
+
+let agrees_graph ~what g = List.iter (fun (_, st) -> agrees ~what st) (Graph.states g)
+
+let bundled_workloads () =
+  Workloads.Npbench.all () @ Workloads.Npb_frontend.all ()
+  @ [
+      ("bert", Workloads.Bert.build ());
+      ("chain", Workloads.Chain.build ());
+      ("cloudsc", Workloads.Cloudsc.build ());
+      ("fig4", Workloads.Fig4.build ());
+      ("sddmm", (let g, _, _ = Workloads.Sddmm.rank_program () in g));
+    ]
+
+(* a fresh copy of [g] whose states have never been queried *)
+let reparsed g = Serialize.of_string (Serialize.to_string g)
+
+let map_entry label =
+  Node.Map_entry
+    {
+      label;
+      params = [ "i" ];
+      ranges = [ Symbolic.Subset.dim Symbolic.Expr.zero (Symbolic.Expr.int 3) ];
+      schedule = Node.Sequential;
+    }
+
+(* two map scopes that share a tasklet without nesting: e1 -> t <- e2, and t
+   feeds both exits, so each scope holds t and the other's exit *)
+let overlapping () =
+  let st = State.create "overlap" in
+  let e1 = State.add_node st (map_entry "m1") in
+  let e2 = State.add_node st (map_entry "m2") in
+  let t = State.add_node st (Node.tasklet "t" "o = 1.0") in
+  let x1 = State.add_node st (Node.Map_exit { entry = e1 }) in
+  let x2 = State.add_node st (Node.Map_exit { entry = e2 }) in
+  List.iter (fun (a, b) -> ignore (State.add_edge st a b)) [ (e1, t); (e2, t); (t, x1); (t, x2) ];
+  (st, t)
+
+(* [f] raises [Not_found] on each of three calls *)
+let raises_not_found_every_call what f =
+  for call = 1 to 3 do
+    match f () with
+    | exception Not_found -> ()
+    | _ -> Alcotest.failf "%s: call %d did not raise Not_found" what call
+  done
+
+(* CLOUDSC after StateFusion on states 9 and 10: the fused state holds map
+   scopes that overlap without nesting *)
+let fused_cloudsc () =
+  let g = Workloads.Cloudsc.build () in
+  let x = Transforms.State_fusion.make Transforms.State_fusion.Correct in
+  let site =
+    List.find (fun (s : Transforms.Xform.site) -> s.states = [ 9; 10 ]) (x.find g)
+  in
+  ignore (x.apply g site);
+  g
+
+(* One step of the random walk over a pool of states. A state and nodes
+   and edges are picked by index, modulo the current count. *)
+type mutation =
+  | Add_node of int
+  | Add_node_with_id of int * int
+  | Replace_node of int * int
+  | Add_edge of int * int * bool
+  | Remove_edge of int
+  | Remove_node of int
+  | Set_edge_memlet of int * bool
+
+type step =
+  | Mutate of int * mutation
+  | Copy of int * bool * mutation  (** copy, then mutate the copy or the original *)
+
+let gen_mutation =
+  QCheck.Gen.(
+    let i = int_bound 63 in
+    oneof
+      [
+        map (fun k -> Add_node k) i;
+        map2 (fun id k -> Add_node_with_id (id, k)) i i;
+        map2 (fun n k -> Replace_node (n, k)) i i;
+        map3 (fun a b m -> Add_edge (a, b, m)) i i bool;
+        map (fun e -> Remove_edge e) i;
+        map (fun n -> Remove_node n) i;
+        map2 (fun e m -> Set_edge_memlet (e, m)) i bool;
+      ])
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun s m -> Mutate (s, m)) (int_bound 3) gen_mutation);
+        (1, map3 (fun s side m -> Copy (s, side, m)) (int_bound 3) bool gen_mutation);
+      ])
+
+let show_mutation = function
+  | Add_node k -> Printf.sprintf "add_node %d" k
+  | Add_node_with_id (id, k) -> Printf.sprintf "add_node_with_id %d %d" id k
+  | Replace_node (n, k) -> Printf.sprintf "replace_node %d %d" n k
+  | Add_edge (a, b, m) -> Printf.sprintf "add_edge %d %d %b" a b m
+  | Remove_edge e -> Printf.sprintf "remove_edge %d" e
+  | Remove_node n -> Printf.sprintf "remove_node %d" n
+  | Set_edge_memlet (e, m) -> Printf.sprintf "set_edge_memlet %d %b" e m
+
+let show_step = function
+  | Mutate (s, m) -> Printf.sprintf "%d: %s" s (show_mutation m)
+  | Copy (s, side, m) ->
+      Printf.sprintf "copy %d, %s: %s" s (if side then "copy" else "original") (show_mutation m)
+
+let pick l i = List.nth l (i mod List.length l)
+let tasklet_node = Node.tasklet "t" "o = 1.0"
+
+(* a payload by kind; an exit only for an entry that has none, so no entry
+   ever has two *)
+let payload st k =
+  match k mod 4 with
+  | 0 -> Node.Access (if k land 4 = 0 then "a" else "b")
+  | 1 -> tasklet_node
+  | 2 -> map_entry "m"
+  | _ -> (
+      let nodes = Reference.nodes st in
+      let has_exit e =
+        List.exists
+          (fun (_, n) -> match n with Node.Map_exit { entry } -> entry = e | _ -> false)
+          nodes
+      in
+      match List.find_opt (fun (id, n) -> Node.is_map_entry n && not (has_exit id)) nodes with
+      | Some (e, _) -> Node.Map_exit { entry = e }
+      | None -> Node.Access "c")
+
+let mutate st = function
+  | Add_node k -> ignore (State.add_node st (payload st k))
+  | Add_node_with_id (id, k) ->
+      let rec free id = if State.has_node st id then free (id + 1) else id in
+      State.add_node_with_id st (free id) (payload st k)
+  | Replace_node (n, k) -> (
+      match Reference.node_ids st with
+      | [] -> ()
+      | ids -> State.replace_node st (pick ids n) (payload st k))
+  | Add_edge (a, b, m) -> (
+      match Reference.node_ids st with
+      | [] -> ()
+      | ids ->
+          let memlet = if m then Some (Memlet.simple "a" "0") else None in
+          ignore (State.add_edge st ?memlet (pick ids a) (pick ids b)))
+  | Remove_edge e -> (
+      match Reference.edges st with
+      | [] -> State.remove_edge st e
+      | es -> State.remove_edge st (pick es e).e_id)
+  | Remove_node n -> (
+      match Reference.node_ids st with [] -> () | ids -> State.remove_node st (pick ids n))
+  | Set_edge_memlet (e, m) -> (
+      match Reference.edges st with
+      | [] -> ()
+      | es ->
+          let memlet = if m then Some (Memlet.simple "b" "1") else None in
+          State.set_edge_memlet st (pick es e).e_id memlet)
+
+let prop_index_follows_mutations =
+  QCheck.Test.make ~name:"random mutators, copies and queries: every answer equals the reference"
+    ~count:200
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show_step steps))
+       QCheck.Gen.(list_size (int_range 1 40) gen_step))
+    (fun steps ->
+      let pool = ref [ State.create "s0" ] in
+      List.iteri
+        (fun i step ->
+          (match step with
+          | Mutate (s, m) -> mutate (pick !pool s) m
+          | Copy (s, side, m) ->
+              let original = pick !pool s in
+              let copy = State.copy original in
+              mutate (if side then copy else original) m;
+              pool := (if List.length !pool >= 4 then List.tl !pool else !pool) @ [ copy ]);
+          List.iter (agrees ~what:(Printf.sprintf "after step %d" i)) !pool)
+        steps;
+      true)
+
+let index_tests =
+  [
+    Alcotest.test_case "every query matches the reference on the bundled workloads" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, g) ->
+            agrees_graph ~what:name (reparsed g);
+            agrees_graph ~what:name g)
+          (bundled_workloads ()));
+    Alcotest.test_case "every query matches the reference on 50 generated programs per style" `Quick
+      (fun () ->
+        List.iter
+          (fun (style : Gen.Styles.t) ->
+            let admitted, _ = Gen.Admit.batch ~style ~seed:7 ~n:50 () in
+            Alcotest.(check int) (style.name ^ ": admitted") 50 (List.length admitted);
+            List.iter
+              (fun (c : Gen.Generate.t) ->
+                agrees_graph ~what:c.name (reparsed c.graph);
+                agrees_graph ~what:c.name c.graph)
+              admitted)
+          Gen.Styles.all);
+    QCheck_alcotest.to_alcotest prop_index_follows_mutations;
+    Alcotest.test_case "overlapping scopes raise Not_found on every call" `Quick (fun () ->
+        let st, t = overlapping () in
+        raises_not_found_every_call "hand-built scope_of" (fun () -> State.scope_of st t);
+        agrees ~what:"hand-built" st;
+        let g = fused_cloudsc () in
+        let st9 = Graph.state g 9 in
+        let raising =
+          List.filter
+            (fun n -> answer (fun () -> Reference.scope_of st9 n) = Error "Not_found")
+            (Reference.node_ids st9)
+        in
+        Alcotest.(check bool) "the fused state has overlapping scopes" true (raising <> []);
+        List.iter
+          (fun n ->
+            raises_not_found_every_call
+              (Printf.sprintf "cloudsc scope_of %d" n)
+              (fun () -> State.scope_of st9 n))
+          raising;
+        agrees_graph ~what:"fused cloudsc" g);
+    Alcotest.test_case "an entry without an exit raises Not_found on every call" `Quick (fun () ->
+        let st = State.create "exitless" in
+        let e = State.add_node st (map_entry "m") in
+        let t = State.add_node st tasklet_node in
+        ignore (State.add_edge st e t);
+        raises_not_found_every_call "exit_of" (fun () -> State.exit_of st e);
+        raises_not_found_every_call "scope_nodes" (fun () -> State.scope_nodes st e);
+        raises_not_found_every_call "scope_of" (fun () -> State.scope_of st t);
+        agrees ~what:"exitless" st);
+    Alcotest.test_case "a cycle fails topological on every call" `Quick (fun () ->
+        let st = State.create "cycle" in
+        let a = State.add_node st (Node.Access "a") in
+        let b = State.add_node st (Node.Access "b") in
+        ignore (State.add_edge st a b);
+        ignore (State.add_edge st b a);
+        for call = 1 to 3 do
+          match State.topological st with
+          | exception Failure _ -> ()
+          | _ -> Alcotest.failf "call %d did not fail" call
+        done;
+        agrees ~what:"cycle" st);
+    Alcotest.test_case "a graph whose index is built answers the same after Marshal" `Quick
+      (fun () ->
+        let st, t = overlapping () in
+        let g = fused_cloudsc () in
+        let sid = Graph.add_state g "overlap" in
+        let ost = Graph.state g sid in
+        List.iter (fun (id, n) -> State.add_node_with_id ost id n) (State.nodes st);
+        List.iter (fun (e : State.edge) -> ignore (State.add_edge ost e.src e.dst)) (State.edges st);
+        agrees_graph ~what:"before Marshal" g;
+        let g' : Graph.t = Marshal.from_string (Marshal.to_string g []) 0 in
+        agrees_graph ~what:"after Marshal" g';
+        raises_not_found_every_call "scope_of after Marshal" (fun () ->
+            State.scope_of (Graph.state g' sid) t));
+  ]
+
 (* ---------------- graph-level ---------------- *)
 
 let graph_tests =
@@ -395,6 +803,7 @@ let () =
       ("tcode", tcode_tests);
       ("memlet", memlet_tests);
       ("state", state_tests);
+      ("index", index_tests);
       ("graph", graph_tests);
       ("validate", validate_tests);
       ("diff", diff_tests);
