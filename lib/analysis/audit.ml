@@ -64,8 +64,7 @@ let check ~original ~transformed ~(declared : Diff.change_set) =
   in
   Report.sort (node_findings @ state_findings)
 
-let check_xform g (x : Transforms.Xform.t) site =
-  let g' = Graph.copy g in
-  match x.apply g' site with
-  | exception Transforms.Xform.Cannot_apply _ -> None
-  | declared -> Some (check ~original:g ~transformed:g' ~declared)
+let check_xform g x site =
+  match Transforms.Xform.apply_copy x g site with
+  | Ok (g', declared) -> Some (check ~original:g ~transformed:g' ~declared)
+  | Error _ -> None

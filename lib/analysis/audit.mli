@@ -18,7 +18,7 @@ open Sdfg
 val check :
   original:Graph.t -> transformed:Graph.t -> declared:Diff.change_set -> Report.finding list
 
-(** Apply [x] at [site] on a scratch copy and audit the result. [None] when
-    the site is stale ([Cannot_apply]). *)
+(** Apply [x] at [site] with {!Transforms.Xform.apply_copy} and audit the
+    copy; [None] when that gives [Error]. *)
 val check_xform :
   Graph.t -> Transforms.Xform.t -> Transforms.Xform.site -> Report.finding list option

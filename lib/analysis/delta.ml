@@ -34,7 +34,8 @@ let compute ~memo ~symbols g =
    container that the transformation *newly* flags counts. Diffing by container
    name (not finding text) keeps a pre-existing gap whose witness merely moved
    from polluting the delta. *)
-let against ~memo ~symbols b g' =
+let between ~memo ~symbols g g' =
+  let b = Reuse.baseline memo ~symbols g (fun () -> compute ~memo ~symbols g) in
   let after, sa = oracle ~memo ~symbols g' in
   let uncovered =
     List.filter
@@ -44,16 +45,11 @@ let against ~memo ~symbols b g' =
   ( Report.sort (Report.new_findings ~before:b.findings ~after @ uncovered),
     Races.stats_add b.stats sa )
 
-let apply ?memo ?(symbols = []) g (x : Transforms.Xform.t) site =
-  let g' = Sdfg.Graph.copy g in
-  match x.apply g' site with
-  | exception Transforms.Xform.Cannot_apply _ -> None
-  | declared ->
-      (* without a caller's memo, one for this call still lets the
-         transformed copy reuse the unchanged program's per-state results *)
-      let memo = match memo with Some m -> m | None -> create_memo () in
-      let b = Reuse.baseline memo ~symbols g (fun () -> compute ~memo ~symbols g) in
-      Some (g', declared, against ~memo ~symbols b g')
+(* a memo for the call still lets the transformed copy reuse the unchanged
+   program's per-state results *)
+let verify_stats ?(symbols = []) g x site =
+  match Transforms.Xform.apply_copy x g site with
+  | Ok (g', _) -> Some (between ~memo:(create_memo ()) ~symbols g g')
+  | Error _ -> None
 
-let verify_stats ?symbols g x site = Option.map (fun (_, _, d) -> d) (apply ?symbols g x site)
 let verify ?symbols g x site = Option.map fst (verify_stats ?symbols g x site)

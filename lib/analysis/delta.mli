@@ -1,10 +1,10 @@
 (** Transformation delta verification.
 
-    Runs the full static oracle before and after applying a candidate
-    transformation instance to a scratch copy of the program, and reports
-    only the findings the transformation {e introduced}. Pre-existing
-    findings (same pass, container and state) are not attributed to the
-    candidate, so a noisy baseline cannot mask nor fake a regression.
+    Runs the full static oracle on a program and on its transformed copy,
+    and reports only the findings the transformation {e introduced}.
+    Pre-existing findings (same pass, container and state) are not
+    attributed to the candidate, so a noisy baseline cannot mask nor fake a
+    regression.
     Read-coverage of transients ({!Defuse.check_coverage}) is diffed the
     same way, by container name: a container counts only when it is
     flagged after the transformation and not before.
@@ -40,23 +40,20 @@ val create_memo : unit -> memo
 (** Hits and misses of each table; a miss computes. *)
 val memo_stats : memo -> Reuse.stats
 
-(** [apply ?memo ?symbols g x site] applies [x] at [site] to a copy of [g]
-    and analyzes the result under [symbols] (default none): the
-    transformed copy, the change set [apply] returned, and the introduced
-    findings, sorted, with the exact-dependence-tier counters summed over
-    both programs. [None] when the site no longer matches
-    ({!Transforms.Xform.Cannot_apply}) — staleness is the pipeline's
-    concern, not a static finding. *)
-val apply :
-  ?memo:memo ->
-  ?symbols:(string * int) list ->
+(** [between ~memo ~symbols g g'] analyzes a transformed copy [g'] of [g]
+    under [symbols]: the introduced findings, sorted, with the
+    exact-dependence-tier counters summed over both programs. It applies
+    nothing, so the caller's one application serves every gate. *)
+val between :
+  memo:memo ->
+  symbols:(string * int) list ->
   Graph.t ->
-  Transforms.Xform.t ->
-  Transforms.Xform.site ->
-  (Graph.t * Diff.change_set * (Report.finding list * Races.stats)) option
+  Graph.t ->
+  Report.finding list * Races.stats
 
-(** The findings and counters of {!apply}, without a caller's memo: the
-    two halves share one that lives for the call. *)
+(** {!between} [g] and its copy from {!Transforms.Xform.apply_copy}, the
+    two halves sharing a memo that lives for the call. [None] when that
+    gives [Error]: the fuzz path's invalid code, not a static finding. *)
 val verify_stats :
   ?symbols:(string * int) list ->
   Graph.t ->

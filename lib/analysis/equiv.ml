@@ -286,8 +286,9 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
           | ms, _, _ -> refute_or_unknown ~use_deps ~bounds ~symbols ~valuation ~declared ms)))
 
 let certify ?use_intervals ?use_deps ?memo ?(symbols = []) g x site =
-  let memo = match memo with Some m -> m | None -> Delta.create_memo () in
-  Option.map
-    (fun (g', _, (delta, _)) ->
-      decide ?use_intervals ?use_deps ~memo ~symbols ~delta g g' x site)
-    (Delta.apply ~memo ~symbols g x site)
+  match Transforms.Xform.apply_copy x g site with
+  | Error _ -> None
+  | Ok (g', _) ->
+      let memo = match memo with Some m -> m | None -> Delta.create_memo () in
+      let delta, _ = Delta.between ~memo ~symbols g g' in
+      Some (decide ?use_intervals ?use_deps ~memo ~symbols ~delta g g' x site)

@@ -33,7 +33,8 @@
     reports, so a caller running both gates computes it once and hands it
     to {!decide}.
 
-    [None] means the site went stale ([apply] raised [Cannot_apply]). *)
+    [None] means the transformation did not apply: its
+    {!Transforms.Xform.apply_copy} gave [Error]. *)
 
 type witness = {
   valuation : (string * int) list;  (** concrete symbol values exhibiting the difference *)
@@ -81,12 +82,12 @@ val certify :
   verdict option
 
 (** [decide ~symbols ~delta g g' x site] is {!certify}'s verdict for an
-    instance the caller already applied and analyzed: [g'] and [delta] are
-    the transformed copy and the findings {!Delta.apply} returned for [x]
-    at [site] on [g] under [symbols]. With [memo], the two summaries take
-    their per-state accesses from its tables, where the delta's own
-    analysis of both programs left them; the joins and the comparison
-    always run. *)
+    instance the caller already applied and analyzed: [g'] is the copy
+    {!Transforms.Xform.apply_copy} returned for [x] at [site] on [g], and
+    [delta] the findings of [Delta.between g g'] under [symbols]. With
+    [memo], the two summaries take their per-state accesses from its
+    tables, where the delta's own analysis of both programs left them; the
+    joins and the comparison always run. *)
 val decide :
   ?use_intervals:bool ->
   ?use_deps:bool ->

@@ -125,38 +125,40 @@ let run_instance ?memo ?(config = Difftest.default_config)
     ?(static_gate = false) ?(certify_gate = false) ~program:(pname, g) (x : Transforms.Xform.t)
     site =
   let symbols = config.Difftest.concretization in
-  (* both gates analyze one application of [x]: the transformed copy, the
-     change set [apply] declared, and the static delta. Forced by the first
-     gate that needs it; never, with both gates off. Without the caller's
-     memo, one for this instance still serves both halves of the delta and
-     the certify gate's summaries. *)
+  (* one application of [x] to a copy of the program serves both gates and
+     the fuzz path, which fails one that gives [Error] as invalid code.
+     Without the caller's memo, one for this instance still serves both
+     halves of the delta and the certify gate's summaries. *)
+  let applied = Transforms.Xform.apply_copy x g site in
   let memo = lazy (match memo with Some m -> m | None -> Analysis.Delta.create_memo ()) in
-  let applied = lazy (Analysis.Delta.apply ~memo:(Lazy.force memo) ~symbols g x site) in
-  (* translation validation first: a proved-equivalent instance skips all its
-     fuzz trials (report = None); one whose copy fails validation is fuzzed,
-     and the fuzz path fails it as invalid code *)
-  let verdict =
-    if certify_gate then
-      Option.map
-        (fun (g', _, (delta, _)) ->
-          Analysis.Equiv.decide ~memo:(Lazy.force memo) ~symbols ~delta g g' x site)
-        (Lazy.force applied)
-    else None
+  let verdict, static, dep_stats =
+    match applied with
+    | Error _ -> (None, [], Analysis.Races.stats_zero)
+    | Ok (g', declared) ->
+        let delta = lazy (Analysis.Delta.between ~memo:(Lazy.force memo) ~symbols g g') in
+        (* translation validation: a proved-equivalent instance skips all its
+           fuzz trials (report = None); one whose copy fails validation is
+           fuzzed, and the fuzz path fails it as invalid code *)
+        let verdict =
+          if certify_gate then
+            let delta = fst (Lazy.force delta) in
+            Some (Analysis.Equiv.decide ~memo:(Lazy.force memo) ~symbols ~delta g g' x site)
+          else None
+        in
+        (* second evidence channel: what the static oracle would have said
+           about this instance, independent of the fuzz verdict — the
+           change-set audit (declaration honesty) alongside the delta oracle
+           (introduced defects) *)
+        if static_gate then
+          let findings, stats = Lazy.force delta in
+          let audit = Analysis.Audit.check ~original:g ~transformed:g' ~declared in
+          (verdict, Analysis.Report.sort (audit @ findings), stats)
+        else (verdict, [], Analysis.Races.stats_zero)
   in
   let report =
     match verdict with
     | Some (Analysis.Equiv.Equivalent _) -> None
-    | _ -> Some (Difftest.test_instance ~config g x site)
-  in
-  (* second evidence channel: what the static oracle would have said about
-     this instance, independent of the fuzz verdict — the change-set audit
-     (declaration honesty) alongside the delta oracle (introduced defects) *)
-  let static, dep_stats =
-    match if static_gate then Lazy.force applied else None with
-    | Some (g', declared, (delta, stats)) ->
-        let audit = Analysis.Audit.check ~original:g ~transformed:g' ~declared in
-        (Analysis.Report.sort (audit @ delta), stats)
-    | None -> ([], Analysis.Races.stats_zero)
+    | _ -> Some (Difftest.test_applied ~config g x site applied)
   in
   { program = pname; xform_name = x.name; site; report; static; dep_stats; verdict }
 

@@ -33,11 +33,11 @@ type instance_result = {
           gate is off or the instance analyzes clean) *)
   dep_stats : Analysis.Races.stats;
       (** exact-dependence-tier coverage of the static oracle's race check,
-          summed over the pre- and post-transformation runs ({!Analysis.Delta.verify_stats});
+          summed over the pre- and post-transformation runs ({!Analysis.Delta.between});
           {!Analysis.Races.stats_zero} when the gate is off *)
   verdict : Analysis.Equiv.verdict option;
       (** the translation validator's verdict ([None] with the gate off or
-          when the site went stale before certification) *)
+          when the transformation did not apply) *)
 }
 
 (** The journal-able summary of one instance: everything aggregation and
@@ -140,11 +140,12 @@ val items :
     static delta, and the per-state results of every state a copy left
     unchanged, across instances ({!Analysis.Delta.memo}); without it the
     instance uses its own. It keys by content, so verdicts are
-    memo-oblivious and serial and parallel runs stay byte-identical. With
-    either gate on, the transformation is applied to one copy of the
-    program, whose delta feeds the certify gate, the change-set audit and
-    the static findings. The certify gate proves only a copy that
-    validates ({!Analysis.Equiv.decide}); an invalid one is fuzzed and
+    memo-oblivious and serial and parallel runs stay byte-identical. One
+    application ({!Transforms.Xform.apply_copy}) feeds the certify gate,
+    the change-set audit, the static delta and the fuzz path
+    ({!Difftest.test_applied}); one that gives [Error] fails as invalid
+    code under every gate combination. The certify gate proves only a copy
+    that validates ({!Analysis.Equiv.decide}); an invalid one is fuzzed and
     fails as invalid code. *)
 val run_instance :
   ?memo:Analysis.Delta.memo ->

@@ -213,28 +213,24 @@ let run_trials ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transforme
       let klass = if !failures = config.trials then Semantics else Input_dependent in
       Fail { klass; first_trial; failing_trials = !failures; kind; symbols }
 
-let apply_to_copy g (x : Transforms.Xform.t) site =
-  let g' = Graph.copy g in
-  match x.apply g' site with
-  | cs -> Ok (g', cs)
-  | exception Transforms.Xform.Cannot_apply msg -> Error msg
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
-  | exception Not_found -> Error "transformation failed with Not_found"
+(* The copy to run: the application's own error, or the first structural
+   problem of a copy that applied, gives invalid code before any trial. *)
+let valid_copy = function
+  | Error msg -> Error msg
+  | Ok (g', _) -> (
+      match Validate.check g' with
+      | [] -> Ok g'
+      | e :: _ -> Error (Format.asprintf "%a" Validate.pp_error e))
+
+let invalid_failing msg =
+  let kind = Invalid_transformed msg in
+  { klass = Invalid_code; first_trial = 0; failing_trials = 0; kind; symbols = [] }
 
 let invalid_report ~xform_name ~site ~cut ~elapsed msg =
   {
     xform_name;
     site;
-    verdict =
-      Fail
-        {
-          klass = Invalid_code;
-          first_trial = 0;
-          failing_trials = 0;
-          kind = Invalid_transformed msg;
-          symbols = [];
-        };
+    verdict = Fail (invalid_failing msg);
     cutout = cut;
     min_cut_stats = None;
     shrink_stats = None;
@@ -242,10 +238,11 @@ let invalid_report ~xform_name ~site ~cut ~elapsed msg =
     elapsed_s = elapsed;
   }
 
-let test_instance ?(config = default_config) g (x : Transforms.Xform.t) site =
+let test_applied ?(config = default_config) g (x : Transforms.Xform.t) site applied =
   let t0 = Unix.gettimeofday () in
-  (* 1. change isolation: white-box change set from applying T to a copy *)
-  match apply_to_copy g x site with
+  (* 1. change isolation: the white-box change set of the caller's
+     application of T to a copy *)
+  match applied with
   | Error msg ->
       let dummy =
         {
@@ -280,74 +277,62 @@ let test_instance ?(config = default_config) g (x : Transforms.Xform.t) site =
         else (cut, None)
       in
       (* 4. apply T to the cutout *)
-      match apply_to_copy cut.program x site with
+      match valid_copy (Transforms.Xform.apply_copy x cut.program site) with
       | Error msg ->
           invalid_report ~xform_name:x.name ~site ~cut ~elapsed:(Unix.gettimeofday () -. t0) msg
-      | Ok (transformed, _) -> (
-          match Validate.check transformed with
-          | e :: _ ->
-              invalid_report ~xform_name:x.name ~site ~cut
-                ~elapsed:(Unix.gettimeofday () -. t0)
-                (Format.asprintf "%a" Validate.pp_error e)
-          | [] ->
-              (* 5. the transformation may introduce reads of prior contents
-                 (e.g. an overwrite turned into an accumulation); extend the
-                 input configuration with T(c)'s externally visible reads *)
-              let original_reads = Propagate.program_reads cut.program in
-              let extra_inputs =
-                List.filter
-                  (fun c ->
-                    (not (List.mem c cut.input_config))
-                    && (not (List.mem c original_reads))
-                    &&
-                    match Graph.container_opt transformed c with
-                    | Some d -> not d.transient
-                    | None -> false)
-                  (Propagate.program_reads transformed)
-              in
-              let cut =
-                { cut with Cutout.input_config = List.sort compare (cut.input_config @ extra_inputs) }
-              in
-              (* 6. constraints + differential fuzzing *)
-              let constraints =
-                Constraints.derive ~max_size:config.max_size
-                  ~custom:config.custom_constraints ~original:g cut
-              in
-              let verdict =
-                run_trials ~config ~constraints ~cut ~original_prog:cut.program
-                  ~transformed_prog:transformed
-              in
-              {
-                xform_name = x.name;
-                site;
-                verdict;
-                cutout = cut;
-                min_cut_stats;
-                shrink_stats;
-                trials_run = config.trials;
-                elapsed_s = Unix.gettimeofday () -. t0;
-              }))
+      | Ok transformed ->
+          (* 5. the transformation may introduce reads of prior contents
+             (e.g. an overwrite turned into an accumulation); extend the
+             input configuration with T(c)'s externally visible reads *)
+          let original_reads = Propagate.program_reads cut.program in
+          let extra_inputs =
+            List.filter
+              (fun c ->
+                (not (List.mem c cut.input_config))
+                && (not (List.mem c original_reads))
+                &&
+                match Graph.container_opt transformed c with
+                | Some d -> not d.transient
+                | None -> false)
+              (Propagate.program_reads transformed)
+          in
+          let cut =
+            { cut with Cutout.input_config = List.sort compare (cut.input_config @ extra_inputs) }
+          in
+          (* 6. constraints + differential fuzzing *)
+          let constraints =
+            Constraints.derive ~max_size:config.max_size ~custom:config.custom_constraints
+              ~original:g cut
+          in
+          let verdict =
+            run_trials ~config ~constraints ~cut ~original_prog:cut.program
+              ~transformed_prog:transformed
+          in
+          {
+            xform_name = x.name;
+            site;
+            verdict;
+            cutout = cut;
+            min_cut_stats;
+            shrink_stats;
+            trials_run = config.trials;
+            elapsed_s = Unix.gettimeofday () -. t0;
+          })
 
-let probe ~config ~valuation g x site =
+let test_instance ?config g x site =
+  test_applied ?config g x site (Transforms.Xform.apply_copy x g site)
+
+let probe ~config ~valuation g x site applied =
   let pinned = List.map (fun (s, v) -> (s, (v, v))) valuation in
-  test_instance
+  test_applied
     ~config:{ config with trials = 1; custom_constraints = pinned @ config.custom_constraints }
-    g x site
+    g x site applied
 
 let test_whole_program ?(config = default_config) g (x : Transforms.Xform.t) site =
   let t0 = Unix.gettimeofday () in
-  match apply_to_copy g x site with
-  | Error msg ->
-      ( Fail
-          {
-            klass = Invalid_code;
-            first_trial = 0;
-            failing_trials = 0;
-            kind = Invalid_transformed msg;
-            symbols = [];
-          },
-        Unix.gettimeofday () -. t0 )
-  | Ok (transformed, _) ->
+  match valid_copy (Transforms.Xform.apply_copy x g site) with
+  | Error msg -> (Fail (invalid_failing msg), Unix.gettimeofday () -. t0)
+  | Ok transformed ->
       (* whole-program pseudo-cutout: inputs and system state are all
          externally visible containers *)
       let ext = Graph.external_containers g in

@@ -97,11 +97,24 @@ val sweep :
   (string * int) list * (string * float array) list ->
   run * run
 
-(** Test one transformation instance through the full FuzzyFlow pipeline:
-    apply-to-copy for the change set, cutout extraction, optional input
-    minimization, constraint derivation, differential fuzzing. Trials run
-    one at a time through one {!sweep}, so compiled programs live exactly
-    as long as the instance's trial loop. *)
+(** [test_applied g x site applied] tests one transformation instance
+    through the full FuzzyFlow pipeline, given the caller's application of
+    [x] to a copy of [g] ({!Transforms.Xform.apply_copy}), which it only
+    reads: cutout extraction from its change set, optional input
+    minimization, application to the cutout, constraint derivation,
+    differential fuzzing. An [Error], or a transformed cutout that fails
+    validation, is [Invalid_code] at [first_trial = 0]. Trials run one at a
+    time through one {!sweep}, so compiled programs live exactly as long as
+    the instance's trial loop. *)
+val test_applied :
+  ?config:config ->
+  Sdfg.Graph.t ->
+  Transforms.Xform.t ->
+  Transforms.Xform.site ->
+  (Sdfg.Graph.t * Sdfg.Diff.change_set, string) result ->
+  report
+
+(** {!test_applied} after [Transforms.Xform.apply_copy x g site]. *)
 val test_instance :
   ?config:config ->
   Sdfg.Graph.t ->
@@ -109,21 +122,25 @@ val test_instance :
   Transforms.Xform.site ->
   report
 
-(** [probe ~config ~valuation g x site] is {!test_instance} under [config]
-    with one trial, every symbol of [valuation] pinned to its value: a
-    directed probe at a solver witness. Pinned names the cutout does not
-    sample are ignored by constraint derivation. *)
+(** [probe ~config ~valuation g x site applied] is {!test_applied} under
+    [config] with one trial, every symbol of [valuation] pinned to its
+    value: a directed probe at a solver witness. Pinned names the cutout
+    does not sample are ignored by constraint derivation. *)
 val probe :
   config:config ->
   valuation:(string * int) list ->
   Sdfg.Graph.t ->
   Transforms.Xform.t ->
   Transforms.Xform.site ->
+  (Sdfg.Graph.t * Sdfg.Diff.change_set, string) result ->
   report
 
 (** Baseline: run the whole program against its transformed version (no
-    cutout) — what the paper's 528× speedup is measured against. Returns the
-    verdict and elapsed seconds. *)
+    cutout) — what the paper's 528× speedup is measured against. Invalid
+    code is classified as {!test_applied} classifies it: an application
+    that gives [Error], or a transformed program that fails
+    {!Sdfg.Validate.check}, fails as [Invalid_code] with [first_trial = 0].
+    Returns the verdict and elapsed seconds. *)
 val test_whole_program :
   ?config:config ->
   Sdfg.Graph.t ->

@@ -87,10 +87,9 @@ let of_report ?(config = Difftest.default_config) ~original ~(xform : Transforms
   | None -> None
   | Some tc when tc.symbols = [] && tc.inputs = [] -> None
   | Some tc -> (
-      let transformed = Graph.copy report.cutout.program in
-      match xform.apply transformed report.site with
-      | exception _ -> None
-      | _ ->
+      match Transforms.Xform.apply_copy xform report.cutout.program report.site with
+      | Error _ -> None
+      | Ok (transformed, _) ->
           Some
             (locate ~threshold:config.threshold ~step_limit:config.step_limit
                ~cutout:report.cutout ~transformed ~symbols:tc.symbols ~inputs:tc.inputs ()))

@@ -61,89 +61,78 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
          has it *)
       let sites = x.find !current in
       let live = ref (lazy sites) in
-      (* a passing instance lands on a copy that replaces the program, so an
-         application that raises leaves the program as it was *)
-      let commit site decision =
-        let g' = Sdfg.Graph.copy !current in
-        match x.apply g' site with
-        | _ ->
-            current := g';
-            live := lazy (x.find g');
-            decision
-        | exception Transforms.Xform.Cannot_apply msg -> Stale msg
-      in
       let decide site =
         if not (List.mem site (Lazy.force !live)) then
           Stale "site gone after an earlier rewrite"
         else
-          (* static pre-gate: veto with evidence before spending any trials.
-             The change-set audit takes precedence — a declared change set
-             that under-approximates the true diff would make the cutout (and
-             so every trial) test the wrong subprogram. One application on a
-             copy serves the audit, the delta and certification; the
-             transformed copy and its delta ride along for the latter. *)
-          let static_verdict =
-            if static_gate then
-              match Analysis.Delta.apply ~memo ~symbols !current x site with
-              | None -> None
-              | Some (g', declared, (delta, _)) ->
-                  let findings =
-                    match Analysis.Audit.check ~original:!current ~transformed:g' ~declared with
-                    | [] -> delta
-                    | audit_findings -> audit_findings
-                  in
-                  Some (findings, Some (g', delta))
-            else Some ([], None)
+          (* one application on a copy of the current program serves the
+             audit, the delta, certification, the probes and the fuzz path;
+             a passing instance adopts that copy as the next version. The
+             program is replaced, never mutated, so an instance that fails
+             or raises leaves it as it was. Only an application that gave a
+             copy can pass. *)
+          let applied = Transforms.Xform.apply_copy x !current site in
+          let commit decision =
+            Result.iter
+              (fun (g', _) ->
+                current := g';
+                live := lazy (x.find g'))
+              applied;
+            decision
           in
-          match static_verdict with
-          | None -> Stale "static gate: site no longer matches"
-          | Some ((_ :: _ as findings), _) ->
-              (* a race finding decided by the exact dependence tier carries a
-                 solver witness; feed it to the fuzzer as a directed seed — one
-                 pinned trial corroborating the static veto dynamically (pinned
-                 names the cutout does not sample are simply ignored) *)
-              (match List.find_map Analysis.Races.witness_of_finding findings with
-              | Some valuation -> (
-                  incr witness_probes;
-                  match Difftest.probe ~config ~valuation !current x site with
-                  | { verdict = Difftest.Fail _; _ } -> incr witness_confirmed
-                  | { verdict = Difftest.Pass; _ } | (exception _) -> ())
-              | None -> ());
-              Rejected_static findings
-          | Some ([], transformed) -> (
-              let fuzz () =
-                match Difftest.test_instance ~config !current x site with
-                | { verdict = Difftest.Pass; _ } -> commit site Applied
-                | { verdict = Difftest.Fail f; _ } -> Rejected f
+          let probe valuation = Difftest.probe ~config ~valuation !current x site applied in
+          let fuzz () =
+            match Difftest.test_applied ~config !current x site applied with
+            | { verdict = Difftest.Pass; _ } -> commit Applied
+            | { verdict = Difftest.Fail f; _ } -> Rejected f
+          in
+          match applied with
+          | Ok (g', declared) when static_gate -> (
+              (* static pre-gate: veto with evidence before spending any
+                 trials. The change-set audit takes precedence — a declared
+                 change set that under-approximates the true diff would make
+                 the cutout (and so every trial) test the wrong subprogram. *)
+              let delta, _ = Analysis.Delta.between ~memo ~symbols !current g' in
+              let findings =
+                match Analysis.Audit.check ~original:!current ~transformed:g' ~declared with
+                | [] -> delta
+                | audit_findings -> audit_findings
               in
-              (* translation validation: a proved-equivalent instance whose
-                 copy validates is applied without spending a single trial;
-                 a refutation witness seeds one cheap probe trial pinned to
-                 the witness valuation before the full-budget run *)
-              let verdict =
-                Option.map
-                  (fun (g', delta) ->
-                    Analysis.Equiv.decide ~memo ~symbols ~delta !current g' x site)
-                  transformed
-              in
-              match verdict with
-              | Some (Analysis.Equiv.Equivalent cert) -> commit site (Proved_equivalent cert)
-              | Some (Analysis.Equiv.Refuted w) -> (
-                  match Difftest.probe ~config ~valuation:w.valuation !current x site with
-                  | { verdict = Difftest.Fail f; _ } -> Rejected f
-                  | { verdict = Difftest.Pass; _ } -> fuzz ())
-              | Some (Analysis.Equiv.Unknown _) | None -> fuzz ())
+              match findings with
+              | _ :: _ ->
+                  (* a race finding decided by the exact dependence tier
+                     carries a solver witness; feed it to the fuzzer as a
+                     directed seed — one pinned trial corroborating the
+                     static veto dynamically (pinned names the cutout does
+                     not sample are simply ignored) *)
+                  (match List.find_map Analysis.Races.witness_of_finding findings with
+                  | Some valuation -> (
+                      incr witness_probes;
+                      match probe valuation with
+                      | { verdict = Difftest.Fail _; _ } -> incr witness_confirmed
+                      | { verdict = Difftest.Pass; _ } | (exception _) -> ())
+                  | None -> ());
+                  Rejected_static findings
+              | [] -> (
+                  (* translation validation: a proved-equivalent instance
+                     whose copy validates is applied without spending a
+                     single trial; a refutation witness seeds one cheap probe
+                     trial pinned to the witness valuation before the
+                     full-budget run *)
+                  match Analysis.Equiv.decide ~memo ~symbols ~delta !current g' x site with
+                  | Analysis.Equiv.Equivalent cert -> commit (Proved_equivalent cert)
+                  | Analysis.Equiv.Refuted w -> (
+                      match probe w.valuation with
+                      | { verdict = Difftest.Fail f; _ } -> Rejected f
+                      | { verdict = Difftest.Pass; _ } -> fuzz ())
+                  | Analysis.Equiv.Unknown _ -> fuzz ()))
+          | Ok _ | Error _ -> fuzz ()
       in
       List.iter
         (fun site ->
           (* an exception that escapes one instance settles it, unapplied, as
              [Campaign.run] settles a crashed instance *)
-          let decision =
-            match decide site with
-            | d -> d
-            | exception Transforms.Xform.Cannot_apply msg -> Stale msg
-            | exception e -> Crashed (Printexc.to_string e)
-          in
+          let decision = try decide site with e -> Crashed (Printexc.to_string e) in
           steps := { xform_name = x.name; site; decision } :: !steps)
         sites)
     xforms;

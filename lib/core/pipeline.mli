@@ -17,13 +17,15 @@
     a proved-equivalent instance is applied with {e zero} fuzz trials and
     its certificate recorded; a refuted
     instance gets one probe trial pinned to the refutation witness before
-    the full-budget run; unknowns fall through to ordinary fuzzing. The
-    change-set audit, the oracle and the validator all analyze one
-    application of the instance to a copy of the current program, and the
-    unchanged program's half of the oracle's delta is computed once per
-    version of the current program. One memo ({!Analysis.Delta.memo})
-    serves the whole call, so a version re-analyzes only the states the
-    step that made it changed. *)
+    the full-budget run; unknowns fall through to ordinary fuzzing. One
+    application of the instance to a copy of the current program
+    ({!Transforms.Xform.apply_copy}) serves the change-set audit, the
+    oracle, the validator, the probes and the fuzz path, and an instance
+    that passes adopts that copy as the next version; one that does not
+    apply is rejected as invalid code. The unchanged program's half of the
+    oracle's delta is computed once per version of the current program.
+    One memo ({!Analysis.Delta.memo}) serves the whole call, so a version
+    re-analyzes only the states the step that made it changed. *)
 
 type decision =
   | Applied

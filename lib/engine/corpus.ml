@@ -66,12 +66,12 @@ let check_reproduces ~catalog (m : meta) (tc : Testcase.t) =
   match Transforms.Registry.by_name catalog m.xform with
   | None -> (false, "unknown transformation " ^ m.xform)
   | Some x -> (
-      let transformed = Sdfg.Graph.copy tc.cutout.program in
-      match (try `Applied (x.apply transformed m.site) with e -> `Failed e) with
-      | `Failed _ ->
+      (* a case read from disk fails to apply on any exception *)
+      match (try Transforms.Xform.apply_copy x tc.cutout.program m.site with _ -> Error "") with
+      | Error _ ->
           if m.klass = "invalid-code" then (true, "transformation still fails to apply")
           else (false, "transformation no longer applies")
-      | `Applied _ ->
+      | Ok (transformed, _) ->
           if Sdfg.Validate.check transformed <> [] then
             if m.klass = "invalid-code" then (true, "transformed cutout still invalid")
             else (false, "transformed cutout became invalid")

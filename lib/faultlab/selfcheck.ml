@@ -112,8 +112,7 @@ let concretize_all g = List.map (fun s -> (s, 8)) (Sdfg.Graph.all_free_syms g)
    (the translation validator's refutation model, or a race finding's
    solver witness). The directed replay and localization run here. *)
 let transform_result ~config ~expected_containers g mutated site (ir : Campaign.instance_result) =
-  (* [verdict] is [None] only when the site went stale before the gates
-     analyzed it *)
+  (* [verdict] is [None] only when the transformation did not apply *)
   let audit_flagged =
     Option.map
       (fun _ ->
@@ -134,7 +133,8 @@ let transform_result ~config ~expected_containers g mutated site (ir : Campaign.
     | None -> None
     | Some valuation -> (
         try
-          match (Difftest.probe ~config ~valuation g mutated site).Difftest.verdict with
+          let applied = Transforms.Xform.apply_copy mutated g site in
+          match (Difftest.probe ~config ~valuation g mutated site applied).Difftest.verdict with
           | Difftest.Fail _ -> Some true
           | Difftest.Pass -> Some false
         with _ -> None)

@@ -108,13 +108,39 @@ let check_state g sid (st : State.t) =
               then add (err ~state:sid (Printf.sprintf "library %s (%d): missing output %s" label id c)))
             outs)
     nodes;
+  (* Map scopes nest: the node sets of two scopes are disjoint or one
+     contains the other. An entry without an exit is reported above. *)
+  let scopes =
+    List.filter_map
+      (fun (id, n) ->
+        if not (Node.is_map_entry n) then None
+        else
+          match State.exit_of st id with
+          | _ -> Some (id, State.scope_nodes st id)
+          | exception Not_found -> None)
+      nodes
+  in
+  let within s s' = List.for_all (fun n -> List.mem n s') s in
+  let rec nest = function
+    | [] -> ()
+    | (a, sa) :: rest ->
+        List.iter
+          (fun (b, sb) ->
+            if List.exists (fun n -> List.mem n sb) sa && not (within sa sb || within sb sa) then
+              add
+                (err ~state:sid
+                   (Printf.sprintf "map scopes %d and %d overlap without nesting" a b)))
+          rest;
+        nest rest
+  in
+  nest scopes;
   (* GPU storage discipline: memlets attached to tasklets inside GPU-scheduled
      scopes must reference device-resident containers. *)
   let gpu_entries =
     List.filter_map
       (fun (id, n) ->
         match n with
-        | Node.Map_entry { schedule = Node.Gpu_device; _ } -> Some id
+        | Node.Map_entry { schedule = Node.Gpu_device; _ } when List.mem_assoc id scopes -> Some id
         | _ -> None)
       nodes
   in

@@ -29,6 +29,15 @@ type t = {
   certify_hint : certify_hint option;
 }
 
+let apply_copy x g site =
+  let g' = Graph.copy g in
+  match x.apply g' site with
+  | cs -> Ok (g', cs)
+  | exception Cannot_apply msg -> Error msg
+  | exception Failure msg -> Error msg
+  | exception Invalid_argument msg -> Error msg
+  | exception Not_found -> Error "transformation failed with Not_found"
+
 let subst_symbol_in_state st sym expr =
   let map = Symbolic.Expr.Env.singleton sym expr in
   List.iter

@@ -51,6 +51,15 @@ type t = {
   certify_hint : certify_hint option;
 }
 
+(** [apply_copy x g site] applies [x] at [site] to a copy of [g], leaving
+    [g] as it was, and returns the copy with its declared change set. It is
+    the one place a program is copied and transformed: [Cannot_apply],
+    [Failure], [Invalid_argument] and [Not_found] give [Error] with their
+    message, and any other exception escapes, so a worker's deadline never
+    becomes a verdict. *)
+val apply_copy :
+  t -> Sdfg.Graph.t -> site -> (Sdfg.Graph.t * Sdfg.Diff.change_set, string) result
+
 (** {1 Helpers shared by concrete transformations} *)
 
 (** Substitute a symbol throughout one state: memlet subsets, map ranges and

@@ -414,7 +414,9 @@ let campaign_order_instances () =
 (* the delta of [x] at [site] through [memo], unless it equals [expected] *)
 let delta_differs ~memo g (x : Transforms.Xform.t) site expected =
   let got =
-    Option.map (fun (_, _, d) -> d) (Analysis.Delta.apply ~memo ~symbols:(symbols_of g) g x site)
+    match Transforms.Xform.apply_copy x g site with
+    | Ok (g', _) -> Some (Analysis.Delta.between ~memo ~symbols:(symbols_of g) g g')
+    | Error _ -> None
   in
   if got <> expected then
     Alcotest.failf "%s @ %s: delta differs from the reference" x.Transforms.Xform.name
@@ -605,7 +607,9 @@ let delta_tests =
         let memo = Analysis.Delta.create_memo () in
         let misses_of (x : Transforms.Xform.t) site =
           let before = snd (checks memo) in
-          ignore (Analysis.Delta.apply ~memo ~symbols g x site);
+          Result.iter
+            (fun (g', _) -> ignore (Analysis.Delta.between ~memo ~symbols g g'))
+            (Transforms.Xform.apply_copy x g site);
           snd (checks memo) - before
         in
         let tiling = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in

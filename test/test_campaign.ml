@@ -110,24 +110,72 @@ let static_delta_tests =
                ~program:("cloudsc", g) x site);
           !n
         in
+        (* one whole-program copy and one cutout, and the gates add none *)
         let fuzzing = applies ~static_gate:false ~certify_gate:false in
+        Alcotest.(check int) "ungated" 2 fuzzing;
         List.iter
           (fun (static_gate, certify_gate) ->
             Alcotest.(check int)
               (Printf.sprintf "static %b, certify %b" static_gate certify_gate)
-              (fuzzing + 1)
+              fuzzing
               (applies ~static_gate ~certify_gate))
           [ (true, false); (false, true); (true, true) ];
-        (* the guarded optimizer: one application for the audit, the delta
-           and the proof, one to the program *)
+        (* a proved instance: the one whole-program copy *)
         let g = Workloads.Npbench.scale () in
         let x, n = counting (Transforms.Map_tiling.make Transforms.Map_tiling.Correct) in
-        let _, log =
-          Pipeline.optimize
-            ~config:{ gated_config with concretization = [ ("N", 8) ] }
-            ~static_gate:true g [ x ]
+        let config = { gated_config with concretization = [ ("N", 8) ] } in
+        let r =
+          Campaign.run_instance ~config ~static_gate:true ~certify_gate:true
+            ~program:("scale", g) x (List.hd (x.Transforms.Xform.find g))
         in
-        Alcotest.(check (pair int int)) "proved and applied" (1, 2) (log.Pipeline.proved, !n));
+        Alcotest.(check (pair bool int)) "proved campaign instance" (true, 1)
+          (r.Campaign.report = None, !n);
+        (* the guarded optimizer: the copy that served the audit, the delta
+           and the proof becomes the program *)
+        n := 0;
+        let _, log = Pipeline.optimize ~config ~static_gate:true g [ x ] in
+        Alcotest.(check (pair int int)) "proved and applied" (1, 1) (log.Pipeline.proved, !n));
+    Alcotest.test_case "an apply that raises is invalid code on every path" `Quick (fun () ->
+        let g = Workloads.Npbench.scale () in
+        let tiling = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
+        let site = List.hd (tiling.Transforms.Xform.find g) in
+        let config = { gated_config with concretization = [ ("N", 8) ] } in
+        List.iter
+          (fun e ->
+            let x = { tiling with Transforms.Xform.apply = (fun _ _ -> raise e) } in
+            let what = Printexc.to_string e in
+            List.iter
+              (fun (static_gate, certify_gate) ->
+                match
+                  (Campaign.run_instance ~config ~static_gate ~certify_gate ~program:("scale", g)
+                     x site)
+                    .Campaign.report
+                with
+                | Some
+                    {
+                      Difftest.verdict =
+                        Difftest.Fail { klass = Difftest.Invalid_code; first_trial = 0; _ };
+                      _;
+                    } ->
+                    ()
+                | _ ->
+                    Alcotest.failf "%s, static %b, certify %b: not invalid code" what static_gate
+                      certify_gate)
+              [ (false, false); (true, false); (false, true); (true, true) ];
+            List.iter
+              (fun static_gate ->
+                let _, log = Pipeline.optimize ~config ~static_gate g [ x ] in
+                Alcotest.(check bool) (what ^ ": steps") true (log.Pipeline.steps <> []);
+                List.iter
+                  (fun (s : Pipeline.step) ->
+                    match s.decision with
+                    | Pipeline.Rejected { Difftest.klass = Difftest.Invalid_code; _ } -> ()
+                    | _ ->
+                        Alcotest.failf "%s, static gate %b: not rejected as invalid code" what
+                          static_gate)
+                  log.steps)
+              [ false; true ])
+          [ Failure "boom"; Invalid_argument "boom"; Not_found ]);
     Alcotest.test_case "a campaign's memo leaves every gated result unchanged" `Quick (fun () ->
         let programs = gated_programs () in
         List.iter

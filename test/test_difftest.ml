@@ -98,7 +98,37 @@ let difftest_tests =
         let v1, _ = Difftest.test_whole_program ~config g good site in
         let v2, _ = Difftest.test_whole_program ~config g bad site in
         Alcotest.(check bool) "good passes" true (v1 = Difftest.Pass);
-        Alcotest.(check bool) "bad fails" true (v2 <> Difftest.Pass));
+        Alcotest.(check bool) "bad fails" true (v2 <> Difftest.Pass);
+        (* invalid code is one class on both paths: every instance of the
+           shipped set on the Table 2 kernels *)
+        let config =
+          {
+            config with
+            trials = 3;
+            concretization = [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ];
+          }
+        in
+        let invalid = function
+          | Difftest.Fail { klass = Difftest.Invalid_code; first_trial = 0; _ } -> true
+          | _ -> false
+        in
+        let count = ref 0 in
+        List.iter
+          (fun (x : Transforms.Xform.t) ->
+            List.iter
+              (fun (name, g) ->
+                List.iter
+                  (fun site ->
+                    let cutout = invalid (Difftest.test_instance ~config g x site).verdict in
+                    let whole = invalid (fst (Difftest.test_whole_program ~config g x site)) in
+                    if cutout then incr count;
+                    if cutout <> whole then
+                      Alcotest.failf "%s on %s @ %s: invalid code through the cutout %b, whole %b"
+                        x.name name (Transforms.Xform.site_slug site) cutout whole)
+                  (x.find g))
+              (Workloads.Npbench.all () @ Workloads.Npb_frontend.all ()))
+          (Transforms.Registry.as_shipped ());
+        Alcotest.(check bool) "some instance is invalid code" true (!count > 0));
   ]
 
 let testcase_tests =

@@ -596,8 +596,10 @@ let assignment_tests =
         let g = Workloads.Cloudsc.build () in
         let x = good () in
         let site = List.hd (x.Transforms.Xform.find g) in
+        (* [Exit] is no failed application: it escapes [apply_copy] and
+           crashes the assignment *)
         let boom =
-          { x with Transforms.Xform.name = "Boom"; apply = (fun _ _ -> failwith "boom") }
+          { x with Transforms.Xform.name = "Boom"; apply = (fun _ _ -> raise Exit) }
         in
         let iconfig =
           { config with Difftest.concretization = Workloads.Cloudsc.default_symbols; trials = 2 }

@@ -100,6 +100,40 @@ let settle_tests =
           "the two StateFusion sites an earlier fusion consumed"
           [ ("StateFusion", [ 8; 9 ]); ("StateFusion", [ 1; 11 ]) ]
           stale);
+    Alcotest.test_case "cloudsc at its own symbols: no step crashes" `Quick (fun () ->
+        List.iter
+          (fun (set, xforms) ->
+            List.iter
+              (fun static_gate ->
+                let what = Printf.sprintf "%s set, static gate %b" set static_gate in
+                let config =
+                  {
+                    Difftest.default_config with
+                    trials = 1;
+                    concretization = Workloads.Cloudsc.default_symbols;
+                  }
+                in
+                let _, log =
+                  Pipeline.optimize ~config ~static_gate (Workloads.Cloudsc.build ()) (xforms ())
+                in
+                check_settled log;
+                Alcotest.(check int) (what ^ ": crashed") 0 log.crashed;
+                (* the fused state's map scopes overlap without nesting *)
+                match
+                  List.find
+                    (fun (s : Pipeline.step) ->
+                      s.xform_name = "StateFusion" && s.site.Transforms.Xform.states = [ 9; 10 ])
+                    log.steps
+                with
+                | { decision = Pipeline.Rejected { Difftest.klass = Difftest.Invalid_code; _ }; _ }
+                  ->
+                    ()
+                | _ -> Alcotest.failf "%s: StateFusion 9+10 is not rejected as invalid code" what)
+              [ false; true ])
+          [
+            ("shipped", Transforms.Registry.as_shipped);
+            ("correct", Transforms.Registry.all_correct);
+          ]);
     Alcotest.test_case "bert under the static gate without a concretization" `Quick (fun () ->
         let _, log = shipped ~static_gate:true (Workloads.Bert.build ()) [] in
         check_settled log;

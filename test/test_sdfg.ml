@@ -608,6 +608,20 @@ let graph_tests =
 
 (* ---------------- validation ---------------- *)
 
+(* [st]'s nodes, ids kept, and edges as the one state of a graph *)
+let graph_of_state st =
+  let g = Graph.create "one-state" in
+  let sid = Graph.add_state g "s" in
+  let st' = Graph.state g sid in
+  List.iter (fun (id, n) -> State.add_node_with_id st' id n) (State.nodes st);
+  List.iter (fun (e : State.edge) -> ignore (State.add_edge st' e.src e.dst)) (State.edges st);
+  (g, sid)
+
+let is_overlap (e : Validate.error) =
+  let suffix = "overlap without nesting" in
+  let n = String.length e.what and k = String.length suffix in
+  n >= k && String.sub e.what (n - k) k = suffix
+
 let validate_tests =
   [
     Alcotest.test_case "valid graph passes" `Quick (fun () ->
@@ -669,6 +683,66 @@ let validate_tests =
         let c = State.add_node st (Node.Access "C") in
         ignore (State.add_edge st ~src_conn:"C" ~memlet:(Memlet.simple "C" "0:N-1, 0:N-1") l c);
         Alcotest.(check bool) "errors" true (Validate.check g <> []));
+    Alcotest.test_case "map scopes that overlap without nesting are flagged" `Quick (fun () ->
+        let st, _ = overlapping () in
+        let g, sid = graph_of_state st in
+        let e1, e2 =
+          match List.filter (fun (_, n) -> Node.is_map_entry n) (State.nodes st) with
+          | [ (e1, _); (e2, _) ] -> (e1, e2)
+          | _ -> Alcotest.fail "expected two map entries"
+        in
+        Alcotest.(check bool) "hand-built" true
+          (List.mem
+             {
+               Validate.state = Some sid;
+               what = Printf.sprintf "map scopes %d and %d overlap without nesting" e1 e2;
+             }
+             (Validate.check g));
+        (* StateFusion on CLOUDSC's states 9 and 10 *)
+        Alcotest.(check int) "cloudsc validates" 0
+          (List.length (Validate.check (Workloads.Cloudsc.build ())));
+        let errors = Validate.check (fused_cloudsc ()) in
+        Alcotest.(check bool) "fused cloudsc is flagged" true (errors <> []);
+        List.iter
+          (fun (e : Validate.error) ->
+            Alcotest.(check bool)
+              (Format.asprintf "%a" Validate.pp_error e)
+              true
+              (e.state = Some 9 && is_overlap e))
+          errors);
+    Alcotest.test_case "bundled and generated programs have nesting scopes" `Quick (fun () ->
+        let generated =
+          List.concat_map
+            (fun (style : Gen.Styles.t) ->
+              let admitted, _ = Gen.Admit.batch ~style ~seed:42 ~n:4 () in
+              List.map (fun (c : Gen.Generate.t) -> (c.name, c.graph)) admitted)
+            Gen.Styles.all
+        in
+        List.iter
+          (fun (name, g) ->
+            match Validate.check g with
+            | [] -> ()
+            | e :: _ -> Alcotest.failf "%s: %s" name (Format.asprintf "%a" Validate.pp_error e))
+          (bundled_workloads () @ generated));
+    Alcotest.test_case "an entry without an exit is one error, not an exception" `Quick
+      (fun () ->
+        List.iter
+          (fun schedule ->
+            let st = State.create "exitless" in
+            let e =
+              State.add_node st
+                (match map_entry "m" with
+                | Node.Map_entry info -> Node.Map_entry { info with schedule }
+                | n -> n)
+            in
+            let t = State.add_node st tasklet_node in
+            ignore (State.add_edge st e t);
+            let g, sid = graph_of_state st in
+            Alcotest.(check (list string))
+              "errors"
+              [ Format.asprintf "state %d: map entry %d has no matching exit" sid e ]
+              (List.map (Format.asprintf "%a" Validate.pp_error) (Validate.check g)))
+          [ Node.Sequential; Node.Gpu_device ]);
     Alcotest.test_case "all independent failures reported, sorted, deduped" `Quick (fun () ->
         (* three unrelated defects in one graph: an undeclared container, an
            unmatched map entry, and a rank-mismatched memlet — check must

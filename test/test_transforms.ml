@@ -347,6 +347,39 @@ let misc_tests =
         match x.apply g bad with
         | exception Transforms.Xform.Cannot_apply _ -> ()
         | _ -> Alcotest.fail "expected Cannot_apply");
+    Alcotest.test_case "apply_copy: a failed application is an Error, others escape" `Quick
+      (fun () ->
+        let g = Workloads.Npbench.scale () in
+        let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
+        let site = List.hd (x.find g) in
+        let before = Serialize.to_string g in
+        let unchanged what =
+          Alcotest.(check string) (what ^ ": input unchanged") before (Serialize.to_string g)
+        in
+        (* each raises after transforming the copy *)
+        let raising e = { x with apply = (fun g' site -> ignore (x.apply g' site); raise e) } in
+        List.iter
+          (fun (e, msg) ->
+            let what = Printexc.to_string e in
+            (match Transforms.Xform.apply_copy (raising e) g site with
+            | Error m -> Alcotest.(check string) what msg m
+            | Ok _ -> Alcotest.failf "%s: expected Error" what);
+            unchanged what)
+          [
+            (Transforms.Xform.Cannot_apply "stale", "stale");
+            (Failure "failed", "failed");
+            (Invalid_argument "invalid", "invalid");
+            (Not_found, "transformation failed with Not_found");
+          ];
+        (match Transforms.Xform.apply_copy (raising Exit) g site with
+        | exception Exit -> ()
+        | _ -> Alcotest.fail "Exit must escape");
+        unchanged "Exit";
+        (match Transforms.Xform.apply_copy x g site with
+        | Ok (g', _) ->
+            Alcotest.(check bool) "the copy is transformed" true (Serialize.to_string g' <> before)
+        | Error m -> Alcotest.fail m);
+        unchanged "applied");
     Alcotest.test_case "registry sets are consistent" `Quick (fun () ->
         let shipped = Transforms.Registry.as_shipped () in
         let correct = Transforms.Registry.all_correct () in
