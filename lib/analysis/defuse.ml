@@ -75,8 +75,7 @@ let check_coverage ?memo ?(symbols = []) g =
                     if not (param_only r) then None
                     else
                       match
-                        Reuse.uncovered memo ~valuation r w (fun () ->
-                            Deps.uncovered ~bounds ~symbols:valuation r w)
+                        Deps.uncovered ?memo:(Reuse.deps memo) ~bounds ~symbols:valuation r w
                       with
                       | Some (va, el) when in_shape d el ->
                           Some

@@ -168,7 +168,7 @@ let domain_constraints ~fresh name (c : Subset.crange) =
     let stride = [ L.eq p (L.add (L.const c.clo) (L.scale c.cstep k)); L.ge k (L.const 0) ] in
     if c.cstep > 1 then L.le p (L.const c.chi) :: stride else L.ge p (L.const c.chi) :: stride
 
-let overlap ~env ~bounds ~params ~primed ~write ~access =
+let decide_overlap ~env ~bounds ~params ~primed ~write ~access =
   if List.length write <> List.length access then Unknown
   else if List.exists (fun (_, c) -> Subset.crange_count c = 0) params then
     (* empty iteration domain: no two distinct iterations exist *)
@@ -252,7 +252,7 @@ let difference_systems ~bounds a b =
 let difference_systems ~bounds a b =
   match difference_systems ~bounds a b with v -> v | exception Exit -> None
 
-let equal_sets ~bounds a b =
+let decide_equal_sets ~bounds a b =
   match (difference_systems ~bounds a b, difference_systems ~bounds b a) with
   | Some sab, Some sba -> List.for_all (fun sys -> L.solve sys = L.Unsat) (sab @ sba)
   | _ -> false
@@ -288,7 +288,7 @@ let scan_for_witness ~symbols dims pins systems =
       | _ -> None)
     systems
 
-let difference_witness ~bounds ~symbols a b =
+let find_difference_witness ~bounds ~symbols a b =
   let dims = List.length a in
   let pins = pin_constraints ~symbols a b in
   let scan = scan_for_witness ~symbols dims pins in
@@ -298,13 +298,13 @@ let difference_witness ~bounds ~symbols a b =
   | None, Some sba -> scan sba
   | None, None -> None
 
-let uncovered ~bounds ~symbols a b =
+let find_uncovered ~bounds ~symbols a b =
   let pins = pin_constraints ~symbols a b in
   match difference_systems ~bounds a b with
   | Some sab -> scan_for_witness ~symbols (List.length a) pins sab
   | None -> None
 
-let disjoint_under ~bounds a b =
+let decide_disjoint_under ~bounds a b =
   if List.length a <> List.length b then false
   else
     let fresh = L.gensym () in
@@ -320,3 +320,107 @@ let disjoint_under ~bounds a b =
                 L.solve (cs @ sys) = L.Unsat)
               merged)
     | _ -> false
+
+(* ---- the query table ---------------------------------------------------- *)
+
+(* What one free symbol of the subsets contributes to an answer: the value
+   the query pins it to, or the interval bounds the solver constrains it
+   by. *)
+type fact = Pinned of int | Bounded of (int option * int option)
+
+type query = Q_overlap | Q_equal_sets | Q_disjoint_under | Q_uncovered | Q_difference_witness
+
+(* Everything an answer depends on. [params] and [primed] are [overlap]'s
+   alone; [valuation] is the witness searches' whole pinned valuation,
+   which their witnesses echo. *)
+type key = {
+  query : query;
+  a : Subset.t;
+  b : Subset.t;
+  params : (string * Subset.crange) list;
+  primed : (string * string) list;
+  valuation : (string * int) list;
+  facts : (string * fact) list;
+}
+
+type witness = (string * int) list * int list
+
+(* one table per answer type; the key's [query] tells apart the queries
+   that share one *)
+type 'v table = (int * key, 'v) Sdfg.Memo.t
+
+type memo = { verdicts : verdict table; holds : bool table; witnesses : witness option table }
+
+(* a CLOUDSC campaign asks a few dozen distinct queries *)
+let create_memo () =
+  {
+    verdicts = Sdfg.Memo.create ~capacity:4096 ();
+    holds = Sdfg.Memo.create ~capacity:4096 ();
+    witnesses = Sdfg.Memo.create ~capacity:4096 ();
+  }
+
+let memo_stats m =
+  let (h1, n1), (h2, n2), (h3, n3) =
+    (Sdfg.Memo.stats m.verdicts, Sdfg.Memo.stats m.holds, Sdfg.Memo.stats m.witnesses)
+  in
+  (h1 + h2 + h3, n1 + n2 + n3)
+
+(* A pin wins over bounds: [overlap] substitutes its pins before lowering,
+   so a pinned symbol's bounds never reach the solver. The witness
+   searches pass no [pinned]: they add their pins to the bounds as
+   constraints, so the bounds stay in their key and the pinned values are
+   in its [valuation]. *)
+let facts ?(pinned = fun _ -> None) ~bounds a b =
+  List.map
+    (fun s -> (s, match pinned s with Some v -> Pinned v | None -> Bounded (bounds s)))
+    (List.sort_uniq compare (Subset.free_syms a @ Subset.free_syms b))
+
+let key ?(params = []) ?(primed = []) ?(valuation = []) ?pinned ~bounds query a b =
+  { query; a; b; params; primed; valuation; facts = facts ?pinned ~bounds a b }
+
+(* The key behind a deep hash, as in [Reuse]: the polymorphic hash stops
+   after ten words, and keys of one query share their leading words. The
+   key is built only when there is a table to look in. *)
+let cached table memo key compute =
+  match memo with
+  | None -> compute ()
+  | Some m ->
+      let k = key () in
+      Sdfg.Memo.find_or_add (table m) (Hashtbl.hash_param 256 256 k, k) compute
+
+let overlap ?memo ~env ~bounds ~params ~primed write access =
+  cached
+    (fun m -> m.verdicts)
+    memo
+    (fun () ->
+      key ~params ~primed ~pinned:(fun s -> Expr.Env.find_opt s env) ~bounds Q_overlap write
+        access)
+    (fun () -> decide_overlap ~env ~bounds ~params ~primed ~write ~access)
+
+let equal_sets ?memo ~bounds a b =
+  cached
+    (fun m -> m.holds)
+    memo
+    (fun () -> key ~bounds Q_equal_sets a b)
+    (fun () -> decide_equal_sets ~bounds a b)
+
+let disjoint_under ?memo ~bounds a b =
+  cached
+    (fun m -> m.holds)
+    memo
+    (fun () -> key ~bounds Q_disjoint_under a b)
+    (fun () -> decide_disjoint_under ~bounds a b)
+
+let uncovered ?memo ~bounds ~symbols a b =
+  cached
+    (fun m -> m.witnesses)
+    memo
+    (fun () -> key ~valuation:symbols ~bounds Q_uncovered a b)
+    (fun () -> find_uncovered ~bounds ~symbols a b)
+
+let difference_witness ?memo ~bounds ~symbols a b =
+  cached
+    (fun m -> m.witnesses)
+    memo
+    (fun () -> key ~valuation:symbols ~bounds Q_difference_witness a b)
+    (fun () -> find_difference_witness ~bounds ~symbols a b)

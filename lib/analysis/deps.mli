@@ -31,7 +31,36 @@ type verdict =
       (** valuation of parameters and primed parameters at a shared element *)
   | Unknown
 
-(** [overlap ~env ~bounds ~params ~primed ~write ~access] decides whether the
+(** A bounded table of query answers. Every query function below takes
+    [?memo] and, given one, answers a query it has answered before from the
+    table. The key is exactly what an answer depends on:
+    - the query and the two subsets;
+    - for [overlap], the concrete parameter ranges and the primed names, and
+      for each free symbol of the subsets its [env] value, or its interval
+      bounds when [env] leaves it free ([env] is substituted before
+      solving, so a pinned symbol's bounds never reach the solver);
+    - for [uncovered] and [difference_witness], the whole pinned valuation,
+      since their witnesses echo every symbol of it, and the interval
+      bounds of each free symbol of the subsets (their pins are added to
+      the bounds, not substituted);
+    - for [equal_sets] and [disjoint_under], the interval bounds of each
+      free symbol of the subsets.
+
+    A binding or bound of a symbol free in neither subset takes no part
+    in [overlap], [equal_sets] or [disjoint_under], so the same query asked
+    under another program, state or context hits. Answers never depend on
+    the table, only their cost does. It holds at most a constant number of
+    entries per answer type ({!Sdfg.Memo}) and lives as long as the value
+    that holds it; {!Reuse} keeps one next to the static delta's other
+    tables. *)
+type memo
+
+val create_memo : unit -> memo
+
+(** [(hits, misses)] since creation; a miss computes the answer. *)
+val memo_stats : memo -> int * int
+
+(** [overlap ~env ~bounds ~params ~primed write access] decides whether the
     write region [write] (over parameter names) and the region [access] (over
     the primed names) can share an element at two {e distinct} parameter
     valuations drawn from the concrete ranges [params]. [env] pins ambient
@@ -40,19 +69,21 @@ type verdict =
     parameter to its primed copy; both ends of each pair range over the same
     concrete domain. *)
 val overlap :
+  ?memo:memo ->
   env:int Expr.Env.t ->
   bounds:(string -> int option * int option) ->
   params:(string * Subset.crange) list ->
   primed:(string * string) list ->
-  write:Subset.t ->
-  access:Subset.t ->
+  Subset.t ->
+  Subset.t ->
   verdict
 
 (** [equal_sets ~bounds a b] proves that [a] and [b] denote the same element
     set for {e every} symbol valuation admitted by [bounds] (both difference
     directions are [Unsat]). [false] means "could not prove", never "proved
     different". *)
-val equal_sets : bounds:(string -> int option * int option) -> Subset.t -> Subset.t -> bool
+val equal_sets :
+  ?memo:memo -> bounds:(string -> int option * int option) -> Subset.t -> Subset.t -> bool
 
 (** [difference_witness ~bounds ~symbols a b] searches for a verified point in
     the symmetric difference of [a] and [b]: a valuation of the declared
@@ -62,6 +93,7 @@ val equal_sets : bounds:(string -> int option * int option) -> Subset.t -> Subse
     only visible at degenerate sizes (where min/max-widened summaries of empty
     map ranges are meaningless) yields [None], not a spurious refutation. *)
 val difference_witness :
+  ?memo:memo ->
   bounds:(string -> int option * int option) ->
   symbols:(string * int) list ->
   Subset.t ->
@@ -74,6 +106,7 @@ val difference_witness :
     the use case is read-coverage, where a read set strictly inside the write
     set is fine. *)
 val uncovered :
+  ?memo:memo ->
   bounds:(string -> int option * int option) ->
   symbols:(string * int) list ->
   Subset.t ->
@@ -82,4 +115,5 @@ val uncovered :
 
 (** [disjoint_under ~bounds a b] proves [a] and [b] share no element under any
     symbol valuation admitted by [bounds]. [false] means "could not prove". *)
-val disjoint_under : bounds:(string -> int option * int option) -> Subset.t -> Subset.t -> bool
+val disjoint_under :
+  ?memo:memo -> bounds:(string -> int option * int option) -> Subset.t -> Subset.t -> bool

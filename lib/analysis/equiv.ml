@@ -46,7 +46,7 @@ let refute_from_delta ~valuation (f : Report.finding) =
           f.detail;
     }
 
-let refute_or_unknown ?(use_deps = true) ~bounds ~symbols ~valuation ~declared mismatches =
+let refute_or_unknown ?(use_deps = true) ?deps ~bounds ~symbols ~valuation ~declared mismatches =
   let grid =
     List.map
       (fun s ->
@@ -61,7 +61,7 @@ let refute_or_unknown ?(use_deps = true) ~bounds ~symbols ~valuation ~declared m
            difference is a verified witness, found without enumerating the
            symbol grid *)
         let exact =
-          if use_deps then Deps.difference_witness ~bounds ~symbols:valuation a b
+          if use_deps then Deps.difference_witness ?memo:deps ~bounds ~symbols:valuation a b
           else None
         in
         let sampled =
@@ -169,6 +169,7 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
       (* a deliberately broken transformation can leave the scope structure
          malformed; propagation failure means "cannot decide", not a crash *)
       let summarize h = Propagate.summarize ~bounds ~accesses:(Reuse.accesses memo h) h in
+      let deps = Reuse.deps memo in
       match (summarize g, summarize g') with
       | exception _ -> Unknown "memlet propagation failed on one of the programs"
       | pre, post -> (
@@ -198,7 +199,7 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
                       entries :=
                         { Certificate.container = c; side; pre = a; post = b }
                         :: !entries
-                  | Some a, Some b when use_deps && Deps.equal_sets ~bounds a b ->
+                  | Some a, Some b when use_deps && Deps.equal_sets ?memo:deps ~bounds a b ->
                       (* linear normal form differs, but the exact engine
                          proves both difference directions empty: same element
                          set for every admitted symbol valuation *)
@@ -243,7 +244,8 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
                     (List.assoc_opt c su.Propagate.reads, List.assoc_opt c su.writes)
                   with
                   | Some r, Some w ->
-                      if Deps.disjoint_under ~bounds r w then Some (Some (r, w)) else None
+                      if Deps.disjoint_under ?memo:deps ~bounds r w then Some (Some (r, w))
+                      else None
                   | _ -> Some None
                 in
                 match (side_rw pre, side_rw post) with
@@ -283,7 +285,8 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
                 | _ -> Equivalent cert)
           | [], false, _ -> Unknown "write-conflict-resolution targets changed"
           | [], _, false -> Unknown "per-container access order changed"
-          | ms, _, _ -> refute_or_unknown ~use_deps ~bounds ~symbols ~valuation ~declared ms)))
+          | ms, _, _ ->
+              refute_or_unknown ~use_deps ?deps ~bounds ~symbols ~valuation ~declared ms)))
 
 let certify ?use_intervals ?use_deps ?memo ?(symbols = []) g x site =
   match Transforms.Xform.apply_copy x g site with

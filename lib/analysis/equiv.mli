@@ -86,8 +86,11 @@ val certify :
     {!Transforms.Xform.apply_copy} returned for [x] at [site] on [g], and
     [delta] the findings of [Delta.between g g'] under [symbols]. With
     [memo], the two summaries take their per-state accesses from its
-    tables, where the delta's own analysis of both programs left them; the
-    joins and the comparison always run. *)
+    tables, where the delta's own analysis of both programs left them, and
+    the exact engine's set comparisons and witness searches take the
+    answers of queries asked before from its query table ({!Deps.memo});
+    the joins and the comparison always run. The certificate's own
+    re-check ({!Certificate.check}) never uses the memo. *)
 val decide :
   ?use_intervals:bool ->
   ?use_deps:bool ->

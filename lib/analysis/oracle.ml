@@ -7,7 +7,7 @@ let analyze_stats ?memo ?(carried = false) ?symbols g =
   let ctx = Context.make ?symbols ~facts:(Intervals.concrete_bounds ?symbols g facts) g in
   let check =
     Reuse.checks memo ~carried ctx g (fun sid st ->
-        let rfs, s = Races.check_state_stats ~carried ctx g sid st in
+        let rfs, s = Races.check_state_stats ~carried ?memo:(Reuse.deps memo) ctx g sid st in
         (rfs @ Bounds.check_state ctx g sid st, s))
   in
   let per_state, stats =

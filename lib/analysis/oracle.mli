@@ -20,7 +20,9 @@ val analyze :
     bounds results and the footprint pass's per-state accesses are served
     from its tables ({!Reuse}) when their content keys match: a state is
     analyzed again only if its content, the analysis context or the
-    container table changed. The interval facts, the context, the def-use,
+    container table changed, and then its race pass takes the answers of
+    dependence queries asked before from the memo's query table
+    ({!Deps.memo}). The interval facts, the context, the def-use,
     liveness and reaching-definitions passes and the footprint join always
     run.
     Results do not depend on [memo]. *)

@@ -256,8 +256,8 @@ let witness_of_finding (f : Report.finding) =
              (String.split_on_char ',' s))
       with _ -> None)
 
-let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : Node.map_info)
-    =
+let check_scope ?(carried = false) ?(exact = true) ?memo ctx g sid st ~entry
+    ~(info : Node.map_info) =
   if info.params = [] then ([], stats_zero)
   else
     let env0 = scope_env ctx st ~entry ~info in
@@ -368,9 +368,9 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
                       let verdict =
                         if not exact then Deps.Unknown
                         else
-                          Deps.overlap ~env:env0 ~bounds:(Context.bounds_fn ctx)
+                          Deps.overlap ?memo ~env:env0 ~bounds:(Context.bounds_fn ctx)
                             ~params:(List.combine info.params cranges)
-                            ~primed ~write:w.subset ~access:a_primed
+                            ~primed w.subset a_primed
                       in
                       match verdict with
                       | Deps.Disjoint ->
@@ -408,12 +408,12 @@ let check_scope ?(carried = false) ?(exact = true) ctx g sid st ~entry ~(info : 
           (List.map (Report.with_meta meta) !findings, !stats)
         end
 
-let check_state_stats ?carried ?exact ctx g sid st =
+let check_state_stats ?carried ?exact ?memo ctx g sid st =
   List.fold_left
     (fun (fs, st_acc) (nid, n) ->
       match n with
       | Node.Map_entry info ->
-          let fs', s = check_scope ?carried ?exact ctx g sid st ~entry:nid ~info in
+          let fs', s = check_scope ?carried ?exact ?memo ctx g sid st ~entry:nid ~info in
           (fs @ fs', stats_add st_acc s)
       | _ -> (fs, st_acc))
     ([], stats_zero) (State.nodes st)

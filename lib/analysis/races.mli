@@ -53,10 +53,13 @@ val witness_of_finding : Report.finding -> (string * int) list option
 
 (** [exact] (default [true]) controls the exact dependence tier; disabling it
     restores the pure sampled behavior (used by benchmarks and consistency
-    tests). *)
+    tests). With [memo], the tier's {!Deps.overlap} queries are answered
+    from its table when asked before; findings and counters do not depend
+    on it. *)
 val check_state_stats :
   ?carried:bool ->
   ?exact:bool ->
+  ?memo:Deps.memo ->
   Context.t ->
   Graph.t ->
   int ->

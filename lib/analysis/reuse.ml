@@ -41,20 +41,17 @@ type 'b t = {
   checks :
     (int * ((bool * string * containers) * content), Report.finding list * Races.stats) Memo.t;
   accesses : (int * (containers * content), Propagate.access list) Memo.t;
-  uncovered :
-    ( int * ((string * int) list * Symbolic.Subset.t * Symbolic.Subset.t),
-      ((string * int) list * int list) option )
-    Memo.t;
+  deps : Deps.memo;
 }
 
 (* entries per table: a program version holds its whole program in its key;
-   a CLOUDSC side adds 11 states and a few dozen coverage queries *)
+   a CLOUDSC side adds 11 states *)
 let create () =
   {
     baselines = Memo.create ();
     checks = Memo.create ~capacity:4096 ();
     accesses = Memo.create ~capacity:4096 ();
-    uncovered = Memo.create ~capacity:4096 ();
+    deps = Deps.create_memo ();
   }
 
 let baseline (m : _ t) ~symbols g f = Memo.find_or_add m.baselines (keyed (program ~symbols g)) f
@@ -63,7 +60,7 @@ type stats = {
   baselines : int * int;
   checks : int * int;
   accesses : int * int;
-  uncovered : int * int;
+  deps : int * int;
 }
 
 let stats (m : _ t) =
@@ -71,7 +68,7 @@ let stats (m : _ t) =
     baselines = Memo.stats m.baselines;
     checks = Memo.stats m.checks;
     accesses = Memo.stats m.accesses;
-    uncovered = Memo.stats m.uncovered;
+    deps = Deps.memo_stats m.deps;
   }
 
 let checks memo ~carried ctx g f =
@@ -90,7 +87,4 @@ let accesses memo g =
         Memo.find_or_add m.accesses (keyed (containers, content sid st)) (fun () ->
             Propagate.state_accesses g st)
 
-let uncovered memo ~valuation r w f =
-  match memo with
-  | None -> f ()
-  | Some (m : _ t) -> Memo.find_or_add m.uncovered (keyed (valuation, r, w)) f
+let deps memo = Option.map (fun (m : _ t) -> m.deps) memo

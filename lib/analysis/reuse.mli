@@ -15,8 +15,12 @@
     - {b accesses}: one state's {!Sdfg.Propagate.state_accesses}. Key: the
       container table and the state's content. They do not depend on
       symbol bounds, so one entry serves every summary of the state.
-    - {b uncovered}: one {!Deps.uncovered} query of the read-coverage check.
-      Key: the pinned valuation and the read and write subsets.
+    - {b deps}: one exact dependence query ({!Deps.memo}): the race
+      check's {!Deps.overlap}, the coverage check's {!Deps.uncovered} and
+      {!Equiv.decide}'s set comparisons and witness searches. Key: the
+      query's subsets and everything else its answer depends on (pinned
+      values, interval bounds, parameter ranges, primed names), so the
+      same query asked in another scope, state, program or copy hits.
 
     Apart from the context's print, keys are structural values compared
     with [compare]: a state's nodes and edges and the container
@@ -28,7 +32,8 @@
     {!Sdfg.Memo}: it holds at most a constant number of entries and is
     emptied wholesale when full. The
     tables live as long as the value that holds them; there is no
-    process-global table.
+    process-global table. {!Certificate.check} never uses one, so an
+    [Equivalent] certificate is re-checked from scratch.
 
     The value also holds one per-program table of ['b]: the static delta
     keeps its unchanged program's half there ({!Delta.memo}). Its key is the
@@ -51,7 +56,7 @@ type stats = {
   baselines : int * int;
   checks : int * int;
   accesses : int * int;
-  uncovered : int * int;
+  deps : int * int;
 }
 
 val stats : _ t -> stats
@@ -73,13 +78,6 @@ val checks :
     {!Sdfg.Propagate.summarize}'s [~accesses]. *)
 val accesses : _ t option -> Graph.t -> int -> State.t -> Propagate.access list
 
-(** [uncovered memo ~valuation r w f] is [f ()], served from [memo] when
-    given. [f] must be a function of the key alone: the coverage check's
-    bounds follow from the valuation's symbols. *)
-val uncovered :
-  _ t option ->
-  valuation:(string * int) list ->
-  Symbolic.Subset.t ->
-  Symbolic.Subset.t ->
-  (unit -> ((string * int) list * int list) option) ->
-  ((string * int) list * int list) option
+(** [deps memo] is [memo]'s dependence query table, for the [?memo] of
+    the {!Deps} query functions. *)
+val deps : _ t option -> Deps.memo option

@@ -110,8 +110,9 @@ let with_deadline ~deadline_s ~expire f =
    deadline; [expire] receives the [Timed_out] reply from the alarm handler.
    The worker keeps one piece of state across assignments, the static
    delta's memo: it keys by content, so every gated instance on a program
-   shares the unchanged program's half of its delta and every state its
-   copy left unchanged, and verdicts are memo-oblivious. Compiled programs
+   shares the unchanged program's half of its delta, every state its copy
+   left unchanged and every dependence query asked before, and verdicts
+   are memo-oblivious. Compiled programs
    live inside each instance. An assignment that timed out or crashed may
    have been interrupted inside a baseline whose oracle swallowed the
    deadline's exception and stored what it had, so it leaves the worker

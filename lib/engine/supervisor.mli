@@ -6,8 +6,9 @@
     connection: a version handshake, then assignments, each run in-process
     under an alarm deadline. The one piece of worker state kept across
     assignments is the static delta's memo ({!Analysis.Delta.memo}): each
-    program's baseline and the per-state results its transformed copies
-    share; compiled programs live inside each instance.
+    program's baseline, the per-state results its transformed copies
+    share and the answers of the dependence queries decided so far;
+    compiled programs live inside each instance.
     A local worker replies [Timed_out] and ends its process at the
     deadline, so no code in an instance can catch it. The dispatcher owns
     heartbeats, deadline overruns, requeue and a typed failure taxonomy. A

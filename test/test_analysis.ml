@@ -424,6 +424,7 @@ let delta_differs ~memo g (x : Transforms.Xform.t) site expected =
   got
 
 let checks memo = (Analysis.Delta.memo_stats memo).Analysis.Reuse.checks
+let deps memo = (Analysis.Delta.memo_stats memo).Analysis.Reuse.deps
 
 (* two states: "init" sets k on its edge to "shift", which reads x[i + k] *)
 let shifted ~k =
@@ -558,18 +559,28 @@ let delta_tests =
               b
         in
         let flagged = ref 0 in
+        (* the dependence table's hits and misses during CLOUDSC's instances *)
+        let cloudsc_hits = ref 0 and cloudsc_misses = ref 0 in
         List.iter
           (fun (pname, g, x, site) ->
             let expected =
               reference_verify_stats ~base:(base pname g) ~symbols:(symbols_of g) g x site
             in
-            match delta_differs ~memo g x site expected with
+            let h0, m0 = deps memo in
+            (match delta_differs ~memo g x site expected with
             | Some (_ :: _, _) -> incr flagged
-            | _ -> ())
+            | _ -> ());
+            if pname = "cloudsc" then begin
+              let h1, m1 = deps memo in
+              cloudsc_hits := !cloudsc_hits + h1 - h0;
+              cloudsc_misses := !cloudsc_misses + m1 - m0
+            end)
           (campaign_order_instances ());
         Alcotest.(check bool) "some instance has a non-empty delta" true (!flagged > 0);
         let hits, misses = checks memo in
-        Alcotest.(check bool) "most per-state checks are served" true (hits > misses));
+        Alcotest.(check bool) "most per-state checks are served" true (hits > misses);
+        Alcotest.(check bool) "most of CLOUDSC's dependence queries are served" true
+          (!cloudsc_hits > !cloudsc_misses));
     Alcotest.test_case "one memo across a pipeline's program versions equals the reference"
       `Quick (fun () ->
         (* each correct transformation's first site is checked on the current
@@ -627,6 +638,39 @@ let delta_tests =
            context differs *)
         Alcotest.(check int) "an interstate edit re-checks every state" states
           (misses_of sae (List.hd (sae.Transforms.Xform.find g))));
+    Alcotest.test_case "certify gives the same verdicts through one memo as through fresh ones"
+      `Quick (fun () ->
+        (* every CLOUDSC site of both transformation sets, certified through
+           one memo that accumulates every query, and again with a memo per
+           site; an Equivalent certificate must also re-check without one *)
+        let g = Workloads.Cloudsc.build () in
+        let symbols = symbols_of g in
+        let memo = Analysis.Delta.create_memo () in
+        let sites =
+          List.concat_map
+            (fun (x : Transforms.Xform.t) ->
+              List.map (fun site -> (x, site)) (x.Transforms.Xform.find g))
+            (Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ())
+        in
+        let proved = ref 0 in
+        List.iter
+          (fun ((x : Transforms.Xform.t), site) ->
+            let shared = Analysis.Equiv.certify ~memo ~symbols g x site in
+            let fresh = Analysis.Equiv.certify ~symbols g x site in
+            if shared <> fresh then
+              Alcotest.failf "%s @ %s: the shared memo changed the verdict" x.name
+                (Transforms.Xform.site_slug site);
+            match shared with
+            | Some (Analysis.Equiv.Equivalent cert) ->
+                incr proved;
+                if not (Analysis.Certificate.check cert) then
+                  Alcotest.failf "%s @ %s: the certificate does not re-check" x.name
+                    (Transforms.Xform.site_slug site)
+            | _ -> ())
+          sites;
+        Alcotest.(check bool) "some site is proved" true (!proved > 0);
+        let hits, misses = deps memo in
+        Alcotest.(check bool) "the shared memo serves dependence queries" true (hits > misses));
     Alcotest.test_case "an interstate edit re-checks unchanged states" `Quick (fun () ->
         unchanged_state_gains_finding (shifted ~k:0) (shifted ~k:1));
     Alcotest.test_case "a container change re-checks unchanged states" `Quick (fun () ->

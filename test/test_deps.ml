@@ -134,7 +134,7 @@ let deps_tests =
         let params = [ ("i", { Subset.clo = 0; chi = 3; cstep = 1 }) ] in
         let v =
           Analysis.Deps.overlap ~env:Expr.Env.empty ~bounds:unbounded ~params
-            ~primed:[ ("i", "i'") ] ~write ~access
+            ~primed:[ ("i", "i'") ] write access
         in
         Alcotest.(check bool) "disjoint" true (v = Analysis.Deps.Disjoint);
         (* overlapping stencil: A[i : i+1] vs A[i' : i'+1] *)
@@ -142,7 +142,7 @@ let deps_tests =
         let a2 = [ range (Expr.sym "i'") (Expr.add (Expr.sym "i'") (i 1)) (i 1) ] in
         match
           Analysis.Deps.overlap ~env:Expr.Env.empty ~bounds:unbounded ~params
-            ~primed:[ ("i", "i'") ] ~write:w2 ~access:a2
+            ~primed:[ ("i", "i'") ] w2 a2
         with
         | Analysis.Deps.Overlap model ->
             (* the witness must be two distinct in-domain iterations whose
@@ -159,7 +159,7 @@ let deps_tests =
         let params = [ ("i", { Subset.clo = 0; chi = -1; cstep = 1 }) ] in
         Alcotest.(check bool) "disjoint" true
           (Analysis.Deps.overlap ~env:Expr.Env.empty ~bounds:unbounded ~params
-             ~primed:[ ("i", "i'") ] ~write:w ~access:a
+             ~primed:[ ("i", "i'") ] w a
           = Analysis.Deps.Disjoint));
     Alcotest.test_case "equal_sets: same grid under different spellings" `Quick (fun () ->
         let bounds s = if s = "N" then (Some 1, None) else (None, None) in
@@ -316,11 +316,237 @@ let corpus_tests =
           (all_workloads ()));
   ]
 
+(* ---- the query table: one memo never changes an answer ------------------- *)
+
+module D = Analysis.Deps
+module G = QCheck.Gen
+
+(* Everything a query is asked under. [env] pins symbols for [overlap],
+   [valuation] for the witness searches. *)
+type ctx = {
+  env : (string * int) list;
+  bounds : (string * (int option * int option)) list;
+  params : (string * Subset.crange) list;
+  primed : (string * string) list;
+  valuation : (string * int) list;
+}
+
+type query = Overlap | Equal_sets | Disjoint_under | Uncovered | Difference_witness
+
+let queries = [ Overlap; Equal_sets; Disjoint_under; Uncovered; Difference_witness ]
+
+type answer =
+  | Verdict of D.verdict
+  | Holds of bool
+  | Witness of ((string * int) list * int list) option
+
+let ask ?memo q (a, b) c =
+  let bounds s = Option.value ~default:(None, None) (List.assoc_opt s c.bounds) in
+  let symbols = c.valuation in
+  match q with
+  | Overlap ->
+      Verdict
+        (D.overlap ?memo ~env:(Expr.Env.of_list c.env) ~bounds ~params:c.params
+           ~primed:c.primed a b)
+  | Equal_sets -> Holds (D.equal_sets ?memo ~bounds a b)
+  | Disjoint_under -> Holds (D.disjoint_under ?memo ~bounds a b)
+  | Uncovered -> Witness (D.uncovered ?memo ~bounds ~symbols a b)
+  | Difference_witness -> Witness (D.difference_witness ?memo ~bounds ~symbols a b)
+
+(* up to two free program symbols; the write ranges over i, j and the
+   access over their primed copies *)
+let syms = [ "N"; "M" ]
+
+let gen_affine vars =
+  G.(
+    let* c0 = int_range (-2) 5 in
+    let* terms = list_size (int_range 0 2) (pair (oneofl vars) (int_range 1 2)) in
+    return
+      (List.fold_left
+         (fun e (v, c) -> Expr.add e (Expr.mul (i c) (Expr.sym v)))
+         (i c0) terms))
+
+let gen_range ?lo vars =
+  G.(
+    let* lo = match lo with Some e -> return e | None -> gen_affine vars in
+    let* extent =
+      oneof
+        [
+          map i (int_range 0 4);
+          map (fun s -> Expr.sub (Expr.sym s) (i 1)) (oneofl syms);
+        ]
+    in
+    let* step = int_range 1 4 in
+    return (range lo (Expr.add lo extent) (i step)))
+
+(* 1-3 dimensions; [with_n] makes N free in the write's first dimension *)
+let gen_pair ?(with_n = false) () =
+  G.(
+    let* dims = int_range 1 3 in
+    let* first =
+      if with_n then map (fun e -> Expr.add (Expr.sym "N") e) (gen_affine [ "i"; "j" ])
+      else gen_affine ([ "i"; "j" ] @ syms)
+    in
+    let* w0 = gen_range ~lo:first ([ "i"; "j" ] @ syms) in
+    let* w = list_repeat (dims - 1) (gen_range ([ "i"; "j" ] @ syms)) in
+    let* a = list_repeat dims (gen_range ([ "i'"; "j'" ] @ syms)) in
+    return (w0 :: w, a))
+
+let gen_bound =
+  G.(
+    let* lo = opt (int_range 0 6) in
+    let* hi = opt (int_range 0 9) in
+    return (lo, Option.map (fun h -> h + Option.value ~default:0 lo) hi))
+
+let gen_crange =
+  G.(
+    let* clo = int_range 0 3 in
+    let* len = int_range (-1) 6 in
+    let* cstep = int_range 1 3 in
+    return { Subset.clo; chi = clo + len; cstep })
+
+let gen_ctx =
+  G.(
+    let* pins = list_repeat 2 (opt (int_range 1 10)) in
+    let* bounds = list_repeat 2 gen_bound in
+    let* ci, cj = pair gen_crange gen_crange in
+    let pinned =
+      List.filter_map (fun (s, v) -> Option.map (fun v -> (s, v)) v) (List.combine syms pins)
+    in
+    return
+      {
+        env = pinned;
+        bounds = List.combine syms bounds;
+        params = [ ("i", ci); ("j", cj) ];
+        primed = [ ("i", "i'"); ("j", "j'") ];
+        valuation = pinned;
+      })
+
+(* a context next to [c] that a careless key would confuse with it *)
+let gen_variant c =
+  G.(
+    let* s = oneofl syms in
+    let* v = int_range 1 10 in
+    let* b = gen_bound in
+    oneofl
+      [
+        { c with env = (s, v) :: List.remove_assoc s c.env };
+        { c with env = List.remove_assoc s c.env };
+        { c with bounds = (s, b) :: List.remove_assoc s c.bounds };
+        { c with valuation = (s, v) :: List.remove_assoc s c.valuation };
+        { c with env = ("K", v) :: c.env; valuation = c.valuation @ [ ("K", v) ] };
+        { c with params = ("i", { Subset.clo = 0; chi = v; cstep = 1 }) :: List.tl c.params };
+      ])
+
+let print_pair (a, b) = Subset.to_string a ^ " vs " ^ Subset.to_string b
+
+let print_ctx c =
+  let kv l = String.concat "," (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) l) in
+  let opt = function Some n -> string_of_int n | None -> "_" in
+  Printf.sprintf "{env %s; bounds %s; valuation %s; params %s}" (kv c.env)
+    (String.concat ","
+       (List.map (fun (s, (lo, hi)) -> Printf.sprintf "%s:%s..%s" s (opt lo) (opt hi)) c.bounds))
+    (kv c.valuation)
+    (String.concat ","
+       (List.map
+          (fun (p, (r : Subset.crange)) -> Printf.sprintf "%s=%d:%d:%d" p r.clo r.chi r.cstep)
+          c.params))
+
+(* a few pairs, each asked every query under a base context and its
+   variants, in random order *)
+let gen_session =
+  G.(
+    let* pairs = list_size (int_range 1 3) (gen_pair ()) in
+    let* base = gen_ctx in
+    let* variants = list_size (int_range 2 4) (gen_variant base) in
+    let asks =
+      List.concat_map
+        (fun q -> List.concat_map (fun p -> List.map (fun c -> (q, p, c)) (base :: variants)) pairs)
+        queries
+    in
+    shuffle_l asks)
+
+let arb_session =
+  QCheck.make
+    ~print:(fun asks ->
+      String.concat "\n" (List.map (fun (_, p, c) -> print_pair p ^ " under " ^ print_ctx c) asks))
+    gen_session
+
+let prop_memo_answers =
+  QCheck.Test.make ~name:"every query through one memo gives its memo-less answer" ~count:150
+    arb_session (fun asks ->
+      let memo = D.create_memo () in
+      List.for_all (fun (q, p, c) -> ask ~memo q p c = ask q p c) asks)
+
+(* [q] through [memo] computes ([`Miss]) or is served ([`Hit]) *)
+let outcome memo q p c =
+  let _, before = D.memo_stats memo in
+  ignore (ask ~memo q p c);
+  if snd (D.memo_stats memo) > before then `Miss else `Hit
+
+let arb_keyed =
+  QCheck.make
+    ~print:(fun (p, c) -> print_pair p ^ " under " ^ print_ctx c)
+    G.(pair (gen_pair ~with_n:true ()) gen_ctx)
+
+let prop_key_separates =
+  QCheck.Test.make
+    ~name:"a query misses when an input of its answer differs, and hits when only an unused \
+           binding does"
+    ~count:150 arb_keyed (fun (p, c) ->
+      let memo = D.create_memo () in
+      let expect want q c = outcome memo q p c = want in
+      (* N is free in the write: [at v] pins it, [within hi] leaves it to
+         its bounds *)
+      let at v =
+        {
+          c with
+          env = ("N", v) :: List.remove_assoc "N" c.env;
+          valuation = ("N", v) :: List.remove_assoc "N" c.valuation;
+        }
+      in
+      let within hi =
+        {
+          c with
+          env = List.remove_assoc "N" c.env;
+          valuation = List.remove_assoc "N" c.valuation;
+          bounds = ("N", (Some 1, Some hi)) :: List.remove_assoc "N" c.bounds;
+        }
+      in
+      let n = Option.value ~default:5 (List.assoc_opt "N" c.env) in
+      let pinned = at n in
+      let overlap =
+        expect `Miss Overlap pinned
+        && expect `Miss Overlap (at (n + 1))
+        && expect `Miss Overlap (within 9)
+        && expect `Miss Overlap (within 10)
+        && expect `Miss Overlap { pinned with primed = [ ("i", "i''"); ("j", "j''") ] }
+        && expect `Hit Overlap { pinned with env = ("K", 3) :: pinned.env }
+      in
+      let witness q =
+        expect `Miss q pinned
+        && expect `Miss q (at (n + 1))
+        && expect `Miss q (within 9)
+        && expect `Miss q (within 10)
+        && expect `Miss q { pinned with valuation = pinned.valuation @ [ ("K", 3) ] }
+        && expect `Hit q pinned
+      in
+      let holds q =
+        expect `Miss q (within 9)
+        && expect `Miss q (within 10)
+        && expect `Hit q { (within 10) with bounds = ("K", (Some 0, None)) :: (within 10).bounds }
+      in
+      overlap && witness Uncovered && witness Difference_witness && holds Equal_sets
+      && holds Disjoint_under)
+
+let memo_tests = List.map QCheck_alcotest.to_alcotest [ prop_memo_answers; prop_key_separates ]
+
 let () =
   Alcotest.run "deps"
     [
       ("linsys", linsys_tests);
       ("deps", deps_tests);
+      ("memo", memo_tests);
       ("propagate", propagate_tests);
       ("corpus", corpus_tests);
     ]

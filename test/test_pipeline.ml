@@ -192,6 +192,49 @@ let stress_tests =
         (* the batch is fixed by its seed: a smaller count means fewer
            sites matched, and less of the pipelines was exercised *)
         Alcotest.(check int) "steps over the batch" 800 !steps);
+    Alcotest.test_case "proved instances of generated programs pass 20 fuzz trials" `Quick
+      (fun () ->
+        (* for each generator seed, four admitted programs of every style
+           under both transformation sets: a gated campaign (one memo over
+           all of its instances) and an ungated one at 20 trials. An
+           instance the gated campaign proves must not fail the ungated
+           one, as invalid code or otherwise. *)
+        let proved = ref 0 in
+        List.iter
+          (fun seed ->
+            let programs =
+              List.concat_map
+                (fun style ->
+                  List.map
+                    (fun (c : Gen.Generate.t) -> (c.name, c.graph))
+                    (fst (Gen.Admit.batch ~style ~seed ~n:4 ())))
+                Gen.Styles.all
+            in
+            let concretization =
+              List.sort_uniq compare
+                (List.concat_map (fun (_, g) -> Gen.Admit.concretize g) programs)
+            in
+            let config = { Difftest.default_config with trials = 20; seed; concretization } in
+            List.iter
+              (fun xforms ->
+                let gated =
+                  Campaign.run ~config ~static_gate:true ~certify_gate:true programs (xforms ())
+                in
+                let fuzzed = Campaign.run ~config programs (xforms ()) in
+                List.iter2
+                  (fun (p : Campaign.outcome) (f : Campaign.outcome) ->
+                    if p.o_verdict = Campaign.O_proved then begin
+                      incr proved;
+                      match f.o_verdict with
+                      | Campaign.O_passed -> ()
+                      | _ ->
+                          Alcotest.failf "seed %d: %s is proved but fails the fuzz path" seed
+                            (Campaign.instance_id ~program:f.o_program ~xform:f.o_xform f.o_site)
+                    end)
+                  gated.outcomes fuzzed.outcomes)
+              [ Transforms.Registry.as_shipped; Transforms.Registry.all_correct ])
+          [ 1; 2; 3; 42 ];
+        Alcotest.(check bool) "some instance is proved" true (!proved > 0));
   ]
 
 let () =
