@@ -767,10 +767,7 @@ let analysis () =
                 List.iter
                   (fun site ->
                     incr instances;
-                    match
-                      Analysis.Equiv.certify ~use_intervals:false ~use_deps:false ~symbols g
-                        x site
-                    with
+                    match Analysis.Equiv.certify ~use_intervals:false ~symbols g x site with
                     | Some (Analysis.Equiv.Unknown _) -> (
                         incr unknown_off;
                         match Analysis.Equiv.certify ~symbols g x site with
@@ -805,14 +802,14 @@ let analysis () =
 (* ------------------------------------------------------------------ *)
 (* Exact dependence engine: what fraction of intra-scope access pairs   *)
 (* does the Fourier–Motzkin tier decide outright, what does a decision  *)
-(* cost, and how many certify verdicts does the exact tier upgrade?     *)
+(* cost, and how many instances does certify prove equivalent?         *)
 (* Gates: decided fraction >= BENCH_DEPS_MIN_FRACTION (default 0.6)     *)
-(* and full-engine Equivalent count > BENCH_DEPS_MIN_EQUIVALENT         *)
-(* (default 39, the interval-facts-only baseline).                      *)
+(* and Equivalent count > BENCH_DEPS_MIN_EQUIVALENT (default 39, the    *)
+(* count before the exact tier).                                        *)
 (* ------------------------------------------------------------------ *)
 
 let deps () =
-  header "Exact dependence engine: decided pairs, solve cost, certify upgrades";
+  header "Exact dependence engine: decided pairs, solve cost, certify verdicts";
   let min_fraction =
     match Sys.getenv_opt "BENCH_DEPS_MIN_FRACTION" with
     | Some s -> float_of_string s
@@ -869,7 +866,7 @@ let deps () =
   Printf.printf
     "exact tier: %d/%d access pairs decided (%.0f%%), %d sampled, %.3f ms per pair\n" decided
     !total.Analysis.Races.pairs (100. *. fraction) !total.Analysis.Races.sampled per_pair;
-  (* registry-wide certify sweep: exact tier off vs on *)
+  (* registry-wide certify sweep *)
   let xforms =
     Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()
     |> List.fold_left
@@ -879,7 +876,7 @@ let deps () =
          []
     |> List.rev
   in
-  let sweep ~use_deps =
+  let sweep () =
     let eq = ref 0 and refuted = ref 0 and unknown = ref 0 and n = ref 0 in
     List.iter
       (fun (_, g) ->
@@ -889,7 +886,7 @@ let deps () =
             List.iter
               (fun site ->
                 incr n;
-                match Analysis.Equiv.certify ~use_deps ~symbols g x site with
+                match Analysis.Equiv.certify ~symbols g x site with
                 | Some (Analysis.Equiv.Equivalent _) -> incr eq
                 | Some (Analysis.Equiv.Refuted _) -> incr refuted
                 | Some (Analysis.Equiv.Unknown _) -> incr unknown
@@ -899,19 +896,14 @@ let deps () =
       programs;
     (!n, !eq, !refuted, !unknown)
   in
-  let (n_off, eq_off, rf_off, un_off), t_off = time (fun () -> sweep ~use_deps:false) in
-  let (n_on, eq_on, rf_on, un_on), t_on = time (fun () -> sweep ~use_deps:true) in
-  Printf.printf
-    "certify without deps: %d instances, %d equivalent, %d refuted, %d unknown (%.2fs)\n" n_off
-    eq_off rf_off un_off t_off;
-  Printf.printf
-    "certify with deps:    %d instances, %d equivalent, %d refuted, %d unknown (%.2fs)\n" n_on
+  let (n_on, eq_on, rf_on, un_on), t_on = time sweep in
+  Printf.printf "certify: %d instances, %d equivalent, %d refuted, %d unknown (%.2fs)\n" n_on
     eq_on rf_on un_on t_on;
   let summary =
     Printf.sprintf
-      "{\"bench\":\"deps\",\"pairs\":%d,\"decided\":%d,\"sampled\":%d,\"fraction\":%.4f,\"ms_per_pair\":%.4f,\"certify_instances\":%d,\"equivalent_without_deps\":%d,\"equivalent_with_deps\":%d,\"refuted_with_deps\":%d,\"unknown_with_deps\":%d,\"min_fraction\":%.2f,\"min_equivalent\":%d}"
+      "{\"bench\":\"deps\",\"pairs\":%d,\"decided\":%d,\"sampled\":%d,\"fraction\":%.4f,\"ms_per_pair\":%.4f,\"certify_instances\":%d,\"equivalent_with_deps\":%d,\"refuted_with_deps\":%d,\"unknown_with_deps\":%d,\"min_fraction\":%.2f,\"min_equivalent\":%d}"
       !total.Analysis.Races.pairs decided !total.Analysis.Races.sampled fraction per_pair n_on
-      eq_off eq_on rf_on un_on min_fraction min_equivalent
+      eq_on rf_on un_on min_fraction min_equivalent
   in
   let rows = rows @ [ summary ] in
   let oc = open_out "BENCH_deps.json" in

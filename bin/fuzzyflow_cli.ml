@@ -629,22 +629,12 @@ let lint_cmd =
             let base = if defines = [] then default_symbols_for (Sdfg.Graph.name g) else defines in
             List.filter (fun (s, _) -> List.mem s (Sdfg.Graph.all_free_syms g)) base
           in
-          let dead_containers =
-            match Analysis.Liveness.dead_containers g with l -> l | exception _ -> []
-          in
-          let dead_writes =
-            match Analysis.Liveness.dead_writes g with l -> l | exception _ -> []
-          in
-          let reachdef = match Analysis.Reachdef.check g with l -> l | exception _ -> [] in
-          let stats =
-            match Analysis.Oracle.analyze_stats ~carried:true ~symbols g with
-            | _, s -> s
-            | exception _ -> Analysis.Races.stats_zero
-          in
-          let coverage =
-            match Analysis.Defuse.check_coverage ~symbols g with l -> l | exception _ -> []
-          in
-          (name, dead_containers, dead_writes, reachdef, stats, coverage))
+          ( name,
+            Analysis.Liveness.dead_containers g,
+            Analysis.Liveness.dead_writes g,
+            Analysis.Reachdef.check g,
+            snd (Analysis.Oracle.analyze_stats ~carried:true ~symbols g),
+            Analysis.Defuse.check_coverage ~symbols g ))
         programs
     in
     (* change-set audit over every (workload, transformation, site) instance of

@@ -21,8 +21,11 @@
     again. The whole-program passes (interval facts, def-use, liveness,
     reaching definitions, the summary joins) re-run on every copy.
 
-    A pass that itself raises is treated as producing no findings: the
-    oracle only ever vetoes with evidence. *)
+    Only a copy that passes {!Sdfg.Validate.check} is analyzed. An invalid
+    copy is the fuzz path's invalid code, not a static finding: its delta
+    has no findings and the unchanged program's counters. A pass that
+    raises on a valid program is not caught here; the exception reaches the
+    caller, which settles the instance as crashed. *)
 
 open Sdfg
 
@@ -42,8 +45,10 @@ val memo_stats : memo -> Reuse.stats
 
 (** [between ~memo ~symbols g g'] analyzes a transformed copy [g'] of [g]
     under [symbols]: the introduced findings, sorted, with the
-    exact-dependence-tier counters summed over both programs. It applies
-    nothing, so the caller's one application serves every gate. *)
+    exact-dependence-tier counters summed over both programs. When [g']
+    fails validation, [g'] is not analyzed: no findings, and [g]'s counters
+    alone. It applies nothing, so the caller's one application serves every
+    gate. *)
 val between :
   memo:memo ->
   symbols:(string * int) list ->

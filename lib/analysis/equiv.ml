@@ -46,30 +46,13 @@ let refute_from_delta ~valuation (f : Report.finding) =
           f.detail;
     }
 
-let refute_or_unknown ?(use_deps = true) ?deps ~bounds ~symbols ~valuation ~declared mismatches =
-  let grid =
-    List.map
-      (fun s ->
-        let hi = match List.assoc_opt s symbols with Some v -> Stdlib.max 2 v | None -> 9 in
-        (s, (1, hi)))
-      declared
-  in
+let refute_or_unknown ?deps ~bounds ~valuation mismatches =
   let concrete (c, side, pa, pb) =
     match (pa, pb) with
     | Some a, Some b -> (
-        (* the exact tier first: a Fourier-Motzkin model of the symmetric
-           difference is a verified witness, found without enumerating the
-           symbol grid *)
-        let exact =
-          if use_deps then Deps.difference_witness ?memo:deps ~bounds ~symbols:valuation a b
-          else None
-        in
-        let sampled =
-          match exact with
-          | Some _ -> exact
-          | None -> Subset.difference_witness ~symbols:grid a b
-        in
-        match sampled with
+        (* a Fourier-Motzkin model of the symmetric difference at the
+           reference valuation is a verified witness *)
+        match Deps.difference_witness ?memo:deps ~bounds ~symbols:valuation a b with
         | Some (va, el) ->
             Some
               (Refuted
@@ -108,8 +91,7 @@ let refute_or_unknown ?(use_deps = true) ?deps ~bounds ~symbols ~valuation ~decl
                "propagated %s set of %s differs symbolically; no concrete witness found"
                (Certificate.side_name side) c))
 
-let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
-    (x : Transforms.Xform.t) site =
+let decide ?(use_intervals = true) ?memo ~symbols ~delta g g' (x : Transforms.Xform.t) site =
   (* program parameters: declared symbols, anything a container shape
      mentions, and whatever the caller chose to concretize — hand-built
      graphs do not always call [add_symbol] *)
@@ -127,32 +109,34 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
         (s, match List.assoc_opt s symbols with Some v -> v | None -> default_size))
       declared
   in
-  (* any introduced error refutes; so does an introduced race at any
+  (* only a copy that validates is analyzed: equal summaries say nothing
+     about well-formed code, and only a valid copy may skip its fuzz trials.
+     Then any introduced error refutes; so does an introduced race at any
      severity — a carried-dependence warning that was not there before means
      the transformation reordered accesses to concretely overlapping
      elements, which is exactly the divergence the fuzzer should chase *)
   match
-    List.filter
-      (fun (f : Report.finding) -> f.severity = Report.Error || f.pass = Report.Race)
-      delta
+    ( Validate.check g',
+      List.filter
+        (fun (f : Report.finding) -> f.severity = Report.Error || f.pass = Report.Race)
+        delta )
   with
-  | f :: _ -> refute_from_delta ~valuation f
-  | [] -> (
+  | e :: _, _ ->
+      Unknown (Format.asprintf "the transformed program fails validation: %a" Validate.pp_error e)
+  | [], f :: _ -> refute_from_delta ~valuation f
+  | [], [] -> (
       (* Interstate-assigned symbols (loop counters, alias chains) are not
          program parameters, so a summary mentioning one is normally
          undecidable. When the transformation leaves the interstate CFG
          untouched, such a symbol runs through the {e same} value sequence on
          both sides — it can be admitted into the comparison as an opaque
          parameter, with the interval fixpoint supplying its bounds. Only
-         symbols the fixpoint actually bounds are admitted, and the
-         refutation grid still ranges over true parameters only. *)
+         symbols the fixpoint actually bounds are admitted. *)
       let cfg_untouched =
         (Sdfg.Diff.compute ~original:g ~transformed:g').Sdfg.Diff.states = []
       in
       let interval_facts =
-        if use_intervals && cfg_untouched then
-          match Intervals.facts ~symbols g with fs -> fs | exception _ -> []
-        else []
+        if use_intervals && cfg_untouched then Intervals.facts ~symbols g else []
       in
       let admitted_bounds = Intervals.concrete_bounds ~symbols g interval_facts in
       let admitted = List.map fst admitted_bounds in
@@ -166,13 +150,9 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
           | Some b -> b
           | None -> (None, None)
       in
-      (* a deliberately broken transformation can leave the scope structure
-         malformed; propagation failure means "cannot decide", not a crash *)
       let summarize h = Propagate.summarize ~bounds ~accesses:(Reuse.accesses memo h) h in
       let deps = Reuse.deps memo in
-      match (summarize g, summarize g') with
-      | exception _ -> Unknown "memlet propagation failed on one of the programs"
-      | pre, post -> (
+      let pre = summarize g and post = summarize g' in
       let stray su =
         List.filter
           (fun s -> not (List.mem s comparable))
@@ -199,7 +179,7 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
                       entries :=
                         { Certificate.container = c; side; pre = a; post = b }
                         :: !entries
-                  | Some a, Some b when use_deps && Deps.equal_sets ?memo:deps ~bounds a b ->
+                  | Some a, Some b when Deps.equal_sets ?memo:deps ~bounds a b ->
                       (* linear normal form differs, but the exact engine
                          proves both difference directions empty: same element
                          set for every admitted symbol valuation *)
@@ -234,24 +214,19 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
              disjoint from its write set on both sides: reads commute with
              writes they can never touch *)
           let waiver_of c =
-            if not use_deps then None
+            let wproj o = List.filter (fun (_, k) -> k <> `R) (ev c o) in
+            if wproj pre.order <> wproj post.order then None
             else
-              let wproj o = List.filter (fun (_, k) -> k <> `R) (ev c o) in
-              if wproj pre.order <> wproj post.order then None
-              else
-                let side_rw (su : Propagate.summary) =
-                  match
-                    (List.assoc_opt c su.Propagate.reads, List.assoc_opt c su.writes)
-                  with
-                  | Some r, Some w ->
-                      if Deps.disjoint_under ?memo:deps ~bounds r w then Some (Some (r, w))
-                      else None
-                  | _ -> Some None
-                in
-                match (side_rw pre, side_rw post) with
-                | Some pre_rw, Some post_rw ->
-                    Some { Certificate.w_container = c; pre_rw; post_rw }
-                | _ -> None
+              let side_rw (su : Propagate.summary) =
+                match (List.assoc_opt c su.Propagate.reads, List.assoc_opt c su.writes) with
+                | Some r, Some w ->
+                    if Deps.disjoint_under ?memo:deps ~bounds r w then Some (Some (r, w))
+                    else None
+                | _ -> Some None
+              in
+              match (side_rw pre, side_rw post) with
+              | Some pre_rw, Some post_rw -> Some { Certificate.w_container = c; pre_rw; post_rw }
+              | _ -> None
           in
           let waivers = List.filter_map waiver_of reordered in
           let order_ok = List.length waivers = List.length reordered in
@@ -278,20 +253,15 @@ let decide ?(use_intervals = true) ?(use_deps = true) ?memo ~symbols ~delta g g'
                       (Printf.sprintf
                          "summaries match but the transformation is marked unsound (%s)"
                          why)
-                | _ when Validate.check g' <> [] ->
-                    (* equal summaries say nothing about well-formed code,
-                       and only a valid copy may skip its fuzz trials *)
-                    Unknown "summaries match, but the transformed program fails validation"
                 | _ -> Equivalent cert)
           | [], false, _ -> Unknown "write-conflict-resolution targets changed"
           | [], _, false -> Unknown "per-container access order changed"
-          | ms, _, _ ->
-              refute_or_unknown ~use_deps ?deps ~bounds ~symbols ~valuation ~declared ms)))
+          | ms, _, _ -> refute_or_unknown ?deps ~bounds ~valuation ms))
 
-let certify ?use_intervals ?use_deps ?memo ?(symbols = []) g x site =
+let certify ?use_intervals ?memo ?(symbols = []) g x site =
   match Transforms.Xform.apply_copy x g site with
   | Error _ -> None
   | Ok (g', _) ->
       let memo = match memo with Some m -> m | None -> Delta.create_memo () in
       let delta, _ = Delta.between ~memo ~symbols g g' in
-      Some (decide ?use_intervals ?use_deps ~memo ~symbols ~delta g g' x site)
+      Some (decide ?use_intervals ~memo ~symbols ~delta g g' x site)

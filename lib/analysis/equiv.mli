@@ -17,18 +17,20 @@
       re-checks independently ({!Certificate.check}).
       {b Sound to act on}: the pipeline may skip fuzz trials.
     - [Refuted w] — a definite dataflow difference with a concrete symbol
-      valuation (and, when element enumeration succeeds, one element of the
+      valuation (and, when the exact dependence engine finds one at the
+      reference valuation, {!Deps.difference_witness}, one element of the
       symmetric set difference). The valuation seeds the fuzzer; a spurious
       refutation costs only trials that would have run anyway.
-    - [Unknown] — the analysis could not decide (unpropagated control-flow
-      symbols, ordering changes with equal sets, a transformed program
-      that fails validation although its summaries match, or a
-      transformation marked {!Transforms.Xform.Known_unsound} whose
-      summaries nevertheless match — the hint vetoes certification, never
-      the other verdicts).
+    - [Unknown] — a transformed program that fails validation (the reason
+      names its first error; nothing is analyzed), or the analysis could
+      not decide (unpropagated control-flow symbols, ordering changes with
+      equal sets, or a transformation marked
+      {!Transforms.Xform.Known_unsound} whose summaries nevertheless match —
+      the hint vetoes certification, never the other verdicts).
 
-    A transformation-introduced static finding — any error, or a race at
-    any severity — refutes before the summaries are compared. Those
+    For a copy that validates, a transformation-introduced static finding —
+    any error, or a race at any severity — refutes before the summaries are
+    compared. Those
     findings are the static delta ({!Delta}), the same one the static gate
     reports, so a caller running both gates computes it once and hands it
     to {!decide}.
@@ -57,14 +59,11 @@ val pp_verdict : Format.formatter -> verdict -> unit
     seed behaviour (those summaries stay [Unknown]); the [bench analysis]
     scenario measures the verdicts upgraded by this flag.
 
-    [use_deps] (default [true]) enables the exact dependence engine
-    ({!Deps}): summaries whose linear normal forms differ are still matched
-    when both difference directions are provably empty (tile-boundary
-    [min]/[max] redundancy), refutation witnesses come from a verified
-    Fourier–Motzkin model before any grid enumeration, and per-container
-    order changes are waived when reads are provably disjoint from writes.
-    Disabling it reproduces the PR 6 behaviour; [bench deps] and
-    [bench analysis] measure the verdicts this tier upgrades.
+    The exact dependence engine ({!Deps}) matches summaries whose linear
+    normal forms differ when both difference directions are provably empty
+    (tile-boundary [min]/[max] redundancy), gives the refutation witnesses,
+    and waives per-container order changes when reads are provably disjoint
+    from writes.
 
     [memo] serves the unchanged program's half of the static delta and
     the per-state results both programs share ({!Delta.memo}); a caller
@@ -73,7 +72,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
     it. *)
 val certify :
   ?use_intervals:bool ->
-  ?use_deps:bool ->
   ?memo:Delta.memo ->
   ?symbols:(string * int) list ->
   Sdfg.Graph.t ->
@@ -93,7 +91,6 @@ val certify :
     re-check ({!Certificate.check}) never uses the memo. *)
 val decide :
   ?use_intervals:bool ->
-  ?use_deps:bool ->
   ?memo:Delta.memo ->
   symbols:(string * int) list ->
   delta:Report.finding list ->

@@ -45,9 +45,4 @@ let check ?memo ?(symbols = []) g =
     | Some v -> (Some v, Some v)
     | None -> if List.mem s declared then (Some 1, None) else (None, None)
   in
-  (* propagation over a malformed graph (e.g. a partially extracted cutout)
-     must degrade to "no findings", not abort the whole oracle *)
-  let accesses = Reuse.accesses memo g in
-  match check_summary g bounds (Propagate.summarize ~bounds ~accesses g) with
-  | fs -> fs
-  | exception _ -> []
+  check_summary g bounds (Propagate.summarize ~bounds ~accesses:(Reuse.accesses memo g) g)

@@ -3,7 +3,7 @@ let analyze_stats ?memo ?(carried = false) ?symbols g =
      bounds to a concrete range contributes its endpoints as candidate
      values for the per-state checks — and its interval enters the exact
      dependence tier as constraints *)
-  let facts = try Intervals.facts ?symbols g with _ -> [] in
+  let facts = Intervals.facts ?symbols g in
   let ctx = Context.make ?symbols ~facts:(Intervals.concrete_bounds ?symbols g facts) g in
   let check =
     Reuse.checks memo ~carried ctx g (fun sid st ->
@@ -17,10 +17,9 @@ let analyze_stats ?memo ?(carried = false) ?symbols g =
         (fs @ fs', Races.stats_add acc s))
       ([], Races.stats_zero) (Sdfg.Graph.states g)
   in
-  let interstate =
-    try Liveness.check g @ Reachdef.check g with _ -> []
-  in
-  ( Report.sort (per_state @ Defuse.check g @ interstate @ Footprint.check ?memo ?symbols g),
+  ( Report.sort
+      (per_state @ Defuse.check g @ Liveness.check g @ Reachdef.check g
+     @ Footprint.check ?memo ?symbols g),
     stats )
 
 let analyze ?carried ?symbols g = fst (analyze_stats ?carried ?symbols g)

@@ -8,7 +8,11 @@
     and returns the findings sorted by severity. [~carried:true] also
     reports sequential loop-carried dependences (see {!Races}); the
     default reports only definite defects, so every well-formed program —
-    including sequential stencil sweeps — analyzes clean. *)
+    including sequential stencil sweeps — analyzes clean.
+
+    The passes require a program that passes {!Sdfg.Validate.check}. On an
+    invalid one a pass may raise, and nothing here catches it: a failing
+    analysis is the caller's crash, never an empty list of findings. *)
 
 open Sdfg
 

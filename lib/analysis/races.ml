@@ -254,7 +254,7 @@ let witness_of_finding (f : Report.finding) =
                      int_of_string (String.sub kv (i + 1) (String.length kv - i - 1)) )
                | None -> raise Exit)
              (String.split_on_char ',' s))
-      with _ -> None)
+      with Failure _ | Exit -> None)
 
 let check_scope ?(carried = false) ?(exact = true) ?memo ctx g sid st ~entry
     ~(info : Node.map_info) =

@@ -110,7 +110,7 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                       incr witness_probes;
                       match probe valuation with
                       | { verdict = Difftest.Fail _; _ } -> incr witness_confirmed
-                      | { verdict = Difftest.Pass; _ } | (exception _) -> ())
+                      | { verdict = Difftest.Pass; _ } -> ())
                   | None -> ());
                   Rejected_static findings
               | [] -> (

@@ -114,9 +114,8 @@ let with_deadline ~deadline_s ~expire f =
    left unchanged and every dependence query asked before, and verdicts
    are memo-oblivious. Compiled programs
    live inside each instance. An assignment that timed out or crashed may
-   have been interrupted inside a baseline whose oracle swallowed the
-   deadline's exception and stored what it had, so it leaves the worker
-   with a fresh memo. *)
+   have been interrupted in the middle of a table update, so it leaves the
+   worker with a fresh memo. *)
 let run_with_memo (memo : Analysis.Delta.memo ref) ~catalog ~expire (a : Wire.assignment) =
   let result r_status r_payload = Wire.Result { r_idx = a.Wire.a_idx; r_status; r_payload } in
   match

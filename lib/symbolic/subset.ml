@@ -154,53 +154,6 @@ let union ?(bounds = Expr.unbounded) a b =
       (Printf.sprintf "Subset.union: %d-dim vs %d-dim subset" (List.length a) (List.length b))
   else List.map2 (union_range bounds) a b
 
-module Iset = Set.Make (struct
-  type t = int list
-
-  let compare = compare
-end)
-
-(* All concrete element index vectors of a subset, or [None] when any range
-   fails to concretize or the element count exceeds [cap]. *)
-let elements_under ?(cap = 4096) env s =
-  match concretize env s with
-  | exception _ -> None
-  | cs ->
-      if List.fold_left (fun v r -> v * crange_count r) 1 cs > cap then None
-      else
-        let rec go = function
-          | [] -> [ [] ]
-          | r :: rest ->
-              let tails = go rest in
-              List.concat_map (fun i -> List.map (fun t -> i :: t) tails) (crange_elements r)
-        in
-        Some (Iset.of_list (go cs))
-
-(* Search a small grid of symbol valuations for one under which [a] and [b]
-   cover different element sets. [symbols] gives each symbol's candidate
-   interval; a handful of values per symbol (endpoints plus midpoint) keeps
-   the grid tractable. Returns the valuation and one differing element. *)
-let difference_witness ?(cap = 4096) ~symbols a b =
-  let candidates (lo, hi) =
-    let lo = Stdlib.min lo hi and hi = Stdlib.max lo hi in
-    List.sort_uniq compare [ lo; Stdlib.min hi (lo + 1); (lo + hi) / 2; hi ]
-  in
-  let rec grid = function
-    | [] -> [ [] ]
-    | (s, range) :: rest ->
-        let tails = grid rest in
-        List.concat_map (fun v -> List.map (fun t -> (s, v) :: t) tails) (candidates range)
-  in
-  let check valuation =
-    let env = Expr.Env.of_list valuation in
-    match (elements_under ~cap env a, elements_under ~cap env b) with
-    | Some ea, Some eb ->
-        let d = Iset.union (Iset.diff ea eb) (Iset.diff eb ea) in
-        if Iset.is_empty d then None else Some (valuation, Iset.min_elt d)
-    | _ -> None
-  in
-  List.find_map check (grid symbols)
-
 let pp_range fmt { lo; hi; step } =
   if Expr.equal lo hi then Expr.pp fmt lo
   else if Expr.equal step Expr.one then Format.fprintf fmt "%a:%a" Expr.pp lo Expr.pp hi

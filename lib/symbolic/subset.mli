@@ -87,19 +87,6 @@ val equal : ?bounds:(string -> int option * int option) -> t -> t -> bool
     (scalar) subset is the unit.
     @raise Invalid_argument on a dimensionality mismatch. *)
 val union : ?bounds:(string -> int option * int option) -> t -> t -> t
-
-(** [difference_witness ~symbols a b] searches a small grid of concrete symbol
-    valuations (endpoints and midpoint of each symbol's candidate interval)
-    for one under which [a] and [b] cover different element sets. Returns the
-    valuation and one element of the symmetric difference. Valuations where
-    either subset fails to concretize or exceeds [cap] elements are skipped,
-    so [None] proves nothing. *)
-val difference_witness :
-  ?cap:int ->
-  symbols:(string * (int * int)) list ->
-  t ->
-  t ->
-  ((string * int) list * int list) option
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

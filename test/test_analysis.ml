@@ -55,6 +55,8 @@ let stencil_pair () =
 
 let finding_passes fs = List.map (fun (f : Analysis.Report.finding) -> f.pass) fs
 
+exception Alarm
+
 let oracle_tests =
   [
     Alcotest.test_case "zero findings on every bundled workload" `Quick (fun () ->
@@ -283,68 +285,64 @@ let reference_coverage ?(symbols = []) g =
     List.map (fun s -> (s, match List.assoc_opt s symbols with Some v -> v | None -> 8)) declared
   in
   let bounds s = if List.mem s declared then (Some 1, None) else (None, None) in
-  match Propagate.summarize ~bounds ~accesses:(fun _ st -> Propagate.state_accesses g st) g with
-  | exception _ -> []
-  | su ->
-      let read_accesses c =
-        List.concat_map
-          (fun (_, st) ->
-            List.filter_map
-              (fun (a : Propagate.access) ->
-                if a.Propagate.container = c && a.Propagate.kind = Propagate.Read then
-                  Some a.Propagate.subset
-                else None)
-              (Propagate.state_accesses g st))
-          (Graph.states g)
-      in
-      let env = Symbolic.Expr.Env.of_list valuation in
-      let in_shape (d : Graph.datadesc) el =
-        List.length el = List.length d.shape
-        && List.for_all2
-             (fun e dim ->
-               match Symbolic.Expr.eval env dim with n -> e >= 0 && e < n | exception _ -> false)
-             el d.shape
-      in
-      let param_only sub =
-        List.for_all (fun s -> List.mem s declared) (Symbolic.Subset.free_syms sub)
-      in
-      List.filter_map
-        (fun (c, (d : Graph.datadesc)) ->
-          if not d.transient then None
-          else
-            match List.assoc_opt c su.Propagate.writes with
-            | Some w when param_only w ->
-                List.find_map
-                  (fun r ->
-                    if not (param_only r) then None
-                    else
-                      match Analysis.Deps.uncovered ~bounds ~symbols:valuation r w with
-                      | Some (va, el) when in_shape d el ->
-                          Some
-                            (Analysis.Report.make ~pass:Analysis.Report.Use_before_def
-                               ~severity:Analysis.Report.Error ~container:c
-                               (Printf.sprintf
-                                  "transient read %s exceeds the write set %s: element \
-                                   [%s] is read but never written under {%s}"
-                                  (Symbolic.Subset.to_string r)
-                                  (Symbolic.Subset.to_string w)
-                                  (String.concat "," (List.map string_of_int el))
-                                  (String.concat ", "
-                                     (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) va))))
-                      | _ -> None)
-                  (read_accesses c)
-            | _ -> None)
-        (Graph.containers g)
+  let su = Propagate.summarize ~bounds ~accesses:(fun _ st -> Propagate.state_accesses g st) g in
+  let read_accesses c =
+    List.concat_map
+      (fun (_, st) ->
+        List.filter_map
+          (fun (a : Propagate.access) ->
+            if a.Propagate.container = c && a.Propagate.kind = Propagate.Read then
+              Some a.Propagate.subset
+            else None)
+          (Propagate.state_accesses g st))
+      (Graph.states g)
+  in
+  let env = Symbolic.Expr.Env.of_list valuation in
+  let in_shape (d : Graph.datadesc) el =
+    List.length el = List.length d.shape
+    && List.for_all2
+         (fun e dim ->
+           match Symbolic.Expr.eval env dim with
+           | n -> e >= 0 && e < n
+           | exception (Symbolic.Expr.Unbound_symbol _ | Symbolic.Expr.Division_by_zero) ->
+               false)
+         el d.shape
+  in
+  let param_only sub =
+    List.for_all (fun s -> List.mem s declared) (Symbolic.Subset.free_syms sub)
+  in
+  List.filter_map
+    (fun (c, (d : Graph.datadesc)) ->
+      if not d.transient then None
+      else
+        match List.assoc_opt c su.Propagate.writes with
+        | Some w when param_only w ->
+            List.find_map
+              (fun r ->
+                if not (param_only r) then None
+                else
+                  match Analysis.Deps.uncovered ~bounds ~symbols:valuation r w with
+                  | Some (va, el) when in_shape d el ->
+                      Some
+                        (Analysis.Report.make ~pass:Analysis.Report.Use_before_def
+                           ~severity:Analysis.Report.Error ~container:c
+                           (Printf.sprintf
+                              "transient read %s exceeds the write set %s: element \
+                               [%s] is read but never written under {%s}"
+                              (Symbolic.Subset.to_string r)
+                              (Symbolic.Subset.to_string w)
+                              (String.concat "," (List.map string_of_int el))
+                              (String.concat ", "
+                                 (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) va))))
+                  | _ -> None)
+              (read_accesses c)
+        | _ -> None)
+    (Graph.containers g)
 
 (* One side of the reference: the whole-program oracle and coverage check,
    without a memo. *)
 let reference_side ~symbols h =
-  let oracle =
-    match Analysis.Oracle.analyze_stats ~carried:true ~symbols h with
-    | r -> r
-    | exception _ -> ([], Analysis.Races.stats_zero)
-  in
-  (oracle, match reference_coverage ~symbols h with fs -> fs | exception _ -> [])
+  (Analysis.Oracle.analyze_stats ~carried:true ~symbols h, reference_coverage ~symbols h)
 
 (* The delta of two sides: the oracle before and after, and the coverage
    check before and after, diffed by container. *)
@@ -356,15 +354,19 @@ let reference_delta ((before, sb), cov_before) ((after, sa), cov_after) =
   ( Analysis.Report.sort (Analysis.Report.new_findings ~before ~after @ introduced),
     Analysis.Races.stats_add sb sa )
 
-(* The delta as two whole-program runs per side. [base] is the unchanged
-   program's side, when the caller already has it. *)
+(* The delta as two whole-program runs per side; a copy that fails
+   validation is not analyzed and leaves the unchanged program's counters.
+   [base] is the unchanged program's side, when the caller already has it. *)
 let reference_verify_stats ?base ~symbols g (x : Transforms.Xform.t) site =
   let g' = Graph.copy g in
   match x.apply g' site with
   | exception Transforms.Xform.Cannot_apply _ -> None
   | _ ->
-      let base = match base with Some b -> Lazy.force b | None -> reference_side ~symbols g in
-      Some (reference_delta base (reference_side ~symbols g'))
+      let ((_, stats), _) as base =
+        match base with Some b -> Lazy.force b | None -> reference_side ~symbols g
+      in
+      if Validate.check g' <> [] then Some ([], stats)
+      else Some (reference_delta base (reference_side ~symbols g'))
 
 (* CLOUDSC and three NPBench kernels, two of which read transient halo
    cells their writes never cover (so the coverage check flags them before
@@ -679,6 +681,75 @@ let delta_tests =
            with its shape, and a stale one would escape it *)
         Alcotest.(check int) "no footprint escape" 0
           (List.length (through_one_memo [ copied ~pad:0; copied ~pad:(-1) ])));
+    Alcotest.test_case "an invalid copy is never analyzed" `Quick (fun () ->
+        (* MapExpansion(bad-exit) leaves a map entry without its exit *)
+        let g = Workloads.Cloudsc.build () in
+        let symbols = symbols_of g in
+        let x =
+          List.find
+            (fun (x : Transforms.Xform.t) -> x.name = "MapExpansion(bad-exit)")
+            (Transforms.Registry.as_shipped ())
+        in
+        let site = List.hd (x.Transforms.Xform.find g) in
+        let g' =
+          match Transforms.Xform.apply_copy x g site with
+          | Ok (g', _) -> g'
+          | Error msg -> Alcotest.failf "did not apply: %s" msg
+        in
+        let error =
+          match Validate.check g' with
+          | e :: _ -> Format.asprintf "%a" Validate.pp_error e
+          | [] -> Alcotest.fail "the copy validates"
+        in
+        let memo = Analysis.Delta.create_memo () in
+        let findings, stats = Analysis.Delta.between ~memo ~symbols g g' in
+        Alcotest.(check int) "no findings" 0 (List.length findings);
+        Alcotest.(check bool) "the baseline's counters" true
+          (stats = snd (Analysis.Oracle.analyze_stats ~carried:true ~symbols g));
+        Alcotest.(check int) "the baseline's pairs" 43 stats.Analysis.Races.pairs;
+        Alcotest.(check (pair int int))
+          "only the baseline's states are looked up" (0, List.length (Graph.states g))
+          (checks memo);
+        match Analysis.Equiv.decide ~memo ~symbols ~delta:findings g g' x site with
+        | Analysis.Equiv.Unknown why ->
+            let n = String.length error in
+            let rec at i =
+              i + n <= String.length why && (String.sub why i n = error || at (i + 1))
+            in
+            if not (at 0) then Alcotest.failf "%S does not name %S" why error
+        | v -> Alcotest.failf "expected unknown, got %s" (Analysis.Equiv.verdict_name v));
+    Alcotest.test_case "a failure inside the delta escapes" `Quick (fun () ->
+        (* a one-shot alarm raises while CLOUDSC's delta is analyzed afresh
+           again and again: nothing in the analysis may take the exception
+           for a result and let the loop run to its end *)
+        let g = Workloads.Cloudsc.build () in
+        let symbols = symbols_of g in
+        let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
+        let g' =
+          match Transforms.Xform.apply_copy x g (List.hd (x.Transforms.Xform.find g)) with
+          | Ok (g', _) -> g'
+          | Error msg -> Alcotest.failf "did not apply: %s" msg
+        in
+        let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Alarm)) in
+        let disarm () =
+          ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0. });
+          Sys.set_signal Sys.sigalrm prev
+        in
+        let escaped =
+          Fun.protect ~finally:disarm (fun () ->
+              ignore
+                (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0.05 });
+              let stop = Unix.gettimeofday () +. 1. in
+              match
+                while Unix.gettimeofday () < stop do
+                  ignore
+                    (Analysis.Delta.between ~memo:(Analysis.Delta.create_memo ()) ~symbols g g')
+                done
+              with
+              | () -> false
+              | exception Alarm -> true)
+        in
+        Alcotest.(check bool) "the alarm's exception escapes" true escaped);
   ]
 
 let pipeline_tests =

@@ -633,8 +633,8 @@ let assignment_tests =
         in
         (* one worker's caches across its assignments, as on a remote
            worker: the deadline raises instead of ending the process. The
-           alarm lands wherever the instance happens to be, possibly inside
-           the oracle, which swallows exceptions. *)
+           alarm lands wherever the instance happens to be, possibly in the
+           middle of a memo table's update. *)
         match
           Engine.Supervisor.run_assignments ~catalog:[ x; boom ]
             [

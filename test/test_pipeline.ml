@@ -196,9 +196,10 @@ let stress_tests =
       (fun () ->
         (* for each generator seed, four admitted programs of every style
            under both transformation sets: a gated campaign (one memo over
-           all of its instances) and an ungated one at 20 trials. An
-           instance the gated campaign proves must not fail the ungated
-           one, as invalid code or otherwise. *)
+           all of its instances) and an ungated one at 20 trials. The gated
+           campaign kills no instance, so no analysis raised, and an
+           instance it proves must not fail the ungated one, as invalid
+           code or otherwise. *)
         let proved = ref 0 in
         List.iter
           (fun seed ->
@@ -221,6 +222,17 @@ let stress_tests =
                   Campaign.run ~config ~static_gate:true ~certify_gate:true programs (xforms ())
                 in
                 let fuzzed = Campaign.run ~config programs (xforms ()) in
+                List.iter
+                  (fun (p : Campaign.outcome) ->
+                    match p.o_status with
+                    | Campaign.Completed -> ()
+                    | s ->
+                        Alcotest.failf "seed %d: the gated campaign killed %s (%s)" seed
+                          (Campaign.instance_id ~program:p.o_program ~xform:p.o_xform p.o_site)
+                          (match s with
+                          | Campaign.Crashed { detail } -> detail
+                          | s -> Campaign.status_name s))
+                  gated.outcomes;
                 List.iter2
                   (fun (p : Campaign.outcome) (f : Campaign.outcome) ->
                     if p.o_verdict = Campaign.O_proved then begin

@@ -184,16 +184,10 @@ let subset_edge_tests =
         let n = Subset.normalize sdown in
         Alcotest.(check bool) "equal to 1:7:2" true
           (Subset.equal n [ Subset.dim ~step:(Expr.int 2) (Expr.int 1) (Expr.int 7) ]));
-    Alcotest.test_case "union and difference witness" `Quick (fun () ->
+    Alcotest.test_case "union is the larger range" `Quick (fun () ->
         let a = [ Subset.dim (Expr.int 0) (Expr.sub (Expr.sym "N") (Expr.int 1)) ]
         and b = [ Subset.dim (Expr.int 0) (Expr.sub (Expr.sym "N") (Expr.int 2)) ] in
-        let u = Subset.union a b in
-        Alcotest.(check bool) "union is the larger range" true (Subset.equal u a);
-        match Subset.difference_witness ~symbols:[ ("N", (2, 9)) ] a b with
-        | Some (valuation, el) ->
-            let n = List.assoc "N" valuation in
-            Alcotest.(check (list int)) "witness element is the last index" [ n - 1 ] el
-        | None -> Alcotest.fail "expected a difference witness");
+        Alcotest.(check bool) "union is the larger range" true (Subset.equal (Subset.union a b) a));
   ]
 
 (* properties *)
