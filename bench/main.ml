@@ -1104,7 +1104,8 @@ let faultlab () =
    so the JSON shows both the amortized and the cold story, split into
    [Plan.compile]'s two stages: the per-program stage (partial application)
    and the per-valuation stage (applying it to the symbols); [compile_ms]
-   is their sum.
+   is their sum. [plan_minor_words] is the minor-heap allocation of one
+   plan trial, averaged over the timed loop.
 
      BENCH_INTERP_TRIALS       trials per workload (default 1000)
      BENCH_INTERP_MIN_SPEEDUP  exit non-zero below this (default 1.0) *)
@@ -1131,8 +1132,8 @@ let interp () =
     ]
   in
   Printf.printf "trials per workload: %d\n" trials;
-  Printf.printf "%-10s %10s %10s %10s %12s %12s %9s\n" "workload" "compile" "program" "valuation"
-    "tree-walk" "plan" "speedup";
+  Printf.printf "%-10s %10s %10s %10s %12s %12s %9s %12s\n" "workload" "compile" "program"
+    "valuation" "tree-walk" "plan" "speedup" "words/trial";
   let worst = ref infinity in
   let rows =
     List.map
@@ -1141,16 +1142,23 @@ let interp () =
           List.map (fun s -> (s, if s = "T" then 3 else 16)) (Sdfg.Graph.all_free_syms g)
         in
         let inputs = default_inputs g ~symbols in
-        (* parity gate: a fast wrong answer is worthless *)
+        (* parity gate: a fast wrong answer is worthless. Memory is compared
+           bit for bit (a NaN matches itself, -0.0 differs from 0.0), and so
+           are the step, write and subset counters *)
         let o_tree = Interp.Exec.run_tree g ~symbols ~inputs in
         let o_plan = Interp.Exec.run g ~symbols ~inputs in
-        let same a b =
-          a.Interp.Exec.steps = b.Interp.Exec.steps
+        let bits (buf : Interp.Value.buffer) = Array.map Int64.bits_of_float buf.data in
+        let same (a : Interp.Exec.outcome) (b : Interp.Exec.outcome) =
+          a.steps = b.steps && a.writes = b.writes && a.subsets = b.subsets
+          && Hashtbl.length a.memory = Hashtbl.length b.memory
           && Hashtbl.fold
-               (fun n (buf : Interp.Value.buffer) acc ->
+               (fun n buf acc ->
                  acc
-                 && buf.data = (Interp.Value.buffer b.Interp.Exec.memory n).Interp.Value.data)
-               a.Interp.Exec.memory true
+                 &&
+                 match Interp.Value.buffer_opt b.memory n with
+                 | Some buf' -> bits buf = bits buf'
+                 | None -> false)
+               a.memory true
         in
         (match (o_tree, o_plan) with
         | Ok a, Ok b when same a b -> ()
@@ -1171,23 +1179,25 @@ let interp () =
                 ignore (Interp.Exec.run_tree g ~symbols ~inputs)
               done)
         in
+        let words_before = Gc.minor_words () in
         let _, t_plan =
           time (fun () ->
               for _ = 1 to trials do
                 ignore (Interp.Plan.execute plan ~inputs)
               done)
         in
+        let plan_words = (Gc.minor_words () -. words_before) /. float_of_int trials in
         let tps_tree = float_of_int trials /. t_tree in
         let tps_plan = float_of_int trials /. t_plan in
         let speedup = t_tree /. t_plan in
         if speedup < !worst then worst := speedup;
-        Printf.printf "%-10s %8.3fms %8.3fms %8.3fms %9.0f/s %9.0f/s %8.2fx\n" name
+        Printf.printf "%-10s %8.3fms %8.3fms %8.3fms %9.0f/s %9.0f/s %8.2fx %12.0f\n" name
           (1000. *. t_compile) (1000. *. t_program) (1000. *. t_valuation) tps_tree tps_plan
-          speedup;
+          speedup plan_words;
         Printf.sprintf
-          "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"compile_ms\":%.3f,\"program_stage_ms\":%.3f,\"valuation_stage_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f}"
+          "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"compile_ms\":%.3f,\"program_stage_ms\":%.3f,\"valuation_stage_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f,\"plan_minor_words\":%.0f}"
           name trials (1000. *. t_compile) (1000. *. t_program) (1000. *. t_valuation) tps_tree
-          tps_plan t_tree t_plan speedup)
+          tps_plan t_tree t_plan speedup plan_words)
       workloads
   in
   let oc = open_out "BENCH_interp.json" in

@@ -1,7 +1,7 @@
 (* Compile-once execution plans.
 
-   [compile] lowers a validated graph plus a symbol valuation into a flat,
-   immutable plan, in two stages. The per-program stage validates the graph
+   [compile] lowers a validated graph plus a symbol valuation into a flat
+   plan, in two stages. The per-program stage validates the graph
    and resolves scope membership once per graph (adjacency and topological
    order are the states' own indexed queries); the per-valuation stage
    concretizes shapes, compiles tasklet code to closures over an
@@ -10,6 +10,13 @@
    addresses containers by dense plan ids instead of string hashes.
    [execute] then runs the plan over fresh buffers as many times as the
    fuzzing loop needs.
+
+   Tasklet point and scalar memlets address their buffer in place: a point
+   evaluates its indices into an integer scratch of its own and folds the
+   bounds check into the row-major offset, so an access builds no index
+   array. That scratch, the tasklets' registers and their select counters
+   are the only plan state a run mutates; nothing in lib runs one plan
+   twice at once.
 
    The observable semantics — step counts, write/subset injection counters,
    coverage digests, fault messages, even the evaluation order of failing
@@ -192,10 +199,12 @@ type lrange =
 (* Classification of a memlet subset at compile time, cheapest first:
    scalar (no index computation at all), a volume-1 point whose per-dimension
    index is one closure, fully constant ranges shared across all runs, or
-   per-dimension closures. *)
+   per-dimension closures. A point owns an index scratch of its rank, which
+   every run overwrites (per-run state of the plan, like a tasklet's
+   [t_scratch]). *)
 type lsub =
   | Sscalar
-  | Spoint of (rt -> int) array
+  | Spoint of { p_fs : (rt -> int) array; p_at : int array }
   | Sconst of Symbolic.Subset.crange list
   | Sdyn of lrange array
 
@@ -227,12 +236,14 @@ let lower_subset cv sparams ~point (s : Symbolic.Subset.t) =
              s
       in
       if is_point then
-        Spoint
-          (Array.of_list
-             (List.map
-                (fun (r : Symbolic.Subset.range) ->
-                  force (lower_expr cv sparams ~interstate:false r.lo))
-                s))
+        let fs =
+          Array.of_list
+            (List.map
+               (fun (r : Symbolic.Subset.range) ->
+                 force (lower_expr cv sparams ~interstate:false r.lo))
+               s)
+        in
+        Spoint { p_fs = fs; p_at = Array.make (Array.length fs) 0 }
       else
         let ls = List.map (lower_range cv sparams) s in
         if List.for_all (function Lconst _ -> true | Ldyn _ -> false) ls then
@@ -266,7 +277,7 @@ let concretize_sub rt ls =
     | Sconst cs -> cs
     | Sdyn lrs -> (
         try Array.to_list (Array.map (eval_range rt) lrs) with e -> raise (subset_fault e))
-    | Spoint _ -> assert false (* points are evaluated by eval_point *)
+    | Spoint _ -> assert false (* points are addressed by point_offset *)
   in
   match cs with
   | [] -> cs
@@ -280,14 +291,39 @@ let concretize_sub rt ls =
       rt.subsets <- rt.subsets + 1;
       cs
 
-let eval_point rt fs =
-  let idx = try Array.map (fun f -> f rt) fs with e -> raise (subset_fault e) in
+(* Raised from a top-level function so that the in-bounds path of
+   [point_offset] allocates nothing. The fault is Value.offset's, with a copy
+   of the index: the scratch is overwritten by the next run. *)
+let point_oob (b : Value.buffer) at context =
+  raise
+    (F
+       (Out_of_bounds
+          { container = b.Value.name; index = Array.copy at; shape = b.cshape; context }))
+
+(* Address a point memlet in place: every index into the point's scratch, in
+   order (an evaluation fault wins over any bounds fault), then the
+   Shift_index injection and the subset counter, as for any dimensioned
+   subset, then the bounds check folded into the row-major offset. Validation
+   guarantees the point's rank is the buffer's. *)
+let point_offset rt (b : Value.buffer) fs at context =
+  (try
+     for d = 0 to Array.length fs - 1 do
+       at.(d) <- fs.(d) rt
+     done
+   with e -> raise (subset_fault e));
   (match rt.cfg.inject with
   | Some (Shift_index { nth_subset; delta }) when rt.subsets = nth_subset ->
-      idx.(0) <- idx.(0) + delta
+      at.(0) <- at.(0) + delta
   | _ -> ());
   rt.subsets <- rt.subsets + 1;
-  idx
+  let shape = b.cshape in
+  let off = ref 0 in
+  for d = 0 to Array.length at - 1 do
+    let i = at.(d) and n = shape.(d) in
+    if i < 0 || i >= n then point_oob b at context;
+    off := (!off * n) + i
+  done;
+  !off
 
 (* ------------------------------------------------------------------ *)
 (* Buffer references and write interception                            *)
@@ -741,12 +777,14 @@ and lower_map cv sc sid sparams nid (info : Node.map_info) =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let read_single rt (r : task_read) =
+(* A tasklet read lands straight in the connector register file. Scalar and
+   point memlets address the buffer in place; a validated scalar memlet
+   names a scalar buffer. *)
+let read_into rt scratch (r : task_read) =
   let b = getbuf rt r.rd_buf in
   match r.rd_sub with
-  | Spoint fs -> (
-      let idx = eval_point rt fs in
-      try Value.get b idx with e -> raise (oob_fault r.rd_ctx e))
+  | Sscalar -> scratch.(r.rd_slot) <- b.data.(0)
+  | Spoint { p_fs; p_at } -> scratch.(r.rd_slot) <- b.data.(point_offset rt b p_fs p_at r.rd_ctx)
   | ls ->
       let cs = concretize_sub rt ls in
       let values = try Value.read_subset b cs with e -> raise (oob_fault r.rd_ctx e) in
@@ -756,40 +794,50 @@ let read_single rt (r : task_read) =
              (Invalid_graph
                 (Printf.sprintf "%s: tasklet memlet must have volume 1 (got %d)" r.rd_ctx
                    (Array.length values))));
-      values.(0)
+      scratch.(r.rd_slot) <- values.(0)
 
-let write_single rt (w : task_write) v =
-  let b = getbuf rt w.wr_buf in
-  match w.wr_sub with
-  | Spoint fs -> (
-      let idx = eval_point rt fs in
-      let v = corrupt1 rt v in
-      try
-        match w.wr_wcr with
-        | None -> Value.set b idx v
-        | Some wc -> Value.set b idx (Memlet.apply_wcr wc (Value.get b idx) v)
-      with e -> raise (oob_fault w.wr_ctx e))
-  | ls -> (
-      let cs = concretize_sub rt ls in
-      let values = corrupt_write rt [| v |] in
-      try
-        match w.wr_wcr with
-        | None -> Value.write_subset b cs values
-        | Some wc -> Value.accumulate_subset b cs wc values
-      with e -> raise (oob_fault w.wr_ctx e))
+(* Value.set at a checked offset, after the write counter and injection:
+   the WCR combine reads the old element, then the dtype cast. *)
+let store rt (b : Value.buffer) off wcr v =
+  let v = corrupt1 rt v in
+  let v = match wcr with None -> v | Some wc -> Memlet.apply_wcr wc b.data.(off) v in
+  b.data.(off) <- Value.cast b.desc.dtype v
+
+let write_from rt scratch (w : task_write) =
+  match w.wr_src with
+  | Wmissing msg -> raise (F (Invalid_graph msg))
+  | Wslot i -> (
+      let b = getbuf rt w.wr_buf in
+      match w.wr_sub with
+      | Sscalar -> store rt b 0 w.wr_wcr scratch.(i)
+      | Spoint { p_fs; p_at } ->
+          let off = point_offset rt b p_fs p_at w.wr_ctx in
+          store rt b off w.wr_wcr scratch.(i)
+      | ls -> (
+          let cs = concretize_sub rt ls in
+          let values = corrupt_write rt [| scratch.(i) |] in
+          try
+            match w.wr_wcr with
+            | None -> Value.write_subset b cs values
+            | Some wc -> Value.accumulate_subset b cs wc values
+          with e -> raise (oob_fault w.wr_ctx e)))
 
 let exec_task rt (t : task_op) =
   (match t.t_host_fault with Some f -> raise (F f) | None -> ());
   tick rt;
-  Array.iter (fun r -> t.t_scratch.(r.rd_slot) <- read_single rt r) t.t_reads;
+  let scratch = t.t_scratch in
+  let reads = t.t_reads and assigns = t.t_assigns and writes = t.t_writes in
+  for k = 0 to Array.length reads - 1 do
+    read_into rt scratch reads.(k)
+  done;
   t.t_sel := 0;
-  Array.iter (fun (s, f) -> t.t_scratch.(s) <- f rt) t.t_assigns;
-  Array.iter
-    (fun w ->
-      match w.wr_src with
-      | Wslot i -> write_single rt w t.t_scratch.(i)
-      | Wmissing msg -> raise (F (Invalid_graph msg)))
-    t.t_writes
+  for k = 0 to Array.length assigns - 1 do
+    let s, f = assigns.(k) in
+    scratch.(s) <- f rt
+  done;
+  for k = 0 to Array.length writes - 1 do
+    write_from rt scratch writes.(k)
+  done
 
 let lib_read rt = function
   | Cmissing msg -> raise (F (Invalid_graph msg))
@@ -927,7 +975,10 @@ and exec_map rt (m : map_op) =
   if rt.cfg.collect_coverage then Hashtbl.replace rt.cov m.m_cov.(Bool.to_int empty) ();
   let rec go d =
     if d = m.m_dmax then begin
-      if m.m_arity_ok then Array.iter (exec_op rt) m.m_body
+      if m.m_arity_ok then
+        for k = 0 to Array.length m.m_body - 1 do
+          exec_op rt m.m_body.(k)
+        done
       else
         raise
           (F (Invalid_graph (Printf.sprintf "map %d: params/ranges arity mismatch" m.m_nid)))
@@ -981,7 +1032,9 @@ let exec_program p rt =
       rt.steps <- Hang_proof.enter proof ~pos:!current ~steps:rt.steps;
       tick rt;
       if rt.cfg.collect_coverage then Hashtbl.replace rt.cov sp.sp_cov ();
-      Array.iter (exec_op rt) sp.sp_ops;
+      for k = 0 to Array.length sp.sp_ops - 1 do
+        exec_op rt sp.sp_ops.(k)
+      done;
       let rec find i =
         if i >= Array.length sp.sp_edges then -1
         else if

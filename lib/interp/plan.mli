@@ -1,15 +1,16 @@
 (** Compile-once execution plans: the one compiled tier. Every difftest
     and fuzzer trial runs on a plan.
 
-    [compile] lowers a graph plus a symbol valuation into a flat immutable
-    plan: topological order and scope nesting resolved once per graph,
-    tasklet code
-    compiled to closures over integer-indexed registers, memlet subsets
+    [compile] lowers a graph plus a symbol valuation into a flat plan:
+    topological order and scope nesting resolved once per graph, tasklet
+    code compiled to closures over integer-indexed registers, memlet subsets
     pre-evaluated to concrete strides wherever the valuation makes them
-    constant, and containers addressed by dense ids. [execute] runs the plan
+    constant, tasklet point and scalar memlets addressing their buffers in
+    place, and containers addressed by dense ids. [execute] runs the plan
     over fresh buffers; a plan may be executed any number of times, under any
     {!Defs.config} (step limits, fault injection and coverage collection are
-    all execution-time concerns).
+    all execution-time concerns), but not by two runs at once: its registers
+    and index scratch are per-run state.
 
     Semantics are bit-identical to the reference tree-walk ({!Tree.run}):
     same final memory, step counts, injection counters, coverage digests and

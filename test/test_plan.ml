@@ -83,6 +83,31 @@ let workload_tests =
         List.iter
           (fun (name, g, symbols) -> differential ~config:cov_config name g ~symbols ~inputs:[])
           (roster ()));
+    Alcotest.test_case "a tasklet memlet access allocates no index array" `Quick (fun () ->
+        (* scale reads a scalar and a point and writes a point per element;
+           addressed in place, an element allocates only float boxes (10
+           words), against 59 with an index array per access *)
+        let words n =
+          let p =
+            match Interp.Plan.compile (Workloads.Npbench.scale ()) ~symbols:[ ("N", n) ] with
+            | Ok p -> p
+            | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
+          in
+          let run () =
+            match Interp.Plan.execute p ~inputs:[] with
+            | Ok _ -> ()
+            | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
+          in
+          run ();
+          let before = Gc.minor_words () in
+          run ();
+          Gc.minor_words () -. before
+        in
+        let small = words 64 and large = words 4096 in
+        let per_element = (large -. small) /. float_of_int (4096 - 64) in
+        if per_element > 16. then
+          Alcotest.failf "%.1f minor words per element (%.0f at N=64, %.0f at N=4096)" per_element
+            small large);
   ]
 
 (* every injection kind, on workloads exercising tasklets, WCR, library
@@ -125,8 +150,73 @@ let injection_tests =
           (subjects ()));
   ]
 
+(* One mapped tasklet at N = 4 that reads [input] from the N x N array A
+   and writes [output] to the N-vector x: per iteration one read subset,
+   then one write subset, so s2 is the read at i = 1 and s5 the write at
+   i = 2. *)
+let memlet_kernel ~input ~output =
+  let g = Graph.create "memlet_fault" in
+  Graph.add_symbol g "N";
+  let n = Symbolic.Expr.sym "N" in
+  Graph.add_array g "A" Dtype.F64 [ n; n ];
+  Graph.add_array g "x" Dtype.F64 [ n ];
+  let st = Graph.state g (Graph.add_state g "s") in
+  ignore
+    (Builder.Build.mapped_tasklet g st ~label:"k"
+       ~map:[ ("i", "0:N-1") ]
+       ~inputs:[ ("v", input) ]
+       ~code:"o = v"
+       ~outputs:[ ("o", output) ]
+       ());
+  g
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let memlet_fault_cases =
+  let mem = Builder.Build.mem and sum = Memlet.Wcr_sum in
+  [
+    ("read high in dim 1", mem "A" "i, i+1", mem "x" "i", "A[3,4] (shape [4,4]) in tasklet");
+    ("read low in dim 0", mem "A" "i-1, i", mem "x" "i", "A[-1,0] (shape [4,4]) in tasklet");
+    ("plain write", mem "A" "i, i", mem "x" "i+1", "x[4] (shape [4]) in tasklet");
+    ("wcr write high", mem "A" "i, i", mem ~wcr:sum "x" "i+1", "x[4] (shape [4]) in tasklet");
+    ("wcr write low", mem "A" "i, i", mem ~wcr:sum "x" "i-N", "x[-4] (shape [4]) in tasklet");
+    ("unbound behind out of bounds", mem "A" "i+N, M", mem "x" "i", "unbound symbol M in subset");
+    ("rank mismatch", mem "A" "i", mem "x" "i", "memlet on A has 1 dims, container has 2");
+  ]
+
 let fault_tests =
   [
+    Alcotest.test_case "tasklet memlet faults match per dimension, shifted or not" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, input, output, expected) ->
+            let g = memlet_kernel ~input ~output in
+            let symbols = [ ("N", 4) ] in
+            let inputs = inputs_for g ~symbols in
+            (match exec_tree g ~symbols ~inputs with
+            | Error f ->
+                let text = Interp.Exec.fault_to_string f in
+                if not (contains text expected) then
+                  Alcotest.failf "%s: %S does not contain %S" name text expected
+            | Ok _ -> Alcotest.fail (name ^ ": expected a fault"));
+            List.iter
+              (fun inject ->
+                let config = { cov_config with inject } in
+                differential ~config
+                  (name
+                  ^ match inject with
+                    | Some i -> " under " ^ Interp.Exec.injection_to_string i
+                    | None -> "")
+                  g ~symbols ~inputs)
+              [
+                None;
+                Some (Interp.Exec.Shift_index { nth_subset = 2; delta = 3 });
+                Some (Interp.Exec.Shift_index { nth_subset = 5; delta = -1 });
+              ])
+          memlet_fault_cases);
     Alcotest.test_case "unbound symbol faults identically" `Quick (fun () ->
         let g = Workloads.Npbench.scale () in
         differential "scale without N" g ~symbols:[] ~inputs:[]);
@@ -467,7 +557,8 @@ let generated_tests =
 (* The tier contract on random data: admitted generated programs (smoke run
    skipped, so faulting and hanging ones stay in), three valuations on one
    per-program stage, and inputs where one value in three is a special
-   float. *)
+   float. A valuation that runs clean also runs under a random Shift_index,
+   which moves one index by 1 or 2 either way. *)
 let specials =
   [|
     Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324; -0.0; 1e308; -1e308;
@@ -500,13 +591,27 @@ let prop_tier_contract =
       let free = Graph.all_free_syms g in
       let config = { cov_config with step_limit = 100_000 } in
       let stage = Interp.Plan.compile g in
+      (* shifts draw from their own stream, so the valuations and inputs
+         stay those of the unshifted property *)
+      let shift_rng = Random.State.make [| vseed; 1 |] in
       List.iter
         (fun symbols ->
           let inputs = random_inputs rng g ~symbols in
-          check_same
-            (Printf.sprintf "%s at %s" c.name (valuation_to_string symbols))
-            (exec_tree ~config g ~symbols ~inputs)
-            (snd (run_staged ~config stage ~symbols ~inputs)))
+          let name = Printf.sprintf "%s at %s" c.name (valuation_to_string symbols) in
+          let tree = exec_tree ~config g ~symbols ~inputs in
+          check_same name tree (snd (run_staged ~config stage ~symbols ~inputs));
+          match tree with
+          | Ok o when o.Interp.Exec.subsets > 0 ->
+              let nth_subset = Random.State.int shift_rng o.Interp.Exec.subsets in
+              let size = 1 + Random.State.int shift_rng 2 in
+              let delta = if Random.State.bool shift_rng then size else -size in
+              let inject = Interp.Exec.Shift_index { nth_subset; delta } in
+              let config = { config with inject = Some inject } in
+              check_same
+                (name ^ " under " ^ Interp.Exec.injection_to_string inject)
+                (exec_tree ~config g ~symbols ~inputs)
+                (snd (run_staged ~config stage ~symbols ~inputs))
+          | _ -> ())
         [
           Gen.Admit.concretize g;
           List.map (fun s -> (s, 1)) free;
