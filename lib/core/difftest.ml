@@ -157,25 +157,19 @@ let compare_outcomes ~threshold ~system_state orig xformed =
                    }))
         system_state
 
-(* One program's execution plans, owned by the sweep that creates them: the
-   per-program stage of [Plan.compile] runs at the first miss, and each
-   sorted symbol valuation is compiled at most once on it (a {!Memo} of the
-   default 64 entries). *)
-let compile_table prog =
-  let stage = lazy (Interp.Plan.compile prog) and memo = Memo.create () in
-  fun symbols ->
-    Memo.find_or_add memo (List.sort compare symbols) (fun () -> (Lazy.force stage) ~symbols)
-
-(* Partial application creates one plan table per side, which lives as long
-   as the instance's trial loop. Injection, coverage collection and step
-   limits are execution-time configuration, so differently configured runs
-   share one compilation. Each trial runs the original program, then the
-   transformed one. *)
+(* Partial application lowers nothing yet: each side applies
+   [Interp.Plan.compile] at its first trial, and every trial binds its own
+   valuation to that one lowering, for as long as the instance's trial loop
+   keeps the sweep. Injection, coverage collection and step limits are
+   execution-time configuration, so differently configured runs share one
+   lowering. Each trial runs the original program, then the transformed
+   one. *)
 let sweep ~original ~transformed ~config ~config_x =
-  let plan_o = compile_table original and plan_x = compile_table transformed in
+  let plan_o = lazy (Interp.Plan.compile original)
+  and plan_x = lazy (Interp.Plan.compile transformed) in
   fun (symbols, inputs) ->
     let run ~config plan =
-      match plan symbols with
+      match (Lazy.force plan) ~symbols with
       | Error f -> Error f
       | Ok p -> Interp.Plan.execute ~config p ~inputs
     in

@@ -81,14 +81,13 @@ val pp_report : Format.formatter -> report -> unit
 (** One run of a program: its final state, or the fault it stopped at. *)
 type run = (Interp.Exec.outcome, Interp.Exec.fault) result
 
-(** [sweep ~original ~transformed ~config ~config_x] creates the execution
-    plans' tables for one instance: one per side, keyed by sorted symbol
-    valuation. Apply the result to each trial's [(symbols, inputs)] to run
-    it on the original program under [config], then on the transformed one
-    under [config_x], and get both outcomes. For as long as the partial
-    application lives, each program runs {!Interp.Plan.compile}'s
-    per-program stage once, at its first trial, and its per-valuation stage
-    at most once per valuation. *)
+(** [sweep ~original ~transformed ~config ~config_x] sets up one
+    instance's execution plans. Apply the result to each trial's
+    [(symbols, inputs)] to run it on the original program under [config],
+    then on the transformed one under [config_x], and get both outcomes.
+    For as long as the partial application lives, each program is lowered
+    once, by {!Interp.Plan.compile} at its first trial, and each trial binds
+    its valuation to that lowering. *)
 val sweep :
   original:Sdfg.Graph.t ->
   transformed:Sdfg.Graph.t ->

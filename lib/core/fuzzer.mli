@@ -35,8 +35,8 @@ type result = {
 (** [run mode ~original ~cutout ~transformed] fuzzes until divergence or the
     trial budget is exhausted. [original] is the full program (used for
     constraint derivation); [transformed] is T(cutout.program). Trials run
-    one at a time through one {!Difftest.sweep}, so both programs are
-    compiled at most once per symbol valuation during the call. *)
+    one at a time through one {!Difftest.sweep}, so each program is
+    lowered once during the call and each trial binds its valuation. *)
 val run :
   ?config:config ->
   mode ->

@@ -4,8 +4,8 @@
    injection / outcome vocabulary), Tree (the reference tree-walk
    interpreter) and Plan (compile-once execution plans). [run] keeps the
    historical one-shot interface — compile then execute; hot loops should
-   apply Plan.compile once per graph, apply the result once per valuation,
-   and call Plan.execute per trial, as Difftest.sweep does. *)
+   apply Plan.compile once per graph to lower it, bind each valuation to
+   the result, and call Plan.execute per trial, as Difftest.sweep does. *)
 
 include Defs
 

@@ -23,8 +23,8 @@
 
     [run] is the one-shot interface: it compiles a plan and runs it once.
     Loops that execute the same graph many times (the difftest trial loop,
-    the fuzzer) should instead run {!Plan.compile}'s per-program stage once
-    per graph and its per-valuation stage once per symbol valuation, as
+    the fuzzer) should instead lower each graph once ([Plan.compile g]),
+    bind each symbol valuation to that lowering, as
     [Fuzzyflow.Difftest.sweep] does, and call {!Plan.execute} per trial. *)
 
 type fault = Defs.fault =

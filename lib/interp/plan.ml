@@ -1,22 +1,23 @@
 (* Compile-once execution plans.
 
-   [compile] lowers a validated graph plus a symbol valuation into a flat
-   plan, in two stages. The per-program stage validates the graph
-   and resolves scope membership once per graph (adjacency and topological
-   order are the states' own indexed queries); the per-valuation stage
-   concretizes shapes, compiles tasklet code to closures over an
-   integer-slot scratch file, pre-evaluates memlet subsets to
-   concrete ranges wherever the valuation makes them constant, and
-   addresses containers by dense plan ids instead of string hashes.
-   [execute] then runs the plan over fresh buffers as many times as the
-   fuzzing loop needs.
+   [compile g] lowers a validated graph once into a flat plan: state order
+   and scope membership resolved per graph (adjacency and topological order
+   are the states' own indexed queries), tasklet code compiled to closures
+   over an integer-slot scratch file, memlet subsets and map ranges compiled
+   to closures, and containers addressed by dense plan ids instead of string
+   hashes. Every symbol that is not a map parameter reads a slot of the
+   run's symbol registers, so applying the lowering to [~symbols] only binds
+   a valuation: buffer shapes, the slots it sets, and the hang proof's
+   precondition. [execute] then runs a bound plan over fresh buffers as many
+   times as the fuzzing loop needs.
 
    Tasklet point and scalar memlets address their buffer in place: a point
    evaluates its indices into an integer scratch of its own and folds the
    bounds check into the row-major offset, so an access builds no index
    array. That scratch, the tasklets' registers and their select counters
-   are the only plan state a run mutates; nothing in lib runs one plan
-   twice at once.
+   are the only lowering state a run mutates, so plans bound from one
+   lowering must not run at once; nothing in lib does (it starts no domains
+   or threads).
 
    The observable semantics — step counts, write/subset injection counters,
    coverage digests, fault messages, even the evaluation order of failing
@@ -35,8 +36,8 @@ type rt = {
   cfg : config;
   bufs : Value.buffer array;  (* dense plan ids -> fresh buffers *)
   params : int array;  (* map-parameter registers *)
-  dvals : int array;  (* dynamic (interstate-assigned) symbol values *)
-  dset : bool array;  (* which dynamic slots are currently bound *)
+  dvals : int array;  (* symbol slots: the valuation, then interstate assignments *)
+  dset : bool array;  (* which slots are set; a set slot is never unset *)
   mutable steps : int;
   mutable writes : int;
   mutable subsets : int;
@@ -69,85 +70,64 @@ let ifmod a b =
     let r = a mod b in
     if r <> 0 && (r < 0) <> (b < 0) then r + b else r
 
-(* An integer expression lowered against the compile-time valuation: either a
-   constant folded at compile time or a closure over the register file. *)
-type lowered = Kconst of int | Kdyn of (rt -> int)
-
-let force = function Kconst k -> fun _ -> k | Kdyn f -> f
-
-let lift1 f = function
-  | Kconst a -> Kconst (f a)
-  | Kdyn fa -> Kdyn (fun rt -> f (fa rt))
-
-(* Binary fold. The runtime closure evaluates its right operand first — the
-   order OCaml's [eval env a + eval env b] evaluates operands in the
-   reference interpreter — so when both sides raise, the same exception
-   wins. A constant division by zero folds to a closure that re-raises at
-   execution time, where the reference raises it. *)
-let lift2 f a b =
-  match (a, b) with
-  | Kconst x, Kconst y -> (
-      match f x y with
-      | v -> Kconst v
-      | exception Symbolic.Expr.Division_by_zero ->
-          Kdyn (fun _ -> raise Symbolic.Expr.Division_by_zero))
-  | _ ->
-      let fa = force a and fb = force b in
-      Kdyn
-        (fun rt ->
-          let vb = fb rt in
-          let va = fa rt in
-          f va vb)
+(* Binary operation on lowered operands. The closure evaluates its right
+   operand first — the order OCaml's [eval env a + eval env b] evaluates
+   operands in the reference interpreter — so when both sides raise, the
+   same exception wins. It returns a closure of one argument, not a partial
+   application, so a run calls it directly. *)
+let lift2 f fa fb =
+  let op rt =
+    let vb = fb rt in
+    let va = fa rt in
+    f va vb
+  in
+  op
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time environment                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One per valuation stage; [dyn_idx] is the per-program stage's, only read
-   here. *)
 type cenv = {
   cg : Graph.t;
   buf_idx : (string, int) Hashtbl.t;  (* container name -> dense buffer id *)
   scalar_idx : (string, int) Hashtbl.t;  (* scalar containers only *)
-  dyn_idx : (string, int) Hashtbl.t;  (* interstate-assigned symbol -> slot *)
-  static : int Symbolic.Expr.Env.t;  (* compile-time constant symbols *)
+  slot_idx : (string, int) Hashtbl.t;  (* symbol -> slot, filled on first reference *)
   mutable nparams : int;  (* map-parameter registers allocated so far *)
-  mutable guarded_fault : bool;
-      (* a tasklet reference that can fault sits under a Select branch, so
-         whether it faults may depend on data *)
+  mutable guarded : int list;
+      (* slots a tasklet reads under a Select branch: whether such a read
+         faults may depend on data, unless a binding sets the slot *)
 }
+
+let slot cv s =
+  match Hashtbl.find_opt cv.slot_idx s with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length cv.slot_idx in
+      Hashtbl.add cv.slot_idx s i;
+      i
 
 (* [sparams] is the innermost-first association of enclosing map parameters
    to their registers: within a tasklet or memlet, a parameter shadows any
    symbol of the same name, and a deeper map shadows an outer one — the same
-   shadowing [Env.add] produced in the tree-walk. *)
+   shadowing [Env.add] produced in the tree-walk. Any other symbol reads its
+   slot, which falls back, when unset, to what the reference env would have
+   held: in interstate contexts a scalar container of the same name,
+   otherwise an unbound-symbol fault. *)
 let lower_sym cv sparams ~interstate s =
   match List.assoc_opt s sparams with
-  | Some slot -> Kdyn (fun rt -> rt.params.(slot))
+  | Some slot -> fun rt -> rt.params.(slot)
   | None -> (
-      match Hashtbl.find_opt cv.dyn_idx s with
-      | Some i ->
-          (* a dynamic symbol falls back, when unset, to what the reference
-             env would have held: in interstate contexts a scalar container
-             of the same name, otherwise an unbound-symbol fault *)
-          let fallback =
-            match if interstate then Hashtbl.find_opt cv.scalar_idx s else None with
-            | Some bid -> fun rt -> int_of_float rt.bufs.(bid).Value.data.(0)
-            | None -> fun _ -> raise (Symbolic.Expr.Unbound_symbol s)
-          in
-          Kdyn (fun rt -> if rt.dset.(i) then rt.dvals.(i) else fallback rt)
-      | None -> (
-          match Symbolic.Expr.Env.find_opt s cv.static with
-          | Some v -> Kconst v
-          | None -> (
-              match if interstate then Hashtbl.find_opt cv.scalar_idx s else None with
-              | Some bid -> Kdyn (fun rt -> int_of_float rt.bufs.(bid).Value.data.(0))
-              | None -> Kdyn (fun _ -> raise (Symbolic.Expr.Unbound_symbol s)))))
+      let i = slot cv s in
+      match if interstate then Hashtbl.find_opt cv.scalar_idx s else None with
+      | Some bid ->
+          fun rt -> if rt.dset.(i) then rt.dvals.(i) else int_of_float rt.bufs.(bid).Value.data.(0)
+      | None ->
+          fun rt -> if rt.dset.(i) then rt.dvals.(i) else raise (Symbolic.Expr.Unbound_symbol s))
 
-let rec lower_expr cv sparams ~interstate (e : Symbolic.Expr.t) =
+let rec lower_expr cv sparams ~interstate (e : Symbolic.Expr.t) : rt -> int =
   let go x = lower_expr cv sparams ~interstate x in
   match e with
-  | Symbolic.Expr.Int n -> Kconst n
+  | Symbolic.Expr.Int n -> fun _ -> n
   | Symbolic.Expr.Sym s -> lower_sym cv sparams ~interstate s
   | Symbolic.Expr.Add (a, b) -> lift2 ( + ) (go a) (go b)
   | Symbolic.Expr.Sub (a, b) -> lift2 ( - ) (go a) (go b)
@@ -156,12 +136,14 @@ let rec lower_expr cv sparams ~interstate (e : Symbolic.Expr.t) =
   | Symbolic.Expr.Mod (a, b) -> lift2 ifmod (go a) (go b)
   | Symbolic.Expr.Min (a, b) -> lift2 Stdlib.min (go a) (go b)
   | Symbolic.Expr.Max (a, b) -> lift2 Stdlib.max (go a) (go b)
-  | Symbolic.Expr.Neg a -> lift1 (fun x -> -x) (go a)
+  | Symbolic.Expr.Neg a ->
+      let fa = go a in
+      fun rt -> -fa rt
 
 (* Interstate conditions: comparisons evaluate their right operand first and
    And/Or short-circuit left-first, exactly as Cond.eval. *)
 let rec lower_cond cv (c : Symbolic.Cond.t) =
-  let e x = force (lower_expr cv [] ~interstate:true x) in
+  let e x = lower_expr cv [] ~interstate:true x in
   let cmp op a b =
     let fa = e a and fb = e b in
     fun rt ->
@@ -192,73 +174,52 @@ let rec lower_cond cv (c : Symbolic.Cond.t) =
 (* Lowered subsets                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type lrange =
-  | Lconst of Symbolic.Subset.crange
-  | Ldyn of (rt -> int) * (rt -> int) * (rt -> int)  (* lo, hi, step *)
+type lrange = (rt -> int) * (rt -> int) * (rt -> int)  (* lo, hi, step *)
 
 (* Classification of a memlet subset at compile time, cheapest first:
    scalar (no index computation at all), a volume-1 point whose per-dimension
-   index is one closure, fully constant ranges shared across all runs, or
-   per-dimension closures. A point owns an index scratch of its rank, which
-   every run overwrites (per-run state of the plan, like a tasklet's
-   [t_scratch]). *)
+   index is one closure, or per-dimension range closures. A point owns an
+   index scratch of its rank, which every run overwrites (per-run state of
+   the lowering, like a tasklet's [t_scratch]). *)
 type lsub =
   | Sscalar
   | Spoint of { p_fs : (rt -> int) array; p_at : int array }
-  | Sconst of Symbolic.Subset.crange list
-  | Sdyn of lrange array
+  | Sranges of lrange array
 
-let lower_range cv sparams (r : Symbolic.Subset.range) =
-  let lo = lower_expr cv sparams ~interstate:false r.lo in
-  let hi = lower_expr cv sparams ~interstate:false r.hi in
-  let step = lower_expr cv sparams ~interstate:false r.step in
-  match (lo, hi, step) with
-  | Kconst l, Kconst h, Kconst s -> Lconst { Symbolic.Subset.clo = l; chi = h; cstep = s }
-  | _ -> Ldyn (force lo, force hi, force step)
+let lower_range cv sparams (r : Symbolic.Subset.range) : lrange =
+  let e x = lower_expr cv sparams ~interstate:false x in
+  (e r.lo, e r.hi, e r.step)
 
 (* The point fast path requires lo and hi to be the same expression (so
    skipping the hi evaluation cannot skip a distinct exception) and the step
-   to fold to the constant 1. [point] is only requested for tasklet memlets,
-   where the volume-1 check makes points the common case. *)
+   to evaluate to 1 with no symbol bound. [point] is only requested for
+   tasklet memlets, where the volume-1 check makes points the common case. *)
 let lower_subset cv sparams ~point (s : Symbolic.Subset.t) =
+  let unit_step (r : Symbolic.Subset.range) =
+    match Symbolic.Expr.eval Symbolic.Expr.Env.empty r.step with
+    | step -> step = 1
+    | exception (Symbolic.Expr.Unbound_symbol _ | Symbolic.Expr.Division_by_zero) -> false
+  in
   match s with
   | [] -> Sscalar
-  | _ ->
-      let is_point =
-        point
-        && List.for_all
-             (fun (r : Symbolic.Subset.range) ->
-               r.lo = r.hi
-               &&
-               match lower_expr cv sparams ~interstate:false r.step with
-               | Kconst 1 -> true
-               | _ -> false)
-             s
+  | _ when point && List.for_all (fun (r : Symbolic.Subset.range) -> r.lo = r.hi && unit_step r) s
+    ->
+      let fs =
+        Array.of_list
+          (List.map
+             (fun (r : Symbolic.Subset.range) -> lower_expr cv sparams ~interstate:false r.lo)
+             s)
       in
-      if is_point then
-        let fs =
-          Array.of_list
-            (List.map
-               (fun (r : Symbolic.Subset.range) ->
-                 force (lower_expr cv sparams ~interstate:false r.lo))
-               s)
-        in
-        Spoint { p_fs = fs; p_at = Array.make (Array.length fs) 0 }
-      else
-        let ls = List.map (lower_range cv sparams) s in
-        if List.for_all (function Lconst _ -> true | Ldyn _ -> false) ls then
-          Sconst (List.map (function Lconst c -> c | Ldyn _ -> assert false) ls)
-        else Sdyn (Array.of_list ls)
+      Spoint { p_fs = fs; p_at = Array.make (Array.length fs) 0 }
+  | _ -> Sranges (Array.of_list (List.map (lower_range cv sparams) s))
 
 (* Concrete-range construction mirrors Subset.concretize_range's record
    literal, which evaluates step, then hi, then lo. *)
-let eval_range rt = function
-  | Lconst c -> c
-  | Ldyn (flo, fhi, fstep) ->
-      let cstep = fstep rt in
-      let chi = fhi rt in
-      let clo = flo rt in
-      { Symbolic.Subset.clo; chi; cstep }
+let eval_range rt ((flo, fhi, fstep) : lrange) =
+  let cstep = fstep rt in
+  let chi = fhi rt in
+  let clo = flo rt in
+  { Symbolic.Subset.clo; chi; cstep }
 
 let subset_fault = function
   | Symbolic.Expr.Unbound_symbol s ->
@@ -274,8 +235,7 @@ let concretize_sub rt ls =
   let cs =
     match ls with
     | Sscalar -> []
-    | Sconst cs -> cs
-    | Sdyn lrs -> (
+    | Sranges lrs -> (
         try Array.to_list (Array.map (eval_range rt) lrs) with e -> raise (subset_fault e))
     | Spoint _ -> assert false (* points are addressed by point_offset *)
   in
@@ -292,8 +252,9 @@ let concretize_sub rt ls =
       cs
 
 (* Raised from a top-level function so that the in-bounds path of
-   [point_offset] allocates nothing. The fault is Value.offset's, with a copy
-   of the index: the scratch is overwritten by the next run. *)
+   [point_offset] allocates nothing. The fault is the one Value's subset
+   reads and writes raise, with a copy of the index: the scratch is
+   overwritten by the next run. *)
 let point_oob (b : Value.buffer) at context =
   raise
     (F
@@ -447,22 +408,30 @@ and map_op = {
 type ledge = {
   le_cov : int;
   le_cond : rt -> bool;
-  le_assigns : (int * (rt -> int)) array;  (* dynamic slot, lowered rhs *)
-  le_dst : int;  (* position in p_states *)
+  le_assigns : (int * (rt -> int)) array;  (* symbol slot, lowered rhs *)
+  le_dst : int;  (* position in lw_states *)
 }
 
 type state_plan = { sp_cov : int; sp_ops : op array; sp_edges : ledge array }
 
-type bufspec = { b_name : string; b_desc : Graph.datadesc; b_shape : int array }
+(* One program, lowered once and shared by every binding of it. *)
+type lowering = {
+  lw_containers : (string * Graph.datadesc) array;  (* by dense buffer id *)
+  lw_buf_idx : (string, int) Hashtbl.t;
+  lw_nparams : int;
+  lw_slots : string array;  (* slot -> symbol *)
+  lw_guarded : int list;  (* slots a tasklet reads under a Select branch *)
+  lw_oblivious : bool;  (* Hang_proof.interstate_oblivious *)
+  lw_states : state_plan array;
+  lw_start : int;  (* position in lw_states, -1 when the graph has no start *)
+}
 
+(* A lowering bound to one valuation. *)
 type t = {
-  p_bufs : bufspec array;
-  p_buf_idx : (string, int) Hashtbl.t;
-  p_nparams : int;
-  p_ndyn : int;
-  p_dyn_init : (int * int) array;  (* initially bound dynamic symbols *)
-  p_states : state_plan array;
-  p_start : int;  (* position in p_states, -1 when the graph has no start *)
+  p_lw : lowering;
+  p_shapes : int array array;  (* by dense buffer id *)
+  p_dvals : int array;  (* initial slot registers: the valuation's values ... *)
+  p_dset : bool array;  (* ... and the slots it sets *)
   p_provable : bool;  (* Hang_proof's static precondition *)
 }
 
@@ -492,9 +461,9 @@ let gpu_fault cv sc nid =
 (* Tasklet code lowered to closures over a scratch register file. Reference
    resolution is frozen at compile time with the tree-walk's precedence:
    visible connectors (inputs, plus targets of earlier assignments), then
-   enclosing map parameters innermost-first, then symbols. A reference that
-   can fault (a dynamic symbol or an unbound name) under a Select branch is
-   recorded in [cv.guarded_fault]: whether the branch runs depends on data. *)
+   enclosing map parameters innermost-first, then symbol slots. The slot a
+   reference under a Select branch reads is recorded in [cv.guarded]: an
+   unset slot faults, and whether the branch runs depends on data. *)
 let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
   let rec lo ~guarded e =
     match e with
@@ -505,23 +474,13 @@ let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
         | None -> (
             match List.assoc_opt s sparams with
             | Some slot -> fun rt -> float_of_int rt.params.(slot)
-            | None -> (
+            | None ->
+                let i = slot cv s in
+                if guarded then cv.guarded <- i :: cv.guarded;
                 let unbound =
                   F (Invalid_graph (Printf.sprintf "tasklet %d: unbound ref %s" nid s))
                 in
-                match Hashtbl.find_opt cv.dyn_idx s with
-                | Some i ->
-                    if guarded then cv.guarded_fault <- true;
-                    fun rt ->
-                      if rt.dset.(i) then float_of_int rt.dvals.(i) else raise unbound
-                | None -> (
-                    match Symbolic.Expr.Env.find_opt s cv.static with
-                    | Some v ->
-                        let fv = float_of_int v in
-                        fun _ -> fv
-                    | None ->
-                        if guarded then cv.guarded_fault <- true;
-                        fun _ -> raise unbound))))
+                fun rt -> if rt.dset.(i) then float_of_int rt.dvals.(i) else raise unbound))
     | Tcode.Bin (op, a, b) ->
         let la = lo ~guarded a and lb = lo ~guarded b in
         fun rt ->
@@ -796,8 +755,9 @@ let read_into rt scratch (r : task_read) =
                    (Array.length values))));
       scratch.(r.rd_slot) <- values.(0)
 
-(* Value.set at a checked offset, after the write counter and injection:
-   the WCR combine reads the old element, then the dtype cast. *)
+(* One element store at a checked offset, as Value.write_subset stores
+   each element, after the write counter and injection: the WCR combine
+   reads the old element, then the dtype cast. *)
 let store rt (b : Value.buffer) off wcr v =
   let v = corrupt1 rt v in
   let v = match wcr with None -> v | Some wc -> Memlet.apply_wcr wc b.data.(off) v in
@@ -1024,11 +984,12 @@ let run_edge rt (e : ledge) =
 (* Each state entry first goes through the hang proof (Hang_proof), which
    may move the step counter forward by whole periods of a proved loop. *)
 let exec_program p rt =
-  if p.p_start >= 0 then begin
+  let lw = p.p_lw in
+  if lw.lw_start >= 0 then begin
     let proof = Hang_proof.create ~provable:p.p_provable rt.cfg ~dvals:rt.dvals ~dset:rt.dset in
-    let current = ref p.p_start in
+    let current = ref lw.lw_start in
     while !current >= 0 do
-      let sp = p.p_states.(!current) in
+      let sp = lw.lw_states.(!current) in
       rt.steps <- Hang_proof.enter proof ~pos:!current ~steps:rt.steps;
       tick rt;
       if rt.cfg.collect_coverage then Hashtbl.replace rt.cov sp.sp_cov ();
@@ -1055,28 +1016,17 @@ let exec_program p rt =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-program stage: everything lowering needs that no valuation
-   changes. Its tables are only read once it returns, so any number of
-   valuation stages may share one. *)
-type program = {
-  pr_dyn_idx : (string, int) Hashtbl.t;  (* interstate-assigned symbol -> slot *)
-  pr_states : (int * Tree.sctx * Graph.istate_edge list) list;  (* state order *)
-  pr_pos_of : (int, int) Hashtbl.t;  (* state id -> position in pr_states *)
-  pr_start : int;  (* position of the start state, -1 when there is none *)
-  pr_oblivious : bool;  (* Hang_proof.interstate_oblivious *)
-}
-
-let program_stage g =
-  (* dynamic symbols: assigned on any interstate edge anywhere in the
-     graph; everything else in a valuation folds to a constant *)
-  let dyn_idx = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Graph.istate_edge) ->
-      List.iter
-        (fun (sym, _) ->
-          if not (Hashtbl.mem dyn_idx sym) then Hashtbl.add dyn_idx sym (Hashtbl.length dyn_idx))
-        e.assigns)
-    (Graph.istate_edges g);
+(* Lowering, once per program: dense container ids, the state order and
+   every state's scope context, then one pass over the states. Symbol slots
+   are numbered as lowering first meets them. *)
+let lower g containers =
+  let buf_idx = Hashtbl.create 16 in
+  let scalar_idx = Hashtbl.create 8 in
+  Array.iteri
+    (fun i (name, (desc : Graph.datadesc)) ->
+      Hashtbl.replace buf_idx name i;
+      if desc.shape = [] then Hashtbl.replace scalar_idx name i)
+    containers;
   let states = Graph.states g in
   let pos_of = Hashtbl.create 8 in
   List.iteri (fun i (sid, _) -> Hashtbl.replace pos_of sid i) states;
@@ -1084,128 +1034,124 @@ let program_stage g =
     List.map (fun (sid, st) -> (sid, Tree.build_sctx st, Graph.out_istate_edges g sid)) states
   in
   let start = Graph.start_state g in
+  let start = if start < 0 then -1 else Hashtbl.find pos_of start in
+  let cv =
+    { cg = g; buf_idx; scalar_idx; slot_idx = Hashtbl.create 8; nparams = 0; guarded = [] }
+  in
+  let state_plans =
+    Array.of_list
+      (List.map
+         (fun (sid, sc, out_edges) ->
+           let ops = lower_members cv sc sid ~gpu:false [] None in
+           let edges =
+             Array.of_list
+               (List.map
+                  (fun (e : Graph.istate_edge) ->
+                    {
+                      le_cov = cov_digest (Cov_iedge e.ie_id);
+                      le_cond = lower_cond cv e.cond;
+                      le_assigns =
+                        Array.of_list
+                          (List.map
+                             (fun (sym, rhs) ->
+                               let f = lower_expr cv [] ~interstate:true rhs in
+                               (slot cv sym, f))
+                             e.assigns);
+                      le_dst = Hashtbl.find pos_of e.dst;
+                    })
+                  out_edges)
+           in
+           { sp_cov = cov_digest (Cov_state sid); sp_ops = ops; sp_edges = edges })
+         states)
+  in
+  let slots = Array.make (Hashtbl.length cv.slot_idx) "" in
+  Hashtbl.iter (fun s i -> slots.(i) <- s) cv.slot_idx;
   {
-    pr_dyn_idx = dyn_idx;
-    pr_states = states;
-    pr_pos_of = pos_of;
-    pr_start = (if start < 0 then -1 else Hashtbl.find pos_of start);
-    pr_oblivious = Hang_proof.interstate_oblivious g;
+    lw_containers = containers;
+    lw_buf_idx = buf_idx;
+    lw_nparams = cv.nparams;
+    lw_slots = slots;
+    lw_guarded = cv.guarded;
+    lw_oblivious = Hang_proof.interstate_oblivious g;
+    lw_states = state_plans;
+    lw_start = start;
   }
 
-(* The per-valuation stage: shapes, then lowering with the valuation's
-   constants folded in. [pr] is the per-program stage, or the exception it
-   raised; that exception is re-raised after the shapes, where a one-stage
-   compile raised it, so a shape fault still wins over it. *)
-let valuation_stage g pr ~symbols =
-  let env0 = Symbolic.Expr.Env.of_list symbols in
+(* A binding: shapes first, with the tree-walk's typed faults in container
+   order; then [lw], the lowering or the exception it raised, so a shape
+   fault wins over that exception; then the slots the valuation sets. A
+   guarded read of a set slot cannot fault, since nothing unsets a slot, so
+   the hang proof's precondition needs every guarded slot set. *)
+let bind containers lw ~symbols =
+  let env = Symbolic.Expr.Env.of_list symbols in
   try
-    let buf_idx = Hashtbl.create 16 in
-    let scalar_idx = Hashtbl.create 8 in
-    let bufs =
-      Array.of_list
-        (List.mapi
-           (fun i (name, (desc : Graph.datadesc)) ->
-             Hashtbl.replace buf_idx name i;
-             if desc.shape = [] then Hashtbl.replace scalar_idx name i;
-             let shape =
-               try Value.concretize_shape env0 name desc with
-               | Invalid_argument msg -> raise (F (Invalid_graph msg))
-               | Symbolic.Expr.Unbound_symbol s ->
-                   raise (F (Runtime_error ("unbound symbol " ^ s ^ " in shape of " ^ name)))
-             in
-             { b_name = name; b_desc = desc; b_shape = shape })
-           (Graph.containers g))
+    let shapes =
+      Array.map
+        (fun (name, desc) ->
+          try Value.concretize_shape env name desc with
+          | Invalid_argument msg -> raise (F (Invalid_graph msg))
+          | Symbolic.Expr.Unbound_symbol s ->
+              raise (F (Runtime_error ("unbound symbol " ^ s ^ " in shape of " ^ name))))
+        containers
     in
-    let pr = match pr with Ok pr -> pr | Error e -> raise e in
-    let dyn_idx = pr.pr_dyn_idx in
-    let static = Symbolic.Expr.Env.filter (fun s _ -> not (Hashtbl.mem dyn_idx s)) env0 in
-    let dyn_init =
-      Array.of_list
-        (Hashtbl.fold
-           (fun s i acc ->
-             match Symbolic.Expr.Env.find_opt s env0 with Some v -> (i, v) :: acc | None -> acc)
-           dyn_idx [])
-    in
-    let cv = { cg = g; buf_idx; scalar_idx; dyn_idx; static; nparams = 0; guarded_fault = false } in
-    let state_plans =
-      Array.of_list
-        (List.map
-           (fun (sid, sc, out_edges) ->
-             let ops = lower_members cv sc sid ~gpu:false [] None in
-             let edges =
-               Array.of_list
-                 (List.map
-                    (fun (e : Graph.istate_edge) ->
-                      {
-                        le_cov = cov_digest (Cov_iedge e.ie_id);
-                        le_cond = lower_cond cv e.cond;
-                        le_assigns =
-                          Array.of_list
-                            (List.map
-                               (fun (sym, rhs) ->
-                                 ( Hashtbl.find dyn_idx sym,
-                                   force (lower_expr cv [] ~interstate:true rhs) ))
-                               e.assigns);
-                        le_dst = Hashtbl.find pr.pr_pos_of e.dst;
-                      })
-                    out_edges)
-             in
-             { sp_cov = cov_digest (Cov_state sid); sp_ops = ops; sp_edges = edges })
-           pr.pr_states)
-    in
+    let lw = match lw with Ok lw -> lw | Error e -> raise e in
+    let n = Array.length lw.lw_slots in
+    let dvals = Array.make n 0 and dset = Array.make n false in
+    Array.iteri
+      (fun i s ->
+        match Symbolic.Expr.Env.find_opt s env with
+        | Some v ->
+            dvals.(i) <- v;
+            dset.(i) <- true
+        | None -> ())
+      lw.lw_slots;
     Ok
       {
-        p_bufs = bufs;
-        p_buf_idx = buf_idx;
-        p_nparams = cv.nparams;
-        p_ndyn = Hashtbl.length dyn_idx;
-        p_dyn_init = dyn_init;
-        p_states = state_plans;
-        p_start = pr.pr_start;
-        p_provable = pr.pr_oblivious && not cv.guarded_fault;
+        p_lw = lw;
+        p_shapes = shapes;
+        p_dvals = dvals;
+        p_dset = dset;
+        p_provable = lw.lw_oblivious && List.for_all (fun i -> dset.(i)) lw.lw_guarded;
       }
   with F f -> Error f
 
-(* [compile g] runs the per-program stage; the closure it returns runs the
-   per-valuation stage. A graph that fails validation gets the same fault
-   at every valuation. *)
+(* [compile g] validates and lowers; the closure it returns binds. A graph
+   that fails validation gets the same fault at every valuation. *)
 let compile g =
   match Validate.check g with
   | e :: _ ->
       let fault = Invalid_graph (Format.asprintf "%a" Validate.pp_error e) in
       fun ~symbols:_ -> Error fault
   | [] ->
-      let pr = try Ok (program_stage g) with e -> Error e in
-      fun ~symbols -> valuation_stage g pr ~symbols
+      let containers = Array.of_list (Graph.containers g) in
+      let lw = try Ok (lower g containers) with e -> Error e in
+      fun ~symbols -> bind containers lw ~symbols
 
 let execute ?(config = default_config) p ~inputs =
+  let lw = p.p_lw in
   let bufs =
-    Array.map
-      (fun bs -> Value.alloc_shaped ~garbage_seed:config.garbage_seed bs.b_name bs.b_desc bs.b_shape)
-      p.p_bufs
+    Array.mapi
+      (fun i (name, desc) ->
+        Value.alloc_shaped ~garbage_seed:config.garbage_seed name desc p.p_shapes.(i))
+      lw.lw_containers
   in
   let rt =
     {
       cfg = config;
       bufs;
-      params = Array.make (max 1 p.p_nparams) 0;
-      dvals = Array.make (max 1 p.p_ndyn) 0;
-      dset = Array.make (max 1 p.p_ndyn) false;
+      params = Array.make (max 1 lw.lw_nparams) 0;
+      dvals = Array.copy p.p_dvals;
+      dset = Array.copy p.p_dset;
       steps = 0;
       writes = 0;
       subsets = 0;
       cov = Hashtbl.create 64;
     }
   in
-  Array.iter
-    (fun (i, v) ->
-      rt.dvals.(i) <- v;
-      rt.dset.(i) <- true)
-    p.p_dyn_init;
   try
     List.iter
       (fun (name, values) ->
-        match Hashtbl.find_opt p.p_buf_idx name with
+        match Hashtbl.find_opt lw.lw_buf_idx name with
         | None -> raise (F (Runtime_error ("input for undeclared container " ^ name)))
         | Some i ->
             let b = rt.bufs.(i) in

@@ -69,6 +69,7 @@ let cast (dt : Sdfg.Dtype.t) v =
         Float.of_int (Int32.to_int (Int32.of_int t))
   | Sdfg.Dtype.Bool -> if v <> 0. then 1. else 0.
 
+(* Element addressing for the subset iteration below. *)
 let offset b idx =
   let dims = Array.length b.cshape in
   if Array.length idx <> dims then raise (Out_of_bounds { container = b.name; index = idx; shape = b.cshape });

@@ -38,15 +38,6 @@ val num_elements : buffer -> int
     truncation, bool saturation). *)
 val cast : Sdfg.Dtype.t -> float -> float
 
-(** Flat offset of a multi-dimensional index.
-    @raise Out_of_bounds when outside the buffer shape. *)
-val offset : buffer -> int array -> int
-
-val get : buffer -> int array -> float
-
-(** [set buf idx v] stores [cast dtype v]. *)
-val set : buffer -> int array -> float -> unit
-
 (** Elements of a concretized subset in row-major iteration order.
     @raise Out_of_bounds if any element falls outside the buffer. *)
 val read_subset : buffer -> Symbolic.Subset.crange list -> float array

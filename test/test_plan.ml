@@ -374,13 +374,38 @@ let hang_tests =
         let large = words 10_000_000 in
         if large > 2. *. small then
           Alcotest.failf "%.0f minor words at limit 10^7 against %.0f at 10^4" large small);
+    Alcotest.test_case "a bound interstate symbol under a Select keeps the proof" `Quick (fun () ->
+        (* j is assigned only on an edge past the loop; bound from the
+           start, its slot is never unset, so the guarded read cannot fault
+           and the hang is proved: a burned one allocates with the limit *)
+        let g = Hang_loops.guarded_fault "j" in
+        let symbols = [ ("j", 1) ] in
+        let p =
+          match Interp.Plan.compile g ~symbols with
+          | Ok p -> p
+          | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
+        in
+        let words limit =
+          let config = limit_config limit in
+          let name = Printf.sprintf "guarded j = 1 at limit %d" limit in
+          let before = Gc.minor_words () in
+          let o = Interp.Plan.execute ~config p ~inputs:[] in
+          let w = Gc.minor_words () -. before in
+          expect_hang name o;
+          check_same name (exec_tree ~config g ~symbols ~inputs:[]) o;
+          w
+        in
+        let small = words 10_000 in
+        let large = words 1_000_000 in
+        if large > 2. *. small then
+          Alcotest.failf "%.0f minor words at limit 10^6 against %.0f at 10^4" large small);
   ]
 
-(* ---------------- staged compilation ---------------- *)
+(* ---------------- one lowering, many bindings ---------------- *)
 
-(* [Plan.compile g] runs the per-program stage once; every valuation applied
-   to it must give the plan a one-stage compile gives, so each is checked
-   against the tree-walk at that valuation. *)
+(* [Plan.compile g] lowers once; every valuation bound to it must give the
+   plan a full application gives, so each is checked against the tree-walk
+   at that valuation. *)
 
 let run_staged ~config stage ~symbols ~inputs =
   match stage ~symbols with
@@ -484,6 +509,26 @@ let staged_tests =
             ignore (exec_tree g ~symbols:[ ("N", 4) ] ~inputs:[]));
         Alcotest.check_raises "plan at [N=4]" Not_found (fun () ->
             ignore (stage ~symbols:[ ("N", 4) ])));
+    Alcotest.test_case "binding a valuation does no lowering" `Quick (fun () ->
+        (* a binding concretizes shapes and sets slots; lowering a roster
+           program allocates 295 to 3 355 words per container, so the
+           bound tells a binding from a lowering *)
+        let bindings = 50 in
+        List.iter
+          (fun (name, g, symbols) ->
+            let lowered = Interp.Plan.compile g in
+            ignore (lowered ~symbols);
+            let before = Gc.minor_words () in
+            for _ = 1 to bindings do
+              ignore (lowered ~symbols)
+            done;
+            let containers = max 1 (List.length (Graph.containers g)) in
+            let per_container =
+              (Gc.minor_words () -. before) /. float_of_int (bindings * containers)
+            in
+            if per_container > 256. then
+              Alcotest.failf "%s: %.0f minor words per container per binding" name per_container)
+          (roster ()));
   ]
 
 let cache_tests =
@@ -555,8 +600,8 @@ let generated_tests =
   ]
 
 (* The tier contract on random data: admitted generated programs (smoke run
-   skipped, so faulting and hanging ones stay in), three valuations on one
-   per-program stage, and inputs where one value in three is a special
+   skipped, so faulting and hanging ones stay in), three valuations bound to
+   one lowering, and inputs where one value in three is a special
    float. A valuation that runs clean also runs under a random Shift_index,
    which moves one index by 1 or 2 either way. *)
 let specials =
