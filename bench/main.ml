@@ -1104,11 +1104,16 @@ let faultlab () =
    so the JSON shows both the amortized and the cold story, split into
    [Plan.compile]'s lowering (partial application) and the binding of the
    valuation (applying the lowering to the symbols); [compile_ms] is their
-   sum. The plan loop runs three times and the fastest is reported, so
-   host noise inflates a single slow loop less. [plan_minor_words] is the
-   minor-heap allocation of one plan trial, averaged over the first loop.
+   sum. The tree-walk runs a fixed number of trials. A plan loop runs
+   trials in batches of doubling size until [plan_seconds] of wall time
+   have passed and counts them: a loop of a fixed trial count lasts about
+   a millisecond on scale, short enough for code placement and host load
+   to move it by several percent. The loop runs three times and the
+   fastest is reported, so host noise inflates a single slow loop less.
+   [plan_minor_words] is the minor-heap allocation of one plan trial,
+   averaged over the first loop.
 
-     BENCH_INTERP_TRIALS       trials per workload (default 1000)
+     BENCH_INTERP_TRIALS       tree-walk trials per workload (default 1000)
      BENCH_INTERP_MIN_SPEEDUP  exit non-zero below this (default 1.0) *)
 let interp () =
   header "Interpreter throughput: execution plans vs tree-walk";
@@ -1132,7 +1137,8 @@ let interp () =
       ("fig4", Workloads.Fig4.build ());
     ]
   in
-  Printf.printf "trials per workload: %d\n" trials;
+  let plan_seconds = 0.2 in
+  Printf.printf "tree-walk trials per workload: %d; plan loops of %.1f s\n" trials plan_seconds;
   Printf.printf "%-10s %10s %10s %10s %12s %12s %9s %12s\n" "workload" "compile" "lower"
     "bind" "tree-walk" "plan" "speedup" "words/trial";
   let worst = ref infinity in
@@ -1180,28 +1186,39 @@ let interp () =
                 ignore (Interp.Exec.run_tree g ~symbols ~inputs)
               done)
         in
+        (* the clock is read once per batch, not per trial *)
         let plan_loop () =
-          snd
-            (time (fun () ->
-                 for _ = 1 to trials do
-                   ignore (Interp.Plan.execute plan ~inputs)
-                 done))
+          let t0 = Unix.gettimeofday () in
+          let rec go n batch =
+            for _ = 1 to batch do
+              ignore (Interp.Plan.execute plan ~inputs)
+            done;
+            let n = n + batch and dt = Unix.gettimeofday () -. t0 in
+            if dt >= plan_seconds then (n, dt) else go n (2 * batch)
+          in
+          go 0 1
         in
+        let rate (n, dt) = float_of_int n /. dt in
         let words_before = Gc.minor_words () in
-        let t_first = plan_loop () in
-        let plan_words = (Gc.minor_words () -. words_before) /. float_of_int trials in
-        let t_plan = Float.min t_first (Float.min (plan_loop ()) (plan_loop ())) in
+        let first = plan_loop () in
+        let plan_words = (Gc.minor_words () -. words_before) /. float_of_int (fst first) in
+        let plan_trials, t_plan =
+          List.fold_left
+            (fun best l -> if rate l > rate best then l else best)
+            first
+            [ plan_loop (); plan_loop () ]
+        in
         let tps_tree = float_of_int trials /. t_tree in
-        let tps_plan = float_of_int trials /. t_plan in
-        let speedup = t_tree /. t_plan in
+        let tps_plan = float_of_int plan_trials /. t_plan in
+        let speedup = tps_plan /. tps_tree in
         if speedup < !worst then worst := speedup;
         Printf.printf "%-10s %8.3fms %8.3fms %8.3fms %9.0f/s %9.0f/s %8.2fx %12.0f\n" name
           (1000. *. t_compile) (1000. *. t_lower) (1000. *. t_bind) tps_tree tps_plan speedup
           plan_words;
         Printf.sprintf
-          "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"compile_ms\":%.3f,\"lower_ms\":%.3f,\"bind_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f,\"plan_minor_words\":%.0f}"
-          name trials (1000. *. t_compile) (1000. *. t_lower) (1000. *. t_bind) tps_tree tps_plan
-          t_tree t_plan speedup plan_words)
+          "{\"bench\":\"interp\",\"workload\":\"%s\",\"trials\":%d,\"plan_trials\":%d,\"compile_ms\":%.3f,\"lower_ms\":%.3f,\"bind_ms\":%.3f,\"tree_trials_per_s\":%.1f,\"plan_trials_per_s\":%.1f,\"tree_total_s\":%.4f,\"plan_total_s\":%.4f,\"speedup\":%.3f,\"plan_minor_words\":%.0f}"
+          name trials plan_trials (1000. *. t_compile) (1000. *. t_lower) (1000. *. t_bind)
+          tps_tree tps_plan t_tree t_plan speedup plan_words)
       workloads
   in
   let oc = open_out "BENCH_interp.json" in

@@ -129,7 +129,9 @@ let apply_un (op : Sdfg.Tcode.unop) a =
   | Sdfg.Tcode.Cos -> Float.cos a
   | Sdfg.Tcode.Tanh -> Float.tanh a
 
-let apply_cmp (op : Sdfg.Tcode.cmpop) a b =
+(* Float comparisons, not polymorphic ones: the same IEEE results (NaN is
+   unequal to everything, -0 equals 0) without a call per comparison. *)
+let apply_cmp (op : Sdfg.Tcode.cmpop) (a : float) (b : float) =
   let r =
     match op with
     | Sdfg.Tcode.Lt -> a < b

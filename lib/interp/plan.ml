@@ -2,19 +2,22 @@
 
    [compile g] lowers a validated graph once into a flat plan: state order
    and scope membership resolved per graph (adjacency and topological order
-   are the states' own indexed queries), tasklet code compiled to closures
-   over an integer-slot scratch file, memlet subsets and map ranges compiled
-   to closures, and containers addressed by dense plan ids instead of string
-   hashes. Every symbol that is not a map parameter reads a slot of the
-   run's symbol registers, so applying the lowering to [~symbols] only binds
-   a valuation: buffer shapes, the slots it sets, and the hang proof's
-   precondition. [execute] then runs a bound plan over fresh buffers as many
-   times as the fuzzing loop needs.
+   are the states' own indexed queries), memlet subsets and map ranges
+   compiled to closures, and containers addressed by dense plan ids instead
+   of string hashes. Every symbol that is not a map parameter reads a slot
+   of the run's symbol registers, so applying the lowering to [~symbols]
+   only binds a valuation: buffer shapes, the slots it sets, and the hang
+   proof's precondition. [execute] then runs a bound plan over fresh buffers
+   as many times as the fuzzing loop needs.
 
-   Tasklet point and scalar memlets address their buffer in place: a point
-   evaluates its indices into an integer scratch of its own and folds the
-   bounds check into the row-major offset, so an access builds no index
-   array. That scratch, the tasklets' registers and their select counters
+   A tasklet is one flat instruction array over its float register file:
+   its input reads, one instruction per code node, then its output writes,
+   with every operator and memlet kind chosen at lowering, so no float
+   leaves a float array. Point and scalar memlets address their buffer in
+   place; a point whose every index is a map parameter, a parameter plus or
+   minus a constant, or a constant is straight-line code up to rank 3, and
+   any other point evaluates its index closures into an integer scratch of
+   its own. That scratch, the tasklets' registers and their select counters
    are the only lowering state a run mutates, so plans bound from one
    lowering must not run at once; nothing in lib does (it starts no domains
    or threads).
@@ -35,7 +38,7 @@ open Defs
 type rt = {
   cfg : config;
   bufs : Value.buffer array;  (* dense plan ids -> fresh buffers *)
-  params : int array;  (* map-parameter registers *)
+  params : int array;  (* map-parameter registers; register 0 is never assigned *)
   dvals : int array;  (* symbol slots: the valuation, then interstate assignments *)
   dset : bool array;  (* which slots are set; a set slot is never unset *)
   mutable steps : int;
@@ -92,7 +95,7 @@ type cenv = {
   buf_idx : (string, int) Hashtbl.t;  (* container name -> dense buffer id *)
   scalar_idx : (string, int) Hashtbl.t;  (* scalar containers only *)
   slot_idx : (string, int) Hashtbl.t;  (* symbol -> slot, filled on first reference *)
-  mutable nparams : int;  (* map-parameter registers allocated so far *)
+  mutable nparams : int;  (* map-parameter registers allocated so far, register 0 included *)
   mutable guarded : int list;
       (* slots a tasklet reads under a Select branch: whether such a read
          faults may depend on data, unless a binding sets the slot *)
@@ -176,42 +179,13 @@ let rec lower_cond cv (c : Symbolic.Cond.t) =
 
 type lrange = (rt -> int) * (rt -> int) * (rt -> int)  (* lo, hi, step *)
 
-(* Classification of a memlet subset at compile time, cheapest first:
-   scalar (no index computation at all), a volume-1 point whose per-dimension
-   index is one closure, or per-dimension range closures. A point owns an
-   index scratch of its rank, which every run overwrites (per-run state of
-   the lowering, like a tasklet's [t_scratch]). *)
-type lsub =
-  | Sscalar
-  | Spoint of { p_fs : (rt -> int) array; p_at : int array }
-  | Sranges of lrange array
-
 let lower_range cv sparams (r : Symbolic.Subset.range) : lrange =
   let e x = lower_expr cv sparams ~interstate:false x in
   (e r.lo, e r.hi, e r.step)
 
-(* The point fast path requires lo and hi to be the same expression (so
-   skipping the hi evaluation cannot skip a distinct exception) and the step
-   to evaluate to 1 with no symbol bound. [point] is only requested for
-   tasklet memlets, where the volume-1 check makes points the common case. *)
-let lower_subset cv sparams ~point (s : Symbolic.Subset.t) =
-  let unit_step (r : Symbolic.Subset.range) =
-    match Symbolic.Expr.eval Symbolic.Expr.Env.empty r.step with
-    | step -> step = 1
-    | exception (Symbolic.Expr.Unbound_symbol _ | Symbolic.Expr.Division_by_zero) -> false
-  in
-  match s with
-  | [] -> Sscalar
-  | _ when point && List.for_all (fun (r : Symbolic.Subset.range) -> r.lo = r.hi && unit_step r) s
-    ->
-      let fs =
-        Array.of_list
-          (List.map
-             (fun (r : Symbolic.Subset.range) -> lower_expr cv sparams ~interstate:false r.lo)
-             s)
-      in
-      Spoint { p_fs = fs; p_at = Array.make (Array.length fs) 0 }
-  | _ -> Sranges (Array.of_list (List.map (lower_range cv sparams) s))
+(* A subset as per-dimension range closures; a scalar's has none. *)
+let lower_ranges cv sparams (s : Symbolic.Subset.t) =
+  Array.of_list (List.map (lower_range cv sparams) s)
 
 (* Concrete-range construction mirrors Subset.concretize_range's record
    literal, which evaluates step, then hi, then lo. *)
@@ -227,21 +201,14 @@ let subset_fault = function
   | Symbolic.Expr.Division_by_zero -> F (Runtime_error "division by zero in subset")
   | e -> e
 
-(* Evaluate a non-point subset: concrete ranges, the Shift_index injection on
-   the first dimension, and the subset counter (dimensioned subsets only, and
+(* Evaluate a subset: concrete ranges, the Shift_index injection on the
+   first dimension, and the subset counter (dimensioned subsets only, and
    only after a successful evaluation — the same points the tree-walk
    advances it). *)
-let concretize_sub rt ls =
-  let cs =
-    match ls with
-    | Sscalar -> []
-    | Sranges lrs -> (
-        try Array.to_list (Array.map (eval_range rt) lrs) with e -> raise (subset_fault e))
-    | Spoint _ -> assert false (* points are addressed by point_offset *)
-  in
-  match cs with
-  | [] -> cs
-  | (r : Symbolic.Subset.crange) :: rest ->
+let concretize_sub rt lrs =
+  match try Array.to_list (Array.map (eval_range rt) lrs) with e -> raise (subset_fault e) with
+  | [] -> []
+  | (r : Symbolic.Subset.crange) :: rest as cs ->
       let cs =
         match rt.cfg.inject with
         | Some (Shift_index { nth_subset; delta }) when rt.subsets = nth_subset ->
@@ -251,10 +218,21 @@ let concretize_sub rt ls =
       rt.subsets <- rt.subsets + 1;
       cs
 
-(* Raised from a top-level function so that the in-bounds path of
-   [point_offset] allocates nothing. The fault is the one Value's subset
-   reads and writes raise, with a copy of the index: the scratch is
-   overwritten by the next run. *)
+(* The Shift_index injection on a point's first index, then the subset
+   counter, as for any dimensioned subset. *)
+let shift_first rt i0 =
+  let i0 =
+    match rt.cfg.inject with
+    | Some (Shift_index { nth_subset; delta }) when rt.subsets = nth_subset -> i0 + delta
+    | _ -> i0
+  in
+  rt.subsets <- rt.subsets + 1;
+  i0
+
+(* Raised from a top-level function so that the in-bounds path of a point
+   allocates nothing. The fault is the one Value's subset reads and writes
+   raise, with a copy of the index: the scratch is overwritten by the next
+   run. *)
 let point_oob (b : Value.buffer) at context =
   raise
     (F
@@ -262,9 +240,8 @@ let point_oob (b : Value.buffer) at context =
           { container = b.Value.name; index = Array.copy at; shape = b.cshape; context }))
 
 (* Address a point memlet in place: every index into the point's scratch, in
-   order (an evaluation fault wins over any bounds fault), then the
-   Shift_index injection and the subset counter, as for any dimensioned
-   subset, then the bounds check folded into the row-major offset. Validation
+   order (an evaluation fault wins over any bounds fault), then [shift_first],
+   then the bounds check folded into the row-major offset. Validation
    guarantees the point's rank is the buffer's. *)
 let point_offset rt (b : Value.buffer) fs at context =
   (try
@@ -272,11 +249,7 @@ let point_offset rt (b : Value.buffer) fs at context =
        at.(d) <- fs.(d) rt
      done
    with e -> raise (subset_fault e));
-  (match rt.cfg.inject with
-  | Some (Shift_index { nth_subset; delta }) when rt.subsets = nth_subset ->
-      at.(0) <- at.(0) + delta
-  | _ -> ());
-  rt.subsets <- rt.subsets + 1;
+  at.(0) <- shift_first rt at.(0);
   let shape = b.cshape in
   let off = ref 0 in
   for d = 0 to Array.length at - 1 do
@@ -285,6 +258,92 @@ let point_offset rt (b : Value.buffer) fs at context =
     off := (!off * n) + i
   done;
   !off
+
+(* One dimension of a point index that is affine in a map parameter:
+   parameter register [p] plus [c]. Register 0 is never assigned, so a
+   constant index [c] is [(0, c)]. Any other form, a symbol included, is
+   not affine. *)
+let affine_dim sparams (e : Symbolic.Expr.t) =
+  let reg s c = Option.map (fun p -> (p, c)) (List.assoc_opt s sparams) in
+  match e with
+  | Symbolic.Expr.Int c -> Some (0, c)
+  | Symbolic.Expr.Sym s -> reg s 0
+  | Symbolic.Expr.Add (Symbolic.Expr.Sym s, Symbolic.Expr.Int c)
+  | Symbolic.Expr.Add (Symbolic.Expr.Int c, Symbolic.Expr.Sym s) ->
+      reg s c
+  | Symbolic.Expr.Sub (Symbolic.Expr.Sym s, Symbolic.Expr.Int c) -> reg s (-c)
+  | _ -> None
+
+(* [point_offset] as straight-line code for an affine point of rank 1 to 3:
+   its indices cannot fault, so the order left is the shift, then the
+   bounds check in dimension order, which writes the indices into the
+   scratch only to report them. *)
+let affine_offset at context = function
+  | [| (p0, c0) |] ->
+      fun rt (b : Value.buffer) ->
+        let i0 = shift_first rt (rt.params.(p0) + c0) in
+        if i0 < 0 || i0 >= b.cshape.(0) then begin
+          at.(0) <- i0;
+          point_oob b at context
+        end;
+        i0
+  | [| (p0, c0); (p1, c1) |] ->
+      fun rt b ->
+        let ps = rt.params in
+        let i1 = ps.(p1) + c1 in
+        let i0 = shift_first rt (ps.(p0) + c0) in
+        let sh = b.cshape in
+        let n1 = sh.(1) in
+        if i0 < 0 || i0 >= sh.(0) || i1 < 0 || i1 >= n1 then begin
+          at.(0) <- i0;
+          at.(1) <- i1;
+          point_oob b at context
+        end;
+        (i0 * n1) + i1
+  | [| (p0, c0); (p1, c1); (p2, c2) |] ->
+      fun rt b ->
+        let ps = rt.params in
+        let i1 = ps.(p1) + c1 and i2 = ps.(p2) + c2 in
+        let i0 = shift_first rt (ps.(p0) + c0) in
+        let sh = b.cshape in
+        let n1 = sh.(1) and n2 = sh.(2) in
+        if i0 < 0 || i0 >= sh.(0) || i1 < 0 || i1 >= n1 || i2 < 0 || i2 >= n2 then begin
+          at.(0) <- i0;
+          at.(1) <- i1;
+          at.(2) <- i2;
+          point_oob b at context
+        end;
+        (((i0 * n1) + i1) * n2) + i2
+  | _ -> invalid_arg "Plan.affine_offset: rank"
+
+(* A tasklet memlet, classified at lowering, cheapest first: a scalar
+   (element 0), a volume-1 point addressed in place by its offset
+   function, or range closures through Value's subset iteration. A point
+   owns an index scratch of its rank, per-run state of the lowering like a
+   tasklet's registers. *)
+type access = Ascalar | Apoint of (rt -> Value.buffer -> int) | Aranges of lrange array
+
+(* A point requires lo and hi to be the same expression (so skipping the hi
+   evaluation cannot skip a distinct exception) and the step to evaluate to
+   1 with no symbol bound. *)
+let lower_access cv sparams ~context (s : Symbolic.Subset.t) =
+  let unit_step (r : Symbolic.Subset.range) =
+    match Symbolic.Expr.eval Symbolic.Expr.Env.empty r.step with
+    | step -> step = 1
+    | exception (Symbolic.Expr.Unbound_symbol _ | Symbolic.Expr.Division_by_zero) -> false
+  in
+  match s with
+  | [] -> Ascalar
+  | _ when List.for_all (fun (r : Symbolic.Subset.range) -> r.lo = r.hi && unit_step r) s -> (
+      let los = List.map (fun (r : Symbolic.Subset.range) -> r.lo) s in
+      let at = Array.make (List.length los) 0 in
+      let affine = List.filter_map (affine_dim sparams) los in
+      if List.length affine = List.length los && List.length los <= 3 then
+        Apoint (affine_offset at context (Array.of_list affine))
+      else
+        let fs = Array.of_list (List.map (lower_expr cv sparams ~interstate:false) los) in
+        Apoint (fun rt b -> point_offset rt b fs at context))
+  | _ -> Aranges (lower_ranges cv sparams s)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer references and write interception                            *)
@@ -345,28 +404,15 @@ let oob_fault context = function
 (* Lowered operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type task_read = { rd_buf : bref; rd_sub : lsub; rd_slot : int; rd_ctx : string }
-type wsrc = Wslot of int | Wmissing of string
-
-type task_write = {
-  wr_src : wsrc;
-  wr_buf : bref;
-  wr_sub : lsub;
-  wr_wcr : Memlet.wcr option;
-  wr_ctx : string;
-}
-
 type task_op = {
   t_host_fault : fault option;  (* GPU scope touching host storage *)
-  t_reads : task_read array;  (* in in-edge order *)
-  t_assigns : (int * (rt -> float)) array;  (* scratch slot, lowered rhs *)
-  t_writes : task_write array;  (* in out-edge order *)
-  t_scratch : float array;  (* connector register file, shared across runs *)
-  t_sel : int ref;  (* Select site counter within one invocation *)
+  t_code : (rt -> unit) array;
+      (* the select counter's reset if the code has a Select, the reads in
+         in-edge order, the assignments, the writes in out-edge order *)
 }
 
 type lib_conn =
-  | Cok of { c_buf : bref; c_sub : lsub; c_wcr : Memlet.wcr option; c_ctx : string }
+  | Cok of { c_buf : bref; c_sub : lrange array; c_wcr : Memlet.wcr option; c_ctx : string }
   | Cmissing of string  (* precomputed missing-connector fault message *)
 
 type lib_op = {
@@ -382,9 +428,9 @@ type copy_op =
   | Copy_missing_desc  (* dst container has no descriptor: Not_found, as the tree-walk *)
   | Copy of {
       cp_src : bref;
-      cp_ssub : lsub;
+      cp_ssub : lrange array;
       cp_dst : bref;
-      cp_dsub : lsub;
+      cp_dsub : lrange array;
       cp_wcr : Memlet.wcr option;
       cp_ctx : string;
     }
@@ -458,72 +504,226 @@ let gpu_fault cv sc nid =
       | None -> None)
     (Tree.ins_of sc nid @ Tree.outs_of sc nid)
 
-(* Tasklet code lowered to closures over a scratch register file. Reference
-   resolution is frozen at compile time with the tree-walk's precedence:
-   visible connectors (inputs, plus targets of earlier assignments), then
-   enclosing map parameters innermost-first, then symbol slots. The slot a
-   reference under a Select branch reads is recorded in [cv.guarded]: an
-   unset slot faults, and whether the branch runs depends on data. *)
-let lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr =
-  let rec lo ~guarded e =
+(* One element store at a checked offset, as Value.write_subset stores each
+   element: the write counter and the injection, then the WCR combine,
+   which reads the old element, then the dtype cast. The value stays in the
+   tasklet's register file: with no injection an F64 buffer needs neither
+   [corrupt1] nor the cast, and a sum or a product combines inline. *)
+let store rt (b : Value.buffer) off wcr (regs : float array) s =
+  let data = b.data in
+  match (rt.cfg.inject, b.desc.dtype) with
+  | None, Dtype.F64 -> (
+      rt.writes <- rt.writes + 1;
+      match wcr with
+      | None -> data.(off) <- regs.(s)
+      | Some Memlet.Wcr_sum -> data.(off) <- data.(off) +. regs.(s)
+      | Some Memlet.Wcr_mul -> data.(off) <- data.(off) *. regs.(s)
+      | Some wc -> data.(off) <- Memlet.apply_wcr wc data.(off) regs.(s))
+  | _ ->
+      let v = corrupt1 rt regs.(s) in
+      let v = match wcr with None -> v | Some wc -> Memlet.apply_wcr wc data.(off) v in
+      data.(off) <- Value.cast b.desc.dtype v
+
+let run_code (code : (rt -> unit) array) rt =
+  for k = 0 to Array.length code - 1 do
+    code.(k) rt
+  done
+
+(* One instruction per operator, over registers of the tasklet's file. *)
+let bin_instr (regs : float array) (op : Tcode.binop) d a b : rt -> unit =
+  match op with
+  | Tcode.Add -> fun _ -> regs.(d) <- regs.(a) +. regs.(b)
+  | Tcode.Sub -> fun _ -> regs.(d) <- regs.(a) -. regs.(b)
+  | Tcode.Mul -> fun _ -> regs.(d) <- regs.(a) *. regs.(b)
+  | Tcode.Div -> fun _ -> regs.(d) <- regs.(a) /. regs.(b)
+  | Tcode.Pow -> fun _ -> regs.(d) <- Float.pow regs.(a) regs.(b)
+  | Tcode.Mod -> fun _ -> regs.(d) <- Float.rem regs.(a) regs.(b)
+  | Tcode.Min -> fun _ -> regs.(d) <- Float.min regs.(a) regs.(b)
+  | Tcode.Max -> fun _ -> regs.(d) <- Float.max regs.(a) regs.(b)
+
+let un_instr (regs : float array) (op : Tcode.unop) d a : rt -> unit =
+  match op with
+  | Tcode.Neg -> fun _ -> regs.(d) <- -.regs.(a)
+  | Tcode.Sqrt -> fun _ -> regs.(d) <- Float.sqrt regs.(a)
+  | Tcode.Exp -> fun _ -> regs.(d) <- Float.exp regs.(a)
+  | Tcode.Log -> fun _ -> regs.(d) <- Float.log regs.(a)
+  | Tcode.Abs -> fun _ -> regs.(d) <- Float.abs regs.(a)
+  | Tcode.Floor -> fun _ -> regs.(d) <- Float.floor regs.(a)
+  | Tcode.Sin -> fun _ -> regs.(d) <- Float.sin regs.(a)
+  | Tcode.Cos -> fun _ -> regs.(d) <- Float.cos regs.(a)
+  | Tcode.Tanh -> fun _ -> regs.(d) <- Float.tanh regs.(a)
+
+(* Float comparisons: NaN is unequal to everything and -0 equals 0, as in
+   Defs.apply_cmp. *)
+let cmp_instr (regs : float array) (op : Tcode.cmpop) d a b : rt -> unit =
+  match op with
+  | Tcode.Lt -> fun _ -> regs.(d) <- (if regs.(a) < regs.(b) then 1. else 0.)
+  | Tcode.Le -> fun _ -> regs.(d) <- (if regs.(a) <= regs.(b) then 1. else 0.)
+  | Tcode.Gt -> fun _ -> regs.(d) <- (if regs.(a) > regs.(b) then 1. else 0.)
+  | Tcode.Ge -> fun _ -> regs.(d) <- (if regs.(a) >= regs.(b) then 1. else 0.)
+  | Tcode.Eq -> fun _ -> regs.(d) <- (if regs.(a) = regs.(b) then 1. else 0.)
+  | Tcode.Ne -> fun _ -> regs.(d) <- (if regs.(a) <> regs.(b) then 1. else 0.)
+
+(* One assignment lowered to register code: the instructions, in run order,
+   that leave the value of [expr] in register [dst]. A node's value lives
+   in a register of its own, allocated by [fresh], except a visible
+   connector, read in place, and a constant, whose register is filled here.
+   A binary node runs its right operand's code, then its left's, then its
+   operator: the tree-walk's [apply_bin op (ev a) (ev b)] order, which
+   decides which unbound reference faults first and how Select sites are
+   numbered. Only the root instruction writes [dst], so [o = f(o)] reads
+   [o] before it overwrites it; a Select's root runs the sub-array of the
+   branch it takes, and each branch's root writes the Select's register.
+
+   Reference resolution is frozen at lowering with the tree-walk's
+   precedence: visible connectors (inputs, plus targets of earlier
+   assignments), then enclosing map parameters innermost-first, then symbol
+   slots. The slot a reference under a Select branch reads is recorded in
+   [cv.guarded]: an unset slot faults, and whether the branch runs depends
+   on data. *)
+let lower_tcode cv sparams ~sid ~nid ~visible ~(regs : float array) ~fresh ~sel ~sel_digests ~dst
+    expr =
+  let rec lo code ~guarded dst e =
+    let emit i = code := i :: !code in
+    let into () = match dst with Some d -> d | None -> fresh () in
+    let leaf r =
+      match dst with
+      | Some d when d <> r ->
+          emit (fun _ -> regs.(d) <- regs.(r));
+          d
+      | _ -> r
+    in
     match e with
-    | Tcode.Fconst f -> fun _ -> f
+    | Tcode.Fconst f ->
+        let r = fresh () in
+        regs.(r) <- f;
+        leaf r
     | Tcode.Ref s -> (
         match Hashtbl.find_opt visible s with
-        | Some i -> fun _ -> scratch.(i)
-        | None -> (
-            match List.assoc_opt s sparams with
-            | Some slot -> fun rt -> float_of_int rt.params.(slot)
+        | Some i -> leaf i
+        | None ->
+            let d = into () in
+            (match List.assoc_opt s sparams with
+            | Some p -> emit (fun rt -> regs.(d) <- float_of_int rt.params.(p))
             | None ->
                 let i = slot cv s in
                 if guarded then cv.guarded <- i :: cv.guarded;
                 let unbound =
                   F (Invalid_graph (Printf.sprintf "tasklet %d: unbound ref %s" nid s))
                 in
-                fun rt -> if rt.dset.(i) then float_of_int rt.dvals.(i) else raise unbound))
+                emit (fun rt ->
+                    if rt.dset.(i) then regs.(d) <- float_of_int rt.dvals.(i) else raise unbound));
+            d)
     | Tcode.Bin (op, a, b) ->
-        let la = lo ~guarded a and lb = lo ~guarded b in
-        fun rt ->
-          let vb = lb rt in
-          let va = la rt in
-          apply_bin op va vb
+        let rb = lo code ~guarded None b in
+        let ra = lo code ~guarded None a in
+        let d = into () in
+        emit (bin_instr regs op d ra rb);
+        d
     | Tcode.Un (op, a) ->
-        let la = lo ~guarded a in
-        fun rt -> apply_un op (la rt)
+        let ra = lo code ~guarded None a in
+        let d = into () in
+        emit (un_instr regs op d ra);
+        d
     | Tcode.Cmp (op, a, b) ->
-        let la = lo ~guarded a and lb = lo ~guarded b in
-        fun rt ->
-          let vb = lb rt in
-          let va = la rt in
-          apply_cmp op va vb
+        let rb = lo code ~guarded None b in
+        let ra = lo code ~guarded None a in
+        let d = into () in
+        emit (cmp_instr regs op d ra rb);
+        d
     | Tcode.Select (c, a, b) ->
-        let lc = lo ~guarded c and la = lo ~guarded:true a and lb = lo ~guarded:true b in
-        fun rt ->
-          let taken = lc rt <> 0. in
-          let k = !sel in
-          incr sel;
-          if rt.cfg.collect_coverage then begin
-            let i = (2 * k) + Bool.to_int taken in
-            if i < Array.length sel_digests then Hashtbl.replace rt.cov sel_digests.(i) ()
-            else
-              Hashtbl.replace rt.cov
-                (cov_digest (Cov_select { state = sid; node = nid; site = k; taken }))
-                ()
-          end;
-          if taken then la rt else lb rt
+        let rc = lo code ~guarded None c in
+        let d = into () in
+        let branch e =
+          let code = ref [] in
+          ignore (lo code ~guarded:true (Some d) e);
+          Array.of_list (List.rev !code)
+        in
+        let ca = branch a in
+        let cb = branch b in
+        emit (fun rt ->
+            let taken = regs.(rc) <> 0. in
+            let k = !sel in
+            incr sel;
+            if rt.cfg.collect_coverage then begin
+              let i = (2 * k) + Bool.to_int taken in
+              if i < Array.length sel_digests then Hashtbl.replace rt.cov sel_digests.(i) ()
+              else
+                Hashtbl.replace rt.cov
+                  (cov_digest (Cov_select { state = sid; node = nid; site = k; taken }))
+                  ()
+            end;
+            run_code (if taken then ca else cb) rt);
+        d
   in
-  lo ~guarded:false expr
+  let code = ref [] in
+  ignore (lo code ~guarded:false (Some dst) expr);
+  List.rev !code
 
+(* A read lands straight in the connector's register. A validated scalar
+   memlet names a scalar buffer. *)
+let read_instr cv sparams ~nid (regs : float array) s (conn, (m : Memlet.t)) : rt -> unit =
+  let context = Printf.sprintf "tasklet %d input %s" nid conn in
+  match (bref cv m.data, lower_access cv sparams ~context m.subset) with
+  | (Bmissing _ as br), _ -> fun rt -> ignore (getbuf rt br)
+  | Bok bid, Ascalar -> fun rt -> regs.(s) <- rt.bufs.(bid).data.(0)
+  | Bok bid, Apoint offset ->
+      fun rt ->
+        let b = rt.bufs.(bid) in
+        regs.(s) <- b.data.(offset rt b)
+  | Bok bid, Aranges lrs ->
+      fun rt ->
+        let b = rt.bufs.(bid) in
+        let cs = concretize_sub rt lrs in
+        let values = try Value.read_subset b cs with e -> raise (oob_fault context e) in
+        if Array.length values <> 1 then
+          raise
+            (F
+               (Invalid_graph
+                  (Printf.sprintf "%s: tasklet memlet must have volume 1 (got %d)" context
+                     (Array.length values))));
+        regs.(s) <- values.(0)
+
+(* A write checks its connector, then its buffer, then addresses it, as the
+   tree-walk does. [targets] maps assignment targets to their registers: an
+   out-edge from a pure input connector is a missing-value fault, as in
+   eval_code. *)
+let write_instr cv sparams ~nid ~targets (regs : float array) conn (m : Memlet.t) : rt -> unit =
+  let context = Printf.sprintf "tasklet %d output %s" nid conn in
+  let wcr = m.wcr in
+  match (Hashtbl.find_opt targets conn, bref cv m.data, lower_access cv sparams ~context m.subset) with
+  | None, _, _ ->
+      let missing =
+        F (Invalid_graph (Printf.sprintf "tasklet %d: no value for connector %s" nid conn))
+      in
+      fun _ -> raise missing
+  | Some _, (Bmissing _ as br), _ -> fun rt -> ignore (getbuf rt br)
+  | Some s, Bok bid, Ascalar -> fun rt -> store rt rt.bufs.(bid) 0 wcr regs s
+  | Some s, Bok bid, Apoint offset ->
+      fun rt ->
+        let b = rt.bufs.(bid) in
+        store rt b (offset rt b) wcr regs s
+  | Some s, Bok bid, Aranges lrs -> (
+      fun rt ->
+        let b = rt.bufs.(bid) in
+        let cs = concretize_sub rt lrs in
+        let values = corrupt_write rt [| regs.(s) |] in
+        try
+          match wcr with
+          | None -> Value.write_subset b cs values
+          | Some wc -> Value.accumulate_subset b cs wc values
+        with e -> raise (oob_fault context e))
+
+(* The register file: input connectors in in-edge order, then assignment
+   targets, then at most one register per code node. *)
 let lower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
   let host_fault = if gpu then gpu_fault cv sc nid else None in
   let slot_of = Hashtbl.create 8 in
-  let nslots = ref 0 in
   let slot name =
     match Hashtbl.find_opt slot_of name with
     | Some i -> i
     | None ->
-        let i = !nslots in
-        incr nslots;
+        let i = Hashtbl.length slot_of in
         Hashtbl.replace slot_of name i;
         i
   in
@@ -535,20 +735,24 @@ let lower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
         | _ -> None)
       (Tree.ins_of sc nid)
   in
-  let reads =
-    Array.of_list
-      (List.map
-         (fun (conn, (m : Memlet.t)) ->
-           {
-             rd_buf = bref cv m.data;
-             rd_sub = lower_subset cv sparams ~point:true m.subset;
-             rd_slot = slot conn;
-             rd_ctx = Printf.sprintf "tasklet %d input %s" nid conn;
-           })
-         in_edges)
-  in
+  List.iter (fun (conn, _) -> ignore (slot conn)) in_edges;
   List.iter (fun (o, _) -> ignore (slot o)) code.assignments;
-  let scratch = Array.make (max 1 !nslots) 0. in
+  let rec nodes = function
+    | Tcode.Fconst _ | Tcode.Ref _ -> 1
+    | Tcode.Un (_, a) -> 1 + nodes a
+    | Tcode.Bin (_, a, b) | Tcode.Cmp (_, a, b) -> 1 + nodes a + nodes b
+    | Tcode.Select (c, a, b) -> 1 + nodes c + nodes a + nodes b
+  in
+  let nslots = Hashtbl.length slot_of in
+  let regs =
+    Array.make (List.fold_left (fun n (_, e) -> n + nodes e) nslots code.assignments) 0.
+  in
+  let next = ref nslots in
+  let fresh () =
+    let r = !next in
+    incr next;
+    r
+  in
   let sel = ref 0 in
   let sel_digests =
     Array.init
@@ -556,59 +760,40 @@ let lower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
       (fun i ->
         cov_digest (Cov_select { state = sid; node = nid; site = i / 2; taken = i mod 2 = 1 }))
   in
+  let reads =
+    List.map (fun ((conn, _) as e) -> read_instr cv sparams ~nid regs (slot conn) e) in_edges
+  in
   (* visibility grows as assignments are lowered: an assignment may read
      inputs and any earlier target, but not later ones *)
   let visible = Hashtbl.create 8 in
-  List.iter (fun (conn, _) -> Hashtbl.replace visible conn (Hashtbl.find slot_of conn)) in_edges;
+  List.iter (fun (conn, _) -> Hashtbl.replace visible conn (slot conn)) in_edges;
   let assigns =
-    Array.of_list
-      (List.map
-         (fun (o, expr) ->
-           let f = lower_tcode cv sparams ~sid ~nid ~visible ~scratch ~sel ~sel_digests expr in
-           let s = Hashtbl.find slot_of o in
-           Hashtbl.replace visible o s;
-           (s, f))
-         code.assignments)
+    List.concat_map
+      (fun (o, expr) ->
+        let dst = slot o in
+        let code = lower_tcode cv sparams ~sid ~nid ~visible ~regs ~fresh ~sel ~sel_digests ~dst expr in
+        Hashtbl.replace visible o dst;
+        code)
+      code.assignments
   in
-  (* output connectors resolve against assignment targets only: an out-edge
-     from a pure input connector is a missing-value fault, as in eval_code *)
   let targets = Hashtbl.create 8 in
-  List.iter (fun (o, _) -> Hashtbl.replace targets o ()) code.assignments;
+  List.iter (fun (o, _) -> Hashtbl.replace targets o (slot o)) code.assignments;
   let writes =
-    Array.of_list
-      (List.filter_map
-         (fun (e : State.edge) ->
-           match (e.src_conn, e.memlet) with
-           | Some conn, Some (m : Memlet.t) ->
-               Some
-                 {
-                   wr_src =
-                     (if Hashtbl.mem targets conn then Wslot (Hashtbl.find slot_of conn)
-                      else
-                        Wmissing
-                          (Printf.sprintf "tasklet %d: no value for connector %s" nid conn));
-                   wr_buf = bref cv m.data;
-                   wr_sub = lower_subset cv sparams ~point:true m.subset;
-                   wr_wcr = m.wcr;
-                   wr_ctx = Printf.sprintf "tasklet %d output %s" nid conn;
-                 }
-           | _ -> None)
-         (Tree.outs_of sc nid))
+    List.filter_map
+      (fun (e : State.edge) ->
+        match (e.src_conn, e.memlet) with
+        | Some conn, Some m -> Some (write_instr cv sparams ~nid ~targets regs conn m)
+        | _ -> None)
+      (Tree.outs_of sc nid)
   in
-  {
-    t_host_fault = host_fault;
-    t_reads = reads;
-    t_assigns = assigns;
-    t_writes = writes;
-    t_scratch = scratch;
-    t_sel = sel;
-  }
+  let reset = if Array.length sel_digests > 0 then [ (fun _ -> sel := 0) ] else [] in
+  { t_host_fault = host_fault; t_code = Array.of_list (reset @ reads @ assigns @ writes) }
 
 let lib_conn cv sparams nid ~dir conn (m : Memlet.t) =
   Cok
     {
       c_buf = bref cv m.data;
-      c_sub = lower_subset cv sparams ~point:false m.subset;
+      c_sub = lower_ranges cv sparams m.subset;
       c_wcr = m.wcr;
       c_ctx = Printf.sprintf "library node %d %s %s" nid dir conn;
     }
@@ -669,9 +854,9 @@ let lower_copy cv sparams ~dst_data (src_m : Memlet.t) (dst_memlet : Memlet.t op
       Copy
         {
           cp_src = bref cv src_m.data;
-          cp_ssub = lower_subset cv sparams ~point:false src_m.subset;
+          cp_ssub = lower_ranges cv sparams src_m.subset;
           cp_dst = bref cv dst_m.data;
-          cp_dsub = lower_subset cv sparams ~point:false dst_m.subset;
+          cp_dsub = lower_ranges cv sparams dst_m.subset;
           cp_wcr = dst_m.wcr;
           cp_ctx = Printf.sprintf "copy %s -> %s" src_m.data dst_m.data;
         }
@@ -736,68 +921,10 @@ and lower_map cv sc sid sparams nid (info : Node.map_info) =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A tasklet read lands straight in the connector register file. Scalar and
-   point memlets address the buffer in place; a validated scalar memlet
-   names a scalar buffer. *)
-let read_into rt scratch (r : task_read) =
-  let b = getbuf rt r.rd_buf in
-  match r.rd_sub with
-  | Sscalar -> scratch.(r.rd_slot) <- b.data.(0)
-  | Spoint { p_fs; p_at } -> scratch.(r.rd_slot) <- b.data.(point_offset rt b p_fs p_at r.rd_ctx)
-  | ls ->
-      let cs = concretize_sub rt ls in
-      let values = try Value.read_subset b cs with e -> raise (oob_fault r.rd_ctx e) in
-      if Array.length values <> 1 then
-        raise
-          (F
-             (Invalid_graph
-                (Printf.sprintf "%s: tasklet memlet must have volume 1 (got %d)" r.rd_ctx
-                   (Array.length values))));
-      scratch.(r.rd_slot) <- values.(0)
-
-(* One element store at a checked offset, as Value.write_subset stores
-   each element, after the write counter and injection: the WCR combine
-   reads the old element, then the dtype cast. *)
-let store rt (b : Value.buffer) off wcr v =
-  let v = corrupt1 rt v in
-  let v = match wcr with None -> v | Some wc -> Memlet.apply_wcr wc b.data.(off) v in
-  b.data.(off) <- Value.cast b.desc.dtype v
-
-let write_from rt scratch (w : task_write) =
-  match w.wr_src with
-  | Wmissing msg -> raise (F (Invalid_graph msg))
-  | Wslot i -> (
-      let b = getbuf rt w.wr_buf in
-      match w.wr_sub with
-      | Sscalar -> store rt b 0 w.wr_wcr scratch.(i)
-      | Spoint { p_fs; p_at } ->
-          let off = point_offset rt b p_fs p_at w.wr_ctx in
-          store rt b off w.wr_wcr scratch.(i)
-      | ls -> (
-          let cs = concretize_sub rt ls in
-          let values = corrupt_write rt [| scratch.(i) |] in
-          try
-            match w.wr_wcr with
-            | None -> Value.write_subset b cs values
-            | Some wc -> Value.accumulate_subset b cs wc values
-          with e -> raise (oob_fault w.wr_ctx e)))
-
 let exec_task rt (t : task_op) =
   (match t.t_host_fault with Some f -> raise (F f) | None -> ());
   tick rt;
-  let scratch = t.t_scratch in
-  let reads = t.t_reads and assigns = t.t_assigns and writes = t.t_writes in
-  for k = 0 to Array.length reads - 1 do
-    read_into rt scratch reads.(k)
-  done;
-  t.t_sel := 0;
-  for k = 0 to Array.length assigns - 1 do
-    let s, f = assigns.(k) in
-    scratch.(s) <- f rt
-  done;
-  for k = 0 to Array.length writes - 1 do
-    write_from rt scratch writes.(k)
-  done
+  run_code t.t_code rt
 
 let lib_read rt = function
   | Cmissing msg -> raise (F (Invalid_graph msg))
@@ -1036,7 +1163,7 @@ let lower g containers =
   let start = Graph.start_state g in
   let start = if start < 0 then -1 else Hashtbl.find pos_of start in
   let cv =
-    { cg = g; buf_idx; scalar_idx; slot_idx = Hashtbl.create 8; nparams = 0; guarded = [] }
+    { cg = g; buf_idx; scalar_idx; slot_idx = Hashtbl.create 8; nparams = 1; guarded = [] }
   in
   let state_plans =
     Array.of_list
@@ -1139,7 +1266,7 @@ let execute ?(config = default_config) p ~inputs =
     {
       cfg = config;
       bufs;
-      params = Array.make (max 1 lw.lw_nparams) 0;
+      params = Array.make lw.lw_nparams 0;
       dvals = Array.copy p.p_dvals;
       dset = Array.copy p.p_dset;
       steps = 0;

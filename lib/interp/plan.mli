@@ -2,11 +2,13 @@
     and fuzzer trial runs on a plan.
 
     [compile] lowers a graph once into a flat plan: topological order and
-    scope nesting resolved per graph, tasklet code compiled to closures over
-    integer-indexed registers, memlet subsets and map ranges compiled to
-    closures, tasklet point and scalar memlets addressing their buffers in
-    place, containers addressed by dense ids, and every symbol that is not a
-    map parameter read from a run-time slot. Binding a valuation to the
+    scope nesting resolved per graph, each tasklet compiled to one flat
+    instruction array over its float registers (reads, one instruction per
+    code node, writes), memlet subsets and map ranges compiled to closures,
+    tasklet point and scalar memlets addressing their buffers in place
+    (straight-line code for points affine in the map parameters),
+    containers addressed by dense ids, and every symbol that is not a map
+    parameter read from a run-time slot. Binding a valuation to the
     lowering gives a plan. [execute] runs the plan over fresh buffers; a
     plan may be executed any number of times, under any {!Defs.config}
     (step limits, fault injection and coverage collection are all

@@ -84,30 +84,41 @@ let workload_tests =
           (fun (name, g, symbols) -> differential ~config:cov_config name g ~symbols ~inputs:[])
           (roster ()));
     Alcotest.test_case "a tasklet memlet access allocates no index array" `Quick (fun () ->
-        (* scale reads a scalar and a point and writes a point per element;
-           addressed in place, an element allocates only float boxes (10
-           words), against 59 with an index array per access *)
-        let words n =
+        (* per element, scale reads a scalar and a point and writes a point,
+           axpy reads a scalar and two points, and gemm's contraction adds
+           into a point under a sum WCR. Tasklet code runs on its float
+           registers and stores from them, so an element allocates nothing:
+           an index array per access, a boxed operator result or a boxed WCR
+           combine would each cost 2 words or more. Each tasklet invocation
+           is one step, so words are counted per step *)
+        let words g n =
           let p =
-            match Interp.Plan.compile (Workloads.Npbench.scale ()) ~symbols:[ ("N", n) ] with
+            match Interp.Plan.compile g ~symbols:[ ("N", n) ] with
             | Ok p -> p
             | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
           in
           let run () =
             match Interp.Plan.execute p ~inputs:[] with
-            | Ok _ -> ()
+            | Ok o -> o.Interp.Exec.steps
             | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
           in
-          run ();
+          ignore (run ());
           let before = Gc.minor_words () in
-          run ();
-          Gc.minor_words () -. before
+          let steps = run () in
+          (Gc.minor_words () -. before, steps)
         in
-        let small = words 64 and large = words 4096 in
-        let per_element = (large -. small) /. float_of_int (4096 - 64) in
-        if per_element > 16. then
-          Alcotest.failf "%.1f minor words per element (%.0f at N=64, %.0f at N=4096)" per_element
-            small large);
+        List.iter
+          (fun (name, g, n_small, n_large) ->
+            let small, s_small = words g n_small and large, s_large = words g n_large in
+            let per_step = (large -. small) /. float_of_int (s_large - s_small) in
+            if per_step > 1. then
+              Alcotest.failf "%s: %.1f minor words per element (%.0f at N=%d, %.0f at N=%d)" name
+                per_step small n_small large n_large)
+          [
+            ("scale", Workloads.Npbench.scale (), 64, 4096);
+            ("axpy", Workloads.Npbench.axpy (), 64, 4096);
+            ("gemm", Workloads.Npbench.gemm (), 4, 24);
+          ]);
   ]
 
 (* every injection kind, on workloads exercising tasklets, WCR, library
@@ -664,6 +675,183 @@ let prop_tier_contract =
         ];
       true)
 
+(* The tier contract on tasklet code. Generated programs use few operators
+   and only F64 containers, so these programs are built to reach every
+   branch of tasklet lowering: one or two mapped tasklets whose code draws
+   every binary, unary and comparison operator and nested Selects, with a
+   Select in both operands of one binary node and the symbols u and v,
+   which a valuation may leave unbound, in both operands of another (under
+   a Select, so the data decides whether it faults); one to three point
+   reads and one point write per tasklet, rank 1 to 4, whose indices mix
+   map parameters, parameters plus or minus a constant and constants with
+   2*p + 1, N - 1 - p and p / Z, where Z may be 0; a scalar read; and a
+   written container of any dtype and WCR. Each program runs clean, then
+   under each injection kind at a random write, subset or step. *)
+let binops = Tcode.[| Add; Sub; Mul; Div; Pow; Mod; Min; Max |]
+let unops = Tcode.[| Neg; Sqrt; Exp; Log; Abs; Floor; Sin; Cos; Tanh |]
+let cmpops = Tcode.[| Lt; Le; Gt; Ge; Eq; Ne |]
+let dtypes = Dtype.[| F64; F32; I64; I32; Bool |]
+let wcrs = Memlet.[| None; Some Wcr_sum; Some Wcr_mul; Some Wcr_min; Some Wcr_max |]
+let pick rng a = a.(Random.State.int rng (Array.length a))
+
+let gen_index rng params =
+  let open Symbolic.Expr in
+  let p = Sym (pick rng params) and c = Random.State.int rng 3 in
+  match Random.State.int rng 20 with
+  | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> p
+  | 8 | 9 -> Add (p, Int c)
+  | 10 | 11 -> Add (Int c, p)
+  | 12 -> Sub (p, Int c)
+  | 13 | 14 -> Int c
+  | 15 | 16 -> Add (Mul (Int 2, p), Int 1)
+  | 17 | 18 -> Sub (Sub (Sym "N", Int 1), p)
+  | _ -> Div (p, Sym "Z")
+
+let gen_assignments rng ~inputs ~params =
+  let leaf refs =
+    match Random.State.int rng 6 with
+    | 0 | 1 -> Tcode.Ref (pick rng refs)
+    | 2 -> Tcode.Ref (pick rng params)
+    | 3 -> Tcode.Ref "N"
+    | 4 -> Tcode.Fconst (pick rng specials)
+    | _ -> Tcode.Fconst (float_of_int (Random.State.int rng 7 - 3) /. 2.)
+  in
+  let rec expr refs depth =
+    let sub () = expr refs (depth - 1) in
+    if depth = 0 then leaf refs
+    else
+      match Random.State.int rng 5 with
+      | 0 -> leaf refs
+      | 1 ->
+          let a = sub () in
+          Tcode.Bin (pick rng binops, a, sub ())
+      | 2 -> Tcode.Un (pick rng unops, sub ())
+      | 3 ->
+          let a = sub () in
+          Tcode.Cmp (pick rng cmpops, a, sub ())
+      | _ ->
+          let c = sub () in
+          let a = sub () in
+          Tcode.Select (c, a, sub ())
+  in
+  let cond refs =
+    let a = expr refs 1 in
+    Tcode.Cmp (pick rng cmpops, a, expr refs 1)
+  in
+  let select refs =
+    let c = cond refs in
+    let a = expr refs 2 in
+    Tcode.Select (c, a, expr refs 2)
+  in
+  let uses =
+    List.fold_left
+      (fun e c -> Tcode.Bin (pick rng binops, e, Tcode.Ref c))
+      (Tcode.Ref (List.hd inputs)) (List.tl inputs)
+  in
+  let inputs = Array.of_list inputs in
+  let t1 =
+    let a = select inputs in
+    Tcode.Bin (pick rng binops, a, select inputs)
+  in
+  let t2 =
+    let c = cond inputs in
+    let unbound = Tcode.Bin (pick rng binops, Tcode.Ref "u", Tcode.Ref "v") in
+    if Random.State.bool rng then Tcode.Select (c, unbound, expr inputs 2)
+    else Tcode.Select (c, expr inputs 2, unbound)
+  in
+  let refs = Array.append inputs [| "t0"; "t1"; "t2" |] in
+  let o = expr refs 3 in
+  [ ("t0", uses); ("t1", t1); ("t2", t2); ("o", o) ]
+  @ if Random.State.bool rng then [ ("o", Tcode.Bin (pick rng binops, Tcode.Ref "o", expr refs 2)) ]
+    else []
+
+(* Containers of rank r have shape (2N + 2)^r and maps run 0:N-1, so
+   2*p + 1, N - 1 - p, p + c and constants are in bounds, p - c is not at
+   the first iterations when c > 0, and p / Z faults when Z = 0. *)
+let tasklet_program seed =
+  let rng = Random.State.make [| seed |] in
+  let g = Graph.create "tcode" in
+  List.iter (Graph.add_symbol g) [ "N"; "Z" ];
+  let dim = Symbolic.Expr.(add (mul (int 2) (sym "N")) (int 2)) in
+  let point ?wcr ?(dtype = Dtype.F64) params name =
+    let rank = 1 + Random.State.int rng 4 in
+    Graph.add_array g name dtype (List.init rank (fun _ -> dim));
+    Memlet.make ?wcr name
+      (List.init rank (fun _ ->
+           let e = gen_index rng params in
+           Symbolic.Subset.dim e e))
+  in
+  Graph.add_scalar g "s" Dtype.F64;
+  let st = Graph.state g (Graph.add_state g "s") in
+  let tasklet k =
+    let params = if Random.State.bool rng then [| "i" |] else [| "i"; "j" |] in
+    let reads =
+      List.init
+        (1 + Random.State.int rng 3)
+        (fun r -> (Printf.sprintf "a%d" r, point params (Printf.sprintf "A%d_%d" k r)))
+    in
+    let wcr = pick rng wcrs and dtype = pick rng dtypes in
+    let out = point ?wcr ~dtype params (Printf.sprintf "W%d" k) in
+    let inputs = ("s", Builder.Build.mem "s" "") :: reads in
+    let label = Printf.sprintf "t%d" k in
+    let m =
+      Builder.Build.mapped_tasklet g st ~label
+        ~map:(List.map (fun p -> (p, "0:N-1")) (Array.to_list params))
+        ~inputs ~code:"o = s" ~outputs:[ ("o", out) ] ()
+    in
+    let code = gen_assignments rng ~inputs:(List.map fst inputs) ~params in
+    State.replace_node st m.tasklet (Node.Tasklet { label; code = Tcode.make code })
+  in
+  tasklet 0;
+  if Random.State.bool rng then tasklet 1;
+  let bound s = if Random.State.int rng 6 = 0 then [] else [ (s, Random.State.int rng 5 - 2) ] in
+  let symbols =
+    [ ("N", 1 + Random.State.int rng 3); ("Z", Random.State.int rng 3) ] @ bound "u" @ bound "v"
+  in
+  (g, symbols)
+
+let prop_tasklet_code =
+  QCheck.Test.make ~name:"plans match the tree-walk on random tasklet code and memlets" ~count:500
+    (QCheck.make
+       ~print:(fun seed ->
+         let g, symbols = tasklet_program seed in
+         Printf.sprintf "seed %d at %s:\n%s" seed (valuation_to_string symbols)
+           (Serialize.to_string g))
+       (QCheck.Gen.int_bound 1_000_000))
+    (fun seed ->
+      let g, symbols = tasklet_program seed in
+      let rng = Random.State.make [| seed; 1 |] in
+      let inputs = random_inputs rng g ~symbols in
+      let config = { cov_config with step_limit = 100_000 } in
+      let run inject =
+        let config = { config with inject } in
+        let tree = exec_tree ~config g ~symbols ~inputs in
+        check_same
+          (match inject with
+          | Some i -> "under " ^ Interp.Exec.injection_to_string i
+          | None -> "clean")
+          tree (exec_plan ~config g ~symbols ~inputs);
+        tree
+      in
+      let clean = run None in
+      (* a site the clean run reaches, or a small one when it faulted *)
+      let site count =
+        Random.State.int rng
+          (match clean with Ok o -> max 1 (count o) | Error _ -> 8)
+      in
+      let writes (o : Interp.Exec.outcome) = o.writes in
+      let delta = (1 + Random.State.int rng 2) * if Random.State.bool rng then 1 else -1 in
+      List.iter
+        (fun inject -> ignore (run (Some inject)))
+        [
+          Interp.Exec.Flip_bit { nth_write = site writes; bit = Random.State.int rng 64 };
+          Interp.Exec.Set_nan { nth_write = site writes };
+          Interp.Exec.Set_inf { nth_write = site writes };
+          Interp.Exec.Shift_index { nth_subset = site (fun o -> o.subsets); delta };
+          Interp.Exec.Burn_steps { after = site (fun o -> o.steps) };
+        ];
+      true)
+
 (* difftest verdicts do not depend on what ran earlier in the process *)
 let consumer_tests =
   [
@@ -696,6 +884,7 @@ let () =
       ("staged", staged_tests);
       ("generated", generated_tests);
       ("random", [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_tier_contract ]);
+      ("tasklets", [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_tasklet_code ]);
       ("cache", cache_tests);
       ("consumers", consumer_tests);
     ]
