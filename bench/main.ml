@@ -1102,9 +1102,9 @@ let faultlab () =
    re-derives all structure per run, the plan path compiles once and
    executes many times. Compile cost is measured and reported separately
    so the JSON shows both the amortized and the cold story, split into
-   [Plan.compile]'s lowering (partial application) and the binding of the
-   valuation (applying the lowering to the symbols); [compile_ms] is their
-   sum. The tree-walk runs a fixed number of trials. A plan loop runs
+   [Plan.compile]'s lowering (partial application, of a program admitted
+   outside the timer) and the binding of the valuation (applying the
+   lowering to the symbols); [compile_ms] is their sum. The tree-walk runs a fixed number of trials. A plan loop runs
    trials in batches of doubling size until [plan_seconds] of wall time
    have passed and counts them: a loop of a fixed trial count lasts about
    a millisecond on scale, short enough for code placement and host load
@@ -1172,7 +1172,8 @@ let interp () =
         | _ ->
             Printf.eprintf "interp bench: tier divergence on %s\n" name;
             exit 1);
-        let lowered, t_lower = time (fun () -> Interp.Plan.compile g) in
+        let admitted = Sdfg.Validate.check_exn g in
+        let lowered, t_lower = time (fun () -> Interp.Plan.compile admitted) in
         let plan, t_bind =
           time (fun () ->
               match lowered ~symbols with

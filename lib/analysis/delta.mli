@@ -21,7 +21,7 @@
     again. The whole-program passes (interval facts, def-use, liveness,
     reaching definitions, the summary joins) re-run on every copy.
 
-    Only a copy that passes {!Sdfg.Validate.check} is analyzed. An invalid
+    Only a copy that {!Sdfg.Validate.admit} accepts is analyzed. An invalid
     copy is the fuzz path's invalid code, not a static finding: its delta
     has no findings and the unchanged program's counters. A pass that
     raises on a valid program is not caught here; the exception reaches the
@@ -43,22 +43,24 @@ val create_memo : unit -> memo
 (** Hits and misses of each table; a miss computes. *)
 val memo_stats : memo -> Reuse.stats
 
-(** [between ~memo ~symbols g g'] analyzes a transformed copy [g'] of [g]
-    under [symbols]: the introduced findings, sorted, with the
+(** [between ~memo ~symbols g admitted] analyzes a transformed copy [g']
+    of [g] under [symbols], given its admission [admitted]
+    ([Validate.admit g']): the introduced findings, sorted, with the
     exact-dependence-tier counters summed over both programs. When [g']
-    fails validation, [g'] is not analyzed: no findings, and [g]'s counters
-    alone. It applies nothing, so the caller's one application serves every
-    gate. *)
+    failed admission, it is not analyzed: no findings, and [g]'s counters
+    alone. It applies and validates nothing, so the caller's one
+    application and one admission serve every gate. *)
 val between :
   memo:memo ->
   symbols:(string * int) list ->
   Graph.t ->
-  Graph.t ->
+  (Validate.valid, Validate.error) result ->
   Report.finding list * Races.stats
 
-(** {!between} [g] and its copy from {!Transforms.Xform.apply_copy}, the
-    two halves sharing a memo that lives for the call. [None] when that
-    gives [Error]: the fuzz path's invalid code, not a static finding. *)
+(** {!between} [g] and the admission of its copy from
+    {!Transforms.Xform.apply_copy}, the two halves sharing a memo that
+    lives for the call. [None] when the application gives [Error]: the
+    fuzz path's invalid code, not a static finding. *)
 val verify_stats :
   ?symbols:(string * int) list ->
   Graph.t ->

@@ -91,7 +91,7 @@ let refute_or_unknown ?deps ~bounds ~valuation mismatches =
                "propagated %s set of %s differs symbolically; no concrete witness found"
                (Certificate.side_name side) c))
 
-let decide ?(use_intervals = true) ?memo ~symbols ~delta g g' (x : Transforms.Xform.t) site =
+let decide ?(use_intervals = true) ?memo ~symbols ~delta g copy (x : Transforms.Xform.t) site =
   (* program parameters: declared symbols, anything a container shape
      mentions, and whatever the caller chose to concretize — hand-built
      graphs do not always call [add_symbol] *)
@@ -109,22 +109,23 @@ let decide ?(use_intervals = true) ?memo ~symbols ~delta g g' (x : Transforms.Xf
         (s, match List.assoc_opt s symbols with Some v -> v | None -> default_size))
       declared
   in
-  (* only a copy that validates is analyzed: equal summaries say nothing
+  (* only an admitted copy is analyzed: equal summaries say nothing
      about well-formed code, and only a valid copy may skip its fuzz trials.
      Then any introduced error refutes; so does an introduced race at any
      severity — a carried-dependence warning that was not there before means
      the transformation reordered accesses to concretely overlapping
      elements, which is exactly the divergence the fuzzer should chase *)
   match
-    ( Validate.check g',
+    ( copy,
       List.filter
         (fun (f : Report.finding) -> f.severity = Report.Error || f.pass = Report.Race)
         delta )
   with
-  | e :: _, _ ->
+  | Error e, _ ->
       Unknown (Format.asprintf "the transformed program fails validation: %a" Validate.pp_error e)
-  | [], f :: _ -> refute_from_delta ~valuation f
-  | [], [] -> (
+  | Ok _, f :: _ -> refute_from_delta ~valuation f
+  | Ok g', [] -> (
+      let g' = (g' : Validate.valid :> Graph.t) in
       (* Interstate-assigned symbols (loop counters, alias chains) are not
          program parameters, so a summary mentioning one is normally
          undecidable. When the transformation leaves the interstate CFG
@@ -263,5 +264,6 @@ let certify ?use_intervals ?memo ?(symbols = []) g x site =
   | Error _ -> None
   | Ok (g', _) ->
       let memo = match memo with Some m -> m | None -> Delta.create_memo () in
-      let delta, _ = Delta.between ~memo ~symbols g g' in
-      Some (decide ?use_intervals ~memo ~symbols ~delta g g' x site)
+      let copy = Validate.admit g' in
+      let delta, _ = Delta.between ~memo ~symbols g copy in
+      Some (decide ?use_intervals ~memo ~symbols ~delta g copy x site)

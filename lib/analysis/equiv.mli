@@ -12,7 +12,7 @@
     - [Equivalent cert] — every external container's propagated read and
       write set is symbolically equal pre/post, write-conflict-resolution
       targets agree, every surviving container keeps its access order, and
-      the transformed program passes {!Sdfg.Validate.check} (equal
+      the transformed program is admitted ({!Sdfg.Validate.admit}; equal
       summaries say nothing about well-formed code). The certificate
       re-checks independently ({!Certificate.check}).
       {b Sound to act on}: the pipeline may skip fuzz trials.
@@ -79,10 +79,13 @@ val certify :
   Transforms.Xform.site ->
   verdict option
 
-(** [decide ~symbols ~delta g g' x site] is {!certify}'s verdict for an
-    instance the caller already applied and analyzed: [g'] is the copy
+(** [decide ~symbols ~delta g copy x site] is {!certify}'s verdict for an
+    instance the caller already applied, admitted and analyzed: [copy] is
+    the admission ({!Sdfg.Validate.admit}) of the copy [g']
     {!Transforms.Xform.apply_copy} returned for [x] at [site] on [g], and
-    [delta] the findings of [Delta.between g g'] under [symbols]. With
+    [delta] the findings of [Delta.between g copy] under [symbols]. A copy
+    that failed admission is [Unknown], and the reason names its first
+    validation error. With
     [memo], the two summaries take their per-state accesses from its
     tables, where the delta's own analysis of both programs left them, and
     the exact engine's set comparisons and witness searches take the
@@ -95,7 +98,7 @@ val decide :
   symbols:(string * int) list ->
   delta:Report.finding list ->
   Sdfg.Graph.t ->
-  Sdfg.Graph.t ->
+  (Sdfg.Validate.valid, Sdfg.Validate.error) result ->
   Transforms.Xform.t ->
   Transforms.Xform.site ->
   verdict

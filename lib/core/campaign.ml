@@ -126,23 +126,24 @@ let run_instance ?memo ?(config = Difftest.default_config)
     site =
   let symbols = config.Difftest.concretization in
   (* one application of [x] to a copy of the program serves both gates and
-     the fuzz path, which fails one that gives [Error] as invalid code.
-     Without the caller's memo, one for this instance still serves both
-     halves of the delta and the certify gate's summaries. *)
+     the fuzz path, which fails one that gives [Error] as invalid code, and
+     one admission of that copy serves both gates. Without the caller's
+     memo, one for this instance still serves both halves of the delta and
+     the certify gate's summaries. *)
   let applied = Transforms.Xform.apply_copy x g site in
   let memo = lazy (match memo with Some m -> m | None -> Analysis.Delta.create_memo ()) in
   let verdict, static, dep_stats =
     match applied with
-    | Error _ -> (None, [], Analysis.Races.stats_zero)
-    | Ok (g', declared) ->
-        let delta = lazy (Analysis.Delta.between ~memo:(Lazy.force memo) ~symbols g g') in
+    | Ok (g', declared) when static_gate || certify_gate ->
+        let copy = Sdfg.Validate.admit g' in
+        let delta = lazy (Analysis.Delta.between ~memo:(Lazy.force memo) ~symbols g copy) in
         (* translation validation: a proved-equivalent instance skips all its
            fuzz trials (report = None); one whose copy fails validation is
            fuzzed, and the fuzz path fails it as invalid code *)
         let verdict =
           if certify_gate then
             let delta = fst (Lazy.force delta) in
-            Some (Analysis.Equiv.decide ~memo:(Lazy.force memo) ~symbols ~delta g g' x site)
+            Some (Analysis.Equiv.decide ~memo:(Lazy.force memo) ~symbols ~delta g copy x site)
           else None
         in
         (* second evidence channel: what the static oracle would have said
@@ -154,6 +155,7 @@ let run_instance ?memo ?(config = Difftest.default_config)
           let audit = Analysis.Audit.check ~original:g ~transformed:g' ~declared in
           (verdict, Analysis.Report.sort (audit @ findings), stats)
         else (verdict, [], Analysis.Races.stats_zero)
+    | Ok _ | Error _ -> (None, [], Analysis.Races.stats_zero)
   in
   let report =
     match verdict with

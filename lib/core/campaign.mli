@@ -144,9 +144,11 @@ val items :
     application ({!Transforms.Xform.apply_copy}) feeds the certify gate,
     the change-set audit, the static delta and the fuzz path
     ({!Difftest.test_applied}); one that gives [Error] fails as invalid
-    code under every gate combination. The certify gate proves only a copy
-    that validates ({!Analysis.Equiv.decide}); an invalid one is fuzzed and
-    fails as invalid code. *)
+    code under every gate combination. When a gate is on, the copy is
+    admitted once ({!Sdfg.Validate.admit}) and both gates take that
+    admission; the certify gate proves only an admitted copy
+    ({!Analysis.Equiv.decide}), and an invalid one is fuzzed and fails as
+    invalid code. *)
 val run_instance :
   ?memo:Analysis.Delta.memo ->
   ?config:Difftest.config ->

@@ -207,14 +207,12 @@ let run_trials ~config ~constraints ~(cut : Cutout.t) ~original_prog ~transforme
       let klass = if !failures = config.trials then Semantics else Input_dependent in
       Fail { klass; first_trial; failing_trials = !failures; kind; symbols }
 
-(* The copy to run: the application's own error, or the first structural
-   problem of a copy that applied, gives invalid code before any trial. *)
+(* The copy to run, admitted: the application's own error, or the first
+   structural problem of a copy that applied, gives invalid code before any
+   trial. *)
 let valid_copy = function
   | Error msg -> Error msg
-  | Ok (g', _) -> (
-      match Validate.check g' with
-      | [] -> Ok g'
-      | e :: _ -> Error (Format.asprintf "%a" Validate.pp_error e))
+  | Ok (g', _) -> Result.map_error (Format.asprintf "%a" Validate.pp_error) (Validate.admit g')
 
 let invalid_failing msg =
   let kind = Invalid_transformed msg in
@@ -279,16 +277,17 @@ let test_applied ?(config = default_config) g (x : Transforms.Xform.t) site appl
              (e.g. an overwrite turned into an accumulation); extend the
              input configuration with T(c)'s externally visible reads *)
           let original_reads = Propagate.program_reads cut.program in
+          let transformed_g = (transformed :> Graph.t) in
           let extra_inputs =
             List.filter
               (fun c ->
                 (not (List.mem c cut.input_config))
                 && (not (List.mem c original_reads))
                 &&
-                match Graph.container_opt transformed c with
+                match Graph.container_opt transformed_g c with
                 | Some d -> not d.transient
                 | None -> false)
-              (Propagate.program_reads transformed)
+              (Propagate.program_reads transformed_g)
           in
           let cut =
             { cut with Cutout.input_config = List.sort compare (cut.input_config @ extra_inputs) }
@@ -298,8 +297,10 @@ let test_applied ?(config = default_config) g (x : Transforms.Xform.t) site appl
             Constraints.derive ~max_size:config.max_size ~custom:config.custom_constraints
               ~original:g cut
           in
+          (* the cutout is built by the harness from a program that
+             validates; one that does not is a harness bug, and raises *)
           let verdict =
-            run_trials ~config ~constraints ~cut ~original_prog:cut.program
+            run_trials ~config ~constraints ~cut ~original_prog:(Validate.check_exn cut.program)
               ~transformed_prog:transformed
           in
           {
@@ -344,6 +345,7 @@ let test_whole_program ?(config = default_config) g (x : Transforms.Xform.t) sit
           ~original:g cut
       in
       let verdict =
-        run_trials ~config ~constraints ~cut ~original_prog:g ~transformed_prog:transformed
+        run_trials ~config ~constraints ~cut ~original_prog:(Validate.check_exn g)
+          ~transformed_prog:transformed
       in
       (verdict, Unix.gettimeofday () -. t0)

@@ -82,15 +82,15 @@ val pp_report : Format.formatter -> report -> unit
 type run = (Interp.Exec.outcome, Interp.Exec.fault) result
 
 (** [sweep ~original ~transformed ~config ~config_x] sets up one
-    instance's execution plans. Apply the result to each trial's
-    [(symbols, inputs)] to run it on the original program under [config],
-    then on the transformed one under [config_x], and get both outcomes.
-    For as long as the partial application lives, each program is lowered
-    once, by {!Interp.Plan.compile} at its first trial, and each trial binds
-    its valuation to that lowering. *)
+    instance's execution plans for two admitted programs. Apply the result
+    to each trial's [(symbols, inputs)] to run it on the original program
+    under [config], then on the transformed one under [config_x], and get
+    both outcomes. For as long as the partial application lives, each
+    program is lowered once, by {!Interp.Plan.compile} at its first trial,
+    and each trial binds its valuation to that lowering. *)
 val sweep :
-  original:Sdfg.Graph.t ->
-  transformed:Sdfg.Graph.t ->
+  original:Sdfg.Validate.valid ->
+  transformed:Sdfg.Validate.valid ->
   config:Interp.Exec.config ->
   config_x:Interp.Exec.config ->
   (string * int) list * (string * float array) list ->
@@ -102,9 +102,12 @@ val sweep :
     reads: cutout extraction from its change set, optional input
     minimization, application to the cutout, constraint derivation,
     differential fuzzing. An [Error], or a transformed cutout that fails
-    validation, is [Invalid_code] at [first_trial = 0]. Trials run one at a
-    time through one {!sweep}, so compiled programs live exactly as long as
-    the instance's trial loop. *)
+    admission ({!Sdfg.Validate.admit}), is [Invalid_code] at
+    [first_trial = 0]. Each program is validated once: the transformed
+    cutout by that admission, the extracted cutout by
+    {!Sdfg.Validate.check_exn}, which raises on a cutout that fails, a
+    harness bug. Trials run one at a time through one {!sweep}, so
+    compiled programs live exactly as long as the instance's trial loop. *)
 val test_applied :
   ?config:config ->
   Sdfg.Graph.t ->
@@ -138,8 +141,9 @@ val probe :
     cutout) — what the paper's 528× speedup is measured against. Invalid
     code is classified as {!test_applied} classifies it: an application
     that gives [Error], or a transformed program that fails
-    {!Sdfg.Validate.check}, fails as [Invalid_code] with [first_trial = 0].
-    Returns the verdict and elapsed seconds. *)
+    {!Sdfg.Validate.admit}, fails as [Invalid_code] with [first_trial = 0].
+    The program itself must validate ({!Sdfg.Validate.check_exn}). Returns
+    the verdict and elapsed seconds. *)
 val test_whole_program :
   ?config:config ->
   Sdfg.Graph.t ->

@@ -47,9 +47,11 @@ let run ?(config = default_config) mode ~original ~(cutout : Cutout.t) ~transfor
     }
   in
   (* coverage is collected on the original side, and only when it steers *)
+  let original_v = Sdfg.Validate.check_exn cutout.program in
+  let transformed_v = Sdfg.Validate.check_exn transformed in
   let sweep =
-    Difftest.sweep ~original:cutout.program ~transformed ~config:(icfg (mode = Coverage))
-      ~config_x:(icfg false)
+    Difftest.sweep ~original:original_v ~transformed:transformed_v
+      ~config:(icfg (mode = Coverage)) ~config_x:(icfg false)
   in
   let rng = Sampler.create config.seed in
   let coverage = ref ISet.empty in

@@ -34,8 +34,10 @@ type result = {
 
 (** [run mode ~original ~cutout ~transformed] fuzzes until divergence or the
     trial budget is exhausted. [original] is the full program (used for
-    constraint derivation); [transformed] is T(cutout.program). Trials run
-    one at a time through one {!Difftest.sweep}, so each program is
+    constraint derivation); [transformed] is T(cutout.program). Both
+    programs must validate: each is admitted once
+    ({!Sdfg.Validate.check_exn}, which raises [Failure] otherwise). Trials
+    run one at a time through one {!Difftest.sweep}, so each program is
     lowered once during the call and each trial binds its valuation. *)
 val run :
   ?config:config ->

@@ -92,7 +92,8 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                  trials. The change-set audit takes precedence — a declared
                  change set that under-approximates the true diff would make
                  the cutout (and so every trial) test the wrong subprogram. *)
-              let delta, _ = Analysis.Delta.between ~memo ~symbols !current g' in
+              let copy = Sdfg.Validate.admit g' in
+              let delta, _ = Analysis.Delta.between ~memo ~symbols !current copy in
               let findings =
                 match Analysis.Audit.check ~original:!current ~transformed:g' ~declared with
                 | [] -> delta
@@ -119,7 +120,7 @@ let optimize ?(config = Difftest.default_config) ?(static_gate = false) g xforms
                      single trial; a refutation witness seeds one cheap probe
                      trial pinned to the witness valuation before the
                      full-budget run *)
-                  match Analysis.Equiv.decide ~memo ~symbols ~delta !current g' x site with
+                  match Analysis.Equiv.decide ~memo ~symbols ~delta !current copy x site with
                   | Analysis.Equiv.Equivalent cert -> commit (Proved_equivalent cert)
                   | Analysis.Equiv.Refuted w -> (
                       match probe w.valuation with

@@ -71,24 +71,30 @@ let check_reproduces ~catalog (m : meta) (tc : Testcase.t) =
       | Error _ ->
           if m.klass = "invalid-code" then (true, "transformation still fails to apply")
           else (false, "transformation no longer applies")
-      | Ok (transformed, _) ->
-          if Sdfg.Validate.check transformed <> [] then
-            if m.klass = "invalid-code" then (true, "transformed cutout still invalid")
-            else (false, "transformed cutout became invalid")
-          else
-            (* at the step limit that found the case: a hang divergence
-               reproduces within that budget, and a longer one would only
-               burn time, serialized in the campaign process *)
-            let config = { Interp.Exec.default_config with step_limit = tc.step_limit } in
-            let run g = Interp.Exec.run ~config g ~symbols:tc.symbols ~inputs:tc.inputs in
-            let orig = run tc.cutout.program in
-            let xfrm = run transformed in
-            (match
-               Difftest.compare_outcomes ~threshold:Difftest.default_config.Difftest.threshold
-                 ~system_state:tc.cutout.system_state orig xfrm
-             with
-            | Some kind -> (true, Format.asprintf "%a" Difftest.pp_failure kind)
-            | None -> (false, "runs no longer diverge")))
+      | Ok (transformed, _) -> (
+          match Sdfg.Validate.admit transformed with
+          | Error _ ->
+              if m.klass = "invalid-code" then (true, "transformed cutout still invalid")
+              else (false, "transformed cutout became invalid")
+          | Ok transformed -> (
+              (* at the step limit that found the case: a hang divergence
+                 reproduces within that budget, and a longer one would only
+                 burn time, serialized in the campaign process; the admitted
+                 copy is compiled directly, not validated again *)
+              let config = { Interp.Exec.default_config with step_limit = tc.step_limit } in
+              let orig =
+                Interp.Exec.run ~config tc.cutout.program ~symbols:tc.symbols ~inputs:tc.inputs
+              in
+              let xfrm =
+                Result.bind (Interp.Plan.compile transformed ~symbols:tc.symbols) (fun p ->
+                    Interp.Plan.execute ~config p ~inputs:tc.inputs)
+              in
+              match
+                Difftest.compare_outcomes ~threshold:Difftest.default_config.Difftest.threshold
+                  ~system_state:tc.cutout.system_state orig xfrm
+              with
+              | Some kind -> (true, Format.asprintf "%a" Difftest.pp_failure kind)
+              | None -> (false, "runs no longer diverge"))))
 
 (* ---------------- metadata ---------------- *)
 

@@ -52,6 +52,10 @@ type outcome = { memory : Value.t; coverage : int list; steps : int; writes : in
 
 exception F of fault
 
+(* The fault both tiers give a graph that fails validation: its first
+   error. *)
+let invalid_graph e = Invalid_graph (Format.asprintf "%a" Sdfg.Validate.pp_error e)
+
 (* ------------------------------------------------------------------ *)
 (* Coverage keys                                                       *)
 (* ------------------------------------------------------------------ *)

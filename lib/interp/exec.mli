@@ -21,11 +21,16 @@
     reported {!fault.Hang} carries the full run's step count on both tiers,
     whether the hang was proved or burned.
 
-    [run] is the one-shot interface: it compiles a plan and runs it once.
-    Loops that execute the same graph many times (the difftest trial loop,
-    the fuzzer) should instead lower each graph once ([Plan.compile g]),
-    bind each symbol valuation to that lowering, as
-    [Fuzzyflow.Difftest.sweep] does, and call {!Plan.execute} per trial. *)
+    [run] is the one-shot interface: it admits the graph, compiles a plan
+    and runs it once. Loops that execute the same graph many times (the
+    difftest trial loop, the fuzzer) should instead admit each graph once
+    ({!Sdfg.Validate.admit}), lower it once ([Plan.compile v]), bind each
+    symbol valuation to that lowering, as [Fuzzyflow.Difftest.sweep] does,
+    and call {!Plan.execute} per trial.
+
+    Both tiers validate a graph before running it, and neither re-checks
+    at run time what validation guarantees (see {!Plan}): a graph that
+    fails gives [Invalid_graph] with its first validation error. *)
 
 type fault = Defs.fault =
   | Out_of_bounds of { container : string; index : int array; shape : int array; context : string }
@@ -76,7 +81,7 @@ type outcome = Defs.outcome = {
   subsets : int;  (** dimensioned memlet subsets concretized (injection sites) *)
 }
 
-(** [run g ~symbols ~inputs] validates [g], compiles a plan for the
+(** [run g ~symbols ~inputs] admits [g], compiles a plan for the
     valuation and executes it. All free symbols must be bound in [symbols].
     [inputs] initializes non-transient containers; missing ones are
     zero-filled, and each provided array must match the concretized element

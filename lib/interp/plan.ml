@@ -1,10 +1,11 @@
 (* Compile-once execution plans.
 
-   [compile g] lowers a validated graph once into a flat plan: state order
-   and scope membership resolved per graph (adjacency and topological order
-   are the states' own indexed queries), memlet subsets and map ranges
-   compiled to closures, and containers addressed by dense plan ids instead
-   of string hashes. Every symbol that is not a map parameter reads a slot
+   [compile v] lowers an admitted graph (Validate.valid) once into a flat
+   plan, trusting what validation guarantees: state order and scope
+   membership resolved per graph (adjacency and topological order are the
+   states' own indexed queries), memlet subsets and map ranges compiled to
+   closures, and containers addressed by dense plan ids instead of string
+   hashes. Every symbol that is not a map parameter reads a slot
    of the run's symbol registers, so applying the lowering to [~symbols]
    only binds a valuation: buffer shapes, the slots it sets, and the hang
    proof's precondition. [execute] then runs a bound plan over fresh buffers
@@ -346,14 +347,8 @@ let lower_access cv sparams ~context (s : Symbolic.Subset.t) =
   | _ -> Aranges (lower_ranges cv sparams s)
 
 (* ------------------------------------------------------------------ *)
-(* Buffer references and write interception                            *)
+(* Write interception                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type bref = Bok of int | Bmissing of string
-
-let getbuf rt = function
-  | Bok i -> rt.bufs.(i)
-  | Bmissing name -> raise (F (Invalid_graph ("reference to unallocated container " ^ name)))
 
 (* Single-value variant of the tree-walk's corrupt_write: same counter
    discipline (the write counter advances whether or not this write was the
@@ -404,50 +399,42 @@ let oob_fault context = function
 (* Lowered operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type task_op = {
-  t_host_fault : fault option;  (* GPU scope touching host storage *)
-  t_code : (rt -> unit) array;
-      (* the select counter's reset if the code has a Select, the reads in
-         in-edge order, the assignments, the writes in out-edge order *)
-}
-
-type lib_conn =
-  | Cok of { c_buf : bref; c_sub : lrange array; c_wcr : Memlet.wcr option; c_ctx : string }
-  | Cmissing of string  (* precomputed missing-connector fault message *)
+(* Buffers are dense plan ids: validation guarantees that every memlet and
+   access node names a declared container, that a library node has each of
+   its connectors, that a map has one range per parameter and that a
+   tasklet writes only connectors its code assigns, so none of these is
+   checked at run time. *)
+type lib_conn = { c_buf : int; c_sub : lrange array; c_wcr : Memlet.wcr option; c_ctx : string }
 
 type lib_op = {
   l_nid : int;
   l_kind : Node.lib_kind;
-  l_host_fault : fault option;
   l_a : lib_conn;  (* "A" / "in" *)
   l_b : lib_conn option;  (* "B"; None for Reduce *)
   l_out : lib_conn;  (* "C" / "out" *)
 }
 
-type copy_op =
-  | Copy_missing_desc  (* dst container has no descriptor: Not_found, as the tree-walk *)
-  | Copy of {
-      cp_src : bref;
-      cp_ssub : lrange array;
-      cp_dst : bref;
-      cp_dsub : lrange array;
-      cp_wcr : Memlet.wcr option;
-      cp_ctx : string;
-    }
+type copy_op = {
+  cp_src : int;
+  cp_ssub : lrange array;
+  cp_dst : int;
+  cp_dsub : lrange array;
+  cp_wcr : Memlet.wcr option;
+  cp_ctx : string;
+}
 
 type op =
-  | Op_task of task_op
+  | Op_task of (rt -> unit) array
+      (* the select counter's reset if the code has a Select, the reads in
+         in-edge order, the assignments, the writes in out-edge order *)
   | Op_lib of lib_op
   | Op_copies of copy_op array
   | Op_map of map_op
 
 and map_op = {
-  m_nid : int;
   m_cov : int array;  (* coverage digests, indexed by Bool.to_int empty *)
-  m_lranges : lrange array;  (* every declared range, params or not *)
+  m_lranges : lrange array;  (* one per parameter *)
   m_pslots : int array;  (* parameter registers *)
-  m_dmax : int;  (* min(#params, #ranges): iteration depth *)
-  m_arity_ok : bool;
   m_body : op array;
 }
 
@@ -485,24 +472,7 @@ type t = {
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let bref cv name =
-  match Hashtbl.find_opt cv.buf_idx name with Some i -> Bok i | None -> Bmissing name
-
-(* The first host-storage memlet on a GPU-scheduled node, precomputed: edge
-   lists and storage classes are static. *)
-let gpu_fault cv sc nid =
-  List.find_map
-    (fun (e : State.edge) ->
-      match e.memlet with
-      | Some (m : Memlet.t) -> (
-          match Graph.container_opt cv.cg m.data with
-          | Some d when d.storage = Graph.Host ->
-              Some
-                (Invalid_graph
-                   (Printf.sprintf "GPU-scheduled code accesses host container %s" m.data))
-          | _ -> None)
-      | None -> None)
-    (Tree.ins_of sc nid @ Tree.outs_of sc nid)
+let buf cv name = Hashtbl.find cv.buf_idx name
 
 (* One element store at a checked offset, as Value.write_subset stores each
    element: the write counter and the injection, then the WCR combine,
@@ -664,14 +634,14 @@ let lower_tcode cv sparams ~sid ~nid ~visible ~(regs : float array) ~fresh ~sel 
    memlet names a scalar buffer. *)
 let read_instr cv sparams ~nid (regs : float array) s (conn, (m : Memlet.t)) : rt -> unit =
   let context = Printf.sprintf "tasklet %d input %s" nid conn in
-  match (bref cv m.data, lower_access cv sparams ~context m.subset) with
-  | (Bmissing _ as br), _ -> fun rt -> ignore (getbuf rt br)
-  | Bok bid, Ascalar -> fun rt -> regs.(s) <- rt.bufs.(bid).data.(0)
-  | Bok bid, Apoint offset ->
+  let bid = buf cv m.data in
+  match lower_access cv sparams ~context m.subset with
+  | Ascalar -> fun rt -> regs.(s) <- rt.bufs.(bid).data.(0)
+  | Apoint offset ->
       fun rt ->
         let b = rt.bufs.(bid) in
         regs.(s) <- b.data.(offset rt b)
-  | Bok bid, Aranges lrs ->
+  | Aranges lrs ->
       fun rt ->
         let b = rt.bufs.(bid) in
         let cs = concretize_sub rt lrs in
@@ -684,26 +654,19 @@ let read_instr cv sparams ~nid (regs : float array) s (conn, (m : Memlet.t)) : r
                      (Array.length values))));
         regs.(s) <- values.(0)
 
-(* A write checks its connector, then its buffer, then addresses it, as the
-   tree-walk does. [targets] maps assignment targets to their registers: an
-   out-edge from a pure input connector is a missing-value fault, as in
-   eval_code. *)
+(* [targets] maps assignment targets to their registers; validation
+   guarantees a written connector is one of them. *)
 let write_instr cv sparams ~nid ~targets (regs : float array) conn (m : Memlet.t) : rt -> unit =
   let context = Printf.sprintf "tasklet %d output %s" nid conn in
   let wcr = m.wcr in
-  match (Hashtbl.find_opt targets conn, bref cv m.data, lower_access cv sparams ~context m.subset) with
-  | None, _, _ ->
-      let missing =
-        F (Invalid_graph (Printf.sprintf "tasklet %d: no value for connector %s" nid conn))
-      in
-      fun _ -> raise missing
-  | Some _, (Bmissing _ as br), _ -> fun rt -> ignore (getbuf rt br)
-  | Some s, Bok bid, Ascalar -> fun rt -> store rt rt.bufs.(bid) 0 wcr regs s
-  | Some s, Bok bid, Apoint offset ->
+  let s = Hashtbl.find targets conn and bid = buf cv m.data in
+  match lower_access cv sparams ~context m.subset with
+  | Ascalar -> fun rt -> store rt rt.bufs.(bid) 0 wcr regs s
+  | Apoint offset ->
       fun rt ->
         let b = rt.bufs.(bid) in
         store rt b (offset rt b) wcr regs s
-  | Some s, Bok bid, Aranges lrs -> (
+  | Aranges lrs -> (
       fun rt ->
         let b = rt.bufs.(bid) in
         let cs = concretize_sub rt lrs in
@@ -716,8 +679,7 @@ let write_instr cv sparams ~nid ~targets (regs : float array) conn (m : Memlet.t
 
 (* The register file: input connectors in in-edge order, then assignment
    targets, then at most one register per code node. *)
-let lower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
-  let host_fault = if gpu then gpu_fault cv sc nid else None in
+let lower_tasklet cv sc sid sparams nid (code : Tcode.t) =
   let slot_of = Hashtbl.create 8 in
   let slot name =
     match Hashtbl.find_opt slot_of name with
@@ -787,81 +749,41 @@ let lower_tasklet cv sc sid ~gpu sparams nid (code : Tcode.t) =
       (Tree.outs_of sc nid)
   in
   let reset = if Array.length sel_digests > 0 then [ (fun _ -> sel := 0) ] else [] in
-  { t_host_fault = host_fault; t_code = Array.of_list (reset @ reads @ assigns @ writes) }
+  Array.of_list (reset @ reads @ assigns @ writes)
 
-let lib_conn cv sparams nid ~dir conn (m : Memlet.t) =
-  Cok
+let lower_library cv sc sparams nid (kind : Node.lib_kind) =
+  let conn ~dir (m : Memlet.t) c =
     {
-      c_buf = bref cv m.data;
+      c_buf = buf cv m.data;
       c_sub = lower_ranges cv sparams m.subset;
       c_wcr = m.wcr;
-      c_ctx = Printf.sprintf "library node %d %s %s" nid dir conn;
+      c_ctx = Printf.sprintf "library node %d %s %s" nid dir c;
     }
-
-let lower_library cv sc ~gpu sparams nid (kind : Node.lib_kind) =
-  let host_fault = if gpu then gpu_fault cv sc nid else None in
-  let find_in conn =
-    match
-      List.find_opt
-        (fun (e : State.edge) -> e.dst_conn = Some conn && e.memlet <> None)
-        (Tree.ins_of sc nid)
-    with
-    | Some e -> lib_conn cv sparams nid ~dir:"input" conn (Option.get e.memlet)
-    | None -> Cmissing (Printf.sprintf "library node %d: missing input %s" nid conn)
   in
-  let find_out conn =
-    match
-      List.find_opt
-        (fun (e : State.edge) -> e.src_conn = Some conn && e.memlet <> None)
-        (Tree.outs_of sc nid)
-    with
-    | Some e -> lib_conn cv sparams nid ~dir:"output" conn (Option.get e.memlet)
-    | None -> Cmissing (Printf.sprintf "library node %d: missing output %s" nid conn)
-  in
+  let find_in c = conn ~dir:"input" (Tree.find_in sc nid c) c in
+  let find_out c = conn ~dir:"output" (Tree.find_out sc nid c) c in
   match kind with
   | Node.Mat_mul | Node.Batched_mat_mul ->
-      {
-        l_nid = nid;
-        l_kind = kind;
-        l_host_fault = host_fault;
-        l_a = find_in "A";
-        l_b = Some (find_in "B");
-        l_out = find_out "C";
-      }
+      { l_nid = nid; l_kind = kind; l_a = find_in "A"; l_b = Some (find_in "B"); l_out = find_out "C" }
   | Node.Reduce _ ->
-      {
-        l_nid = nid;
-        l_kind = kind;
-        l_host_fault = host_fault;
-        l_a = find_in "in";
-        l_b = None;
-        l_out = find_out "out";
-      }
+      { l_nid = nid; l_kind = kind; l_a = find_in "in"; l_b = None; l_out = find_out "out" }
 
 let lower_copy cv sparams ~dst_data (src_m : Memlet.t) (dst_memlet : Memlet.t option) =
   let dst_m =
     match dst_memlet with
-    | Some m -> Some m
-    | None -> (
-        match Graph.container_opt cv.cg dst_data with
-        | Some (desc : Graph.datadesc) ->
-            Some (Memlet.make dst_data (Symbolic.Subset.full desc.shape))
-        | None -> None)
+    | Some m -> m
+    | None -> Memlet.make dst_data (Symbolic.Subset.full (Graph.container cv.cg dst_data).shape)
   in
-  match dst_m with
-  | None -> Copy_missing_desc
-  | Some (dst_m : Memlet.t) ->
-      Copy
-        {
-          cp_src = bref cv src_m.data;
-          cp_ssub = lower_ranges cv sparams src_m.subset;
-          cp_dst = bref cv dst_m.data;
-          cp_dsub = lower_ranges cv sparams dst_m.subset;
-          cp_wcr = dst_m.wcr;
-          cp_ctx = Printf.sprintf "copy %s -> %s" src_m.data dst_m.data;
-        }
+  {
+    cp_src = buf cv src_m.data;
+    cp_ssub = lower_ranges cv sparams src_m.subset;
+    cp_dst = buf cv dst_m.data;
+    cp_dsub = lower_ranges cv sparams dst_m.subset;
+    cp_wcr = dst_m.wcr;
+    cp_ctx = Printf.sprintf "copy %s -> %s" src_m.data dst_m.data;
+  }
 
-let rec lower_members cv sc sid ~gpu sparams entry =
+let rec lower_members cv sc sid sparams entry =
   let st = sc.Tree.st in
   Array.of_list
     (List.filter_map
@@ -878,16 +800,13 @@ let rec lower_members cv sc sid ~gpu sparams entry =
                  (Tree.outs_of sc nid)
              in
              if copies = [] then None else Some (Op_copies (Array.of_list copies))
-         | Node.Tasklet { code; _ } ->
-             Some (Op_task (lower_tasklet cv sc sid ~gpu sparams nid code))
-         | Node.Library { kind; _ } ->
-             Some (Op_lib (lower_library cv sc ~gpu sparams nid kind))
+         | Node.Tasklet { code; _ } -> Some (Op_task (lower_tasklet cv sc sid sparams nid code))
+         | Node.Library { kind; _ } -> Some (Op_lib (lower_library cv sc sparams nid kind))
          | Node.Map_entry info -> Some (Op_map (lower_map cv sc sid sparams nid info))
          | Node.Map_exit _ -> None)
        (Tree.direct_members sc entry))
 
 and lower_map cv sc sid sparams nid (info : Node.map_info) =
-  let gpu = info.schedule = Node.Gpu_device in
   (* ranges are concretized against the enclosing scope only — a map's own
      parameters are not in scope for its ranges *)
   let lranges = Array.of_list (List.map (lower_range cv sparams) info.ranges) in
@@ -900,11 +819,9 @@ and lower_map cv sc sid sparams nid (info : Node.map_info) =
            s)
          info.params)
   in
-  let np = List.length info.params and nr = List.length info.ranges in
   let inner = List.rev (List.map2 (fun p s -> (p, s)) info.params (Array.to_list pslots)) in
-  let body = lower_members cv sc sid ~gpu (inner @ sparams) (Some nid) in
+  let body = lower_members cv sc sid (inner @ sparams) (Some nid) in
   {
-    m_nid = nid;
     m_cov =
       [|
         cov_digest (Cov_map { state = sid; node = nid; empty = false });
@@ -912,8 +829,6 @@ and lower_map cv sc sid sparams nid (info : Node.map_info) =
       |];
     m_lranges = lranges;
     m_pslots = pslots;
-    m_dmax = min np nr;
-    m_arity_ok = np = nr;
     m_body = body;
   }
 
@@ -921,36 +836,25 @@ and lower_map cv sc sid sparams nid (info : Node.map_info) =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let exec_task rt (t : task_op) =
-  (match t.t_host_fault with Some f -> raise (F f) | None -> ());
-  tick rt;
-  run_code t.t_code rt
+let lib_read rt c =
+  let b = rt.bufs.(c.c_buf) in
+  let cs = concretize_sub rt c.c_sub in
+  (* counts before the read, matching the tree-walk's tuple order *)
+  let counts = List.map Symbolic.Subset.crange_count cs in
+  let values = try Value.read_subset b cs with e -> raise (oob_fault c.c_ctx e) in
+  (values, counts)
 
-let lib_read rt = function
-  | Cmissing msg -> raise (F (Invalid_graph msg))
-  | Cok { c_buf; c_sub; c_ctx; _ } ->
-      let b = getbuf rt c_buf in
-      let cs = concretize_sub rt c_sub in
-      (* counts before the read, matching the tree-walk's tuple order *)
-      let counts = List.map Symbolic.Subset.crange_count cs in
-      let values = try Value.read_subset b cs with e -> raise (oob_fault c_ctx e) in
-      (values, counts)
-
-let lib_write rt conn values =
-  match conn with
-  | Cmissing msg -> raise (F (Invalid_graph msg))
-  | Cok { c_buf; c_sub; c_wcr; c_ctx } -> (
-      let b = getbuf rt c_buf in
-      let cs = concretize_sub rt c_sub in
-      let values = corrupt_write rt values in
-      try
-        match c_wcr with
-        | None -> Value.write_subset b cs values
-        | Some w -> Value.accumulate_subset b cs w values
-      with e -> raise (oob_fault c_ctx e))
+let lib_write rt c values =
+  let b = rt.bufs.(c.c_buf) in
+  let cs = concretize_sub rt c.c_sub in
+  let values = corrupt_write rt values in
+  try
+    match c.c_wcr with
+    | None -> Value.write_subset b cs values
+    | Some w -> Value.accumulate_subset b cs w values
+  with e -> raise (oob_fault c.c_ctx e)
 
 let exec_lib rt (l : lib_op) =
-  (match l.l_host_fault with Some f -> raise (F f) | None -> ());
   tick rt;
   match l.l_kind with
   | Node.Mat_mul -> (
@@ -1025,24 +929,24 @@ let exec_lib rt (l : lib_op) =
       done;
       lib_write rt l.l_out out
 
-let exec_copy rt = function
-  | Copy_missing_desc -> raise Not_found (* Graph.container's failure, verbatim *)
-  | Copy { cp_src; cp_ssub; cp_dst; cp_dsub; cp_wcr; cp_ctx } -> (
-      let sb = getbuf rt cp_src in
-      let db = getbuf rt cp_dst in
-      let scs = concretize_sub rt cp_ssub in
-      let dcs = concretize_sub rt cp_dsub in
-      let values = try Value.read_subset sb scs with e -> raise (oob_fault cp_ctx e) in
-      tick rt ~cost:(max 1 (Array.length values / 64));
-      let values = corrupt_write rt values in
-      try
-        match cp_wcr with
-        | None -> Value.write_subset db dcs values
-        | Some w -> Value.accumulate_subset db dcs w values
-      with e -> raise (oob_fault cp_ctx e))
+let exec_copy rt c =
+  let sb = rt.bufs.(c.cp_src) in
+  let db = rt.bufs.(c.cp_dst) in
+  let scs = concretize_sub rt c.cp_ssub in
+  let dcs = concretize_sub rt c.cp_dsub in
+  let values = try Value.read_subset sb scs with e -> raise (oob_fault c.cp_ctx e) in
+  tick rt ~cost:(max 1 (Array.length values / 64));
+  let values = corrupt_write rt values in
+  try
+    match c.cp_wcr with
+    | None -> Value.write_subset db dcs values
+    | Some w -> Value.accumulate_subset db dcs w values
+  with e -> raise (oob_fault c.cp_ctx e)
 
 let rec exec_op rt = function
-  | Op_task t -> exec_task rt t
+  | Op_task code ->
+      tick rt;
+      run_code code rt
   | Op_lib l -> exec_lib rt l
   | Op_copies cs -> Array.iter (exec_copy rt) cs
   | Op_map m -> exec_map rt m
@@ -1061,15 +965,10 @@ and exec_map rt (m : map_op) =
   let empty = Array.for_all (fun r -> Symbolic.Subset.crange_count r = 0) cr in
   if rt.cfg.collect_coverage then Hashtbl.replace rt.cov m.m_cov.(Bool.to_int empty) ();
   let rec go d =
-    if d = m.m_dmax then begin
-      if m.m_arity_ok then
-        for k = 0 to Array.length m.m_body - 1 do
-          exec_op rt m.m_body.(k)
-        done
-      else
-        raise
-          (F (Invalid_graph (Printf.sprintf "map %d: params/ranges arity mismatch" m.m_nid)))
-    end
+    if d = Array.length cr then
+      for k = 0 to Array.length m.m_body - 1 do
+        exec_op rt m.m_body.(k)
+      done
     else begin
       let r = cr.(d) in
       let n = Symbolic.Subset.crange_count r in
@@ -1169,7 +1068,7 @@ let lower g containers =
     Array.of_list
       (List.map
          (fun (sid, sc, out_edges) ->
-           let ops = lower_members cv sc sid ~gpu:false [] None in
+           let ops = lower_members cv sc sid [] None in
            let edges =
              Array.of_list
                (List.map
@@ -1205,11 +1104,10 @@ let lower g containers =
   }
 
 (* A binding: shapes first, with the tree-walk's typed faults in container
-   order; then [lw], the lowering or the exception it raised, so a shape
-   fault wins over that exception; then the slots the valuation sets. A
-   guarded read of a set slot cannot fault, since nothing unsets a slot, so
-   the hang proof's precondition needs every guarded slot set. *)
-let bind containers lw ~symbols =
+   order; then the slots the valuation sets. A guarded read of a set slot
+   cannot fault, since nothing unsets a slot, so the hang proof's
+   precondition needs every guarded slot set. *)
+let bind lw ~symbols =
   let env = Symbolic.Expr.Env.of_list symbols in
   try
     let shapes =
@@ -1219,9 +1117,8 @@ let bind containers lw ~symbols =
           | Invalid_argument msg -> raise (F (Invalid_graph msg))
           | Symbolic.Expr.Unbound_symbol s ->
               raise (F (Runtime_error ("unbound symbol " ^ s ^ " in shape of " ^ name))))
-        containers
+        lw.lw_containers
     in
-    let lw = match lw with Ok lw -> lw | Error e -> raise e in
     let n = Array.length lw.lw_slots in
     let dvals = Array.make n 0 and dset = Array.make n false in
     Array.iteri
@@ -1242,17 +1139,12 @@ let bind containers lw ~symbols =
       }
   with F f -> Error f
 
-(* [compile g] validates and lowers; the closure it returns binds. A graph
-   that fails validation gets the same fault at every valuation. *)
-let compile g =
-  match Validate.check g with
-  | e :: _ ->
-      let fault = Invalid_graph (Format.asprintf "%a" Validate.pp_error e) in
-      fun ~symbols:_ -> Error fault
-  | [] ->
-      let containers = Array.of_list (Graph.containers g) in
-      let lw = try Ok (lower g containers) with e -> Error e in
-      fun ~symbols -> bind containers lw ~symbols
+(* [compile v] lowers; the closure it returns binds. Lowering an admitted
+   graph cannot raise. *)
+let compile (v : Validate.valid) =
+  let g = (v :> Graph.t) in
+  let lw = lower g (Array.of_list (Graph.containers g)) in
+  fun ~symbols -> bind lw ~symbols
 
 let execute ?(config = default_config) p ~inputs =
   let lw = p.p_lw in
@@ -1314,7 +1206,8 @@ module Cache = struct
 
   let compile ?digest c g ~symbols =
     let d = match digest with Some d -> d | None -> digest_of g in
-    Memo.find_or_add c (d, List.sort compare symbols) (fun () -> compile g ~symbols)
+    Memo.find_or_add c (d, List.sort compare symbols) (fun () ->
+        match Validate.admit g with Ok v -> compile v ~symbols | Error e -> Error (invalid_graph e))
 
   let stats = Memo.stats
 end

@@ -1,7 +1,8 @@
 (** Compile-once execution plans: the one compiled tier. Every difftest
     and fuzzer trial runs on a plan.
 
-    [compile] lowers a graph once into a flat plan: topological order and
+    [compile] lowers an admitted graph ({!Sdfg.Validate.valid}) once into a
+    flat plan: topological order and
     scope nesting resolved per graph, each tasklet compiled to one flat
     instruction array over its float registers (reads, one instruction per
     code node, writes), memlet subsets and map ranges compiled to closures,
@@ -17,6 +18,13 @@
     index scratch are per-run state. Nothing in lib runs two plans at once:
     it starts no domains or threads.
 
+    A plan does not re-check at run time what admission guarantees:
+    declared containers, library connectors, one range per map parameter,
+    written tasklet connectors, and host storage inside GPU scopes. The
+    faults it raises are those validation cannot decide: out-of-bounds
+    accesses, hangs, unbound symbols and references, tasklet memlets of
+    volume other than 1, library shapes and axes, and shape faults.
+
     Semantics are bit-identical to the reference tree-walk ({!Tree.run}):
     same final memory, step counts, injection counters, coverage digests and
     fault messages. A hanging run is usually proved rather than run to its
@@ -25,16 +33,16 @@
 
 type t
 
-(** [compile g ~symbols] compiles [g] under one valuation. Partial
-    application, [compile g], validates and lowers [g]: state order, scope
-    contexts, symbol slots, code, and the names tasklets read under a
-    [Select] branch. Applying the result to [~symbols] only binds the
-    valuation: buffer shapes (with the tree-walk's typed shape faults), the
-    slots it sets, and the hang proof's precondition. Apply [compile g] once
-    to run one program under many valuations; every plan is the one a full
-    application would give. A graph that fails validation gives the same
-    [Invalid_graph] at every valuation. *)
-val compile : Sdfg.Graph.t -> symbols:(string * int) list -> (t, Defs.fault) result
+(** [compile v ~symbols] compiles the admitted graph [v] under one
+    valuation. Partial application, [compile v], lowers [v]: state order,
+    scope contexts, symbol slots, code, and the names tasklets read under a
+    [Select] branch; it cannot raise. Applying the result to [~symbols]
+    only binds the valuation: buffer shapes (with the tree-walk's typed
+    shape faults), the slots it sets, and the hang proof's precondition.
+    Apply [compile v] once to run one program under many valuations; every
+    plan is the one a full application would give. *)
+val compile :
+  Sdfg.Validate.valid -> symbols:(string * int) list -> (t, Defs.fault) result
 
 val execute :
   ?config:Defs.config -> t -> inputs:(string * float array) list ->
@@ -42,9 +50,10 @@ val execute :
 
 (** Memoizes compiled plans by (graph digest, sorted symbol valuation)
     in a {!Sdfg.Memo}: bounded, dropped wholesale when [capacity] (default
-    64) distinct keys are live. Compile failures are cached too — a graph
-    that does not validate keeps not validating. Each key is a full
-    [compile], lowering included. The trial loop does not use it: it lowers
+    64) distinct keys are live. Each key admits the graph and applies
+    [compile] fully, lowering included; compile failures are cached too,
+    and a graph that fails admission gives [Invalid_graph] with its first
+    validation error. The trial loop does not use it: it lowers
     each side once per instance and binds every trial's valuation
     ([Fuzzyflow.Difftest.sweep]); this cache serves the benchmark's traced
     re-drive (bench/campaign/trials.ml). *)

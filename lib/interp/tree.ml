@@ -4,6 +4,11 @@
    differentially tested against (and as the slow side of the `bench
    interp` comparison).
 
+   [run] validates the graph on entry and then, like the plans, does not
+   re-check at run time what validation guarantees: declared containers,
+   library connectors, one range per map parameter, written tasklet
+   connectors, and host storage inside GPU scopes.
+
    It never proves a hang: a hanging run here burns every step up to the
    limit. Only tests and `bench interp` run this tier, so it stays the
    independent full run the plans' hang proofs (Hang_proof) are
@@ -62,10 +67,7 @@ let concretize ctx env subset =
       ctx.subsets <- ctx.subsets + 1;
       cs
 
-let buffer ctx name =
-  match Value.buffer_opt ctx.mem name with
-  | Some b -> b
-  | None -> raise (F (Invalid_graph ("reference to unallocated container " ^ name)))
+let buffer ctx name = Value.buffer ctx.mem name
 
 let read_subset _ctx ~context b cs =
   try Value.read_subset b cs
@@ -192,48 +194,37 @@ let exec_tasklet ctx sc sid nid env (code : Tcode.t) =
     (fun (e : State.edge) ->
       match (e.src_conn, e.memlet) with
       | Some conn, Some m -> (
-          match Hashtbl.find_opt out conn with
-          | None -> raise (F (Invalid_graph (Printf.sprintf "tasklet %d: no value for connector %s" nid conn)))
-          | Some v ->
-              let b = buffer ctx m.data in
-              let cs = concretize ctx env m.subset in
-              let context = Printf.sprintf "tasklet %d output %s" nid conn in
-              (match m.wcr with
-              | None -> write_subset ctx ~context b cs [| v |]
-              | Some w -> accumulate_subset ctx ~context b cs w [| v |]))
+          let v = Hashtbl.find out conn in
+          let b = buffer ctx m.data in
+          let cs = concretize ctx env m.subset in
+          let context = Printf.sprintf "tasklet %d output %s" nid conn in
+          match m.wcr with
+          | None -> write_subset ctx ~context b cs [| v |]
+          | Some w -> accumulate_subset ctx ~context b cs w [| v |])
       | _ -> ())
     (outs_of sc nid)
 
-let find_in _ctx sc nid conn =
-  match
-    List.find_opt
-      (fun (e : State.edge) -> e.dst_conn = Some conn && e.memlet <> None)
-      (ins_of sc nid)
-  with
-  | Some e -> Option.get e.memlet
-  | None -> raise (F (Invalid_graph (Printf.sprintf "library node %d: missing input %s" nid conn)))
+(* validation guarantees a library node has every connector of its kind *)
+let find_in sc nid conn =
+  let e = List.find (fun (e : State.edge) -> e.dst_conn = Some conn && e.memlet <> None) (ins_of sc nid) in
+  Option.get e.memlet
 
-let find_out _ctx sc nid conn =
-  match
-    List.find_opt
-      (fun (e : State.edge) -> e.src_conn = Some conn && e.memlet <> None)
-      (outs_of sc nid)
-  with
-  | Some e -> Option.get e.memlet
-  | None -> raise (F (Invalid_graph (Printf.sprintf "library node %d: missing output %s" nid conn)))
+let find_out sc nid conn =
+  let e = List.find (fun (e : State.edge) -> e.src_conn = Some conn && e.memlet <> None) (outs_of sc nid) in
+  Option.get e.memlet
 
 let subset_counts cs = List.map Symbolic.Subset.crange_count cs
 
 let exec_library ctx sc nid env kind =
   let read conn =
-    let m : Memlet.t = find_in ctx sc nid conn in
+    let m : Memlet.t = find_in sc nid conn in
     let b = buffer ctx m.data in
     let cs = concretize ctx env m.subset in
     let context = Printf.sprintf "library node %d input %s" nid conn in
     (read_subset ctx ~context b cs, subset_counts cs)
   in
   let write conn values =
-    let m : Memlet.t = find_out ctx sc nid conn in
+    let m : Memlet.t = find_out sc nid conn in
     let b = buffer ctx m.data in
     let cs = concretize ctx env m.subset in
     let context = Printf.sprintf "library node %d output %s" nid conn in
@@ -308,16 +299,10 @@ let exec_library ctx sc nid env kind =
 (* Copy edges between two access nodes: read the source subset, write the
    destination subset; volumes must match. This is also the host<->GPU copy
    mechanism. *)
-let exec_copy ctx sc env (e : State.edge) =
-  let st = sc.st in
+let exec_copy ctx env (e : State.edge) dst_data =
   match e.memlet with
   | None -> ()
   | Some src_m ->
-      let dst_data =
-        match State.node st e.dst with
-        | Node.Access d -> d
-        | _ -> raise (F (Invalid_graph "copy edge must end at an access node"))
-      in
       let dst_m =
         match e.dst_memlet with
         | Some m -> m
@@ -345,43 +330,24 @@ let direct_members sc entry =
   |> List.filter (fun n ->
          match State.node sc.st n with Node.Map_exit _ -> false | _ -> true)
 
-let check_gpu_storage ctx sc nid =
-  List.iter
-    (fun (e : State.edge) ->
-      match e.memlet with
-      | Some m -> (
-          match Graph.container_opt ctx.g m.data with
-          | Some d when d.storage = Graph.Host ->
-              raise
-                (F
-                   (Invalid_graph
-                      (Printf.sprintf "GPU-scheduled code accesses host container %s" m.data)))
-          | _ -> ())
-      | None -> ())
-    (ins_of sc nid @ outs_of sc nid)
-
-let rec exec_scope_member ctx sc sid ~gpu env nid =
+let rec exec_scope_member ctx sc sid env nid =
   match State.node sc.st nid with
   | Node.Access _ ->
       (* execute outgoing copy edges (access -> access) *)
       List.iter
         (fun (e : State.edge) ->
           match State.node_opt sc.st e.dst with
-          | Some (Node.Access _) -> exec_copy ctx sc env e
+          | Some (Node.Access d) -> exec_copy ctx env e d
           | _ -> ())
         (outs_of sc nid)
-  | Node.Tasklet { code; _ } ->
-      if gpu then check_gpu_storage ctx sc nid;
-      exec_tasklet ctx sc sid nid env code
+  | Node.Tasklet { code; _ } -> exec_tasklet ctx sc sid nid env code
   | Node.Library { kind; _ } ->
-      if gpu then check_gpu_storage ctx sc nid;
       tick ctx;
       exec_library ctx sc nid env kind
   | Node.Map_entry info -> exec_map ctx sc sid env nid info
   | Node.Map_exit _ -> ()
 
 and exec_map ctx sc sid env nid (info : Node.map_info) =
-  let gpu = info.schedule = Node.Gpu_device in
   let members = direct_members sc (Some nid) in
   let ranges = List.map (fun (r : Symbolic.Subset.range) ->
       try Symbolic.Subset.concretize_range env r with
@@ -396,14 +362,14 @@ and exec_map ctx sc sid env nid (info : Node.map_info) =
          node = nid;
          empty = List.for_all (fun r -> Symbolic.Subset.crange_count r = 0) ranges;
        });
+  (* validation guarantees one range per parameter *)
   let rec iterate env params ranges =
     match (params, ranges) with
-    | [], [] -> List.iter (exec_scope_member ctx sc sid ~gpu env) members
     | p :: ps, (r : Symbolic.Subset.crange) :: rs ->
         List.iter
           (fun v -> iterate (Symbolic.Expr.Env.add p v env) ps rs)
           (Symbolic.Subset.crange_elements r)
-    | _ -> raise (F (Invalid_graph (Printf.sprintf "map %d: params/ranges arity mismatch" nid)))
+    | _ -> List.iter (exec_scope_member ctx sc sid env) members
   in
   iterate env info.params ranges
 
@@ -445,7 +411,7 @@ let exec_state ctx sid =
   let st = Graph.state ctx.g sid in
   let sc = build_sctx st in
   let members = direct_members sc None in
-  List.iter (exec_scope_member ctx sc sid ~gpu:false ctx.sym_env) members
+  List.iter (exec_scope_member ctx sc sid ctx.sym_env) members
 
 (* ------------------------------------------------------------------ *)
 (* Control flow                                                        *)
@@ -499,7 +465,7 @@ let exec_program ctx =
 
 let run ?(config = default_config) g ~symbols ~inputs =
   match Validate.check g with
-  | e :: _ -> Error (Invalid_graph (Format.asprintf "%a" Validate.pp_error e))
+  | e :: _ -> Error (invalid_graph e)
   | [] -> (
       let sym_env = Symbolic.Expr.Env.of_list symbols in
       let mem : Value.t = Hashtbl.create 16 in

@@ -180,7 +180,8 @@ let compare_error (a : error) (b : error) = compare a b
 
 let check g =
   let errors = ref [] in
-  if Graph.state_ids g <> [] && Graph.state_opt g (Graph.start_state g) = None then
+  let start = Graph.start_state g in
+  if (start >= 0 || Graph.state_ids g <> []) && Graph.state_opt g start = None then
     errors := [ err "missing start state" ];
   List.iter
     (fun (e : Graph.istate_edge) ->
@@ -190,7 +191,11 @@ let check g =
   List.iter (fun (sid, st) -> errors := check_state g sid st @ !errors) (Graph.states g);
   List.sort_uniq compare_error !errors
 
+type valid = Graph.t
+
+let admit g = match check g with [] -> Ok g | e :: _ -> Error e
+
 let check_exn g =
-  match check g with
-  | [] -> ()
-  | e :: _ -> failwith (Format.asprintf "invalid SDFG %s: %a" (Graph.name g) pp_error e)
+  match admit g with
+  | Ok v -> v
+  | Error e -> failwith (Format.asprintf "invalid SDFG %s: %a" (Graph.name g) pp_error e)

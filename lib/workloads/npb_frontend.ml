@@ -386,6 +386,6 @@ let all () =
   List.map
     (fun (name, src) ->
       let g = Frontend.Lang.compile src in
-      Sdfg.Validate.check_exn g;
+      ignore (Sdfg.Validate.check_exn g);
       (name, g))
     sources

@@ -417,7 +417,7 @@ let campaign_order_instances () =
 let delta_differs ~memo g (x : Transforms.Xform.t) site expected =
   let got =
     match Transforms.Xform.apply_copy x g site with
-    | Ok (g', _) -> Some (Analysis.Delta.between ~memo ~symbols:(symbols_of g) g g')
+    | Ok (g', _) -> Some (Analysis.Delta.between ~memo ~symbols:(symbols_of g) g (Validate.admit g'))
     | Error _ -> None
   in
   if got <> expected then
@@ -621,7 +621,7 @@ let delta_tests =
         let misses_of (x : Transforms.Xform.t) site =
           let before = snd (checks memo) in
           Result.iter
-            (fun (g', _) -> ignore (Analysis.Delta.between ~memo ~symbols g g'))
+            (fun (g', _) -> ignore (Analysis.Delta.between ~memo ~symbols g (Validate.admit g')))
             (Transforms.Xform.apply_copy x g site);
           snd (checks memo) - before
         in
@@ -702,7 +702,8 @@ let delta_tests =
           | [] -> Alcotest.fail "the copy validates"
         in
         let memo = Analysis.Delta.create_memo () in
-        let findings, stats = Analysis.Delta.between ~memo ~symbols g g' in
+        let copy = Validate.admit g' in
+        let findings, stats = Analysis.Delta.between ~memo ~symbols g copy in
         Alcotest.(check int) "no findings" 0 (List.length findings);
         Alcotest.(check bool) "the baseline's counters" true
           (stats = snd (Analysis.Oracle.analyze_stats ~carried:true ~symbols g));
@@ -710,7 +711,7 @@ let delta_tests =
         Alcotest.(check (pair int int))
           "only the baseline's states are looked up" (0, List.length (Graph.states g))
           (checks memo);
-        match Analysis.Equiv.decide ~memo ~symbols ~delta:findings g g' x site with
+        match Analysis.Equiv.decide ~memo ~symbols ~delta:findings g copy x site with
         | Analysis.Equiv.Unknown why ->
             let n = String.length error in
             let rec at i =
@@ -725,9 +726,9 @@ let delta_tests =
         let g = Workloads.Cloudsc.build () in
         let symbols = symbols_of g in
         let x = Transforms.Map_tiling.make Transforms.Map_tiling.Correct in
-        let g' =
+        let copy =
           match Transforms.Xform.apply_copy x g (List.hd (x.Transforms.Xform.find g)) with
-          | Ok (g', _) -> g'
+          | Ok (g', _) -> Validate.admit g'
           | Error msg -> Alcotest.failf "did not apply: %s" msg
         in
         let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Alarm)) in
@@ -743,7 +744,7 @@ let delta_tests =
               match
                 while Unix.gettimeofday () < stop do
                   ignore
-                    (Analysis.Delta.between ~memo:(Analysis.Delta.create_memo ()) ~symbols g g')
+                    (Analysis.Delta.between ~memo:(Analysis.Delta.create_memo ()) ~symbols g copy)
                 done
               with
               | () -> false

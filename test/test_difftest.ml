@@ -10,8 +10,66 @@ let chain_site () =
   let g, sid, mm2 = Workloads.Chain.build_with_site () in
   (g, Transforms.Xform.dataflow_site ~state:sid ~nodes:[ mm2 ] ~descr:"tile mm2")
 
+let table2_symbols = [ ("N", 8); ("T", 3); ("H", 4); ("R", 3); ("Q", 4); ("P", 3) ]
+
+(* the benchmark's programs, each at the symbols its campaigns use *)
+let admission_programs () =
+  let at symbols = List.map (fun (name, g) -> (name, g, symbols)) in
+  at table2_symbols (Workloads.Npbench.all () @ Workloads.Npb_frontend.all ())
+  @ [
+      ("cloudsc", Workloads.Cloudsc.build (), Workloads.Cloudsc.default_symbols);
+      ("bert", Workloads.Bert.build (), Workloads.Bert.default_symbols);
+      ("fig4", Workloads.Fig4.build (), table2_symbols);
+    ]
+  @ List.concat_map
+      (fun style ->
+        let admitted, _ = Gen.Admit.batch ~style ~seed:13 ~n:2 () in
+        List.map (fun (c : Gen.Generate.t) -> (c.name, c.graph, table2_symbols)) admitted)
+      Gen.Styles.all
+
+(* Difftest admits the cutouts it extracts with [check_exn]: an invalid one
+   would be a harness bug, so none may occur. A transformed cutout is
+   invalid code exactly when the whole transformed copy is. *)
+let cutouts_validate () =
+  let applied = ref 0 in
+  List.iter
+    (fun (name, g, symbols) ->
+      List.iter
+        (fun (x : Transforms.Xform.t) ->
+          List.iter
+            (fun site ->
+              match Transforms.Xform.apply_copy x g site with
+              | Error _ -> ()
+              | Ok (g', cs) ->
+                  incr applied;
+                  let at = Printf.sprintf "%s: %s @ %s" name x.name (Transforms.Xform.site_slug site) in
+                  let cut = Cutout.extract ~options:{ Cutout.symbols } g cs in
+                  let cut', _ = Min_cut.minimize g cut ~symbols in
+                  List.iter
+                    (fun (which, (c : Cutout.t)) ->
+                      match Sdfg.Validate.check c.program with
+                      | [] -> ()
+                      | e :: _ ->
+                          Alcotest.failf "%s: %s cutout invalid: %a" at which Sdfg.Validate.pp_error e)
+                    [ ("extracted", cut); ("min-cut", cut') ];
+                  let copy_invalid = Sdfg.Validate.check g' <> [] in
+                  let cutout_invalid =
+                    match Transforms.Xform.apply_copy x cut'.program site with
+                    | Error _ -> true
+                    | Ok (c', _) -> Sdfg.Validate.check c' <> []
+                  in
+                  if copy_invalid <> cutout_invalid then
+                    Alcotest.failf "%s: whole copy invalid %b, transformed cutout invalid %b" at
+                      copy_invalid cutout_invalid)
+            (x.find g))
+        (Transforms.Registry.as_shipped () @ Transforms.Registry.all_correct ()))
+    (admission_programs ());
+  Alcotest.(check bool) "instances applied" true (!applied > 0)
+
 let difftest_tests =
   [
+    Alcotest.test_case "cutouts validate, and T(c) is invalid exactly when T(g) is" `Quick
+      cutouts_validate;
     Alcotest.test_case "correct tiling passes" `Quick (fun () ->
         let g, site = chain_site () in
         let x = Transforms.Map_tiling.make ~tile_size:3 Transforms.Map_tiling.Correct in

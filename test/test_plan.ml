@@ -93,7 +93,7 @@ let workload_tests =
            is one step, so words are counted per step *)
         let words g n =
           let p =
-            match Interp.Plan.compile g ~symbols:[ ("N", n) ] with
+            match Interp.Plan.compile (Validate.check_exn g) ~symbols:[ ("N", n) ] with
             | Ok p -> p
             | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
           in
@@ -372,7 +372,7 @@ let hang_tests =
     Alcotest.test_case "a proved hang allocates the same at step limits 10^4 and 10^7" `Quick
       (fun () ->
         let p =
-          match Interp.Plan.compile (Hang_loops.periodic ()) ~symbols:[] with
+          match Interp.Plan.compile (Validate.check_exn (Hang_loops.periodic ())) ~symbols:[] with
           | Ok p -> p
           | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
         in
@@ -392,7 +392,7 @@ let hang_tests =
         let g = Hang_loops.guarded_fault "j" in
         let symbols = [ ("j", 1) ] in
         let p =
-          match Interp.Plan.compile g ~symbols with
+          match Interp.Plan.compile (Validate.check_exn g) ~symbols with
           | Ok p -> p
           | Error f -> Alcotest.fail (Interp.Exec.fault_to_string f)
         in
@@ -414,7 +414,7 @@ let hang_tests =
 
 (* ---------------- one lowering, many bindings ---------------- *)
 
-(* [Plan.compile g] lowers once; every valuation bound to it must give the
+(* [Plan.compile v] lowers once; every valuation bound to it must give the
    plan a full application gives, so each is checked against the tree-walk
    at that valuation. *)
 
@@ -429,7 +429,7 @@ let staged_tests =
       (fun () ->
         List.iter
           (fun (name, g, symbols) ->
-            let stage = Interp.Plan.compile g in
+            let stage = Interp.Plan.compile (Validate.check_exn g) in
             let at symbols =
               let inputs = inputs_for g ~symbols in
               let p, o = run_staged ~config:cov_config stage ~symbols ~inputs in
@@ -451,7 +451,7 @@ let staged_tests =
           (roster ()));
     Alcotest.test_case "a guarded fault is judged per valuation" `Quick (fun () ->
         let g = Hang_loops.guarded_fault "ghost" in
-        let stage = Interp.Plan.compile g in
+        let stage = Interp.Plan.compile (Validate.check_exn g) in
         let config = limit_config 20_000 in
         let plans =
           List.map
@@ -484,20 +484,26 @@ let staged_tests =
         Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.sym "N" ];
         let st = Graph.state g (Graph.add_state g "s") in
         ignore (State.add_node st (Node.Access "ghost"));
-        let stage = Interp.Plan.compile g in
+        let cache = Interp.Plan.Cache.create () in
         List.iter
           (fun symbols ->
-            match (exec_tree g ~symbols ~inputs:[], stage ~symbols) with
-            | Error (Interp.Exec.Invalid_graph _ as f), Error f' ->
-                Alcotest.(check string)
-                  ("fault at " ^ valuation_to_string symbols)
-                  (Interp.Exec.fault_to_string f) (Interp.Exec.fault_to_string f')
+            let at = "fault at " ^ valuation_to_string symbols in
+            match
+              ( exec_tree g ~symbols ~inputs:[],
+                Interp.Plan.Cache.compile cache g ~symbols,
+                exec_plan g ~symbols ~inputs:[] )
+            with
+            | Error (Interp.Exec.Invalid_graph _ as f), Error f', Error f'' ->
+                Alcotest.(check string) at (Interp.Exec.fault_to_string f)
+                  (Interp.Exec.fault_to_string f');
+                Alcotest.(check string) at (Interp.Exec.fault_to_string f)
+                  (Interp.Exec.fault_to_string f'')
             | _ -> Alcotest.fail "expected the validation fault from both tiers")
           [ [ ("N", 4) ]; []; [ ("N", 5) ] ]);
     Alcotest.test_case "an unbound shape symbol faults next to a valuation that binds it" `Quick
       (fun () ->
         let g = Workloads.Npbench.scale () in
-        let stage = Interp.Plan.compile g in
+        let stage = Interp.Plan.compile (Validate.check_exn g) in
         List.iter
           (fun symbols ->
             let inputs = if symbols = [] then [] else inputs_for g ~symbols in
@@ -506,20 +512,6 @@ let staged_tests =
               (exec_tree ~config:cov_config g ~symbols ~inputs)
               (snd (run_staged ~config:cov_config stage ~symbols ~inputs)))
           [ []; [ ("N", 4) ]; []; [ ("N", 5) ] ]);
-    Alcotest.test_case "a per-program stage exception comes after the shape faults" `Quick
-      (fun () ->
-        (* a removed start state passes validation when no state is left *)
-        let g = Graph.create "stateless" in
-        Graph.add_array g "x" Dtype.F64 [ Symbolic.Expr.sym "N" ];
-        Graph.remove_state g (Graph.add_state g "s");
-        let stage = Interp.Plan.compile g in
-        check_same "stateless at []"
-          (exec_tree g ~symbols:[] ~inputs:[])
-          (snd (run_staged ~config:cov_config stage ~symbols:[] ~inputs:[]));
-        Alcotest.check_raises "tree at [N=4]" Not_found (fun () ->
-            ignore (exec_tree g ~symbols:[ ("N", 4) ] ~inputs:[]));
-        Alcotest.check_raises "plan at [N=4]" Not_found (fun () ->
-            ignore (stage ~symbols:[ ("N", 4) ])));
     Alcotest.test_case "binding a valuation does no lowering" `Quick (fun () ->
         (* a binding concretizes shapes and sets slots; lowering a roster
            program allocates 295 to 3 355 words per container, so the
@@ -527,7 +519,7 @@ let staged_tests =
         let bindings = 50 in
         List.iter
           (fun (name, g, symbols) ->
-            let lowered = Interp.Plan.compile g in
+            let lowered = Interp.Plan.compile (Validate.check_exn g) in
             ignore (lowered ~symbols);
             let before = Gc.minor_words () in
             for _ = 1 to bindings do
@@ -646,7 +638,7 @@ let prop_tier_contract =
       let rng = Random.State.make [| vseed |] in
       let free = Graph.all_free_syms g in
       let config = { cov_config with step_limit = 100_000 } in
-      let stage = Interp.Plan.compile g in
+      let stage = Interp.Plan.compile (Validate.check_exn g) in
       (* shifts draw from their own stream, so the valuations and inputs
          stay those of the unshifted property *)
       let shift_rng = Random.State.make [| vseed; 1 |] in

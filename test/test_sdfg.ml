@@ -622,6 +622,26 @@ let is_overlap (e : Validate.error) =
   let n = String.length e.what and k = String.length suffix in
   n >= k && String.sub e.what (n - k) k = suffix
 
+(* [expected] is the first error [Validate.check] reports on [g], and both
+   interpreter tiers refuse [g] at each valuation of [at] with its text:
+   neither re-checks at run time what validation rejects *)
+let flagged ?(at = [ [] ]) g (expected : Validate.error) =
+  let show e = Format.asprintf "%a" Validate.pp_error e in
+  (match Validate.check g with
+  | e :: _ when e = expected -> ()
+  | errors ->
+      Alcotest.failf "expected %s first, got [%s]" (show expected)
+        (String.concat "; " (List.map show errors)));
+  List.iter
+    (fun symbols ->
+      List.iter
+        (fun (tier, run) ->
+          match run g ~symbols ~inputs:[] with
+          | Error (Interp.Exec.Invalid_graph msg) -> Alcotest.(check string) tier (show expected) msg
+          | _ -> Alcotest.failf "%s: expected the validation fault %s" tier (show expected))
+        [ ("plans", fun g -> Interp.Exec.run g); ("tree-walk", fun g -> Interp.Exec.run_tree g) ])
+    at
+
 let validate_tests =
   [
     Alcotest.test_case "valid graph passes" `Quick (fun () ->
@@ -631,8 +651,28 @@ let validate_tests =
         let g = Graph.create "bad" in
         let sid = Graph.add_state g "s" in
         let st = Graph.state g sid in
-        ignore (State.add_node st (Node.Access "ghost"));
-        Alcotest.(check bool) "errors" true (Validate.check g <> []));
+        let a = State.add_node st (Node.Access "ghost") in
+        flagged g
+          {
+            Validate.state = Some sid;
+            what = Printf.sprintf "access node %d references undeclared container ghost" a;
+          });
+    Alcotest.test_case "tasklet memlet on an undeclared container flagged" `Quick (fun () ->
+        let g = Graph.create "bad" in
+        Graph.add_array g "x" Dtype.F64 [ se "N" ];
+        Graph.add_array g "y" Dtype.F64 [ se "N" ];
+        let sid = Graph.add_state g "s" in
+        let st = Graph.state g sid in
+        let x = State.add_node st (Node.Access "x") in
+        let t = State.add_node st (Node.tasklet "t" "o = v") in
+        let y = State.add_node st (Node.Access "y") in
+        let e = State.add_edge st ~dst_conn:"v" ~memlet:(Memlet.simple "ghost" "0") x t in
+        ignore (State.add_edge st ~src_conn:"o" ~memlet:(Memlet.simple "y" "0") t y);
+        flagged g
+          {
+            Validate.state = Some sid;
+            what = Printf.sprintf "edge %d: memlet references undeclared container ghost" e;
+          });
     Alcotest.test_case "dimension mismatch flagged" `Quick (fun () ->
         let g = Graph.create "bad" in
         Graph.add_array g "A" Dtype.F64 [ se "N"; se "N" ];
@@ -658,7 +698,19 @@ let validate_tests =
         let t = State.add_node st (Node.tasklet "t" "o = 1.0") in
         let y = State.add_node st (Node.Access "y") in
         ignore (State.add_edge st ~src_conn:"nonexistent" ~memlet:(Memlet.simple "y" "0") t y);
-        Alcotest.(check bool) "errors" true (Validate.check g <> []));
+        flagged g
+          {
+            Validate.state = Some sid;
+            what = Printf.sprintf "tasklet t (%d): out connector nonexistent not produced by code" t;
+          });
+    Alcotest.test_case "map with more params than ranges flagged" `Quick (fun () ->
+        let g, sid, st, m = mk_map_state () in
+        (match State.node st m.entry with
+        | Node.Map_entry info ->
+            State.replace_node st m.entry (Node.Map_entry { info with params = [ "i"; "j" ] })
+        | _ -> Alcotest.fail "expected a map entry");
+        flagged g
+          { Validate.state = Some sid; what = Printf.sprintf "map entry %d: 2 params but 1 ranges" m.entry });
     Alcotest.test_case "gpu scope with host container flagged" `Quick (fun () ->
         let g = Graph.create "bad" in
         Graph.add_symbol g "N";
@@ -666,14 +718,59 @@ let validate_tests =
         Graph.add_array g "y" Dtype.F64 [ se "N" ];
         let sid = Graph.add_state g "s" in
         let st = Graph.state g sid in
-        ignore
-          (Builder.Build.mapped_tasklet g st ~label:"k" ~schedule:Node.Gpu_device
-             ~map:[ ("i", "0:N-1") ]
-             ~inputs:[ ("v", Memlet.simple "x" "i") ]
-             ~code:"o = v"
-             ~outputs:[ ("o", Memlet.simple "y" "i") ]
-             ());
-        Alcotest.(check bool) "errors" true (Validate.check g <> []));
+        let m =
+          Builder.Build.mapped_tasklet g st ~label:"k" ~schedule:Node.Gpu_device
+            ~map:[ ("i", "0:N-1") ]
+            ~inputs:[ ("v", Memlet.simple "x" "i") ]
+            ~code:"o = v"
+            ~outputs:[ ("o", Memlet.simple "y" "i") ]
+            ()
+        in
+        flagged g
+          {
+            Validate.state = Some sid;
+            what = Printf.sprintf "GPU-scheduled scope %d accesses host container x" m.entry;
+          });
+    Alcotest.test_case "host container in a map nested in a GPU scope flagged" `Quick (fun () ->
+        (* a sequential map inside a GPU map: its tasklet is no direct member
+           of the GPU scope, and reads host storage *)
+        let g = Graph.create "bad" in
+        Graph.add_symbol g "N";
+        Graph.add_array g "x" Dtype.F64 [ se "N" ];
+        Graph.add_array g ~storage:Graph.Gpu "y" Dtype.F64 [ se "N" ];
+        let sid = Graph.add_state g "s" in
+        let st = Graph.state g sid in
+        let entry label param schedule =
+          State.add_node st
+            (Node.Map_entry
+               {
+                 label;
+                 params = [ param ];
+                 ranges = [ Symbolic.Subset.dim Symbolic.Expr.zero (se "N") ];
+                 schedule;
+               })
+        in
+        let outer = entry "gpu" "i" Node.Gpu_device in
+        let inner = entry "seq" "j" Node.Sequential in
+        let t = State.add_node st (Node.tasklet "t" "o = v") in
+        let inner_exit = State.add_node st (Node.Map_exit { entry = inner }) in
+        let outer_exit = State.add_node st (Node.Map_exit { entry = outer }) in
+        let x = State.add_node st (Node.Access "x") in
+        let y = State.add_node st (Node.Access "y") in
+        let edge ?src_conn ?dst_conn data subset a b =
+          ignore (State.add_edge st ?src_conn ?dst_conn ~memlet:(Memlet.simple data subset) a b)
+        in
+        edge "x" "0:N-1" x outer;
+        edge "x" "i" outer inner;
+        edge ~dst_conn:"v" "x" "i" inner t;
+        edge ~src_conn:"o" "y" "i" t inner_exit;
+        edge "y" "i" inner_exit outer_exit;
+        edge "y" "0:N-1" outer_exit y;
+        flagged g
+          {
+            Validate.state = Some sid;
+            what = Printf.sprintf "GPU-scheduled scope %d accesses host container x" outer;
+          });
     Alcotest.test_case "library missing input flagged" `Quick (fun () ->
         let g = Graph.create "bad" in
         Graph.add_array g "C" Dtype.F64 [ se "N"; se "N" ];
@@ -682,7 +779,27 @@ let validate_tests =
         let l = State.add_node st (Node.Library { label = "mm"; kind = Node.Mat_mul }) in
         let c = State.add_node st (Node.Access "C") in
         ignore (State.add_edge st ~src_conn:"C" ~memlet:(Memlet.simple "C" "0:N-1, 0:N-1") l c);
-        Alcotest.(check bool) "errors" true (Validate.check g <> []));
+        flagged g
+          { Validate.state = Some sid; what = Printf.sprintf "library mm (%d): missing input A" l });
+    Alcotest.test_case "library missing output flagged" `Quick (fun () ->
+        let g = Graph.create "bad" in
+        Graph.add_array g "A" Dtype.F64 [ se "N"; se "N" ];
+        Graph.add_array g "B" Dtype.F64 [ se "N"; se "N" ];
+        let sid = Graph.add_state g "s" in
+        let st = Graph.state g sid in
+        let l = State.add_node st (Node.Library { label = "mm"; kind = Node.Mat_mul }) in
+        List.iter
+          (fun c ->
+            let a = State.add_node st (Node.Access c) in
+            ignore (State.add_edge st ~dst_conn:c ~memlet:(Memlet.simple c "0:N-1, 0:N-1") a l))
+          [ "A"; "B" ];
+        flagged g
+          { Validate.state = Some sid; what = Printf.sprintf "library mm (%d): missing output C" l });
+    Alcotest.test_case "a start state removed with every state flagged" `Quick (fun () ->
+        let g = Graph.create "stateless" in
+        Graph.add_array g "x" Dtype.F64 [ se "N" ];
+        Graph.remove_state g (Graph.add_state g "s");
+        flagged ~at:[ []; [ ("N", 4) ] ] g { Validate.state = None; what = "missing start state" });
     Alcotest.test_case "map scopes that overlap without nesting are flagged" `Quick (fun () ->
         let st, _ = overlapping () in
         let g, sid = graph_of_state st in
